@@ -6,6 +6,7 @@ from .errors import (
     FolflowError,
     GapTooSmall,
     InconsistentData,
+    NonFiniteValue,
     NonPositiveField,
     NotConservative,
     NotConverged,
@@ -35,6 +36,7 @@ __all__ = [
     "FolflowError",
     "GapTooSmall",
     "InconsistentData",
+    "NonFiniteValue",
     "NonPositiveField",
     "NotConservative",
     "NotConverged",

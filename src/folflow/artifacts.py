@@ -60,12 +60,6 @@ def write_summary(path: Path, payload: dict):
     Path(path).write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
 
 
-def load_summary_without_meta(path: Path) -> dict:
-    data = json.loads(Path(path).read_text())
-    data.pop("meta", None)
-    return data
-
-
 def write_plot_script(path: Path, scenario: str, y_column: str):
     text = "\n".join(
         [

@@ -14,9 +14,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from . import colehopf
 from .artifacts import (
     snapshot_name,
     write_fields,
@@ -25,383 +22,26 @@ from .artifacts import (
     write_trajectory,
 )
 from .config import RunConfig, config_to_dict, parse_config, realize_grid
-from .curvature import sc_mix_minus_T2
-from .errors import FolflowError, NotConverged, ParseError, ValidationError
-from .families import build_field
-from .fiber import ScalarField, build_grid, grad_log, integrate
-from .parabolic import PERIODIC, BurgersStepper, HeatStepper, Scheme, StepperConfig, _step_count
-from .scenarios import (
-    NormalizedConfig,
-    SurfaceConfig,
-    TwistedConfig,
-    fit_decay_rate,
-    linear_interpolant,
-    positivity_verdict,
-    run_normalized_flow,
-    run_surface_of_revolution,
-    run_twisted_product,
-    surface_evolution_crosscheck,
-)
-from .schrodinger import (
-    eigencount,
-    ground_state,
-    spectrum,
-    weyl_theta,
-)
-
-SCENARIO_CATALOG = """\
-available scenarios
-
-surface
-  profile radius of a surface of revolution relaxing under its own curvature
-  equations: d(rho)/dt = rho_xx ; k = -(log rho)_x ; K = -rho_xx/rho
-             metric factor shrinks as d(g)/dt = -2*K*g_hat, i.e. (rho/rho0)^2
-  config:    grid (interval or circle), time, initial = rho0 (> 0, |slope| <= 1)
-  artifacts: trajectory(t, sup_K, sup_k, min_rho, arc_residual, riccati_res,
-             conformal_dev), fields(rho, h, k, K, conformal_factor)
-
-twisted
-  warping function of a twisted product relaxing along each fiber slice
-  equations: d(f)/dt = n * f_yy per base slice ; H = -(log f)_y
-             each slice tends to its own fiber mean
-  config:    grid (circle), time, initial = fiber profile (> 0),
-             base_values = slice amplitudes, n_rank = n
-  artifacts: trajectory(t, sup_H, mass_drift, sup_dist_to_mean),
-             fields(f_i, H_i)
-
-normalized
-  normalized flow of a bundle-like foliated metric, conformal on the
-  orthogonal distribution
-  equations: d(u)/dt = n*(u_yy + betaD*u) ; H = -n*(grad u)/u
-             Sc_mix - |T|^2 = -n*(u_yy + betaD*u)/u -> n*lambda0
-             d(|T|^2)/dt = 4*(Sc_mix - |T|^2 - Phi)*|T|^2, Phi = n*lambda0
-  config:    grid (circle), time, initial = u0 (> 0), potential = betaD (>= 0),
-             t2_initial (>= 0), n_rank = n
-  artifacts: trajectory(t, sup_dev_scmix, rayleigh, lambda0, gap, min_u,
-             betaD_drift, conservation_drift, h_dev), fields(u, H, betaD,
-             T2, scmixT2)
-
-cole_hopf_check
-  the same velocity computed two ways: a direct forced Burgers evolution
-  against the transform of a positive heat-reaction solution
-  equations: dH/dt + (H^2)_y = nu*H_yy - nu^2*(forcing)_y   versus
-             H = -nu*(grad u)/u with d(u)/dt = nu*(u_yy + forcing*u)
-  config:    grid (circle), time, initial = u0 (> 0), potential = forcing,
-             n_rank = nu
-  artifacts: trajectory(t, sup_diff), fields(H_direct, H_transformed, u),
-             summary carries the refinement order of the sup difference
-
-spectral_report
-  low spectrum of the fiber operator -d2/dy2 - potential
-  reports:   lambda0 by inverse iteration and by a dense eigensolve, the
-             spectral gap, orthonormal eigenfunctions, a Weyl-count ratio,
-             and the bound lambda0 >= -max(potential) over seeded random
-             potentials
-  config:    grid, potential, modes, n_random, seed
-  artifacts: trajectory(single row: lambda0, lambda1, gap, weyl_ratio),
-             fields(potential, e0, e1, ...)
-"""
+from .errors import FolflowError, ParseError, ValidationError
+from .fiber import grad_log  # noqa: F401  perfbench's traced-run test checks this binding
+from .scenarios import SCENARIOS
 
 
 def list_scenarios() -> str:
-    return SCENARIO_CATALOG
+    """The scenario catalog, rendered from the scenario declarations."""
 
+    def block(label: str, lines) -> list[str]:
+        return [f"  {label if i == 0 else '':<10} {line}" for i, line in enumerate(lines)]
 
-def _field(cfg: RunConfig, grid, which: str) -> ScalarField:
-    spec = getattr(cfg, which)
-    return build_field(grid, spec.family, spec.params)
-
-
-def _select_snapshots(ts: list[float], wanted) -> list[int]:
-    chosen = []
-    arr = np.asarray(ts)
-    for t in wanted:
-        idx = int(np.argmin(np.abs(arr - t)))
-        if idx not in chosen:
-            chosen.append(idx)
-    return sorted(chosen)
-
-
-def _series_rows(series: dict, columns: list[str]) -> list[dict]:
-    count = len(series["t"])
-    return [{c: series[c][i] for c in columns} for i in range(count)]
-
-
-def _run_surface(cfg: RunConfig, grid):
-    rho0 = _field(cfg, grid, "initial")
-    traj = run_surface_of_revolution(
-        SurfaceConfig(
-            grid=grid,
-            rho0=rho0,
-            dt=cfg.time.dt,
-            t_end=cfg.time.t_end,
-            record_every=cfg.time.record_every,
-            scheme=Scheme(cfg.scheme),
-        )
-    )
-    columns = ["t", "sup_K", "sup_k", "min_rho", "arc_residual", "riccati_res", "conformal_dev"]
-    rows = _series_rows(traj.series, columns)
-    snaps = {}
-    for idx in _select_snapshots(list(traj.series["t"]), cfg.time.snapshots):
-        st = traj.states[idx]
-        snaps[st.t] = {
-            "rho": st.rho.values,
-            "h": st.h.values,
-            "k": st.k.values,
-            "K": st.K.values,
-            "conformal_factor": st.conformal_factor.values,
-        }
-    final = traj.states[-1]
-    if grid.periodic:
-        flat = integrate(rho0) / grid.length
-        limit_dev = float(np.max(np.abs(final.rho.values - flat)))
-    else:
-        interp = linear_interpolant(grid, float(rho0.values[0]), float(rho0.values[-1]))
-        limit_dev = float(np.max(np.abs(final.rho.values - interp.values)))
-    summary = {
-        "final_t": final.t,
-        "sup_K_final": float(np.max(np.abs(final.K.values))),
-        "min_rho_final": float(np.min(final.rho.values)),
-        "limit_profile_dev": limit_dev,
-        "max_conformal_dev": float(np.max(traj.series["conformal_dev"])),
-        "max_arc_residual": float(np.max(traj.series["arc_residual"])),
-    }
-    if len(traj.states) >= 3:
-        summary["evolution_crosscheck"] = surface_evolution_crosscheck(traj)
-    return columns, rows, snaps, summary
-
-
-def _run_twisted(cfg: RunConfig, grid):
-    profile = _field(cfg, grid, "initial")
-    slices = tuple(ScalarField(grid, a * profile.values) for a in cfg.base_values)
-    traj = run_twisted_product(
-        TwistedConfig(
-            grid=grid,
-            n=cfg.n_rank,
-            f0_slices=slices,
-            dt=cfg.time.dt,
-            t_end=cfg.time.t_end,
-            record_every=cfg.time.record_every,
-            scheme=Scheme(cfg.scheme),
-        )
-    )
-    columns = ["t", "sup_H", "mass_drift", "sup_dist_to_mean"]
-    rows = _series_rows(traj.series, columns)
-    snaps = {}
-    for idx in _select_snapshots(list(traj.series["t"]), cfg.time.snapshots):
-        st = traj.states[idx]
-        data = {}
-        for i, (f, h) in enumerate(zip(st.f, st.H)):
-            data[f"f_{i}"] = f.values
-            data[f"H_{i}"] = h.values
-        snaps[st.t] = data
-    summary = {
-        "final_t": traj.states[-1].t,
-        "fiber_means": list(traj.fiber_means),
-        "final_sup_dist_to_mean": float(traj.series["sup_dist_to_mean"][-1]),
-        "max_mass_drift": float(np.max(traj.series["mass_drift"])),
-        "n_rank": cfg.n_rank,
-    }
-    return columns, rows, snaps, summary
-
-
-def _run_normalized(cfg: RunConfig, grid):
-    beta = _field(cfg, grid, "potential")
-    u0 = _field(cfg, grid, "initial")
-    t2 = _field(cfg, grid, "t2_initial")
-    traj = run_normalized_flow(
-        NormalizedConfig(
-            grid=grid,
-            n=cfg.n_rank,
-            betaD=beta,
-            u0=u0,
-            T2_0=t2,
-            dt=cfg.time.dt,
-            t_end=cfg.time.t_end,
-            record_every=cfg.time.record_every,
-            scheme=Scheme(cfg.scheme),
-            gap_min=cfg.tolerances.gap_min,
-            eps_T=cfg.tolerances.eps_t,
-        )
-    )
-    columns = [
-        "t", "sup_dev_scmix", "rayleigh", "lambda0", "gap", "min_u",
-        "betaD_drift", "conservation_drift", "h_dev",
-    ]
-    series = dict(traj.series)
-    count = len(series["t"])
-    series["lambda0"] = np.full(count, traj.ground.lambda0)
-    series["gap"] = np.full(count, traj.ground.gap)
-    rows = _series_rows(series, columns)
-    snaps = {}
-    for idx in _select_snapshots(list(series["t"]), cfg.time.snapshots):
-        st = traj.states[idx]
-        snaps[st.t] = {
-            "u": st.u.values,
-            "H": st.H.values,
-            "betaD": st.betaD.values,
-            "T2": st.T2.values,
-            "scmixT2": st.scmixT2.values,
-        }
-    final = traj.states[-1]
-    velocity_form = sc_mix_minus_T2(final.H, traj.n, final.betaD)
-    summary = {
-        "lambda0": traj.ground.lambda0,
-        "lambda1": traj.ground.lambda1,
-        "gap": traj.ground.gap,
-        "Phi": traj.Phi,
-        "final_t": final.t,
-        "final_sup_dev_scmix": float(series["sup_dev_scmix"][-1]),
-        "final_h_dev": float(series["h_dev"][-1]),
-        "max_betaD_drift": float(np.max(series["betaD_drift"])),
-        "max_conservation_drift": float(np.max(series["conservation_drift"])),
-        "velocity_form_dev": float(
-            np.max(np.abs(velocity_form.values - final.scmixT2.values))
-        ),
-        "target_rate": traj.n * traj.ground.gap,
-    }
-    for key, label in (("sup_dev_scmix", "rate_scmix"), ("h_dev", "rate_h")):
-        try:
-            fit = fit_decay_rate(series["t"], series[key])
-            summary[label] = {
-                "rate": fit.rate,
-                "window": list(fit.window),
-                "n_points": fit.n_points,
-            }
-        except ValueError:
-            summary[label] = None
-    try:
-        verdict = positivity_verdict(traj, converged_tol=cfg.tolerances.converged_dev)
-        summary["positivity"] = {
-            "converged": True,
-            "positive_everywhere": verdict.positive_everywhere,
-            "min_value": verdict.min_value,
-            "threshold_ratio": verdict.threshold_ratio,
-        }
-    except NotConverged as err:
-        summary["positivity"] = {"converged": False, "reason": str(err)}
-    return columns, rows, snaps, summary
-
-
-def _cole_hopf_diffs(grid, u0, forcing, nu, dt, t_end, record_every):
-    ucfg = StepperConfig(dt, float(nu), Scheme.CRANK_NICOLSON, PERIODIC)
-    heat = HeatStepper(grid, ScalarField(grid, nu * forcing.values), ucfg)
-    burg = BurgersStepper(grid, forcing, ucfg)
-    u = u0
-    h_direct = grad_log(u0, -float(nu))
-    n_steps = _step_count(t_end, dt)
-    ts = [0.0]
-    diffs = [0.0]
-    for k in range(1, n_steps + 1):
-        u = heat.step(u)
-        h_direct = burg.step(h_direct)
-        if k % record_every == 0 or k == n_steps:
-            h_from_u = grad_log(u, -float(nu))
-            ts.append(k * dt)
-            diffs.append(float(np.max(np.abs(h_direct.values - h_from_u.values))))
-    return ts, diffs, u, h_direct
-
-
-def _run_cole_hopf_check(cfg: RunConfig, grid):
-    u0 = _field(cfg, grid, "initial")
-    forcing = _field(cfg, grid, "potential")
-    nu = cfg.n_rank
-    ts, diffs, u, h_direct = _cole_hopf_diffs(
-        grid, u0, forcing, nu, cfg.time.dt, cfg.time.t_end, cfg.time.record_every
-    )
-    fine_grid = build_grid(grid.topology, grid.length, 2 * grid.n_points)
-    u0_fine = _field(cfg, fine_grid, "initial")
-    forcing_fine = _field(cfg, fine_grid, "potential")
-    _, diffs_fine, _, _ = _cole_hopf_diffs(
-        fine_grid, u0_fine, forcing_fine, nu, 0.5 * cfg.time.dt, cfg.time.t_end,
-        2 * cfg.time.record_every,
-    )
-    columns = ["t", "sup_diff"]
-    rows = [{"t": t, "sup_diff": d} for t, d in zip(ts, diffs)]
-    h_from_u = grad_log(u, -float(nu))
-    snaps = {ts[-1]: {
-        "H_direct": h_direct.values,
-        "H_transformed": h_from_u.values,
-        "u": u.values,
-    }}
-    max_coarse = max(diffs)
-    max_fine = max(diffs_fine)
-    order = float(np.log2(max_coarse / max_fine)) if max_fine > 0.0 else float("inf")
-    summary = {
-        "nu": nu,
-        "max_sup_diff": max_coarse,
-        "max_sup_diff_refined": max_fine,
-        "observed_order": order,
-        "roundtrip_residual_u0": colehopf.roundtrip_residual(u0, nu),
-    }
-    return columns, rows, snaps, summary
-
-
-def _random_trig_potential(grid, rng) -> ScalarField:
-    vals = np.zeros(grid.n_points)
-    theta = 2.0 * np.pi * grid.x / grid.length
-    for mode in range(1, 4):
-        a, b = rng.normal(size=2)
-        vals += a * np.cos(mode * theta) + b * np.sin(mode * theta)
-    return ScalarField(grid, vals)
-
-
-def _run_spectral_report(cfg: RunConfig, grid):
-    f = _field(cfg, grid, "potential")
-    gs = ground_state(f)
-    dec = spectrum(f, cfg.modes)
-    lam_top = float(dec.eigenvalues[-1])
-    if lam_top > 0.0:
-        weyl = eigencount(dec, lam_top) / (weyl_theta(grid) * np.sqrt(lam_top))
-    else:
-        weyl = 0.0
-    columns = ["t", "lambda0", "lambda1", "gap", "weyl_ratio"]
-    rows = [{
-        "t": 0.0,
-        "lambda0": gs.lambda0,
-        "lambda1": gs.lambda1,
-        "gap": gs.gap,
-        "weyl_ratio": weyl,
-    }]
-    snap = {"potential": f.values}
-    for j, ef in enumerate(dec.eigenfunctions):
-        snap[f"e{j}"] = ef.values
-    snaps = {0.0: snap}
-    rng = np.random.default_rng(cfg.seed)
-    bound_margin = None
-    for _ in range(cfg.n_random):
-        pot = _random_trig_potential(grid, rng)
-        lam0 = ground_state(pot).lambda0
-        margin = lam0 + float(np.max(pot.values))
-        bound_margin = margin if bound_margin is None else min(bound_margin, margin)
-    summary = {
-        "eigenvalues": list(dec.eigenvalues),
-        "lambda0_inverse_iteration": gs.lambda0,
-        "lambda0_dense": float(dec.eigenvalues[0]),
-        "route_agreement": abs(gs.lambda0 - float(dec.eigenvalues[0])),
-        "gap": gs.gap,
-        "weyl_ratio": weyl,
-        "n_random": cfg.n_random,
-        "min_bound_margin": bound_margin,
-    }
-    return columns, rows, snaps, summary
-
-
-_RUNNERS = {
-    "surface": _run_surface,
-    "twisted": _run_twisted,
-    "normalized": _run_normalized,
-    "cole_hopf_check": _run_cole_hopf_check,
-    "spectral_report": _run_spectral_report,
-}
-
-_PLOT_COLUMN = {
-    "surface": "sup_K",
-    "twisted": "sup_dist_to_mean",
-    "normalized": "sup_dev_scmix",
-    "cole_hopf_check": "sup_diff",
-    "spectral_report": "lambda0",
-}
+    out = ["available scenarios"]
+    for s in SCENARIOS.values():
+        out += ["", s.name, *(f"  {line}" for line in s.about)]
+        out += block("equations:", s.equations)
+        out += block("config:", s.config)
+        out += block("schemes:", [", ".join(s.schemes) or "none (no time stepping)"])
+        out += block("artifacts:", [f"trajectory({', '.join(s.columns)})",
+                                    f"fields({', '.join(s.fields)})"])
+    return "\n".join(out) + "\n"
 
 
 def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
@@ -412,10 +52,10 @@ def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = realize_grid(cfg)
+    scenario = SCENARIOS[cfg.scenario]
     started = time.perf_counter()
     try:
-        columns, rows, snaps, summary = _RUNNERS[cfg.scenario](cfg, grid)
+        rows, snaps, summary = scenario.run(cfg)
     except FolflowError as err:
         write_summary(out_dir / "summary.json", {
             "status": "failed",
@@ -424,9 +64,10 @@ def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
             "meta": {"wall_clock_s": time.perf_counter() - started},
         })
         raise
-    write_trajectory(out_dir / "trajectory.csv", columns, rows)
+    write_trajectory(out_dir / "trajectory.csv", list(rows[0]), rows)
+    x = realize_grid(cfg).x
     for t, fields in snaps.items():
-        write_fields(out_dir / snapshot_name(t), grid.x, fields)
+        write_fields(out_dir / snapshot_name(t), x, fields)
     write_summary(out_dir / "summary.json", {
         "status": "ok",
         "config": config_to_dict(cfg),
@@ -434,7 +75,7 @@ def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
         "meta": {"wall_clock_s": time.perf_counter() - started},
     })
     if cfg.emit_plots:
-        write_plot_script(out_dir / "plot.gp", cfg.scenario, _PLOT_COLUMN[cfg.scenario])
+        write_plot_script(out_dir / "plot.gp", cfg.scenario, scenario.plot_column)
     if not quiet:
         print(f"{cfg.scenario}: wrote {out_dir}")
     return out_dir
@@ -446,36 +87,26 @@ def _error_json(err: Exception) -> str:
     )
 
 
-def _run_command(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-    except (ParseError, ValidationError) as err:
-        print(_error_json(err), file=sys.stderr)
-        return 2
-    out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
-    try:
-        execute_config(cfg, out_dir, quiet=args.quiet)
-    except FolflowError as err:
-        print(_error_json(err), file=sys.stderr)
-        return 3
-    return 0
-
-
-def _sweep_one(path_str: str, out_root_str: str, seed, quiet: bool):
-    path = Path(path_str)
+def _run_one(path, out, seed, quiet: bool):
+    """Parse, apply the seed override and execute: (exit code, error or None)."""
     try:
         cfg = parse_config(path)
         if seed is not None:
             cfg = dataclasses.replace(cfg, seed=seed)
     except (ParseError, ValidationError) as err:
-        return path.name, 2, str(err)
+        return 2, err
     try:
-        execute_config(cfg, Path(out_root_str) / path.stem, quiet=quiet)
+        execute_config(cfg, Path(out or cfg.output_dir), quiet=quiet)
     except FolflowError as err:
-        return path.name, 3, str(err)
-    return path.name, 0, "ok"
+        return 3, err
+    return 0, None
+
+
+def _run_command(args) -> int:
+    code, err = _run_one(args.config, args.out, args.seed, args.quiet)
+    if err is not None:
+        print(_error_json(err), file=sys.stderr)
+    return code
 
 
 def _sweep_command(args) -> int:
@@ -488,19 +119,14 @@ def _sweep_command(args) -> int:
     threads = os.environ.get("FOLFLOW_THREADS")
     max_workers = int(threads) if threads else (os.cpu_count() or 1)
     max_workers = max(1, min(max_workers, len(files)))
-    results = []
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            pool.submit(_sweep_one, str(f), str(out_root), args.seed, True) for f in files
-        ]
-        for fut in futures:
-            results.append(fut.result())
+        futures = [pool.submit(_run_one, f, out_root / f.stem, args.seed, True) for f in files]
+        results = [fut.result() for fut in futures]
     worst = 0
-    for name, code, message in results:
+    for path, (code, err) in zip(files, results):
         worst = max(worst, code)
         if not args.quiet:
-            status = "ok" if code == 0 else f"failed (exit {code}): {message}"
-            print(f"{name}: {status}")
+            print(f"{path.name}: {'ok' if err is None else f'failed (exit {code}): {err}'}")
     return worst
 
 

@@ -1,7 +1,9 @@
 """Run configurations: a small YAML schema parsed fail-closed into dataclasses.
 
 Unknown keys anywhere raise ParseError; value constraints are checked all at
-once and reported together in a single ValidationError.
+once and reported together in a single ValidationError.  The scenario names
+and each scenario's own constraints come from the declarations in
+scenarios.SCENARIOS.
 """
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ import yaml
 
 from .errors import ParseError, ValidationError
 from .families import FAMILY_PARAMS, build_field
-from .fiber import FiberGrid, ScalarField, Topology, build_grid
+from .fiber import FiberGrid, ScalarField, build_grid
+from .scenarios import SCENARIOS
 
-SCENARIOS = ("surface", "twisted", "normalized", "cole_hopf_check", "spectral_report")
 SCHEMES = ("crank_nicolson", "explicit_euler")
 
 
@@ -212,7 +214,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     time_spec = TimeSpec(dt=dt, t_end=t_end, record_every=record_every,
                          snapshots=tuple(sorted(set(snapshots))))
 
-    scheme = raw.get("scheme", "crank_nicolson")
+    scheme = raw.get("scheme", SCHEMES[0])
     if scheme not in SCHEMES:
         errs.append(f"scheme must be one of {list(SCHEMES)}, got {scheme!r}")
 
@@ -261,13 +263,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
 
     boundary = _boundary_spec(raw, grid_spec, grid, initial, errs)
 
-    if grid is not None and scenario in SCENARIOS:
-        _realize_and_check_fields(scenario, grid, initial, potential, t2_initial, modes, errs)
-
-    if errs:
-        raise ValidationError("; ".join(errs))
-
-    return RunConfig(
+    cfg = RunConfig(
         scenario=scenario,
         grid=grid_spec,
         time=time_spec,
@@ -285,6 +281,11 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
         emit_plots=emit_plots,
         tolerances=tol,
     )
+    if grid is not None and scenario in SCENARIOS:
+        errs += _scenario_errors(cfg, grid)
+    if errs:
+        raise ValidationError("; ".join(errs))
+    return cfg
 
 
 def _boundary_spec(raw, grid_spec, grid, initial, errs) -> BoundarySpec:
@@ -319,32 +320,21 @@ def _boundary_spec(raw, grid_spec, grid, initial, errs) -> BoundarySpec:
     return BoundarySpec(kind="dirichlet", left=0.0, right=0.0)
 
 
-def _realize_and_check_fields(scenario, grid, initial, potential, t2_initial, modes, errs):
-    out = {}
-    for name, spec in (("initial", initial), ("potential", potential), ("t2_initial", t2_initial)):
+def _scenario_errors(cfg: RunConfig, grid: FiberGrid) -> list[str]:
+    """Field realization errors, then the constraints the scenario declares."""
+    errs, fields = [], {}
+    for which in ("initial", "potential", "t2_initial"):
+        spec = getattr(cfg, which)
         try:
-            out[name] = build_field(grid, spec.family, spec.params)
+            fields[which] = build_field(grid, spec.family, spec.params)
         except (ValueError, OSError) as err:
-            errs.append(f"{name}: {err}")
-    init = out.get("initial")
-    pot = out.get("potential")
-    t2 = out.get("t2_initial")
-    if init is not None and scenario in ("surface", "twisted", "normalized", "cole_hopf_check"):
-        if float(np.min(init.values)) <= 0.0:
-            errs.append(f"{scenario}: initial field must be strictly positive on the grid")
-    if pot is not None and scenario == "normalized":
-        if float(np.min(pot.values)) < -1e-12:
-            errs.append("normalized: potential (betaD) must be nonnegative")
-    if t2 is not None and scenario == "normalized":
-        if float(np.min(t2.values)) < 0.0:
-            errs.append("normalized: t2_initial must be nonnegative")
-    if scenario in ("twisted", "normalized", "cole_hopf_check") and grid.topology is not Topology.CIRCLE:
-        errs.append(f"{scenario}: needs circle topology")
-    if scenario == "spectral_report":
-        size = grid.n_points if grid.periodic else grid.n_points - 2
-        if not 1 <= modes <= size:
-            errs.append(f"spectral_report: modes must be between 1 and {size}, got {modes}")
-    return out
+            errs.append(f"{which}: {err}")
+    scenario = SCENARIOS[cfg.scenario]
+    # the default scheme, SCHEMES[0], is accepted whatever the scenario runs
+    if cfg.scheme in SCHEMES[1:] and cfg.scheme not in scenario.schemes:
+        runs = " or ".join(scenario.schemes) or "no time stepper"
+        errs.append(f"scheme: {cfg.scenario} runs {runs}, got {cfg.scheme!r}")
+    return errs + scenario.check(cfg, grid, fields)
 
 
 def realize_grid(cfg: RunConfig) -> FiberGrid:

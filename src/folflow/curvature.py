@@ -119,32 +119,6 @@ def riccati_residual(k: ScalarField, K: ScalarField) -> float:
     return float(np.max(np.abs(res)))
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Per-time diagnostics attached to flow trajectories; every entry is finite."""
-
-    t: float
-    betaD_drift: float
-    conservation_drift: float
-    riccati_res: float
-    min_u: float
-    rayleigh: float
-    scmix_minus_T2_dev: float
-
-    def __post_init__(self):
-        for name in (
-            "t",
-            "betaD_drift",
-            "conservation_drift",
-            "riccati_res",
-            "min_u",
-            "rayleigh",
-            "scmix_minus_T2_dev",
-        ):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"diagnostic {name} is not finite")
-
-
 def _half_grad_log_ratio(T2: np.ndarray, mask: np.ndarray, grid) -> np.ndarray:
     # centered difference of log(T2)/2 on the mask; equals grad log |T|
     # where T2 > 0.  The mask guarantees both neighbors are inside, so the
@@ -178,39 +152,6 @@ def conserved_quantity(H: VectorAlongFiber, T2: ScalarField, n: int, eps_T: floa
         mask[0] = mask[-1] = False
     q = 2.0 * H.values - n * _half_grad_log_ratio(t2, mask, grid)
     return q, mask
-
-
-def conservation_report(states, n: int, eps_T: float = 1e-8) -> list[DiagnosticsRecord]:
-    """Drift diagnostics along a normalized-flow trajectory.
-
-    States must expose t, H, betaD, T2 and may expose u, rayleigh,
-    scmix_dev, riccati_res; drifts are sup norms against the first state.
-    """
-    if not states:
-        raise ValueError("empty trajectory")
-    first = states[0]
-    beta0 = first.betaD.values
-    q0, mask0 = conserved_quantity(first.H, first.T2, n, eps_T)
-    out = []
-    for st in states:
-        beta_drift = float(np.max(np.abs(st.betaD.values - beta0)))
-        q, mask = conserved_quantity(st.H, st.T2, n, eps_T)
-        both = mask & mask0
-        drift = float(np.max(np.abs(q[both] - q0[both]))) if np.any(both) else 0.0
-        u = getattr(st, "u", None)
-        min_u = float(np.min(u.values)) if u is not None else 0.0
-        out.append(
-            DiagnosticsRecord(
-                t=float(st.t),
-                betaD_drift=beta_drift,
-                conservation_drift=drift,
-                riccati_res=float(getattr(st, "riccati_res", 0.0)),
-                min_u=min_u,
-                rayleigh=float(getattr(st, "rayleigh", 0.0)),
-                scmix_minus_T2_dev=float(getattr(st, "scmix_dev", 0.0)),
-            )
-        )
-    return out
 
 
 def surface_extrinsic_data(rho: ScalarField, T_norm_sq: ScalarField | None = None) -> ExtrinsicData:

@@ -5,6 +5,10 @@ class FolflowError(Exception):
     """Base class for all computational failures raised by this package."""
 
 
+class NonFiniteValue(FolflowError, ValueError):
+    """A field or a recorded value is NaN or infinite."""
+
+
 class NonPositiveField(FolflowError):
     """A field that must stay strictly positive reached zero or below."""
 

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonPositiveField
+from .errors import NonFiniteValue, NonPositiveField
 
 MIN_POINTS = 8
 
@@ -70,7 +70,7 @@ class _GridFunction:
                 f"field has {vals.shape} values for a grid of {self.grid.n_points} points"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
+            raise NonFiniteValue("field values must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

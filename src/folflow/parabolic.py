@@ -9,7 +9,7 @@ scheme is available behind the usual diffusive CFL guard.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import CflViolation, FolflowError, SolverSingular
-from .fiber import FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, integrate
+from .fiber import FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2
 
 
 class Scheme(Enum):
@@ -176,11 +176,6 @@ class HeatStepper:
         return ScalarField(self.grid, new)
 
 
-def step_heat_reaction(u: ScalarField, V: ScalarField | None, cfg: StepperConfig) -> ScalarField:
-    """Advance u by one step of du/dt = diffusivity * u_xx + V * u."""
-    return HeatStepper(u.grid, V, cfg).step(u)
-
-
 class BurgersStepper:
     """Prefactored stepper for dH/dt = nu*H_xx - (H^2)_x - nu^2*(forcing)_x.
 
@@ -252,24 +247,6 @@ class BurgersStepper:
         return VectorAlongFiber(g, new)
 
 
-def step_burgers_forced(
-    H: VectorAlongFiber,
-    forcing: ScalarField | None,
-    cfg: StepperConfig,
-) -> VectorAlongFiber:
-    """Advance H by one step of dH/dt = nu*H_xx - (H^2)_x - nu^2*(forcing)_x."""
-    return BurgersStepper(H.grid, forcing, cfg).step(H)
-
-
-@dataclass
-class TrajectoryRecord:
-    t: float
-    u: ScalarField
-    min_u: float
-    mass: float
-    extra: dict = field(default_factory=dict)
-
-
 def _step_count(t_end: float, dt: float) -> int:
     n = int(round(t_end / dt))
     if abs(n * dt - t_end) > 1e-9 * max(dt, t_end):
@@ -277,69 +254,32 @@ def _step_count(t_end: float, dt: float) -> int:
     return n
 
 
-def evolve(
-    u0: ScalarField,
-    V: ScalarField | None,
-    cfg: StepperConfig,
-    t_end: float,
-    record_every: int = 1,
-    monitors=(),
-) -> list[TrajectoryRecord]:
-    """Run the heat-reaction stepper to t_end, recording every record_every steps.
+def march(step, state, dt: float, t_end: float, record_every: int = 1,
+          on_step=None, on_record=None):
+    """The one time-marching loop: apply step to state until t_end.
 
-    Monitors are callables (t, u) -> dict merged into each record; failures
-    raised by steps or monitors are annotated with the failure time.
+    The state is opaque to the loop (a field, a list of slices, a pair).
+    on_step(t, state) runs after every step; on_record(t, state) runs for
+    the initial state, every record_every steps and after the last step.
+    A FolflowError raised by a step or a hook is re-raised with the time of
+    the failure.  Returns the final state.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
-    stepper = HeatStepper(u0.grid, V, cfg)
-    n_steps = _step_count(t_end, cfg.dt)
-
-    def make_record(t, u):
-        extra = {}
-        for mon in monitors:
-            extra.update(mon(t, u))
-        return TrajectoryRecord(t, u, float(np.min(u.values)), integrate(u), extra)
-
-    records = [make_record(0.0, u0)]
-    u = u0
-    for k in range(1, n_steps + 1):
-        t = k * cfg.dt
-        try:
-            u = stepper.step(u)
-            if k % record_every == 0 or k == n_steps:
-                records.append(make_record(t, u))
-        except FolflowError as err:
-            raise type(err)(f"{err} (failure at t = {t:.6g})") from err
-    return records
-
-
-class TorusHeatStepper:
-    """Heat stepper on a product of two circle fibers (dimension splitting).
-
-    The two one-dimensional Laplacians commute, so stepping each factor with
-    Crank-Nicolson in turn keeps second order.  Fields are (n_x, n_y) arrays.
-    """
-
-    def __init__(self, grid_x: FiberGrid, grid_y: FiberGrid, cfg: StepperConfig):
-        if not (grid_x.periodic and grid_y.periodic):
-            raise ValueError("torus mode needs two circle fibers")
-        self.grid_x, self.grid_y, self.cfg = grid_x, grid_y, cfg
-        c = 0.5 * cfg.dt * cfg.diffusivity
-        eye_x = sp.identity(grid_x.n_points, format="csr")
-        eye_y = sp.identity(grid_y.n_points, format="csr")
-        lap_x = _periodic_laplacian(grid_x.n_points, grid_x.spacing)
-        lap_y = _periodic_laplacian(grid_y.n_points, grid_y.spacing)
-        self._plus_x = (eye_x + c * lap_x).tocsr()
-        self._plus_y = (eye_y + c * lap_y).tocsr()
-        self._lu_x = _factor(eye_x - c * lap_x)
-        self._lu_y = _factor(eye_y - c * lap_y)
-
-    def step(self, U: np.ndarray) -> np.ndarray:
-        if U.shape != (self.grid_x.n_points, self.grid_y.n_points):
-            raise ValueError("field shape does not match the torus grid")
-        U = _solve(self._lu_x, self._plus_x @ U)
-        U = _solve(self._lu_y, (self._plus_y @ U.T)).T
-        return U
+    n_steps = _step_count(t_end, dt)
+    t = 0.0
+    try:
+        if on_record is not None:
+            on_record(t, state)
+        for k in range(1, n_steps + 1):
+            t = k * dt
+            state = step(state)
+            if on_step is not None:
+                on_step(t, state)
+            if on_record is not None and (k % record_every == 0 or k == n_steps):
+                on_record(t, state)
+    except FolflowError as err:
+        raise type(err)(f"{err} (failure at t = {t:.6g})") from err
+    return state

@@ -1,6 +1,6 @@
-"""End-to-end flow scenarios built on the steppers and spectral tools.
+"""The scenarios: flow drivers, and one declaration per runnable scenario.
 
-Three drivers are provided:
+The drivers are all stepped by parabolic.march:
 
 * run_surface_of_revolution: the profile radius obeys d(rho)/dt = rho_xx,
   and the induced curvatures k = -(log rho)_x, K = -rho_xx/rho are tracked
@@ -10,29 +10,64 @@ Three drivers are provided:
 * run_normalized_flow: u obeys du/dt = n*(u_xx + betaD*u); the normalized
   curvature quantity Sc_mix - |T|^2 converges to n*lambda0, and |T|^2 is
   transported by its exponential integrating factor.
+* cole_hopf_rows: a forced Burgers velocity against the transform of the
+  heat-reaction solution it should equal.
+
+SCENARIOS maps each scenario name to its Scenario declaration, which the
+config parser, `folflow list` and `folflow run` all read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .curvature import DiagnosticsRecord, conserved_quantity, riccati_residual
-from .errors import GapTooSmall, NotConverged, ProfileDegenerate
+from . import colehopf
+from .curvature import conserved_quantity, riccati_residual, sc_mix_minus_T2
+from .errors import GapTooSmall, NonFiniteValue, NotConverged, ProfileDegenerate
+from .families import build_field
 from .fiber import (
     FiberGrid,
     ScalarField,
     VectorAlongFiber,
+    build_grid,
     derivative,
     divergence,
     grad_log,
     integrate,
     laplacian,
 )
-from .parabolic import PERIODIC, Dirichlet, HeatStepper, Periodic, Scheme, StepperConfig, _step_count
-from .schrodinger import GroundState, ground_state
+from .parabolic import (
+    PERIODIC,
+    BurgersStepper,
+    Dirichlet,
+    HeatStepper,
+    Scheme,
+    StepperConfig,
+    march,
+)
+from .schrodinger import GroundState, eigencount, ground_state, spectrum, weyl_theta
 
 SLOPE_TOL = 1e-8
+
+
+@dataclass
+class _Recorded:
+    """A trajectory's rows, one per record; series holds the same values by column."""
+
+    rows: list[dict]
+
+    @property
+    def series(self) -> dict[str, np.ndarray]:
+        return {key: np.array([row[key] for row in self.rows]) for key in self.rows[0]}
+
+
+def _append_row(rows: list[dict], row: dict):
+    bad = [key for key, value in row.items() if not np.isfinite(value)]
+    if bad:
+        raise NonFiniteValue(f"recorded value(s) {bad} not finite")
+    rows.append(row)
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +85,8 @@ class SurfaceState:
 
 
 @dataclass
-class SurfaceTrajectory:
+class SurfaceTrajectory(_Recorded):
     states: list[SurfaceState]
-    diagnostics: list[DiagnosticsRecord]
-    series: dict[str, np.ndarray]
 
 
 @dataclass
@@ -73,23 +106,23 @@ def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _check_profile(rho: np.ndarray, slope: np.ndarray, t: float):
+def _check_profile(rho: np.ndarray, slope: np.ndarray):
     if np.min(rho) <= 0.0:
-        raise ProfileDegenerate(f"profile pinched off (min rho = {np.min(rho):g}) at t = {t:g}")
+        raise ProfileDegenerate(f"profile pinched off (min rho = {np.min(rho):g})")
     worst = float(np.max(np.abs(slope)))
     if worst > 1.0 + SLOPE_TOL:
         raise ProfileDegenerate(
-            f"profile slope |rho_x| = {worst:g} exceeds 1 at t = {t:g}; "
+            f"profile slope |rho_x| = {worst:g} exceeds 1; "
             "the surface is no longer a graph over arclength"
         )
 
 
 def _surface_state(grid, rho, rho0_vals, t, axial_origin) -> SurfaceState:
     slope = derivative(rho).values
-    _check_profile(rho.values, slope, t)
+    _check_profile(rho.values, slope)
     h_slope = np.sqrt(np.maximum(1.0 - slope * slope, 0.0))
     h = axial_origin + _cumtrapz(h_slope, grid.spacing)
-    k = -derivative(rho).values / rho.values
+    k = -slope / rho.values
     kk = -laplacian(rho).values / rho.values
     conf = (rho.values / rho0_vals) ** 2
     return SurfaceState(
@@ -118,63 +151,54 @@ def run_surface_of_revolution(cfg: SurfaceConfig) -> SurfaceTrajectory:
     exp(-2 * int_0^t K) accumulated along the run.
     """
     grid = cfg.grid
-    rho = cfg.rho0
-    if rho.grid != grid:
+    rho0 = cfg.rho0
+    if rho0.grid != grid:
         raise ValueError("initial profile lives on a different grid")
-    boundary = PERIODIC if grid.periodic else Dirichlet(float(rho.values[0]), float(rho.values[-1]))
+    boundary = PERIODIC if grid.periodic else Dirichlet(float(rho0.values[0]), float(rho0.values[-1]))
     stepper = HeatStepper(
         grid, None, StepperConfig(cfg.dt, 1.0, cfg.scheme, boundary)
     )
-    n_steps = _step_count(cfg.t_end, cfg.dt)
-    rho0_vals = rho.values.copy()
-
+    rho0_vals = rho0.values.copy()
     int_k_gauss = np.zeros(grid.n_points)
-    gauss_prev = -laplacian(rho).values / rho.values
-
+    gauss_prev = -laplacian(rho0).values / rho0.values
     states: list[SurfaceState] = []
-    series = {key: [] for key in (
-        "t", "sup_K", "sup_k", "min_rho", "arc_residual", "riccati_res", "conformal_dev",
-    )}
-    diagnostics = []
+    rows: list[dict] = []
 
-    def record(state: SurfaceState):
-        ric = riccati_residual(state.k, state.K)
-        conf_dev = float(
-            np.max(np.abs(np.exp(-2.0 * int_k_gauss) - state.conformal_factor.values))
-        )
-        states.append(state)
-        series["t"].append(state.t)
-        series["sup_K"].append(float(np.max(np.abs(state.K.values))))
-        series["sup_k"].append(float(np.max(np.abs(state.k.values))))
-        series["min_rho"].append(float(np.min(state.rho.values)))
-        series["arc_residual"].append(_arc_residual(state))
-        series["riccati_res"].append(ric)
-        series["conformal_dev"].append(conf_dev)
-        diagnostics.append(
-            DiagnosticsRecord(
-                t=state.t,
-                betaD_drift=0.0,
-                conservation_drift=0.0,
-                riccati_res=ric,
-                min_u=float(np.min(state.rho.values)),
-                rayleigh=0.0,
-                scmix_minus_T2_dev=ric,
-            )
-        )
-
-    record(_surface_state(grid, rho, rho0_vals, 0.0, cfg.axial_origin))
-    for step in range(1, n_steps + 1):
-        t = step * cfg.dt
-        rho = stepper.step(rho)
+    def advance(t, rho):
+        # trapezoid integral of the Gauss curvature, and the profile guard
+        nonlocal int_k_gauss, gauss_prev
         gauss = -laplacian(rho).values / rho.values
         int_k_gauss += 0.5 * cfg.dt * (gauss_prev + gauss)
         gauss_prev = gauss
-        if step % cfg.record_every == 0 or step == n_steps:
-            record(_surface_state(grid, rho, rho0_vals, t, cfg.axial_origin))
-        else:
-            slope = derivative(rho).values
-            _check_profile(rho.values, slope, t)
-    return SurfaceTrajectory(states, diagnostics, {k: np.array(v) for k, v in series.items()})
+        _check_profile(rho.values, derivative(rho).values)
+
+    def record(t, rho):
+        state = _surface_state(grid, rho, rho0_vals, t, cfg.axial_origin)
+        states.append(state)
+        _append_row(rows, {
+            "t": t,
+            "sup_K": float(np.max(np.abs(state.K.values))),
+            "sup_k": float(np.max(np.abs(state.k.values))),
+            "min_rho": float(np.min(state.rho.values)),
+            "arc_residual": _arc_residual(state),
+            "riccati_res": riccati_residual(state.k, state.K),
+            "conformal_dev": float(
+                np.max(np.abs(np.exp(-2.0 * int_k_gauss) - state.conformal_factor.values))
+            ),
+        })
+
+    march(stepper.step, rho0, cfg.dt, cfg.t_end, cfg.record_every, advance, record)
+    return SurfaceTrajectory(rows=rows, states=states)
+
+
+def _record_spacing(states: list) -> float:
+    """The uniform time between records, over at least three of them."""
+    if len(states) < 3:
+        raise ValueError("need at least three recorded states")
+    dts = np.diff([s.t for s in states])
+    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
+        raise ValueError("records are not uniformly spaced in time")
+    return float(dts[0])
 
 
 def linear_interpolant(grid: FiberGrid, left: float, right: float) -> ScalarField:
@@ -192,12 +216,7 @@ def surface_evolution_crosscheck(traj: SurfaceTrajectory) -> dict[str, float]:
     is a property of the interior dynamics.
     """
     states = traj.states
-    if len(states) < 3:
-        raise ValueError("need at least three recorded states")
-    dts = np.diff([s.t for s in states])
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
-        raise ValueError("records are not uniformly spaced in time")
-    dt_rec = float(dts[0])
+    dt_rec = _record_spacing(states)
     view = slice(None) if states[0].rho.grid.periodic else slice(3, -3)
     res_k = 0.0
     res_cap = 0.0
@@ -231,10 +250,8 @@ class TwistedState:
 
 
 @dataclass
-class TwistedTrajectory:
+class TwistedTrajectory(_Recorded):
     states: list[TwistedState]
-    diagnostics: list[DiagnosticsRecord]
-    series: dict[str, np.ndarray]
     fiber_means: np.ndarray
 
 
@@ -271,53 +288,27 @@ def run_twisted_product(cfg: TwistedConfig) -> TwistedTrajectory:
     stepper = HeatStepper(
         grid, None, StepperConfig(cfg.dt, float(cfg.n), cfg.scheme, PERIODIC)
     )
-    n_steps = _step_count(cfg.t_end, cfg.dt)
     means = np.array([integrate(f) / grid.length for f in slices])
     masses0 = np.array([integrate(f) for f in slices])
+    states: list[TwistedState] = []
+    rows: list[dict] = []
 
-    def make_state(t, fs):
-        hs = tuple(grad_log(f, -1.0) for f in fs)
-        return TwistedState(t, tuple(fs), hs)
-
-    states = [make_state(0.0, slices)]
-    series = {key: [] for key in ("t", "sup_H", "mass_drift", "sup_dist_to_mean")}
-    diagnostics = []
-
-    def record(state: TwistedState):
+    def record(t, fs):
+        state = TwistedState(t, tuple(fs), tuple(grad_log(f, -1.0) for f in fs))
         masses = np.array([integrate(f) for f in state.f])
-        drift = float(np.max(np.abs(masses - masses0)))
-        dist = max(
-            float(np.max(np.abs(f.values - mean))) for f, mean in zip(state.f, means)
-        )
-        sup_h = max(float(np.max(np.abs(h.values))) for h in state.H)
-        series["t"].append(state.t)
-        series["sup_H"].append(sup_h)
-        series["mass_drift"].append(drift)
-        series["sup_dist_to_mean"].append(dist)
-        diagnostics.append(
-            DiagnosticsRecord(
-                t=state.t,
-                betaD_drift=0.0,
-                conservation_drift=0.0,
-                riccati_res=0.0,
-                min_u=min(float(np.min(f.values)) for f in state.f),
-                rayleigh=0.0,
-                scmix_minus_T2_dev=0.0,
-            )
-        )
+        states.append(state)
+        _append_row(rows, {
+            "t": t,
+            "sup_H": max(float(np.max(np.abs(h.values))) for h in state.H),
+            "mass_drift": float(np.max(np.abs(masses - masses0))),
+            "sup_dist_to_mean": max(
+                float(np.max(np.abs(f.values - mean))) for f, mean in zip(state.f, means)
+            ),
+        })
 
-    record(states[0])
-    current = slices
-    for step in range(1, n_steps + 1):
-        t = step * cfg.dt
-        current = [stepper.step(f) for f in current]
-        if step % cfg.record_every == 0 or step == n_steps:
-            state = make_state(t, current)
-            states.append(state)
-            record(state)
-    return TwistedTrajectory(
-        states, diagnostics, {k: np.array(v) for k, v in series.items()}, means
-    )
+    march(lambda fs: [stepper.step(f) for f in fs], slices, cfg.dt, cfg.t_end,
+          cfg.record_every, on_record=record)
+    return TwistedTrajectory(rows=rows, states=states, fiber_means=means)
 
 
 def twisted_burgers_residual(traj: TwistedTrajectory, n: int) -> float:
@@ -327,12 +318,7 @@ def twisted_burgers_residual(traj: TwistedTrajectory, n: int) -> float:
     it is O(dt_rec^2 + h^2) for a resolved run.
     """
     states = traj.states
-    if len(states) < 3:
-        raise ValueError("need at least three recorded states")
-    dts = np.diff([s.t for s in states])
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
-        raise ValueError("records are not uniformly spaced in time")
-    dt_rec = float(dts[0])
+    dt_rec = _record_spacing(states)
     worst = 0.0
     for j in range(1, len(states) - 1):
         for prev_h, cur_h, next_h in zip(states[j - 1].H, states[j].H, states[j + 1].H):
@@ -360,14 +346,11 @@ class NormalizedState:
 
 
 @dataclass
-class NormalizedTrajectory:
+class NormalizedTrajectory(_Recorded):
     states: list[NormalizedState]
-    diagnostics: list[DiagnosticsRecord]
     ground: GroundState
     Phi: float
     n: int
-    eps_T: float
-    series: dict[str, np.ndarray]
     growth_exponent: ScalarField
 
 
@@ -430,77 +413,54 @@ def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
         ScalarField(grid, n * betaD.values),
         StepperConfig(cfg.dt, float(n), cfg.scheme, PERIODIC),
     )
-    n_steps = _step_count(cfg.t_end, cfg.dt)
-
-    u = cfg.u0
-    scmix = normalized_scmix(u, betaD, n)
+    scmix = normalized_scmix(cfg.u0, betaD, n)
     exponent = np.zeros(grid.n_points)
     t2_0_vals = cfg.T2_0.values
-
     states: list[NormalizedState] = []
-    diagnostics: list[DiagnosticsRecord] = []
-    series = {key: [] for key in (
-        "t", "sup_dev_scmix", "rayleigh", "min_u", "betaD_drift",
-        "conservation_drift", "h_dev", "mass",
-    )}
+    rows: list[dict] = []
     q0 = None
     mask0 = None
 
-    def record(t, u_field, scmix_field, exp_now):
+    def advance(t, u):
+        # trapezoid average of the |T|^2 exponent over the step
+        nonlocal scmix, exponent
+        scmix_new = normalized_scmix(u, betaD, n)
+        exponent += 4.0 * cfg.dt * (0.5 * (scmix.values + scmix_new.values) - phi)
+        scmix = scmix_new
+
+    def record(t, u):
         nonlocal q0, mask0
-        t2 = ScalarField(grid, t2_0_vals * np.exp(exp_now))
-        h_field = grad_log(u_field, -float(n))
-        state = NormalizedState(t, u_field, h_field, betaD, t2, scmix_field, phi)
+        t2 = ScalarField(grid, t2_0_vals * np.exp(exponent))
+        h_field = grad_log(u, -float(n))
         q, mask = conserved_quantity(h_field, t2, n, cfg.eps_T)
         if q0 is None:
             q0, mask0 = q, mask
         both = mask & mask0
-        drift = float(np.max(np.abs(q[both] - q0[both]))) if np.any(both) else 0.0
-        dev = float(np.max(np.abs(scmix_field.values - phi)))
-        hu = -laplacian(u_field).values - betaD.values * u_field.values
-        ray = float(
-            integrate(ScalarField(grid, u_field.values * hu))
-            / integrate(u_field * u_field)
-        )
-        h_dev = float(np.max(np.abs(h_field.values - h_limit.values)))
-        states.append(state)
-        diagnostics.append(
-            DiagnosticsRecord(
-                t=t,
-                betaD_drift=0.0,
-                conservation_drift=drift,
-                riccati_res=0.0,
-                min_u=float(np.min(u_field.values)),
-                rayleigh=ray,
-                scmix_minus_T2_dev=dev,
-            )
-        )
-        series["t"].append(t)
-        series["sup_dev_scmix"].append(dev)
-        series["rayleigh"].append(ray)
-        series["min_u"].append(float(np.min(u_field.values)))
-        series["betaD_drift"].append(0.0)
-        series["conservation_drift"].append(drift)
-        series["h_dev"].append(h_dev)
-        series["mass"].append(integrate(u_field))
+        hu = -laplacian(u).values - betaD.values * u.values
+        states.append(NormalizedState(t, u, h_field, betaD, t2, scmix, phi))
+        _append_row(rows, {
+            "t": t,
+            "sup_dev_scmix": float(np.max(np.abs(scmix.values - phi))),
+            "rayleigh": float(
+                integrate(ScalarField(grid, u.values * hu)) / integrate(u * u)
+            ),
+            "lambda0": gs.lambda0,
+            "gap": gs.gap,
+            "min_u": float(np.min(u.values)),
+            "betaD_drift": 0.0,
+            "conservation_drift": (
+                float(np.max(np.abs(q[both] - q0[both]))) if np.any(both) else 0.0
+            ),
+            "h_dev": float(np.max(np.abs(h_field.values - h_limit.values))),
+        })
 
-    record(0.0, u, scmix, exponent)
-    for step in range(1, n_steps + 1):
-        t = step * cfg.dt
-        u = stepper.step(u)
-        scmix_new = normalized_scmix(u, betaD, n)
-        exponent += 4.0 * cfg.dt * (0.5 * (scmix.values + scmix_new.values) - phi)
-        scmix = scmix_new
-        if step % cfg.record_every == 0 or step == n_steps:
-            record(t, u, scmix, exponent)
+    march(stepper.step, cfg.u0, cfg.dt, cfg.t_end, cfg.record_every, advance, record)
     return NormalizedTrajectory(
+        rows=rows,
         states=states,
-        diagnostics=diagnostics,
         ground=gs,
         Phi=phi,
         n=n,
-        eps_T=cfg.eps_T,
-        series={k: np.array(v) for k, v in series.items()},
         growth_exponent=ScalarField(grid, exponent),
     )
 
@@ -584,3 +544,382 @@ def fit_decay_rate(
     slope, _ = np.polyfit(ts[mask], np.log(vals[mask]), 1)
     window_ts = ts[mask]
     return RateFit(rate=float(-slope), window=(float(window_ts[0]), float(window_ts[-1])), n_points=int(np.sum(mask)))
+
+
+# ---------------------------------------------------------------------------
+# velocity against transformed density
+
+
+def cole_hopf_rows(grid: FiberGrid, u0: ScalarField, forcing: ScalarField, nu: float,
+                   dt: float, t_end: float, record_every: int):
+    """Step dH/dt + (H^2)_y = nu*H_yy - nu^2*forcing_y and d(u)/dt = nu*(u_yy + forcing*u)
+    side by side from H = -nu*(log u0)_y; rows hold the sup distance between H
+    and the transform -nu*(log u)_y.  Returns (rows, final u, final H)."""
+    ucfg = StepperConfig(dt, float(nu), Scheme.CRANK_NICOLSON, PERIODIC)
+    heat = HeatStepper(grid, ScalarField(grid, nu * forcing.values), ucfg)
+    burg = BurgersStepper(grid, forcing, ucfg)
+    rows: list[dict] = []
+
+    def record(t, state):
+        u, h_direct = state
+        h_from_u = grad_log(u, -float(nu))
+        _append_row(rows, {
+            "t": t, "sup_diff": float(np.max(np.abs(h_direct.values - h_from_u.values))),
+        })
+
+    u, h_direct = march(lambda s: (heat.step(s[0]), burg.step(s[1])),
+                        (u0, grad_log(u0, -float(nu))), dt, t_end, record_every,
+                        on_record=record)
+    return rows, u, h_direct
+
+
+# ---------------------------------------------------------------------------
+# scenario declarations: run(cfg) -> (rows, snapshots, summary) and checks
+
+
+def _grid(cfg) -> FiberGrid:
+    return build_grid(cfg.grid.topology, cfg.grid.length, cfg.grid.n_points)
+
+
+def _field(cfg, grid: FiberGrid, which: str) -> ScalarField:
+    spec = getattr(cfg, which)
+    return build_field(grid, spec.family, spec.params)
+
+
+def _chosen(states: list, wanted) -> list:
+    """The recorded states nearest each wanted snapshot time, in time order."""
+    ts = np.array([st.t for st in states])
+    return [states[i] for i in sorted({int(np.argmin(np.abs(ts - t))) for t in wanted})]
+
+
+def _snapshots(states: list, wanted, scenario: str) -> dict:
+    """The declared snapshot fields of the chosen states, read off their attributes."""
+    names = SCENARIOS[scenario].fields
+    return {st.t: {name: getattr(st, name).values for name in names}
+            for st in _chosen(states, wanted)}
+
+
+def _run_surface(cfg):
+    grid = _grid(cfg)
+    rho0 = _field(cfg, grid, "initial")
+    traj = run_surface_of_revolution(SurfaceConfig(
+        grid=grid, rho0=rho0, dt=cfg.time.dt, t_end=cfg.time.t_end,
+        record_every=cfg.time.record_every, scheme=Scheme(cfg.scheme),
+    ))
+    snaps = _snapshots(traj.states, cfg.time.snapshots, "surface")
+    final = traj.states[-1]
+    if grid.periodic:
+        limit = integrate(rho0) / grid.length
+    else:
+        limit = linear_interpolant(grid, float(rho0.values[0]), float(rho0.values[-1])).values
+    series = traj.series
+    summary = {
+        "final_t": final.t,
+        "sup_K_final": float(np.max(np.abs(final.K.values))),
+        "min_rho_final": float(np.min(final.rho.values)),
+        "limit_profile_dev": float(np.max(np.abs(final.rho.values - limit))),
+        "max_conformal_dev": float(np.max(series["conformal_dev"])),
+        "max_arc_residual": float(np.max(series["arc_residual"])),
+    }
+    if len(traj.states) >= 3:
+        summary["evolution_crosscheck"] = surface_evolution_crosscheck(traj)
+    return traj.rows, snaps, summary
+
+
+def _run_twisted(cfg):
+    grid = _grid(cfg)
+    profile = _field(cfg, grid, "initial")
+    traj = run_twisted_product(TwistedConfig(
+        grid=grid, n=cfg.n_rank,
+        f0_slices=tuple(ScalarField(grid, a * profile.values) for a in cfg.base_values),
+        dt=cfg.time.dt, t_end=cfg.time.t_end, record_every=cfg.time.record_every,
+        scheme=Scheme(cfg.scheme),
+    ))
+    snaps = {}
+    for st in _chosen(traj.states, cfg.time.snapshots):
+        data = {}
+        for i, (f, h) in enumerate(zip(st.f, st.H)):
+            data[f"f_{i}"] = f.values
+            data[f"H_{i}"] = h.values
+        snaps[st.t] = data
+    series = traj.series
+    summary = {
+        "final_t": traj.states[-1].t,
+        "fiber_means": list(traj.fiber_means),
+        "final_sup_dist_to_mean": float(series["sup_dist_to_mean"][-1]),
+        "max_mass_drift": float(np.max(series["mass_drift"])),
+        "n_rank": cfg.n_rank,
+    }
+    return traj.rows, snaps, summary
+
+
+def _run_normalized(cfg):
+    grid = _grid(cfg)
+    traj = run_normalized_flow(NormalizedConfig(
+        grid=grid, n=cfg.n_rank,
+        betaD=_field(cfg, grid, "potential"),
+        u0=_field(cfg, grid, "initial"),
+        T2_0=_field(cfg, grid, "t2_initial"),
+        dt=cfg.time.dt, t_end=cfg.time.t_end, record_every=cfg.time.record_every,
+        scheme=Scheme(cfg.scheme),
+        gap_min=cfg.tolerances.gap_min, eps_T=cfg.tolerances.eps_t,
+    ))
+    snaps = _snapshots(traj.states, cfg.time.snapshots, "normalized")
+    final = traj.states[-1]
+    series = traj.series
+    velocity_form = sc_mix_minus_T2(final.H, traj.n, final.betaD)
+    summary = {
+        "lambda0": traj.ground.lambda0,
+        "lambda1": traj.ground.lambda1,
+        "gap": traj.ground.gap,
+        "Phi": traj.Phi,
+        "final_t": final.t,
+        "final_sup_dev_scmix": float(series["sup_dev_scmix"][-1]),
+        "final_h_dev": float(series["h_dev"][-1]),
+        "max_betaD_drift": float(np.max(series["betaD_drift"])),
+        "max_conservation_drift": float(np.max(series["conservation_drift"])),
+        "velocity_form_dev": float(
+            np.max(np.abs(velocity_form.values - final.scmixT2.values))
+        ),
+        "target_rate": traj.n * traj.ground.gap,
+    }
+    for key, label in (("sup_dev_scmix", "rate_scmix"), ("h_dev", "rate_h")):
+        try:
+            fit = fit_decay_rate(series["t"], series[key])
+            summary[label] = {
+                "rate": fit.rate,
+                "window": list(fit.window),
+                "n_points": fit.n_points,
+            }
+        except ValueError:
+            summary[label] = None
+    try:
+        verdict = positivity_verdict(traj, converged_tol=cfg.tolerances.converged_dev)
+        summary["positivity"] = {
+            "converged": True,
+            "positive_everywhere": verdict.positive_everywhere,
+            "min_value": verdict.min_value,
+            "threshold_ratio": verdict.threshold_ratio,
+        }
+    except NotConverged as err:
+        summary["positivity"] = {"converged": False, "reason": str(err)}
+    return traj.rows, snaps, summary
+
+
+def _run_cole_hopf_check(cfg):
+    grid = _grid(cfg)
+    u0 = _field(cfg, grid, "initial")
+    nu = cfg.n_rank
+    rows, u, h_direct = cole_hopf_rows(grid, u0, _field(cfg, grid, "potential"), nu,
+                                       cfg.time.dt, cfg.time.t_end, cfg.time.record_every)
+    fine = build_grid(grid.topology, grid.length, 2 * grid.n_points)
+    rows_fine, _, _ = cole_hopf_rows(
+        fine, _field(cfg, fine, "initial"), _field(cfg, fine, "potential"), nu,
+        0.5 * cfg.time.dt, cfg.time.t_end, 2 * cfg.time.record_every,
+    )
+    snaps = {rows[-1]["t"]: {
+        "H_direct": h_direct.values,
+        "H_transformed": grad_log(u, -float(nu)).values,
+        "u": u.values,
+    }}
+    max_coarse = max(row["sup_diff"] for row in rows)
+    max_fine = max(row["sup_diff"] for row in rows_fine)
+    order = float(np.log2(max_coarse / max_fine)) if max_fine > 0.0 else float("inf")
+    summary = {
+        "nu": nu,
+        "max_sup_diff": max_coarse,
+        "max_sup_diff_refined": max_fine,
+        "observed_order": order,
+        "roundtrip_residual_u0": colehopf.roundtrip_residual(u0, nu),
+    }
+    return rows, snaps, summary
+
+
+def _random_trig_potential(grid: FiberGrid, rng) -> ScalarField:
+    vals = np.zeros(grid.n_points)
+    theta = 2.0 * np.pi * grid.x / grid.length
+    for mode in range(1, 4):
+        a, b = rng.normal(size=2)
+        vals += a * np.cos(mode * theta) + b * np.sin(mode * theta)
+    return ScalarField(grid, vals)
+
+
+def _run_spectral_report(cfg):
+    grid = _grid(cfg)
+    f = _field(cfg, grid, "potential")
+    gs = ground_state(f)
+    dec = spectrum(f, cfg.modes)
+    lam_top = float(dec.eigenvalues[-1])
+    if lam_top > 0.0:
+        weyl = eigencount(dec, lam_top) / (weyl_theta(grid) * np.sqrt(lam_top))
+    else:
+        weyl = 0.0
+    rows = [{"t": 0.0, "lambda0": gs.lambda0, "lambda1": gs.lambda1, "gap": gs.gap,
+             "weyl_ratio": weyl}]
+    snap = {"potential": f.values}
+    for j, ef in enumerate(dec.eigenfunctions):
+        snap[f"e{j}"] = ef.values
+    rng = np.random.default_rng(cfg.seed)
+    bound_margin = None
+    for _ in range(cfg.n_random):
+        pot = _random_trig_potential(grid, rng)
+        margin = ground_state(pot).lambda0 + float(np.max(pot.values))
+        bound_margin = margin if bound_margin is None else min(bound_margin, margin)
+    summary = {
+        "eigenvalues": list(dec.eigenvalues),
+        "lambda0_inverse_iteration": gs.lambda0,
+        "lambda0_dense": float(dec.eigenvalues[0]),
+        "route_agreement": abs(gs.lambda0 - float(dec.eigenvalues[0])),
+        "gap": gs.gap,
+        "weyl_ratio": weyl,
+        "n_random": cfg.n_random,
+        "min_bound_margin": bound_margin,
+    }
+    return rows, {0.0: snap}, summary
+
+
+def _positive_initial(cfg, fields: dict) -> list[str]:
+    init = fields.get("initial")
+    if init is not None and float(np.min(init.values)) <= 0.0:
+        return [f"{cfg.scenario}: initial field must be strictly positive on the grid"]
+    return []
+
+
+def _check_closed_flow(cfg, grid: FiberGrid, fields: dict) -> list[str]:
+    circle = [] if grid.periodic else [f"{cfg.scenario}: needs circle topology"]
+    return _positive_initial(cfg, fields) + circle
+
+
+def _check_surface(cfg, grid, fields) -> list[str]:
+    # an interval profile steps with its own end values held fixed
+    errs = _positive_initial(cfg, fields)
+    init = fields.get("initial")
+    bnd = cfg.boundary
+    if init is not None and bnd.kind == "dirichlet":
+        ends = (float(init.values[0]), float(init.values[-1]))
+        scale = 1.0 + float(np.max(np.abs(init.values)))
+        if any(abs(b - e) > 1e-9 * scale for b, e in zip((bnd.left, bnd.right), ends)):
+            errs.append(f"boundary: surface holds the initial profile's ends {ends} fixed, "
+                        f"got left = {bnd.left}, right = {bnd.right}")
+    return errs
+
+
+def _check_normalized(cfg, grid, fields) -> list[str]:
+    errs = _check_closed_flow(cfg, grid, fields)
+    pot, t2 = fields.get("potential"), fields.get("t2_initial")
+    if pot is not None and float(np.min(pot.values)) < -1e-12:
+        errs.append("normalized: potential (betaD) must be nonnegative")
+    if t2 is not None and float(np.min(t2.values)) < 0.0:
+        errs.append("normalized: t2_initial must be nonnegative")
+    return errs
+
+
+def _check_spectral(cfg, grid, fields) -> list[str]:
+    size = grid.n_points if grid.periodic else grid.n_points - 2
+    if not 1 <= cfg.modes <= size:
+        return [f"spectral_report: modes must be between 1 and {size}, got {cfg.modes}"]
+    return []
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One runnable scenario: catalog text, config checks, artifacts and runner."""
+
+    name: str
+    about: tuple[str, ...]
+    equations: tuple[str, ...]
+    config: tuple[str, ...]
+    # time schemes the run honours; any other non-default scheme is rejected
+    schemes: tuple[str, ...]
+    # trajectory.csv header, one row per record
+    columns: tuple[str, ...]
+    # fields_<t>.csv columns after x; i numbers the slices or modes
+    fields: tuple[str, ...]
+    plot_column: str
+    # run(cfg) -> (rows, {t: {field: values}}, summary)
+    run: Callable
+    # check(cfg, grid, realized fields) -> list of constraint violations
+    check: Callable
+
+
+_STEPPED = tuple(s.value for s in Scheme)
+
+SCENARIOS = {s.name: s for s in (
+    Scenario(
+        name="surface",
+        about=("profile radius of a surface of revolution relaxing under its own curvature",),
+        equations=("d(rho)/dt = rho_xx ; k = -(log rho)_x ; K = -rho_xx/rho",
+                   "metric factor shrinks as d(g)/dt = -2*K*g_hat, i.e. (rho/rho0)^2"),
+        config=("grid (interval or circle), time, scheme,",
+                "initial = rho0 (> 0, |slope| <= 1); interval ends stay at rho0's ends"),
+        schemes=_STEPPED,
+        columns=("t", "sup_K", "sup_k", "min_rho", "arc_residual", "riccati_res",
+                 "conformal_dev"),
+        fields=("rho", "h", "k", "K", "conformal_factor"),
+        plot_column="sup_K",
+        run=_run_surface,
+        check=_check_surface,
+    ),
+    Scenario(
+        name="twisted",
+        about=("warping function of a twisted product relaxing along each fiber slice",),
+        equations=("d(f)/dt = n * f_yy per base slice ; H = -(log f)_y",
+                   "each slice tends to its own fiber mean"),
+        config=("grid (circle), time, scheme, initial = fiber profile (> 0),",
+                "base_values = slice amplitudes, n_rank = n"),
+        schemes=_STEPPED,
+        columns=("t", "sup_H", "mass_drift", "sup_dist_to_mean"),
+        fields=("f_i", "H_i"),
+        plot_column="sup_dist_to_mean",
+        run=_run_twisted,
+        check=_check_closed_flow,
+    ),
+    Scenario(
+        name="normalized",
+        about=("normalized flow of a bundle-like foliated metric, conformal on the",
+               "orthogonal distribution"),
+        equations=("d(u)/dt = n*(u_yy + betaD*u) ; H = -n*(grad u)/u",
+                   "Sc_mix - |T|^2 = -n*(u_yy + betaD*u)/u -> n*lambda0",
+                   "d(|T|^2)/dt = 4*(Sc_mix - |T|^2 - Phi)*|T|^2, Phi = n*lambda0"),
+        config=("grid (circle), time, scheme, initial = u0 (> 0), potential = betaD (>= 0),",
+                "t2_initial (>= 0), n_rank = n, tolerances"),
+        schemes=_STEPPED,
+        columns=("t", "sup_dev_scmix", "rayleigh", "lambda0", "gap", "min_u",
+                 "betaD_drift", "conservation_drift", "h_dev"),
+        fields=("u", "H", "betaD", "T2", "scmixT2"),
+        plot_column="sup_dev_scmix",
+        run=_run_normalized,
+        check=_check_normalized,
+    ),
+    Scenario(
+        name="cole_hopf_check",
+        about=("the same velocity computed two ways: a direct forced Burgers evolution",
+               "against the transform of a positive heat-reaction solution; the summary",
+               "carries the refinement order of the sup difference"),
+        equations=("dH/dt + (H^2)_y = nu*H_yy - nu^2*(forcing)_y   versus",
+                   "H = -nu*(grad u)/u with d(u)/dt = nu*(u_yy + forcing*u)"),
+        config=("grid (circle), time, initial = u0 (> 0), potential = forcing,",
+                "n_rank = nu"),
+        schemes=(Scheme.CRANK_NICOLSON.value,),
+        columns=("t", "sup_diff"),
+        fields=("H_direct", "H_transformed", "u"),
+        plot_column="sup_diff",
+        run=_run_cole_hopf_check,
+        check=_check_closed_flow,
+    ),
+    Scenario(
+        name="spectral_report",
+        about=("low spectrum of the fiber operator -d2/dy2 - potential: lambda0 by",
+               "inverse iteration and by a dense eigensolve, the spectral gap,",
+               "orthonormal eigenfunctions, a Weyl-count ratio, and the bound",
+               "lambda0 >= -max(potential) over seeded random potentials"),
+        equations=("-e'' - potential*e = lambda*e on the fiber",),
+        config=("grid, potential, modes, n_random, seed",),
+        schemes=(),
+        columns=("t", "lambda0", "lambda1", "gap", "weyl_ratio"),
+        fields=("potential", "e0", "e1", "..."),
+        plot_column="lambda0",
+        run=_run_spectral_report,
+        check=_check_spectral,
+    ),
+)}

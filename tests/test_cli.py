@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism, sweep."""
+import ast
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -8,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from folflow.cli import main
+from folflow.config import parse_config_text
+from folflow.errors import ValidationError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -26,6 +30,34 @@ DEGENERATE_RUN = textwrap.dedent("""\
     time: {dt: 0.0001, t_end: 0.01}
     initial: {family: linear, a: 1.0, b: 1.2}
 """)
+
+
+# normalized with explicit Euler under a potential of 400: u grows like
+# exp(400 t) and its Rayleigh quotient overflows near t = 1
+OVERFLOW_RUN = textwrap.dedent("""\
+    scenario: normalized
+    grid: {topology: circle, length: 6.283185307179586, n_points: 64}
+    time: {dt: 0.001, t_end: 2.0}
+    scheme: explicit_euler
+    potential: {family: constant, value: 400.0}
+""")
+
+# one short run per scenario, for checking the catalog against the artifacts
+SHORT_RUNS = {
+    "surface": DEGENERATE_RUN.replace("linear, a: 1.0, b: 1.2",
+                                      "linear_sine_bump, left: 0.5, right: 0.8, "
+                                      "amplitude: 0.1, mode: 1"),
+    "twisted": FAST_RUN.replace("cole_hopf_check", "twisted"),
+    "normalized": FAST_RUN.replace("cole_hopf_check", "normalized"),
+    "cole_hopf_check": FAST_RUN,
+    "spectral_report": textwrap.dedent("""\
+        scenario: spectral_report
+        grid: {topology: circle, length: 6.283185307179586, n_points: 32}
+        time: {dt: 0.001, t_end: 0.0}
+        modes: 4
+        n_random: 2
+    """),
+}
 
 
 def run_cli(*args):
@@ -72,6 +104,34 @@ class TestRunCommand:
         payload = summary_sans_meta(out)
         assert payload["status"] == "failed"
         assert payload["error"]["type"] == "ProfileDegenerate"
+
+    def test_non_finite_values_exit_3_with_failure_time(self, tmp_path, capsys):
+        cfg = tmp_path / "overflow.yaml"
+        cfg.write_text(OVERFLOW_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "NonFiniteValue"
+        assert "failure at t = " in err["error"]["message"]
+        payload = summary_sans_meta(out)
+        assert payload["status"] == "failed"
+        assert payload["error"] == err["error"]
+
+    @pytest.mark.parametrize("key", ["scheme", "boundary"])
+    def test_values_contradicting_the_run_exit_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text({
+            # cole_hopf_check always steps by Crank-Nicolson
+            "scheme": FAST_RUN + "scheme: explicit_euler\n",
+            # a surface profile keeps its own end radii, 0.5 and 0.8 here
+            "boundary": SHORT_RUNS["surface"]
+            + "boundary: {kind: dirichlet, left: 0.1, right: 0.2}\n",
+        }[key])
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert err["error"]["message"].startswith(f"{key}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         proc = run_cli("run", str(tmp_path / "nope.yaml"))
@@ -130,6 +190,18 @@ class TestDeterminism:
         assert payloads[0] == payloads[1]
 
 
+def catalog_columns(text: str) -> dict:
+    """Scenario name -> trajectory columns, as `folflow list` prints them."""
+    columns, name = {}, None
+    for line in text.splitlines()[1:]:
+        if line and not line.startswith(" "):
+            name = line
+        found = re.search(r"trajectory\((.*)\)", line)
+        if found:
+            columns[name] = found.group(1).split(", ")
+    return columns
+
+
 class TestListCommand:
     def test_catalog_names_every_scenario(self, capsys):
         assert main(["list"]) == 0
@@ -141,6 +213,26 @@ class TestListCommand:
         assert "d(rho)/dt = rho_xx" in text
         assert "d(u)/dt = n*(u_yy + betaD*u)" in text
         assert "trajectory(" in text
+
+    def test_catalog_lists_exactly_the_parsed_scenarios(self, capsys):
+        main(["list"])
+        listed = list(catalog_columns(capsys.readouterr().out))
+        with pytest.raises(ValidationError) as exc:
+            parse_config_text(FAST_RUN.replace("cole_hopf_check", "no_such_scenario"))
+        accepted = re.search(r"scenario must be one of (\[.*?\])", str(exc.value))
+        assert listed == ast.literal_eval(accepted.group(1))
+
+    def test_catalog_columns_match_trajectory_header(self, tmp_path, capsys):
+        main(["list"])
+        listed = catalog_columns(capsys.readouterr().out)
+        assert set(listed) == set(SHORT_RUNS)
+        for name, text in SHORT_RUNS.items():
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(text)
+            out = tmp_path / name
+            assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0, name
+            header = (out / "trajectory.csv").read_text().splitlines()[0]
+            assert header.split(",") == listed[name], name
 
     def test_catalog_is_stable_across_calls(self, capsys):
         main(["list"])

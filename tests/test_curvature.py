@@ -9,7 +9,6 @@ from folflow.curvature import (
     ExtrinsicData,
     beta_D,
     conserved_quantity,
-    conservation_report,
     riccati_residual,
     sc_mix_minus_T2,
     surface_extrinsic_data,
@@ -176,21 +175,6 @@ class TestConservedQuantity:
         dead = np.abs(g.x - 0.5) < 0.2 + 0.5 * g.spacing
         assert not np.any(mask & dead)
         assert np.all(q[~mask] == 0.0)
-
-    def test_report_flags_drift_against_first_state(self):
-        g = circle(128)
-
-        class Snap:
-            def __init__(self, t, shift):
-                self.t = t
-                self.H = VectorAlongFiber(g, 0.1 * np.cos(g.x) + shift)
-                self.betaD = ScalarField(g, np.full(128, 0.3))
-                self.T2 = ScalarField(g, np.full(128, 2.0))
-
-        recs = conservation_report([Snap(0.0, 0.0), Snap(1.0, 0.05)], n=1)
-        assert recs[0].conservation_drift == 0.0
-        assert recs[1].conservation_drift == pytest.approx(0.1)
-        assert recs[1].betaD_drift == 0.0
 
 
 class TestSurfaceExtrinsicData:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from folflow.errors import CflViolation, SolverSingular
-from folflow.fiber import ScalarField, VectorAlongFiber, build_grid, grad_log, integrate
+from folflow.fiber import ScalarField, build_grid, grad_log, integrate
 from folflow.parabolic import (
     PERIODIC,
     BurgersStepper,
@@ -11,10 +11,7 @@ from folflow.parabolic import (
     HeatStepper,
     Scheme,
     StepperConfig,
-    TorusHeatStepper,
-    evolve,
-    step_burgers_forced,
-    step_heat_reaction,
+    march,
 )
 
 
@@ -68,22 +65,6 @@ class TestHeatClosedForms:
             errs.append(np.max(np.abs(u.values - exact)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 1.95)
-
-    def test_torus_splitting_matches_product_solution(self):
-        gx = build_grid("circle", 2 * np.pi, 64)
-        gy = build_grid("circle", 2 * np.pi, 96)
-        U = np.outer(np.cos(gx.x), np.cos(gy.x)) + 1.0
-        stepper = TorusHeatStepper(gx, gy, StepperConfig(1e-3, 0.5, boundary=PERIODIC))
-        for _ in range(1000):
-            U = stepper.step(U)
-        exact = np.exp(-1.0) * np.outer(np.cos(gx.x), np.cos(gy.x)) + 1.0
-        assert np.max(np.abs(U - exact)) <= 1e-3
-
-    def test_torus_needs_two_circles(self):
-        gx = build_grid("circle", 2 * np.pi, 64)
-        gy = build_grid("interval", 1.0, 64)
-        with pytest.raises(ValueError):
-            TorusHeatStepper(gx, gy, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
 
 
 class TestHeatInvariants:
@@ -172,30 +153,35 @@ class TestStepperErrors:
 
 
 class TestEvolveDriver:
+    """march, the one time-marching loop, driving a heat stepper."""
+
     def test_zero_horizon_records_initial_state_only(self):
         g = circle(64)
         u0 = ScalarField(g, np.ones(64))
-        recs = evolve(u0, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC), 0.0)
-        assert len(recs) == 1 and recs[0].t == 0.0
+        stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
+        recs = []
+        march(stepper.step, u0, 1e-3, 0.0, on_record=lambda t, u: recs.append((t, u)))
+        assert len(recs) == 1 and recs[0][0] == 0.0
 
     def test_records_and_monitors(self):
         g = circle(64)
         u0 = ScalarField(g, 2.0 + np.cos(g.x))
+        stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
+        recs = []
 
         def span(t, u):
-            return {"span": float(np.max(u.values) - np.min(u.values))}
+            recs.append((t, float(np.max(u.values) - np.min(u.values))))
 
-        recs = evolve(u0, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC),
-                      0.1, record_every=20, monitors=(span,))
-        assert [r.t for r in recs] == pytest.approx([0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
-        spans = [r.extra["span"] for r in recs]
+        march(stepper.step, u0, 1e-3, 0.1, record_every=20, on_record=span)
+        assert [t for t, _ in recs] == pytest.approx([0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
+        spans = [s for _, s in recs]
         assert all(a > b for a, b in zip(spans, spans[1:]))
 
     def test_rejects_negative_horizon(self):
         g = circle(64)
+        stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
         with pytest.raises(ValueError):
-            evolve(ScalarField(g, np.ones(64)), None,
-                   StepperConfig(1e-3, 1.0, boundary=PERIODIC), -1.0)
+            march(stepper.step, ScalarField(g, np.ones(64)), 1e-3, -1.0)
 
 
 class TestBurgersStepper:
@@ -236,18 +222,3 @@ class TestBurgersStepper:
         fine = sup_diff(512, 5e-4)
         assert coarse <= 1e-3
         assert np.log2(coarse / fine) >= 1.8
-
-    def test_one_step_helpers_agree_with_steppers(self):
-        g = circle(64)
-        forcing = ScalarField(g, 0.1 * np.cos(g.x))
-        cfg = StepperConfig(1e-3, 1.0, boundary=PERIODIC)
-        u = ScalarField(g, 2.0 + np.sin(g.x))
-        H = VectorAlongFiber(g, 0.3 * np.cos(g.x))
-        np.testing.assert_array_equal(
-            step_heat_reaction(u, forcing, cfg).values,
-            HeatStepper(g, forcing, cfg).step(u).values,
-        )
-        np.testing.assert_array_equal(
-            step_burgers_forced(H, forcing, cfg).values,
-            BurgersStepper(g, forcing, cfg).step(H).values,
-        )
