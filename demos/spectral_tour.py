@@ -2,7 +2,7 @@
 Spectral toolbox for the fiber operator -d^2/dx^2 - f
 =====================================================
 
-Ground state by shifted inverse iteration, a dense cross-check, eigenvalue
+Ground state by shift-invert Lanczos, a dense cross-check, eigenvalue
 counting against the Weyl slope, partial-sum reconstruction, and a live
 measurement of the spectral gap out of the heat semigroup.
 """

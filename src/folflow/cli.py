@@ -14,6 +14,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .artifacts import (
     snapshot_name,
     write_fields,
@@ -48,14 +50,16 @@ def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
     """Run one configuration and write its artifacts into out_dir.
 
     On a numerical failure the exception propagates after a summary.json
-    with status 'failed' has been flushed.
+    with status 'failed' has been flushed.  Overflow inside the run is not
+    warned about: a non-finite result raises NonFiniteValue instead.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = SCENARIOS[cfg.scenario]
     started = time.perf_counter()
     try:
-        rows, snaps, summary = scenario.run(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows, snaps, summary = scenario.run(cfg)
     except FolflowError as err:
         write_summary(out_dir / "summary.json", {
             "status": "failed",

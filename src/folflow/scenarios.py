@@ -550,27 +550,38 @@ def fit_decay_rate(
 # velocity against transformed density
 
 
+@dataclass(frozen=True)
+class ColeHopfState:
+    t: float
+    u: ScalarField
+    H_direct: VectorAlongFiber
+    nu: float
+
+    @property
+    def H_transformed(self) -> VectorAlongFiber:
+        return grad_log(self.u, -self.nu)
+
+
 def cole_hopf_rows(grid: FiberGrid, u0: ScalarField, forcing: ScalarField, nu: float,
                    dt: float, t_end: float, record_every: int):
     """Step dH/dt + (H^2)_y = nu*H_yy - nu^2*forcing_y and d(u)/dt = nu*(u_yy + forcing*u)
     side by side from H = -nu*(log u0)_y; rows hold the sup distance between H
-    and the transform -nu*(log u)_y.  Returns (rows, final u, final H)."""
+    and the transform -nu*(log u)_y.  Returns (rows, the recorded states)."""
     ucfg = StepperConfig(dt, float(nu), Scheme.CRANK_NICOLSON, PERIODIC)
     heat = HeatStepper(grid, ScalarField(grid, nu * forcing.values), ucfg)
     burg = BurgersStepper(grid, forcing, ucfg)
     rows: list[dict] = []
+    states: list[ColeHopfState] = []
 
     def record(t, state):
-        u, h_direct = state
-        h_from_u = grad_log(u, -float(nu))
-        _append_row(rows, {
-            "t": t, "sup_diff": float(np.max(np.abs(h_direct.values - h_from_u.values))),
-        })
+        st = ColeHopfState(t, *state, float(nu))
+        diff = st.H_direct.values - st.H_transformed.values
+        _append_row(rows, {"t": t, "sup_diff": float(np.max(np.abs(diff)))})
+        states.append(st)
 
-    u, h_direct = march(lambda s: (heat.step(s[0]), burg.step(s[1])),
-                        (u0, grad_log(u0, -float(nu))), dt, t_end, record_every,
-                        on_record=record)
-    return rows, u, h_direct
+    march(lambda s: (heat.step(s[0]), burg.step(s[1])),
+          (u0, grad_log(u0, -float(nu))), dt, t_end, record_every, on_record=record)
+    return rows, states
 
 
 # ---------------------------------------------------------------------------
@@ -710,18 +721,14 @@ def _run_cole_hopf_check(cfg):
     grid = _grid(cfg)
     u0 = _field(cfg, grid, "initial")
     nu = cfg.n_rank
-    rows, u, h_direct = cole_hopf_rows(grid, u0, _field(cfg, grid, "potential"), nu,
-                                       cfg.time.dt, cfg.time.t_end, cfg.time.record_every)
+    rows, states = cole_hopf_rows(grid, u0, _field(cfg, grid, "potential"), nu,
+                                  cfg.time.dt, cfg.time.t_end, cfg.time.record_every)
+    snaps = _snapshots(states, cfg.time.snapshots, "cole_hopf_check")
     fine = build_grid(grid.topology, grid.length, 2 * grid.n_points)
-    rows_fine, _, _ = cole_hopf_rows(
+    rows_fine, _ = cole_hopf_rows(
         fine, _field(cfg, fine, "initial"), _field(cfg, fine, "potential"), nu,
         0.5 * cfg.time.dt, cfg.time.t_end, 2 * cfg.time.record_every,
     )
-    snaps = {rows[-1]["t"]: {
-        "H_direct": h_direct.values,
-        "H_transformed": grad_log(u, -float(nu)).values,
-        "u": u.values,
-    }}
     max_coarse = max(row["sup_diff"] for row in rows)
     max_fine = max(row["sup_diff"] for row in rows_fine)
     order = float(np.log2(max_coarse / max_fine)) if max_fine > 0.0 else float("inf")
@@ -767,7 +774,7 @@ def _run_spectral_report(cfg):
         bound_margin = margin if bound_margin is None else min(bound_margin, margin)
     summary = {
         "eigenvalues": list(dec.eigenvalues),
-        "lambda0_inverse_iteration": gs.lambda0,
+        "lambda0_lanczos": gs.lambda0,
         "lambda0_dense": float(dec.eigenvalues[0]),
         "route_agreement": abs(gs.lambda0 - float(dec.eigenvalues[0])),
         "gap": gs.gap,
@@ -910,7 +917,7 @@ SCENARIOS = {s.name: s for s in (
     Scenario(
         name="spectral_report",
         about=("low spectrum of the fiber operator -d2/dy2 - potential: lambda0 by",
-               "inverse iteration and by a dense eigensolve, the spectral gap,",
+               "shift-invert Lanczos and by a dense eigensolve, the spectral gap,",
                "orthonormal eigenfunctions, a Weyl-count ratio, and the bound",
                "lambda0 >= -max(potential) over seeded random potentials"),
         equations=("-e'' - potential*e = lambda*e on the fiber",),

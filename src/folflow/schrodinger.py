@@ -1,8 +1,8 @@
 """Discrete Schrodinger operator Hf = -u_xx - f*u and its low spectrum.
 
-The ground state is computed by shifted inverse iteration (with deflation
-for the first excited value); a dense symmetric eigensolve over the same
-matrix serves as an independent route and provides full decompositions.
+The ground state and the first excited value come from shift-invert
+Lanczos on the sparse matrix; a dense symmetric eigensolve over the same
+matrix serves as an independent route and provides the decompositions.
 """
 from __future__ import annotations
 
@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import ConvergenceFailure
 from .fiber import FiberGrid, ScalarField, integrate
-from .parabolic import _factor, _solve
 
 
 def assemble_operator(f: ScalarField) -> sp.csr_matrix:
@@ -30,10 +30,9 @@ def assemble_operator(f: ScalarField) -> sp.csr_matrix:
         n = g.n_points
         main = np.full(n, 2.0 * inv) - f.values
         off = np.full(n - 1, -inv)
-        mat = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-        mat[0, n - 1] = -inv
-        mat[n - 1, 0] = -inv
-        return mat.tocsr()
+        corner = [-inv]
+        return sp.diags([corner, off, main, off, corner], [-(n - 1), -1, 0, 1, n - 1],
+                        format="csr")
     m = g.n_points - 2
     main = np.full(m, 2.0 * inv) - f.values[1:-1]
     off = np.full(m - 1, -inv)
@@ -75,94 +74,40 @@ class GroundState:
         return self.lambda1 - self.lambda0
 
 
-def _inverse_iteration(mat, lu, start, ortho, tol, max_iter, strict=True):
-    # Residual floor: solves against a nearly singular shift are roundoff
-    # limited at a few thousand eps times the matrix scale.  The Ritz value
-    # is quadratically more accurate than the vector residual, so exiting
-    # at the floor still leaves the eigenvalue far tighter than tol.
-    scale = float(np.max(np.abs(mat).sum(axis=1)))
-    floor = 2000.0 * np.finfo(float).eps * scale
-    v = start / np.linalg.norm(start)
-    lam_prev = None
-    stagnant = 0
-    for _ in range(max_iter):
-        w = _solve(lu, v)
-        for basis_vec in ortho:
-            w = w - (basis_vec @ w) * basis_vec
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise ConvergenceFailure("inverse iteration collapsed to zero")
-        v = w / norm
-        av = mat @ v
-        lam = float(v @ av)
-        resid = float(np.linalg.norm(av - lam * v))
-        if resid <= max(tol * (1.0 + abs(lam)), floor):
-            return lam, v
-        if lam_prev is not None and abs(lam - lam_prev) <= 1e-13 * (1.0 + abs(lam)):
-            stagnant += 1
-            if stagnant >= 6:
-                return lam, v
-        else:
-            stagnant = 0
-        lam_prev = lam
-    if not strict:
-        return lam, v
-    raise ConvergenceFailure(
-        f"inverse iteration stalled at residual {resid:g} after {max_iter} sweeps "
-        f"(Ritz value {lam:g}); the next eigenvalue may be nearly degenerate"
-    )
-
-
-def ground_state(f: ScalarField, tol: float = 1e-9, max_iter: int = 2000) -> GroundState:
+def ground_state(f: ScalarField) -> GroundState:
     """Lowest two eigenvalues and the positive unit ground state of -d2/dx2 - f.
 
-    Shifted inverse iteration with shift below -max(f) converges from a
-    constant start, since the ground state never changes sign.  Each
-    eigenvalue is then polished by refactoring just below its warmup Ritz
-    estimate, which keeps convergence fast when neighboring eigenvalues
-    cluster.
+    Shift-invert Lanczos (ARPACK) about a shift below -max(f), which lies
+    under the whole spectrum.  The start vector is fixed, so repeats are
+    bit-identical, and has no reflection symmetry, so an odd first excited
+    state is reachable when the potential is even.
     """
     g = f.grid
     mat = assemble_operator(f)
     size = mat.shape[0]
-    shift = -float(np.max(f.values)) - 1.0
-    lu = _factor((mat - shift * sp.identity(size, format="csr")).tocsc())
-    start0 = np.ones(size)
-    est0, w0 = _inverse_iteration(mat, lu, start0, (), tol, 200, strict=False)
-    shift0 = est0 - 0.01 * (1.0 + abs(est0))
-    lu0 = _factor((mat - shift0 * sp.identity(size, format="csr")).tocsc())
-    lam0, v0 = _inverse_iteration(mat, lu0, w0, (), tol, max_iter)
+    idx = 2.0 * np.pi * np.arange(size) / size
+    start = 1.0 + 0.5 * np.sin(idx) + 0.25 * np.cos(3.0 * idx + 1.0)
+    try:
+        vals, vecs = eigsh(mat, k=2, sigma=-float(np.max(f.values)) - 1.0, v0=start)
+    except ArpackError as err:
+        raise ConvergenceFailure(f"shift-invert Lanczos failed: {err}") from err
+    order = np.argsort(vals)
+    lam0, lam1 = (float(v) for v in vals[order])
+    v0 = vecs[:, order[0]]
     if np.sum(v0) < 0.0:
         v0 = -v0
     if np.min(v0) <= 0.0:
         raise ConvergenceFailure("computed ground state is not strictly positive")
-    idx = np.arange(size)
-    start1 = np.cos(2.0 * np.pi * idx / size) + 0.5 * np.sin(4.0 * np.pi * idx / size)
-    if not g.periodic:
-        start1 = np.sin(np.pi * (idx + 1) / (size + 1))
-        start1 *= np.cos(2.0 * np.pi * idx / size)
-    # Two-stage shift for the excited value: the broad shift converges at a
-    # rate set by the cluster width around lambda1, so after a warmup the
-    # matrix is refactored just below the Ritz estimate.  Deflation keeps the
-    # ground direction out, so a shift below lambda1 always targets lambda1.
-    est, v1 = _inverse_iteration(mat, lu, start1, (v0,), tol, 200, strict=False)
-    shift1 = est - 0.01 * (1.0 + abs(est))
-    lu1 = _factor((mat - shift1 * sp.identity(size, format="csr")).tocsc())
-    lam1, _ = _inverse_iteration(mat, lu1, v1, (v0,), tol, max_iter)
     return GroundState(lam0, _to_field(g, v0), lam1)
 
 
-def dense_spectrum(f: ScalarField, m: int | None = None):
-    """Full symmetric eigensolve of the assembled matrix (independent route).
+def dense_spectrum(f: ScalarField, m: int):
+    """Dense symmetric eigensolve of the assembled matrix (independent route).
 
-    Returns (eigenvalues, columns) over the active nodes, ascending, with
-    columns orthonormal in the plain dot product.
+    Returns the lowest m eigenpairs over the active nodes as (eigenvalues,
+    columns), ascending, with columns orthonormal in the plain dot product.
     """
-    mat = assemble_operator(f).toarray()
-    vals, vecs = scipy.linalg.eigh(mat)
-    if m is not None:
-        vals, vecs = vals[:m], vecs[:, :m]
-    return vals, vecs
+    return scipy.linalg.eigh(assemble_operator(f).toarray(), subset_by_index=[0, m - 1])
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,12 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
 
+from folflow.artifacts import snapshot_name
 from folflow.cli import main
 from folflow.config import parse_config_text
 from folflow.errors import ValidationError
@@ -85,6 +87,17 @@ class TestRunCommand:
         assert payload["status"] == "ok"
         assert payload["results"]["max_sup_diff"] <= 1e-3
 
+    def test_cole_hopf_writes_every_requested_snapshot(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(FAST_RUN.replace("record_every: 10}",
+                                        "record_every: 10, snapshots: [0.0, 0.05]}"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        written = sorted(p.name for p in out.glob("fields_*.csv"))
+        assert written == [snapshot_name(0.0), snapshot_name(0.05)]
+        header = (out / snapshot_name(0.0)).read_text().splitlines()[0]
+        assert header.split(",") == ["x", "H_direct", "H_transformed", "u"]
+
     def test_config_error_exits_2_with_json(self, tmp_path):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(FAST_RUN + "typo_key: 1\n")
@@ -109,7 +122,11 @@ class TestRunCommand:
         cfg = tmp_path / "overflow.yaml"
         cfg.write_text(OVERFLOW_RUN)
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
+        # the overflow is reported once, as the JSON object, not also warned about
+        assert [str(w.message) for w in caught] == []
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "NonFiniteValue"
         assert "failure at t = " in err["error"]["message"]

@@ -1,7 +1,9 @@
 """Ground states, spectral decompositions, and counting asymptotics."""
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from folflow.errors import ConvergenceFailure
 from folflow.fiber import ScalarField, build_grid, integrate
 from folflow.parabolic import PERIODIC, HeatStepper, StepperConfig
 from folflow.schrodinger import (
@@ -91,6 +93,41 @@ class TestLowerBoundProperty:
             dvals, _ = dense_spectrum(f, 2)
             assert abs(gs.lambda0 - dvals[0]) <= 1e-9
             assert abs(gs.lambda1 - dvals[1]) <= 1e-7
+
+
+class TestLanczosRoute:
+    @pytest.mark.parametrize("case", ["circle_cos", "circle_cos2", "interval_well"])
+    def test_even_potentials_match_dense_route(self, case):
+        # an even potential has eigenvectors of both parities; the start
+        # vector has no reflection symmetry, so an odd lambda1 is found too
+        if case == "interval_well":
+            g = build_grid("interval", 1.0, 257)
+            vals = 40.0 * np.exp(-30.0 * (g.x - 0.5) ** 2)
+        else:
+            g = circle(512)
+            vals = np.cos((2 if case == "circle_cos2" else 1) * g.x)
+        f = ScalarField(g, vals)
+        gs = ground_state(f)
+        dvals, _ = dense_spectrum(f, 2)
+        assert abs(gs.lambda0 - dvals[0]) <= 1e-9
+        assert abs(gs.lambda1 - dvals[1]) <= 1e-9
+
+    def test_repeats_are_bit_identical(self):
+        g = circle(256)
+        f = ScalarField(g, 0.2 * (1.0 + np.cos(g.x)) + 0.1 * np.sin(3 * g.x))
+        a, b = ground_state(f), ground_state(f)
+        assert (a.lambda0, a.lambda1) == (b.lambda0, b.lambda1)
+        assert np.array_equal(a.e0.values, b.e0.values)
+
+    def test_no_convergence_surfaces_as_convergence_failure(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
+                                      np.zeros((0, 0)))
+
+        monkeypatch.setattr("folflow.schrodinger.eigsh", stalled)
+        g = circle(64)
+        with pytest.raises(ConvergenceFailure):
+            ground_state(ScalarField(g, np.cos(g.x)))
 
 
 class TestSpectralDecomposition:
