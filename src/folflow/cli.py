@@ -50,15 +50,16 @@ def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
     """Run one configuration and write its artifacts into out_dir.
 
     On a numerical failure the exception propagates after a summary.json
-    with status 'failed' has been flushed.  Overflow inside the run is not
-    warned about: a non-finite result raises NonFiniteValue instead.
+    with status 'failed' has been flushed.  Overflow and division by zero
+    inside the run are not warned about: a non-finite result raises
+    NonFiniteValue instead.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = SCENARIOS[cfg.scenario]
     started = time.perf_counter()
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rows, snaps, summary = scenario.run(cfg)
     except FolflowError as err:
         write_summary(out_dir / "summary.json", {

@@ -15,6 +15,7 @@ from .errors import InconsistentData
 from .fiber import (
     ScalarField,
     VectorAlongFiber,
+    _diff1,
     derivative,
     divergence,
     grad_log,
@@ -123,15 +124,9 @@ def _half_grad_log_ratio(T2: np.ndarray, mask: np.ndarray, grid) -> np.ndarray:
     # centered difference of log(T2)/2 on the mask; equals grad log |T|
     # where T2 > 0.  The mask guarantees both neighbors are inside, so the
     # logarithm is only ever taken at points bounded away from zero.
-    h = grid.spacing
     w = np.log(np.where(T2 > 0.0, T2, 1.0))
     out = np.zeros_like(T2)
-    if grid.periodic:
-        num = np.roll(w, -1) - np.roll(w, 1)
-    else:
-        num = np.zeros_like(w)
-        num[1:-1] = w[2:] - w[:-2]
-    out[mask] = num[mask] / (2.0 * h * 2.0)
+    out[mask] = 0.5 * _diff1(w, grid.spacing, grid.periodic)[mask]
     return out
 
 

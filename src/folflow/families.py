@@ -22,7 +22,9 @@ def build_field(grid: FiberGrid, family: str, params: dict) -> ScalarField:
 
     cosine_perturbed uses whole waves of the fiber (mode full periods over
     the length); linear_sine_bump interpolates its endpoint values and adds
-    a sine bump vanishing at both ends.
+    a sine bump vanishing at both ends.  Parameters that overflow the
+    evaluation are not warned about: ScalarField rejects the non-finite
+    values with NonFiniteValue.
     """
     if family not in FAMILY_PARAMS:
         raise ValueError(f"unknown field family {family!r}")
@@ -32,26 +34,27 @@ def build_field(grid: FiberGrid, family: str, params: dict) -> ScalarField:
         raise ValueError(
             f"family {family!r} takes parameters {sorted(expected)}, got {sorted(got)}"
         )
-    x = grid.x
-    length = grid.length
-    if family == "constant":
-        vals = np.full(grid.n_points, float(params["value"]))
-    elif family == "linear":
-        vals = float(params["a"]) + float(params["b"]) * x
-    elif family == "cosine_perturbed":
-        theta = 2.0 * np.pi * float(params["mode"]) * x / length
-        vals = float(params["base"]) + float(params["amplitude"]) * np.cos(theta)
-    elif family == "gaussian_bump":
-        w = float(params["width"])
-        if w <= 0.0:
-            raise ValueError("gaussian_bump width must be positive")
-        vals = float(params["height"]) * np.exp(-((x - float(params["center"])) ** 2) / (2.0 * w * w))
-    elif family == "linear_sine_bump":
-        left, right = float(params["left"]), float(params["right"])
-        vals = left + (right - left) * x / length
-        vals = vals + float(params["amplitude"]) * np.sin(np.pi * float(params["mode"]) * x / length)
-    else:
-        vals = _read_csv_field(str(params["path"]), grid)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = grid.x
+        length = grid.length
+        if family == "constant":
+            vals = np.full(grid.n_points, float(params["value"]))
+        elif family == "linear":
+            vals = float(params["a"]) + float(params["b"]) * x
+        elif family == "cosine_perturbed":
+            theta = 2.0 * np.pi * float(params["mode"]) * x / length
+            vals = float(params["base"]) + float(params["amplitude"]) * np.cos(theta)
+        elif family == "gaussian_bump":
+            w = float(params["width"])
+            if w <= 0.0:
+                raise ValueError("gaussian_bump width must be positive")
+            vals = float(params["height"]) * np.exp(-((x - float(params["center"])) ** 2) / (2.0 * w * w))
+        elif family == "linear_sine_bump":
+            left, right = float(params["left"]), float(params["right"])
+            vals = left + (right - left) * x / length
+            vals = vals + float(params["amplitude"]) * np.sin(np.pi * float(params["mode"]) * x / length)
+        else:
+            vals = _read_csv_field(str(params["path"]), grid)
     return ScalarField(grid, vals)
 
 

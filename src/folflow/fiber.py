@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NonFiniteValue, NonPositiveField
 
@@ -136,6 +137,26 @@ def _diff2(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     out[0] = (2.0 * vals[0] - 5.0 * vals[1] + 4.0 * vals[2] - vals[3]) / h2
     out[-1] = (2.0 * vals[-1] - 5.0 * vals[-2] + 4.0 * vals[-3] - vals[-4]) / h2
     return out
+
+
+def laplacian_matrix(grid: FiberGrid) -> sp.csr_matrix:
+    """Sparse 3-point second difference over all nodes of the grid.
+
+    On a circle the stencil wraps round through two corner entries.  On an
+    interval the two end rows are zero, so an operator built from this
+    matrix leaves the end values where they are.
+    """
+    n = grid.n_points
+    inv = 1.0 / (grid.spacing * grid.spacing)
+    main = np.full(n, -2.0 * inv)
+    lower = np.full(n - 1, inv)
+    upper = np.full(n - 1, inv)
+    if grid.periodic:
+        return sp.diags([[inv], lower, main, upper, [inv]], [-(n - 1), -1, 0, 1, n - 1],
+                        format="csr")
+    # row 0 holds main[0] and upper[0]; row n-1 holds lower[-1] and main[-1]
+    main[[0, -1]] = lower[-1] = upper[0] = 0.0
+    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
 
 
 def derivative(field: ScalarField) -> ScalarField:

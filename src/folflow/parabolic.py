@@ -3,9 +3,12 @@
 Heat-reaction:   du/dt = nu * u_xx + V * u
 Forced Burgers:  dH/dt = nu * H_xx - (H^2)_x - nu^2 * (forcing)_x
 
-The default scheme is Crank-Nicolson (for Burgers an implicit-diffusion /
-explicit-advection midpoint variant of the same order); an explicit Euler
-scheme is available behind the usual diffusive CFL guard.
+Both steppers are built on the one fiber Laplacian, fiber.laplacian_matrix;
+on an interval its zero end rows hold the end values fixed, so a step needs
+no boundary source term.  The heat step is Crank-Nicolson by default, with
+explicit Euler behind the usual diffusive CFL guard.  The Burgers step is
+Crank-Nicolson only: implicit diffusion with an explicit midpoint stage for
+advection and forcing (IMEX), of the same order.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import CflViolation, FolflowError, SolverSingular
-from .fiber import FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2
+from .fiber import FiberGrid, ScalarField, VectorAlongFiber, _diff1, laplacian_matrix
 
 
 class Scheme(Enum):
@@ -68,28 +71,13 @@ def _check_cfl(grid: FiberGrid, cfg: StepperConfig):
         )
 
 
-def _periodic_laplacian(n: int, h: float) -> sp.csr_matrix:
-    inv = 1.0 / (h * h)
-    main = np.full(n, -2.0 * inv)
-    off = np.full(n - 1, inv)
-    lap = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    lap[0, n - 1] = inv
-    lap[n - 1, 0] = inv
-    return lap.tocsr()
-
-
-def _interior_laplacian(n: int, h: float) -> sp.csr_matrix:
-    # interior nodes 1..n-2 of an interval grid
-    inv = 1.0 / (h * h)
-    m = n - 2
-    main = np.full(m, -2.0 * inv)
-    off = np.full(m - 1, inv)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
 def _factor(matrix: sp.spmatrix):
+    # diagonal pivots: an interval operator's identity end rows must pivot
+    # on themselves, or the solve smears roundoff into the held end values.
+    # Elimination without row exchanges is stable while the matrix is
+    # diagonally dominant, which I - c*(nu*Lap + V) is while c*max(V) < 1.
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = spla.splu(matrix.tocsc(), diag_pivot_thresh=0.0)
     except RuntimeError as err:
         raise SolverSingular(f"implicit step matrix is singular: {err}") from err
     # splu happily factors a numerically singular matrix into a roundoff
@@ -110,11 +98,20 @@ def _solve(lu, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _moving(grid: FiberGrid) -> np.ndarray:
+    """1 at nodes that evolve, 0 at the held ends of an interval."""
+    moving = np.ones(grid.n_points)
+    if not grid.periodic:
+        moving[[0, -1]] = 0.0
+    return moving
+
+
 class HeatStepper:
     """Prefactored stepper for du/dt = nu*u_xx + V*u on a fixed grid.
 
     Crank-Nicolson factorizations are built once, so repeated steps cost a
-    pair of triangular solves.
+    pair of triangular solves.  On an interval the operator has zero end
+    rows, so every step returns the end values it was given.
     """
 
     def __init__(self, grid: FiberGrid, V: ScalarField | None, cfg: StepperConfig):
@@ -123,26 +120,13 @@ class HeatStepper:
             raise ValueError("reaction coefficient lives on a different grid")
         self.grid = grid
         self.cfg = cfg
-        self.vvals = None if V is None else V.values
-        n, h, nu = grid.n_points, grid.spacing, cfg.diffusivity
-        if grid.periodic:
-            a_op = nu * _periodic_laplacian(n, h)
-            if V is not None:
-                a_op = a_op + sp.diags(V.values)
-            self._source = None
-        else:
-            bnd = cfg.boundary
-            a_op = nu * _interior_laplacian(n, h)
-            if V is not None:
-                a_op = a_op + sp.diags(V.values[1:-1])
-            src = np.zeros(n - 2)
-            src[0] = nu * bnd.left / h ** 2
-            src[-1] = nu * bnd.right / h ** 2
-            self._source = src
+        a_op = cfg.diffusivity * laplacian_matrix(grid)
+        if V is not None:
+            a_op = a_op + sp.diags(_moving(grid) * V.values)
         self._a_op = a_op.tocsr()
         if cfg.scheme is Scheme.CRANK_NICOLSON:
             c = 0.5 * cfg.dt
-            eye = sp.identity(a_op.shape[0], format="csr")
+            eye = sp.identity(grid.n_points, format="csr")
             self._plus = (eye + c * self._a_op).tocsr()
             self._lu = _factor(eye - c * self._a_op)
         else:
@@ -157,22 +141,12 @@ class HeatStepper:
     def step(self, u: ScalarField) -> ScalarField:
         if u.grid != self.grid:
             raise ValueError("field lives on a different grid")
-        dt = self.cfg.dt
-        if self.grid.periodic:
-            if self.cfg.scheme is Scheme.CRANK_NICOLSON:
-                new = _solve(self._lu, self._plus @ u.values)
-            else:
-                new = u.values + dt * (self._a_op @ u.values)
-            return ScalarField(self.grid, new)
-        self._check_matches_boundary(u)
-        w = u.values[1:-1]
+        if isinstance(self.cfg.boundary, Dirichlet):
+            self._check_matches_boundary(u)
         if self.cfg.scheme is Scheme.CRANK_NICOLSON:
-            rhs = self._plus @ w + dt * self._source
-            w_new = _solve(self._lu, rhs)
+            new = _solve(self._lu, self._plus @ u.values)
         else:
-            w_new = w + dt * (self._a_op @ w + self._source)
-        new = u.values.copy()
-        new[1:-1] = w_new
+            new = u.values + self.cfg.dt * (self._a_op @ u.values)
         return ScalarField(self.grid, new)
 
 
@@ -181,70 +155,40 @@ class BurgersStepper:
 
     Diffusion is treated by Crank-Nicolson, advection and forcing by an
     explicit midpoint stage, giving a second-order step without history.
+    On an interval the end values are held.
     """
 
     def __init__(self, grid: FiberGrid, forcing: ScalarField | None, cfg: StepperConfig):
         _check_boundary_topology(grid, cfg)
         if forcing is not None and forcing.grid != grid:
             raise ValueError("forcing lives on a different grid")
+        if cfg.scheme is not Scheme.CRANK_NICOLSON:
+            raise ValueError(f"the Burgers step is Crank-Nicolson only, got {cfg.scheme.value}")
         self.grid = grid
         self.cfg = cfg
-        n, h, nu = grid.n_points, grid.spacing, cfg.diffusivity
+        nu = cfg.diffusivity
+        self._moving = _moving(grid)
         if forcing is None:
-            self._force_x = np.zeros(n)
+            self._force_x = np.zeros(grid.n_points)
         else:
-            self._force_x = nu * nu * _diff1(forcing.values, h, grid.periodic)
-        if grid.periodic:
-            diff = nu * _periodic_laplacian(n, h)
-        else:
-            diff = nu * _interior_laplacian(n, h)
-        self._diff = diff.tocsr()
-        if cfg.scheme is Scheme.CRANK_NICOLSON:
-            eye = sp.identity(diff.shape[0], format="csr")
-            self._lu_half = _factor(eye - 0.25 * cfg.dt * self._diff)
-            self._lu_full = _factor(eye - 0.50 * cfg.dt * self._diff)
-        else:
-            _check_cfl(grid, cfg)
+            self._force_x = nu * nu * _diff1(forcing.values, grid.spacing, grid.periodic)
+        self._diff = nu * laplacian_matrix(grid)
+        eye = sp.identity(grid.n_points, format="csr")
+        self._lu_half = _factor(eye - 0.25 * cfg.dt * self._diff)
+        self._lu_full = _factor(eye - 0.50 * cfg.dt * self._diff)
 
     def _advect(self, hvals: np.ndarray) -> np.ndarray:
         g = self.grid
-        return -_diff1(hvals * hvals, g.spacing, g.periodic) - self._force_x
+        return self._moving * (-_diff1(hvals * hvals, g.spacing, g.periodic) - self._force_x)
 
     def step(self, H: VectorAlongFiber) -> VectorAlongFiber:
         if H.grid != self.grid:
             raise ValueError("field lives on a different grid")
-        dt, g = self.cfg.dt, self.grid
-        vals = H.values
-        if self.cfg.scheme is Scheme.EXPLICIT_EULER:
-            lap = _diff2(vals, g.spacing, g.periodic)
-            new = vals + dt * (self.cfg.diffusivity * lap + self._advect(vals))
-            if not g.periodic:
-                new[0], new[-1] = vals[0], vals[-1]
-            return VectorAlongFiber(g, new)
-        if g.periodic:
-            adv = self._advect(vals)
-            dif = self._diff @ vals
-            mid = _solve(self._lu_half, vals + 0.5 * dt * adv + 0.25 * dt * dif)
-            new = _solve(self._lu_full, vals + dt * self._advect(mid) + 0.5 * dt * dif)
-            return VectorAlongFiber(g, new)
-        # interval: endpoint values are held fixed and feed the interior solve
-        h = g.spacing
-        src = np.zeros(g.n_points - 2)
-        src[0] = self.cfg.diffusivity * vals[0] / h ** 2
-        src[-1] = self.cfg.diffusivity * vals[-1] / h ** 2
-        w = vals[1:-1]
-        adv = self._advect(vals)[1:-1]
-        dif = self._diff @ w + src
-        mid_w = _solve(self._lu_half, w + 0.5 * dt * adv + 0.25 * dt * dif + 0.25 * dt * src)
-        mid = vals.copy()
-        mid[1:-1] = mid_w
-        new_w = _solve(
-            self._lu_full,
-            w + dt * self._advect(mid)[1:-1] + 0.5 * dt * dif + 0.5 * dt * src,
-        )
-        new = vals.copy()
-        new[1:-1] = new_w
-        return VectorAlongFiber(g, new)
+        dt, vals = self.cfg.dt, H.values
+        dif = self._diff @ vals
+        mid = _solve(self._lu_half, vals + 0.5 * dt * self._advect(vals) + 0.25 * dt * dif)
+        new = _solve(self._lu_full, vals + dt * self._advect(mid) + 0.5 * dt * dif)
+        return VectorAlongFiber(self.grid, new)
 
 
 def _step_count(t_end: float, dt: float) -> int:

@@ -97,7 +97,6 @@ class SurfaceConfig:
     t_end: float
     record_every: int = 10
     scheme: Scheme = Scheme.CRANK_NICOLSON
-    axial_origin: float = 0.0
 
 
 def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
@@ -117,11 +116,11 @@ def _check_profile(rho: np.ndarray, slope: np.ndarray):
         )
 
 
-def _surface_state(grid, rho, rho0_vals, t, axial_origin) -> SurfaceState:
+def _surface_state(grid, rho, rho0_vals, t) -> SurfaceState:
     slope = derivative(rho).values
     _check_profile(rho.values, slope)
     h_slope = np.sqrt(np.maximum(1.0 - slope * slope, 0.0))
-    h = axial_origin + _cumtrapz(h_slope, grid.spacing)
+    h = _cumtrapz(h_slope, grid.spacing)
     k = -slope / rho.values
     kk = -laplacian(rho).values / rho.values
     conf = (rho.values / rho0_vals) ** 2
@@ -173,7 +172,7 @@ def run_surface_of_revolution(cfg: SurfaceConfig) -> SurfaceTrajectory:
         _check_profile(rho.values, derivative(rho).values)
 
     def record(t, rho):
-        state = _surface_state(grid, rho, rho0_vals, t, cfg.axial_origin)
+        state = _surface_state(grid, rho, rho0_vals, t)
         states.append(state)
         _append_row(rows, {
             "t": t,
@@ -189,6 +188,20 @@ def run_surface_of_revolution(cfg: SurfaceConfig) -> SurfaceTrajectory:
 
     march(stepper.step, rho0, cfg.dt, cfg.t_end, cfg.record_every, advance, record)
     return SurfaceTrajectory(rows=rows, states=states)
+
+
+def _on_record_grid(states: list) -> list:
+    """The records taken every record_every steps.
+
+    march also records after the last step; when record_every does not
+    divide the step count, that record falls between grid times and is
+    left out.
+    """
+    if len(states) > 2:
+        last, spacing = states[-1].t - states[-2].t, states[1].t - states[0].t
+        if last < (1.0 - 1e-9) * spacing:
+            return states[:-1]
+    return states
 
 
 def _record_spacing(states: list) -> float:
@@ -209,13 +222,13 @@ def linear_interpolant(grid: FiberGrid, left: float, right: float) -> ScalarFiel
 def surface_evolution_crosscheck(traj: SurfaceTrajectory) -> dict[str, float]:
     """Residuals of dk/dt = d/dx(K) and dK/dt = N(N(K)) - 2k N(K), N = d/dx.
 
-    Time derivatives are centered over the recorded states, so the result is
-    O(dt_rec^2 + h^2) for a resolved run.  On interval grids the sup skips
-    the three nodes nearest each end: the one-sided end stencils are second
-    order individually but do not compose to second order, and the identity
-    is a property of the interior dynamics.
+    Time derivatives are centered over the records taken every record_every
+    steps, so the result is O(dt_rec^2 + h^2) for a resolved run.  On
+    interval grids the sup skips the three nodes nearest each end: the
+    one-sided end stencils are second order individually but do not compose
+    to second order, and the identity is a property of the interior dynamics.
     """
-    states = traj.states
+    states = _on_record_grid(traj.states)
     dt_rec = _record_spacing(states)
     view = slice(None) if states[0].rho.grid.periodic else slice(3, -3)
     res_k = 0.0
@@ -441,8 +454,10 @@ def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
         _append_row(rows, {
             "t": t,
             "sup_dev_scmix": float(np.max(np.abs(scmix.values - phi))),
+            # numpy division: a norm that underflowed to 0 gives a non-finite
+            # row (NonFiniteValue), not a ZeroDivisionError
             "rayleigh": float(
-                integrate(ScalarField(grid, u.values * hu)) / integrate(u * u)
+                np.float64(integrate(ScalarField(grid, u.values * hu))) / integrate(u * u)
             ),
             "lambda0": gs.lambda0,
             "gap": gs.gap,
@@ -632,7 +647,7 @@ def _run_surface(cfg):
         "max_conformal_dev": float(np.max(series["conformal_dev"])),
         "max_arc_residual": float(np.max(series["arc_residual"])),
     }
-    if len(traj.states) >= 3:
+    if len(_on_record_grid(traj.states)) >= 3:
         summary["evolution_crosscheck"] = surface_evolution_crosscheck(traj)
     return traj.rows, snaps, summary
 
@@ -797,6 +812,16 @@ def _check_closed_flow(cfg, grid: FiberGrid, fields: dict) -> list[str]:
     return _positive_initial(cfg, fields) + circle
 
 
+def _check_twisted(cfg, grid, fields) -> list[str]:
+    errs = _check_closed_flow(cfg, grid, fields)
+    init = fields.get("initial")
+    # the run steps the slices base_value * initial; the smallest value,
+    # min(base_values) * min(initial), can underflow to 0
+    if not errs and init is not None and min(cfg.base_values) * float(np.min(init.values)) <= 0.0:
+        errs.append("twisted: every slice base_value * initial must be strictly positive")
+    return errs
+
+
 def _check_surface(cfg, grid, fields) -> list[str]:
     # an interval profile steps with its own end values held fixed
     errs = _positive_initial(cfg, fields)
@@ -879,7 +904,7 @@ SCENARIOS = {s.name: s for s in (
         fields=("f_i", "H_i"),
         plot_column="sup_dist_to_mean",
         run=_run_twisted,
-        check=_check_closed_flow,
+        check=_check_twisted,
     ),
     Scenario(
         name="normalized",

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import eigsh
 
 from .errors import ConvergenceFailure
-from .fiber import FiberGrid, ScalarField, integrate
+from .fiber import FiberGrid, ScalarField, integrate, laplacian_matrix
 
 
 def assemble_operator(f: ScalarField) -> sp.csr_matrix:
@@ -23,20 +23,8 @@ def assemble_operator(f: ScalarField) -> sp.csr_matrix:
     Active nodes are all nodes on a circle and the interior nodes of an
     interval (homogeneous Dirichlet ends).  The matrix is symmetric.
     """
-    g = f.grid
-    h = g.spacing
-    inv = 1.0 / (h * h)
-    if g.periodic:
-        n = g.n_points
-        main = np.full(n, 2.0 * inv) - f.values
-        off = np.full(n - 1, -inv)
-        corner = [-inv]
-        return sp.diags([corner, off, main, off, corner], [-(n - 1), -1, 0, 1, n - 1],
-                        format="csr")
-    m = g.n_points - 2
-    main = np.full(m, 2.0 * inv) - f.values[1:-1]
-    off = np.full(m - 1, -inv)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    mat = -laplacian_matrix(f.grid) - sp.diags(f.values)
+    return mat if f.grid.periodic else mat[1:-1, 1:-1]
 
 
 def _embed(grid: FiberGrid, active: np.ndarray) -> np.ndarray:
@@ -89,7 +77,8 @@ def ground_state(f: ScalarField) -> GroundState:
     start = 1.0 + 0.5 * np.sin(idx) + 0.25 * np.cos(3.0 * idx + 1.0)
     try:
         vals, vecs = eigsh(mat, k=2, sigma=-float(np.max(f.values)) - 1.0, v0=start)
-    except ArpackError as err:
+    except RuntimeError as err:
+        # ArpackError, or the shift-invert factorization found A - sigma*I singular
         raise ConvergenceFailure(f"shift-invert Lanczos failed: {err}") from err
     order = np.argsort(vals)
     lam0, lam1 = (float(v) for v in vals[order])

@@ -1,19 +1,26 @@
 """Command-line interface: exit codes, artifacts, determinism, sweep."""
 import ast
+import io
 import json
+import math
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folflow.artifacts import snapshot_name
 from folflow.cli import main
 from folflow.config import parse_config_text
 from folflow.errors import ValidationError
+from folflow.families import FAMILY_PARAMS
+from folflow.scenarios import SCENARIOS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -134,7 +141,47 @@ class TestRunCommand:
         assert payload["status"] == "failed"
         assert payload["error"] == err["error"]
 
-    @pytest.mark.parametrize("key", ["scheme", "boundary"])
+    def test_surface_record_every_not_dividing_steps(self, tmp_path):
+        # 20 steps recorded every 3: records at 0, 3, ..., 18 and the final 20
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(SHORT_RUNS["surface"].replace(
+            "n_points: 101", "n_points: 33").replace(
+            "{dt: 0.0001, t_end: 0.01}", "{dt: 0.001, t_end: 0.02, record_every: 3}").replace(
+            "amplitude: 0.1", "amplitude: 0.05"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        times = [float(line.split(",")[0])
+                 for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
+        assert times[-2:] == pytest.approx([0.018, 0.02])
+        # the crosscheck runs over the seven records 3 steps apart
+        check = summary_sans_meta(out)["results"]["evolution_crosscheck"]
+        assert 0.0 < check["k_residual"] < 0.1 and 0.0 < check["K_residual"] < 0.1
+
+    @pytest.mark.parametrize("potential, initial, error", [
+        # |u|^2 underflows to 0, so the Rayleigh quotient has no denominator
+        ("{family: cosine_perturbed, base: 0.3, amplitude: 0.1, mode: 1}",
+         "{family: constant, value: 1.0e-300}", "NonFiniteValue"),
+        # the Lanczos shift -max(f) - 1 rounds to -max(f): A - sigma*I is singular
+        ("{family: constant, value: 1.0e+308}", "{family: constant, value: 1.0}",
+         "ConvergenceFailure"),
+    ], ids=["vanishing_norm", "singular_shift"])
+    def test_degenerate_normalized_runs_exit_3(self, tmp_path, capsys, potential, initial,
+                                               error):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(textwrap.dedent(f"""\
+            scenario: normalized
+            grid: {{topology: circle, length: 6.283185307179586, n_points: 8}}
+            time: {{dt: 0.01, t_end: 0.05, record_every: 1}}
+            initial: {initial}
+            potential: {potential}
+        """))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == error
+        assert summary_sans_meta(out)["error"] == err["error"]
+
+    @pytest.mark.parametrize("key", ["scheme", "boundary", "twisted"])
     def test_values_contradicting_the_run_exit_2(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.yaml"
         cfg.write_text({
@@ -143,6 +190,9 @@ class TestRunCommand:
             # a surface profile keeps its own end radii, 0.5 and 0.8 here
             "boundary": SHORT_RUNS["surface"]
             + "boundary: {kind: dirichlet, left: 0.1, right: 0.2}\n",
+            # a positive but subnormal profile: every slice 0.4 * profile is 0
+            "twisted": SHORT_RUNS["twisted"].replace("base: 2.0, amplitude: 1.0",
+                                                     "base: 5.0e-324, amplitude: 0.0"),
         }[key])
         assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -287,3 +337,85 @@ class TestSweepCommand:
         scenarios = {parse_config(p).scenario for p in found}
         assert scenarios == {"surface", "twisted", "normalized", "cole_hopf_check",
                              "spectral_report"}
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract over drawn configs
+
+# a tame config draws moderate positive field parameters, so it mostly gets
+# past validation and runs; a hostile one probes signs, zeros, underflow and
+# overflow
+_TAME = st.floats(0.05, 2.0)
+_HOSTILE = st.one_of(
+    st.floats(-5.0, 5.0, allow_nan=False),
+    st.sampled_from([0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, 1e308, 400.0]),
+)
+
+
+def _family(draw, numbers) -> dict:
+    family = draw(st.sampled_from(["constant", "linear", "cosine_perturbed", "gaussian_bump",
+                                   "linear_sine_bump"]))
+    params = {name: draw(numbers) for name in FAMILY_PARAMS[family]}
+    if "mode" in params:
+        params["mode"] = draw(st.integers(0, 4))
+    return {"family": family, **params}
+
+
+@st.composite
+def run_configs(draw) -> dict:
+    """A config across the schema: small grids, at most 20 steps."""
+    # four of the five scenarios need a circle
+    topology = draw(st.sampled_from(["circle", "circle", "interval"]))
+    dt = draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.1]))
+    steps = draw(st.integers(0, 20))
+    numbers = draw(st.sampled_from([_TAME, _HOSTILE]))
+    raw = {
+        "scenario": draw(st.sampled_from(list(SCENARIOS))),
+        "grid": {"topology": topology,
+                 "length": draw(st.sampled_from([2 * math.pi, 1.0, 0.25, 10.0])),
+                 "n_points": draw(st.integers(8, 33))},
+        "time": {"dt": dt, "t_end": steps * dt, "record_every": draw(st.integers(1, 25))},
+        "initial": _family(draw, numbers),
+    }
+    if draw(st.booleans()):
+        raw["time"]["snapshots"] = [0.0, steps * dt]
+    if draw(st.booleans()):
+        raw["scheme"] = draw(st.sampled_from(["crank_nicolson", "explicit_euler"]))
+    for key in ("potential", "t2_initial"):
+        if draw(st.booleans()):
+            raw[key] = _family(draw, numbers)
+    if draw(st.booleans()):
+        raw["boundary"] = draw(st.sampled_from([
+            {"kind": "periodic"},
+            {"kind": "dirichlet", "left": draw(numbers), "right": draw(numbers)},
+        ]))
+    if draw(st.booleans()):
+        raw["n_rank"] = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        raw["base_values"] = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1,
+                                           max_size=3))
+    if draw(st.booleans()):
+        raw["modes"] = draw(st.integers(1, 12))
+    raw["n_random"] = draw(st.integers(0, 2))
+    return raw
+
+
+class TestContractProperty:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(raw=run_configs())
+    def test_exit_code_summary_and_stderr(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "run.yaml", Path(tmp) / "out"
+            cfg.write_text(json.dumps(raw))
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = main(["run", str(cfg), "--out", str(out), "--quiet"])
+            assert [str(w.message) for w in caught] == []
+            assert code in (0, 2, 3)
+            if code == 3:
+                assert summary_sans_meta(out)["status"] == "failed"
+            if code in (2, 3):
+                assert isinstance(json.loads(stderr.getvalue()), dict)
+            else:
+                assert stderr.getvalue() == ""

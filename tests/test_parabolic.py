@@ -2,8 +2,16 @@
 import numpy as np
 import pytest
 
-from folflow.errors import CflViolation, SolverSingular
-from folflow.fiber import ScalarField, build_grid, grad_log, integrate
+from folflow.errors import CflViolation, FolflowError, SolverSingular
+from folflow.fiber import (
+    ScalarField,
+    VectorAlongFiber,
+    _diff1,
+    _diff2,
+    build_grid,
+    grad_log,
+    integrate,
+)
 from folflow.parabolic import (
     PERIODIC,
     BurgersStepper,
@@ -150,6 +158,79 @@ class TestStepperErrors:
             StepperConfig(-1e-3, 1.0)
         with pytest.raises(ValueError):
             StepperConfig(1e-3, 0.0)
+
+
+class TestIntervalEndsAndPivots:
+    """Interval ends are held by the operator's zero end rows, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_heat_holds_ends_bit_equal(self, scheme):
+        g = build_grid("interval", 1.0, 4097)
+        u0 = ScalarField(g, 0.5 + 0.3 * g.x + 0.1 * np.sin(np.pi * g.x))
+        # a reaction that is nonzero at the ends must not move them either
+        V = ScalarField(g, 0.4 * np.cos(np.pi * g.x))
+        bnd = Dirichlet(float(u0.values[0]), float(u0.values[-1]))
+        if scheme is Scheme.CRANK_NICOLSON:
+            dt, steps = 1e-4, 2000
+        else:
+            dt, steps = 0.4 * g.spacing ** 2, 200
+        stepper = HeatStepper(g, V, StepperConfig(dt, 1.0, scheme, bnd))
+        u = u0
+        for _ in range(steps):
+            u = stepper.step(u)
+            assert (u.values[0], u.values[-1]) == (u0.values[0], u0.values[-1])
+        assert not np.array_equal(u.values[1:-1], u0.values[1:-1])
+
+    def test_burgers_holds_ends_and_is_consistent(self):
+        # one step's difference quotient against nu*H_xx - (H^2)_x - nu^2*f_x
+        g = build_grid("interval", 1.0, 129)
+        nu, h = 0.7, g.spacing
+        H0 = VectorAlongFiber(g, 0.2 + 0.1 * g.x + 0.3 * np.sin(2 * np.pi * g.x))
+        f = ScalarField(g, 0.5 * np.cos(np.pi * g.x))
+        rhs = (nu * _diff2(H0.values, h, False) - _diff1(H0.values ** 2, h, False)
+               - nu * nu * _diff1(f.values, h, False))
+        bnd = Dirichlet(float(H0.values[0]), float(H0.values[-1]))
+        errs = []
+        for dt in (2e-6, 1e-6):
+            H1 = BurgersStepper(g, f, StepperConfig(dt, nu, boundary=bnd)).step(H0)
+            assert (H1.values[0], H1.values[-1]) == (H0.values[0], H0.values[-1])
+            errs.append(np.max(np.abs((H1.values - H0.values) / dt - rhs)[1:-1]))
+        assert errs[0] <= 1e4 * 2e-6
+        assert errs[0] / errs[1] >= 1.8
+
+    def test_burgers_rejects_explicit_euler(self):
+        g = circle(64)
+        with pytest.raises(ValueError):
+            BurgersStepper(g, None, StepperConfig(1e-5, 1.0, Scheme.EXPLICIT_EULER, PERIODIC))
+
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    @pytest.mark.parametrize("c_vmax", [1.5, 4.0, 30.0])
+    def test_non_dominant_step_matches_dense_solve(self, topology, c_vmax):
+        # c*max(V) > 1: I - c*A is not diagonally dominant, so elimination on
+        # diagonal pivots is no longer guaranteed stable; it must still agree
+        # with a pivoted dense solve, or refuse with a FolflowError
+        length = 2 * np.pi if topology == "circle" else 1.0
+        g = build_grid(topology, length, 64)
+        n, h, dt = 64, g.spacing, 1e-2
+        c = 0.5 * dt
+        V = (c_vmax / c) * (0.75 + 0.25 * np.cos(2 * np.pi * g.x / length))
+        u = 1.0 + 0.3 * np.sin(2 * np.pi * g.x / length)
+        A = (np.diag(np.full(n - 1, 1.0), -1) + np.diag(np.full(n - 1, 1.0), 1)
+             - 2.0 * np.eye(n)) / h ** 2 + np.diag(V)
+        if topology == "circle":
+            A[0, -1] = A[-1, 0] = 1.0 / h ** 2
+            bnd = PERIODIC
+        else:
+            A[[0, -1], :] = 0.0
+            bnd = Dirichlet(float(u[0]), float(u[-1]))
+        eye = np.eye(n)
+        ref = np.linalg.solve(eye - c * A, (eye + c * A) @ u)
+        try:
+            stepper = HeatStepper(g, ScalarField(g, V), StepperConfig(dt, 1.0, boundary=bnd))
+            got = stepper.step(ScalarField(g, u)).values
+        except FolflowError:
+            return
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestEvolveDriver:

@@ -51,10 +51,9 @@ class TestSurfaceRun:
     def test_axial_coordinate_monotone_and_anchored(self):
         g = build_grid("interval", 1.0, 201)
         rho0 = ScalarField(g, linear_interpolant(g, 0.5, 0.8).values)
-        traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=0.0,
-                                                       axial_origin=2.0))
+        traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=0.0))
         h = traj.states[0].h.values
-        assert h[0] == 2.0
+        assert h[0] == 0.0
         assert np.all(np.diff(h) > 0.0)
         # profile slope 0.3 gives axial slope sqrt(1 - 0.09)
         assert np.max(np.abs(np.diff(h) / g.spacing - np.sqrt(0.91))) <= 1e-10

@@ -119,10 +119,14 @@ class TestLanczosRoute:
         assert (a.lambda0, a.lambda1) == (b.lambda0, b.lambda1)
         assert np.array_equal(a.e0.values, b.e0.values)
 
-    def test_no_convergence_surfaces_as_convergence_failure(self, monkeypatch):
+    @pytest.mark.parametrize("error", [
+        ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0))),
+        # splu inside eigsh, when A - sigma*I is exactly singular
+        RuntimeError("Factor is exactly singular"),
+    ], ids=["no_convergence", "singular_shift"])
+    def test_no_convergence_surfaces_as_convergence_failure(self, monkeypatch, error):
         def stalled(*args, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
-                                      np.zeros((0, 0)))
+            raise error
 
         monkeypatch.setattr("folflow.schrodinger.eigsh", stalled)
         g = circle(64)
