@@ -1,7 +1,6 @@
 """folflow: leafwise geometric-flow simulations on discrete fibers."""
 
 from .errors import (
-    CflViolation,
     ConvergenceFailure,
     FolflowError,
     GapTooSmall,
@@ -31,7 +30,6 @@ from .fiber import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CflViolation",
     "ConvergenceFailure",
     "FolflowError",
     "GapTooSmall",

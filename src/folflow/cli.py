@@ -26,7 +26,7 @@ from .artifacts import (
 from .config import RunConfig, config_to_dict, parse_config, realize_grid
 from .errors import FolflowError, ParseError, ValidationError
 from .fiber import grad_log  # noqa: F401  perfbench's traced-run test checks this binding
-from .scenarios import SCENARIOS
+from .scenarios import COMMON_KEYS, SCENARIOS
 
 
 def list_scenarios() -> str:
@@ -39,8 +39,7 @@ def list_scenarios() -> str:
     for s in SCENARIOS.values():
         out += ["", s.name, *(f"  {line}" for line in s.about)]
         out += block("equations:", s.equations)
-        out += block("config:", s.config)
-        out += block("schemes:", [", ".join(s.schemes) or "none (no time stepping)"])
+        out += block("keys:", [", ".join(COMMON_KEYS + s.keys)])
         out += block("artifacts:", [f"trajectory({', '.join(s.columns)})",
                                     f"fields({', '.join(s.fields)})"])
     return "\n".join(out) + "\n"

@@ -1,9 +1,10 @@
 """Run configurations: a small YAML schema parsed fail-closed into dataclasses.
 
 Unknown keys anywhere raise ParseError; value constraints are checked all at
-once and reported together in a single ValidationError.  The scenario names
-and each scenario's own constraints come from the declarations in
-scenarios.SCENARIOS.
+once and reported together in a single ValidationError.  The scenario names,
+the top-level keys each scenario reads and its own constraints come from the
+declarations in scenarios.SCENARIOS: a key that only other scenarios read is
+one of the collected errors, and the config echo holds only the keys read.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ import yaml
 from .errors import ParseError, ValidationError
 from .families import FAMILY_PARAMS, build_field
 from .fiber import FiberGrid, ScalarField, build_grid
-from .scenarios import SCENARIOS
+from .scenarios import COMMON_KEYS, SCENARIOS
 
-SCHEMES = ("crank_nicolson", "explicit_euler")
+FIELD_KEYS = ("initial", "potential", "t2_initial")
 
 
 @dataclass
@@ -61,7 +62,6 @@ class RunConfig:
     scenario: str
     grid: GridSpec
     time: TimeSpec
-    scheme: str
     boundary: BoundarySpec
     initial: FieldSpec
     potential: FieldSpec
@@ -76,11 +76,7 @@ class RunConfig:
     tolerances: ToleranceSpec
 
 
-_TOP_KEYS = {
-    "scenario", "grid", "time", "scheme", "boundary", "initial", "potential",
-    "t2_initial", "n_rank", "base_values", "modes", "n_random", "seed",
-    "output_dir", "emit_plots", "tolerances",
-}
+_TOP_KEYS = {*COMMON_KEYS, *(key for s in SCENARIOS.values() for key in s.keys)}
 _GRID_KEYS = {"topology", "length", "n_points"}
 _TIME_KEYS = {"dt", "t_end", "record_every", "snapshots"}
 _BOUNDARY_KEYS = {"kind", "left", "right"}
@@ -157,6 +153,11 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     scenario = raw.get("scenario")
     if scenario not in SCENARIOS:
         errs.append(f"scenario must be one of {list(SCENARIOS)}, got {scenario!r}")
+    # keys the scenario does not read are reported, not parsed: the run
+    # takes their defaults, and the other checks still run
+    reads = COMMON_KEYS + SCENARIOS[scenario].keys if scenario in SCENARIOS else tuple(raw)
+    unread = [f"{key}: {scenario} does not read this key" for key in raw if key not in reads]
+    raw = {key: value for key, value in raw.items() if key in reads}
 
     if "grid" not in raw:
         raise ParseError("configuration needs a 'grid' section")
@@ -214,10 +215,6 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     time_spec = TimeSpec(dt=dt, t_end=t_end, record_every=record_every,
                          snapshots=tuple(sorted(set(snapshots))))
 
-    scheme = raw.get("scheme", SCHEMES[0])
-    if scheme not in SCHEMES:
-        errs.append(f"scheme must be one of {list(SCHEMES)}, got {scheme!r}")
-
     n_rank = _as_int(raw.get("n_rank", 1), "n_rank", errs)
     if n_rank < 1:
         errs.append(f"n_rank must be at least 1, got {n_rank}")
@@ -267,7 +264,6 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
         scenario=scenario,
         grid=grid_spec,
         time=time_spec,
-        scheme=scheme,
         boundary=boundary,
         initial=initial,
         potential=potential,
@@ -283,6 +279,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     )
     if grid is not None and scenario in SCENARIOS:
         errs += _scenario_errors(cfg, grid)
+    errs = unread + errs
     if errs:
         raise ValidationError("; ".join(errs))
     return cfg
@@ -321,19 +318,17 @@ def _boundary_spec(raw, grid_spec, grid, initial, errs) -> BoundarySpec:
 
 
 def _scenario_errors(cfg: RunConfig, grid: FiberGrid) -> list[str]:
-    """Field realization errors, then the constraints the scenario declares."""
+    """Errors realizing the fields the scenario reads, then its declared constraints."""
+    scenario = SCENARIOS[cfg.scenario]
     errs, fields = [], {}
-    for which in ("initial", "potential", "t2_initial"):
+    for which in FIELD_KEYS:
+        if which not in scenario.keys:
+            continue
         spec = getattr(cfg, which)
         try:
             fields[which] = build_field(grid, spec.family, spec.params)
         except (ValueError, OSError) as err:
             errs.append(f"{which}: {err}")
-    scenario = SCENARIOS[cfg.scenario]
-    # the default scheme, SCHEMES[0], is accepted whatever the scenario runs
-    if cfg.scheme in SCHEMES[1:] and cfg.scheme not in scenario.schemes:
-        runs = " or ".join(scenario.schemes) or "no time stepper"
-        errs.append(f"scheme: {cfg.scenario} runs {runs}, got {cfg.scheme!r}")
     return errs + scenario.check(cfg, grid, fields)
 
 
@@ -347,15 +342,17 @@ def realize_field(cfg: RunConfig, which: str) -> ScalarField:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
+    """The config echo: the common keys and the keys cfg's scenario reads."""
     d = asdict(cfg)
     d["time"]["snapshots"] = list(cfg.time.snapshots)
     d["base_values"] = list(cfg.base_values)
-    d["initial"] = {"family": cfg.initial.family, **cfg.initial.params}
-    d["potential"] = {"family": cfg.potential.family, **cfg.potential.params}
-    d["t2_initial"] = {"family": cfg.t2_initial.family, **cfg.t2_initial.params}
+    for which in FIELD_KEYS:
+        spec = getattr(cfg, which)
+        d[which] = {"family": spec.family, **spec.params}
     if cfg.boundary.kind == "periodic":
         d["boundary"] = {"kind": "periodic"}
-    return d
+    reads = COMMON_KEYS + SCENARIOS[cfg.scenario].keys
+    return {key: value for key, value in d.items() if key in reads}
 
 
 def serialize_config(cfg: RunConfig) -> str:

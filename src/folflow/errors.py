@@ -13,10 +13,6 @@ class NonPositiveField(FolflowError):
     """A field that must stay strictly positive reached zero or below."""
 
 
-class CflViolation(FolflowError):
-    """An explicit time step exceeds the diffusive stability limit."""
-
-
 class SolverSingular(FolflowError):
     """A linear solve required by an implicit step is singular."""
 

@@ -5,9 +5,8 @@ Forced Burgers:  dH/dt = nu * H_xx - (H^2)_x - nu^2 * (forcing)_x
 
 Both steppers are built on the one fiber Laplacian, fiber.laplacian_matrix;
 on an interval its zero end rows hold the end values fixed, so a step needs
-no boundary source term.  The heat step is Crank-Nicolson by default, with
-explicit Euler behind the usual diffusive CFL guard.  The Burgers step is
-Crank-Nicolson only: implicit diffusion with an explicit midpoint stage for
+no boundary source term.  Both are Crank-Nicolson: the heat step fully, the
+Burgers step with implicit diffusion and an explicit midpoint stage for
 advection and forcing (IMEX), of the same order.
 """
 from __future__ import annotations
@@ -19,13 +18,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import CflViolation, FolflowError, SolverSingular
+from .errors import FolflowError, SolverSingular
 from .fiber import FiberGrid, ScalarField, VectorAlongFiber, _diff1, laplacian_matrix
 
 
 class Scheme(Enum):
+    """The time scheme of both steppers; Crank-Nicolson is the only one."""
+
     CRANK_NICOLSON = "crank_nicolson"
-    EXPLICIT_EULER = "explicit_euler"
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,6 @@ def _check_boundary_topology(grid: FiberGrid, cfg: StepperConfig):
         raise ValueError("Dirichlet boundary on a circle fiber")
     if not grid.periodic and isinstance(cfg.boundary, Periodic):
         raise ValueError("interval fiber needs Dirichlet boundary data")
-
-
-def _check_cfl(grid: FiberGrid, cfg: StepperConfig):
-    limit = 0.5 * grid.spacing ** 2 / cfg.diffusivity
-    if cfg.dt > limit * (1.0 + 1e-12):
-        raise CflViolation(
-            f"explicit step dt = {cfg.dt:g} exceeds the stability limit {limit:g}"
-        )
 
 
 def _factor(matrix: sp.spmatrix):
@@ -123,14 +115,11 @@ class HeatStepper:
         a_op = cfg.diffusivity * laplacian_matrix(grid)
         if V is not None:
             a_op = a_op + sp.diags(_moving(grid) * V.values)
-        self._a_op = a_op.tocsr()
-        if cfg.scheme is Scheme.CRANK_NICOLSON:
-            c = 0.5 * cfg.dt
-            eye = sp.identity(grid.n_points, format="csr")
-            self._plus = (eye + c * self._a_op).tocsr()
-            self._lu = _factor(eye - c * self._a_op)
-        else:
-            _check_cfl(grid, cfg)
+        a_op = a_op.tocsr()
+        c = 0.5 * cfg.dt
+        eye = sp.identity(grid.n_points, format="csr")
+        self._plus = (eye + c * a_op).tocsr()
+        self._lu = _factor(eye - c * a_op)
 
     def _check_matches_boundary(self, u: ScalarField):
         bnd = self.cfg.boundary
@@ -143,11 +132,7 @@ class HeatStepper:
             raise ValueError("field lives on a different grid")
         if isinstance(self.cfg.boundary, Dirichlet):
             self._check_matches_boundary(u)
-        if self.cfg.scheme is Scheme.CRANK_NICOLSON:
-            new = _solve(self._lu, self._plus @ u.values)
-        else:
-            new = u.values + self.cfg.dt * (self._a_op @ u.values)
-        return ScalarField(self.grid, new)
+        return ScalarField(self.grid, _solve(self._lu, self._plus @ u.values))
 
 
 class BurgersStepper:
@@ -162,8 +147,6 @@ class BurgersStepper:
         _check_boundary_topology(grid, cfg)
         if forcing is not None and forcing.grid != grid:
             raise ValueError("forcing lives on a different grid")
-        if cfg.scheme is not Scheme.CRANK_NICOLSON:
-            raise ValueError(f"the Burgers step is Crank-Nicolson only, got {cfg.scheme.value}")
         self.grid = grid
         self.cfg = cfg
         nu = cfg.diffusivity

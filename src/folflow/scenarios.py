@@ -14,7 +14,9 @@ The drivers are all stepped by parabolic.march:
   heat-reaction solution it should equal.
 
 SCENARIOS maps each scenario name to its Scenario declaration, which the
-config parser, `folflow list` and `folflow run` all read.
+config parser, `folflow list` and `folflow run` all read.  A declaration
+lists the config keys its run reads; the parser accepts no other keys and
+the summary echoes no other keys.
 """
 from __future__ import annotations
 
@@ -33,20 +35,11 @@ from .fiber import (
     VectorAlongFiber,
     build_grid,
     derivative,
-    divergence,
     grad_log,
     integrate,
     laplacian,
 )
-from .parabolic import (
-    PERIODIC,
-    BurgersStepper,
-    Dirichlet,
-    HeatStepper,
-    Scheme,
-    StepperConfig,
-    march,
-)
+from .parabolic import PERIODIC, BurgersStepper, Dirichlet, HeatStepper, StepperConfig, march
 from .schrodinger import GroundState, eigencount, ground_state, spectrum, weyl_theta
 
 SLOPE_TOL = 1e-8
@@ -96,7 +89,6 @@ class SurfaceConfig:
     dt: float
     t_end: float
     record_every: int = 10
-    scheme: Scheme = Scheme.CRANK_NICOLSON
 
 
 def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
@@ -154,9 +146,7 @@ def run_surface_of_revolution(cfg: SurfaceConfig) -> SurfaceTrajectory:
     if rho0.grid != grid:
         raise ValueError("initial profile lives on a different grid")
     boundary = PERIODIC if grid.periodic else Dirichlet(float(rho0.values[0]), float(rho0.values[-1]))
-    stepper = HeatStepper(
-        grid, None, StepperConfig(cfg.dt, 1.0, cfg.scheme, boundary)
-    )
+    stepper = HeatStepper(grid, None, StepperConfig(cfg.dt, 1.0, boundary=boundary))
     rho0_vals = rho0.values.copy()
     int_k_gauss = np.zeros(grid.n_points)
     gauss_prev = -laplacian(rho0).values / rho0.values
@@ -276,7 +266,6 @@ class TwistedConfig:
     dt: float
     t_end: float
     record_every: int = 10
-    scheme: Scheme = Scheme.CRANK_NICOLSON
 
 
 def run_twisted_product(cfg: TwistedConfig) -> TwistedTrajectory:
@@ -298,9 +287,7 @@ def run_twisted_product(cfg: TwistedConfig) -> TwistedTrajectory:
             raise ValueError("slice lives on a different grid")
         if np.min(f.values) <= 0.0:
             raise ValueError("warping slices must be strictly positive")
-    stepper = HeatStepper(
-        grid, None, StepperConfig(cfg.dt, float(cfg.n), cfg.scheme, PERIODIC)
-    )
+    stepper = HeatStepper(grid, None, StepperConfig(cfg.dt, float(cfg.n), boundary=PERIODIC))
     means = np.array([integrate(f) / grid.length for f in slices])
     masses0 = np.array([integrate(f) for f in slices])
     states: list[TwistedState] = []
@@ -322,25 +309,6 @@ def run_twisted_product(cfg: TwistedConfig) -> TwistedTrajectory:
     march(lambda fs: [stepper.step(f) for f in fs], slices, cfg.dt, cfg.t_end,
           cfg.record_every, on_record=record)
     return TwistedTrajectory(rows=rows, states=states, fiber_means=means)
-
-
-def twisted_burgers_residual(traj: TwistedTrajectory, n: int) -> float:
-    """Residual of dH/dt + n*(H^2)_y = n*(div H)_y over the recorded states.
-
-    This is the velocity-form evolution implied by the slice heat equation;
-    it is O(dt_rec^2 + h^2) for a resolved run.
-    """
-    states = traj.states
-    dt_rec = _record_spacing(states)
-    worst = 0.0
-    for j in range(1, len(states) - 1):
-        for prev_h, cur_h, next_h in zip(states[j - 1].H, states[j].H, states[j + 1].H):
-            dh_dt = (next_h.values - prev_h.values) / (2.0 * dt_rec)
-            grid = cur_h.grid
-            quad = derivative(ScalarField(grid, cur_h.values ** 2)).values
-            lead = derivative(divergence(cur_h)).values
-            worst = max(worst, float(np.max(np.abs(dh_dt + n * quad - n * lead))))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +345,6 @@ class NormalizedConfig:
     dt: float
     t_end: float
     record_every: int = 10
-    scheme: Scheme = Scheme.CRANK_NICOLSON
     gap_min: float = 1e-6
     eps_T: float = 1e-8
 
@@ -424,7 +391,7 @@ def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
     stepper = HeatStepper(
         grid,
         ScalarField(grid, n * betaD.values),
-        StepperConfig(cfg.dt, float(n), cfg.scheme, PERIODIC),
+        StepperConfig(cfg.dt, float(n), boundary=PERIODIC),
     )
     scmix = normalized_scmix(cfg.u0, betaD, n)
     exponent = np.zeros(grid.n_points)
@@ -582,7 +549,7 @@ def cole_hopf_rows(grid: FiberGrid, u0: ScalarField, forcing: ScalarField, nu: f
     """Step dH/dt + (H^2)_y = nu*H_yy - nu^2*forcing_y and d(u)/dt = nu*(u_yy + forcing*u)
     side by side from H = -nu*(log u0)_y; rows hold the sup distance between H
     and the transform -nu*(log u)_y.  Returns (rows, the recorded states)."""
-    ucfg = StepperConfig(dt, float(nu), Scheme.CRANK_NICOLSON, PERIODIC)
+    ucfg = StepperConfig(dt, float(nu), boundary=PERIODIC)
     heat = HeatStepper(grid, ScalarField(grid, nu * forcing.values), ucfg)
     burg = BurgersStepper(grid, forcing, ucfg)
     rows: list[dict] = []
@@ -630,7 +597,7 @@ def _run_surface(cfg):
     rho0 = _field(cfg, grid, "initial")
     traj = run_surface_of_revolution(SurfaceConfig(
         grid=grid, rho0=rho0, dt=cfg.time.dt, t_end=cfg.time.t_end,
-        record_every=cfg.time.record_every, scheme=Scheme(cfg.scheme),
+        record_every=cfg.time.record_every,
     ))
     snaps = _snapshots(traj.states, cfg.time.snapshots, "surface")
     final = traj.states[-1]
@@ -659,7 +626,6 @@ def _run_twisted(cfg):
         grid=grid, n=cfg.n_rank,
         f0_slices=tuple(ScalarField(grid, a * profile.values) for a in cfg.base_values),
         dt=cfg.time.dt, t_end=cfg.time.t_end, record_every=cfg.time.record_every,
-        scheme=Scheme(cfg.scheme),
     ))
     snaps = {}
     for st in _chosen(traj.states, cfg.time.snapshots):
@@ -687,7 +653,6 @@ def _run_normalized(cfg):
         u0=_field(cfg, grid, "initial"),
         T2_0=_field(cfg, grid, "t2_initial"),
         dt=cfg.time.dt, t_end=cfg.time.t_end, record_every=cfg.time.record_every,
-        scheme=Scheme(cfg.scheme),
         gap_min=cfg.tolerances.gap_min, eps_T=cfg.tolerances.eps_t,
     ))
     snaps = _snapshots(traj.states, cfg.time.snapshots, "normalized")
@@ -746,7 +711,8 @@ def _run_cole_hopf_check(cfg):
     )
     max_coarse = max(row["sup_diff"] for row in rows)
     max_fine = max(row["sup_diff"] for row in rows_fine)
-    order = float(np.log2(max_coarse / max_fine)) if max_fine > 0.0 else float("inf")
+    # no order to observe when either run matches its transform exactly
+    order = float(np.log2(max_coarse / max_fine)) if min(max_coarse, max_fine) > 0.0 else None
     summary = {
         "nu": nu,
         "max_sup_diff": max_coarse,
@@ -847,22 +813,30 @@ def _check_normalized(cfg, grid, fields) -> list[str]:
 
 
 def _check_spectral(cfg, grid, fields) -> list[str]:
+    errs = []
+    if cfg.time.t_end != 0.0:
+        errs.append(f"time: spectral_report does no time stepping; t_end must be 0, "
+                    f"got {cfg.time.t_end}")
     size = grid.n_points if grid.periodic else grid.n_points - 2
     if not 1 <= cfg.modes <= size:
-        return [f"spectral_report: modes must be between 1 and {size}, got {cfg.modes}"]
-    return []
+        errs.append(f"spectral_report: modes must be between 1 and {size}, got {cfg.modes}")
+    return errs
+
+
+# the top-level config keys every scenario reads
+COMMON_KEYS = ("scenario", "grid", "time", "output_dir", "emit_plots")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One runnable scenario: catalog text, config checks, artifacts and runner."""
+    """One runnable scenario: catalog text, config keys and checks, artifacts and runner."""
 
     name: str
     about: tuple[str, ...]
     equations: tuple[str, ...]
-    config: tuple[str, ...]
-    # time schemes the run honours; any other non-default scheme is rejected
-    schemes: tuple[str, ...]
+    # the top-level config keys the run reads besides COMMON_KEYS; a key
+    # that only other scenarios read is rejected
+    keys: tuple[str, ...]
     # trajectory.csv header, one row per record
     columns: tuple[str, ...]
     # fields_<t>.csv columns after x; i numbers the slices or modes
@@ -874,17 +848,15 @@ class Scenario:
     check: Callable
 
 
-_STEPPED = tuple(s.value for s in Scheme)
-
 SCENARIOS = {s.name: s for s in (
     Scenario(
         name="surface",
-        about=("profile radius of a surface of revolution relaxing under its own curvature",),
+        about=("profile radius of a surface of revolution relaxing under its own curvature;",
+               "initial = rho0 (> 0, |slope| <= 1) on an interval or a circle, and an",
+               "interval profile keeps its end radii, which a dirichlet boundary must repeat"),
         equations=("d(rho)/dt = rho_xx ; k = -(log rho)_x ; K = -rho_xx/rho",
                    "metric factor shrinks as d(g)/dt = -2*K*g_hat, i.e. (rho/rho0)^2"),
-        config=("grid (interval or circle), time, scheme,",
-                "initial = rho0 (> 0, |slope| <= 1); interval ends stay at rho0's ends"),
-        schemes=_STEPPED,
+        keys=("initial", "boundary"),
         columns=("t", "sup_K", "sup_k", "min_rho", "arc_residual", "riccati_res",
                  "conformal_dev"),
         fields=("rho", "h", "k", "K", "conformal_factor"),
@@ -894,12 +866,12 @@ SCENARIOS = {s.name: s for s in (
     ),
     Scenario(
         name="twisted",
-        about=("warping function of a twisted product relaxing along each fiber slice",),
+        about=("warping function of a twisted product relaxing along each fiber slice;",
+               "circle fiber, initial = fiber profile (> 0), base_values = slice",
+               "amplitudes, n_rank = n"),
         equations=("d(f)/dt = n * f_yy per base slice ; H = -(log f)_y",
                    "each slice tends to its own fiber mean"),
-        config=("grid (circle), time, scheme, initial = fiber profile (> 0),",
-                "base_values = slice amplitudes, n_rank = n"),
-        schemes=_STEPPED,
+        keys=("initial", "base_values", "n_rank"),
         columns=("t", "sup_H", "mass_drift", "sup_dist_to_mean"),
         fields=("f_i", "H_i"),
         plot_column="sup_dist_to_mean",
@@ -909,13 +881,12 @@ SCENARIOS = {s.name: s for s in (
     Scenario(
         name="normalized",
         about=("normalized flow of a bundle-like foliated metric, conformal on the",
-               "orthogonal distribution"),
+               "orthogonal distribution; circle fiber, initial = u0 (> 0),",
+               "potential = betaD (>= 0), t2_initial = |T|^2 (>= 0), n_rank = n"),
         equations=("d(u)/dt = n*(u_yy + betaD*u) ; H = -n*(grad u)/u",
                    "Sc_mix - |T|^2 = -n*(u_yy + betaD*u)/u -> n*lambda0",
                    "d(|T|^2)/dt = 4*(Sc_mix - |T|^2 - Phi)*|T|^2, Phi = n*lambda0"),
-        config=("grid (circle), time, scheme, initial = u0 (> 0), potential = betaD (>= 0),",
-                "t2_initial (>= 0), n_rank = n, tolerances"),
-        schemes=_STEPPED,
+        keys=("initial", "potential", "t2_initial", "n_rank", "tolerances"),
         columns=("t", "sup_dev_scmix", "rayleigh", "lambda0", "gap", "min_u",
                  "betaD_drift", "conservation_drift", "h_dev"),
         fields=("u", "H", "betaD", "T2", "scmixT2"),
@@ -927,12 +898,11 @@ SCENARIOS = {s.name: s for s in (
         name="cole_hopf_check",
         about=("the same velocity computed two ways: a direct forced Burgers evolution",
                "against the transform of a positive heat-reaction solution; the summary",
-               "carries the refinement order of the sup difference"),
+               "carries the refinement order of the sup difference; circle fiber,",
+               "initial = u0 (> 0), potential = forcing, n_rank = nu"),
         equations=("dH/dt + (H^2)_y = nu*H_yy - nu^2*(forcing)_y   versus",
                    "H = -nu*(grad u)/u with d(u)/dt = nu*(u_yy + forcing*u)"),
-        config=("grid (circle), time, initial = u0 (> 0), potential = forcing,",
-                "n_rank = nu"),
-        schemes=(Scheme.CRANK_NICOLSON.value,),
+        keys=("initial", "potential", "n_rank"),
         columns=("t", "sup_diff"),
         fields=("H_direct", "H_transformed", "u"),
         plot_column="sup_diff",
@@ -944,10 +914,10 @@ SCENARIOS = {s.name: s for s in (
         about=("low spectrum of the fiber operator -d2/dy2 - potential: lambda0 by",
                "shift-invert Lanczos and by a dense eigensolve, the spectral gap,",
                "orthonormal eigenfunctions, a Weyl-count ratio, and the bound",
-               "lambda0 >= -max(potential) over seeded random potentials"),
+               "lambda0 >= -max(potential) over n_random seeded random potentials;",
+               "no time stepping, so time.t_end is 0"),
         equations=("-e'' - potential*e = lambda*e on the fiber",),
-        config=("grid, potential, modes, n_random, seed",),
-        schemes=(),
+        keys=("potential", "modes", "n_random", "seed"),
         columns=("t", "lambda0", "lambda1", "gap", "weyl_ratio"),
         fields=("potential", "e0", "e1", "..."),
         plot_column="lambda0",

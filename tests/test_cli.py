@@ -13,6 +13,7 @@ from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from folflow.artifacts import snapshot_name
@@ -20,7 +21,7 @@ from folflow.cli import main
 from folflow.config import parse_config_text
 from folflow.errors import ValidationError
 from folflow.families import FAMILY_PARAMS
-from folflow.scenarios import SCENARIOS
+from folflow.scenarios import COMMON_KEYS, SCENARIOS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -41,13 +42,12 @@ DEGENERATE_RUN = textwrap.dedent("""\
 """)
 
 
-# normalized with explicit Euler under a potential of 400: u grows like
-# exp(400 t) and its Rayleigh quotient overflows near t = 1
+# normalized under a potential of 400: u grows like exp(400 t) and its
+# Rayleigh quotient overflows near t = 0.87
 OVERFLOW_RUN = textwrap.dedent("""\
     scenario: normalized
     grid: {topology: circle, length: 6.283185307179586, n_points: 64}
     time: {dt: 0.001, t_end: 2.0}
-    scheme: explicit_euler
     potential: {family: constant, value: 400.0}
 """)
 
@@ -56,7 +56,7 @@ SHORT_RUNS = {
     "surface": DEGENERATE_RUN.replace("linear, a: 1.0, b: 1.2",
                                       "linear_sine_bump, left: 0.5, right: 0.8, "
                                       "amplitude: 0.1, mode: 1"),
-    "twisted": FAST_RUN.replace("cole_hopf_check", "twisted"),
+    "twisted": FAST_RUN.replace("cole_hopf_check", "twisted").split("potential:")[0],
     "normalized": FAST_RUN.replace("cole_hopf_check", "normalized"),
     "cole_hopf_check": FAST_RUN,
     "spectral_report": textwrap.dedent("""\
@@ -74,8 +74,13 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def summary_sans_meta(path: Path) -> dict:
-    payload = json.loads((path / "summary.json").read_text())
+    """summary.json as strict JSON (no NaN or Infinity), without its meta block."""
+    payload = json.loads((path / "summary.json").read_text(), parse_constant=_reject_constant)
     payload.pop("meta", None)
     return payload
 
@@ -181,24 +186,46 @@ class TestRunCommand:
         assert err["error"]["type"] == error
         assert summary_sans_meta(out)["error"] == err["error"]
 
-    @pytest.mark.parametrize("key", ["scheme", "boundary", "twisted"])
+    @pytest.mark.parametrize("key", ["boundary", "twisted", "time", "n_rank"])
     def test_values_contradicting_the_run_exit_2(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.yaml"
         cfg.write_text({
-            # cole_hopf_check always steps by Crank-Nicolson
-            "scheme": FAST_RUN + "scheme: explicit_euler\n",
             # a surface profile keeps its own end radii, 0.5 and 0.8 here
             "boundary": SHORT_RUNS["surface"]
             + "boundary: {kind: dirichlet, left: 0.1, right: 0.2}\n",
             # a positive but subnormal profile: every slice 0.4 * profile is 0
             "twisted": SHORT_RUNS["twisted"].replace("base: 2.0, amplitude: 1.0",
                                                      "base: 5.0e-324, amplitude: 0.0"),
+            # spectral_report does no time stepping
+            "time": SHORT_RUNS["spectral_report"].replace("t_end: 0.0",
+                                                          "t_end: 3.0, snapshots: [1.0]"),
+            # only the fiber-rank scenarios read n_rank
+            "n_rank": SHORT_RUNS["surface"] + "n_rank: 7\n",
         }[key])
         assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValidationError"
         assert err["error"]["message"].startswith(f"{key}: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [4.859, 10.0])
+    def test_cole_hopf_exact_match_writes_strict_json(self, tmp_path, value):
+        # a constant u0 stays constant, so H and its transform are both 0 up
+        # to roundoff: one or both sup differences are exactly 0 and no
+        # refinement order can be observed
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(textwrap.dedent(f"""\
+            scenario: cole_hopf_check
+            grid: {{topology: circle, length: 1.0, n_points: 8}}
+            time: {{dt: 0.1, t_end: 0.7}}
+            potential: {{family: constant, value: {value}}}
+            initial: {{family: constant, value: 2.0}}
+        """))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        results = summary_sans_meta(out)["results"]
+        assert results["max_sup_diff"] == 0.0
+        assert results["observed_order"] is None
 
     def test_missing_config_file_exits_2(self, tmp_path):
         proc = run_cli("run", str(tmp_path / "nope.yaml"))
@@ -257,16 +284,17 @@ class TestDeterminism:
         assert payloads[0] == payloads[1]
 
 
-def catalog_columns(text: str) -> dict:
-    """Scenario name -> trajectory columns, as `folflow list` prints them."""
-    columns, name = {}, None
+def catalog_lists(text: str, pattern: str = r"trajectory\((.*)\)") -> dict:
+    """Scenario name -> the list `pattern` captures, by default the
+    trajectory columns, as `folflow list` prints it."""
+    lists, name = {}, None
     for line in text.splitlines()[1:]:
         if line and not line.startswith(" "):
             name = line
-        found = re.search(r"trajectory\((.*)\)", line)
+        found = re.search(pattern, line)
         if found:
-            columns[name] = found.group(1).split(", ")
-    return columns
+            lists[name] = found.group(1).split(", ")
+    return lists
 
 
 class TestListCommand:
@@ -283,7 +311,7 @@ class TestListCommand:
 
     def test_catalog_lists_exactly_the_parsed_scenarios(self, capsys):
         main(["list"])
-        listed = list(catalog_columns(capsys.readouterr().out))
+        listed = list(catalog_lists(capsys.readouterr().out))
         with pytest.raises(ValidationError) as exc:
             parse_config_text(FAST_RUN.replace("cole_hopf_check", "no_such_scenario"))
         accepted = re.search(r"scenario must be one of (\[.*?\])", str(exc.value))
@@ -291,7 +319,7 @@ class TestListCommand:
 
     def test_catalog_columns_match_trajectory_header(self, tmp_path, capsys):
         main(["list"])
-        listed = catalog_columns(capsys.readouterr().out)
+        listed = catalog_lists(capsys.readouterr().out)
         assert set(listed) == set(SHORT_RUNS)
         for name, text in SHORT_RUNS.items():
             cfg = tmp_path / f"{name}.yaml"
@@ -300,6 +328,18 @@ class TestListCommand:
             assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0, name
             header = (out / "trajectory.csv").read_text().splitlines()[0]
             assert header.split(",") == listed[name], name
+
+    def test_catalog_keys_are_the_keys_each_scenario_accepts(self, capsys):
+        main(["list"])
+        listed = catalog_lists(capsys.readouterr().out, r"keys:\s+(.*)")
+        assert set(listed) == set(SHORT_RUNS)
+        every = set().union(*listed.values())
+        for name, text in SHORT_RUNS.items():
+            assert set(yaml.safe_load(text)) <= set(listed[name]), name
+            parse_config_text(text)
+            for key in sorted(every - set(listed[name])):
+                with pytest.raises(ValidationError, match=f"^{key}: {name} does not read"):
+                    parse_config_text(text + f"{key}: 1\n")
 
     def test_catalog_is_stable_across_calls(self, capsys):
         main(["list"])
@@ -361,61 +401,94 @@ def _family(draw, numbers) -> dict:
     return {"family": family, **params}
 
 
+_VALUES = {
+    "n_rank": st.integers(1, 3),
+    "base_values": st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3),
+    "modes": st.integers(1, 12),
+    "n_random": st.integers(0, 2),
+    "seed": st.integers(0, 2**31 - 1),
+    "tolerances": st.fixed_dictionaries({}, optional={
+        "gap_min": st.sampled_from([1e-6, 0.1, 1.0]),
+        "converged_dev": st.sampled_from([1e-5, 1.0]),
+    }),
+}
+
+
+def _value(draw, key: str, numbers):
+    """A drawn value for one of the keys a scenario declares."""
+    if key in ("initial", "potential", "t2_initial"):
+        return _family(draw, numbers)
+    if key == "boundary":
+        return draw(st.sampled_from([
+            {"kind": "periodic"},
+            {"kind": "dirichlet", "left": draw(numbers), "right": draw(numbers)},
+        ]))
+    return draw(_VALUES[key])
+
+
 @st.composite
-def run_configs(draw) -> dict:
-    """A config across the schema: small grids, at most 20 steps."""
+def run_configs(draw) -> tuple[dict, str | None]:
+    """A config of one scenario over the keys it reads: small grids, at most 20
+    steps.  One draw in four also names a key that only other scenarios read,
+    which is returned beside the config."""
+    scenario = draw(st.sampled_from(list(SCENARIOS)))
+    keys = SCENARIOS[scenario].keys
     # four of the five scenarios need a circle
     topology = draw(st.sampled_from(["circle", "circle", "interval"]))
     dt = draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.1]))
-    steps = draw(st.integers(0, 20))
+    steps = 0 if scenario == "spectral_report" else draw(st.integers(0, 20))
     numbers = draw(st.sampled_from([_TAME, _HOSTILE]))
     raw = {
-        "scenario": draw(st.sampled_from(list(SCENARIOS))),
+        "scenario": scenario,
         "grid": {"topology": topology,
                  "length": draw(st.sampled_from([2 * math.pi, 1.0, 0.25, 10.0])),
                  "n_points": draw(st.integers(8, 33))},
         "time": {"dt": dt, "t_end": steps * dt, "record_every": draw(st.integers(1, 25))},
-        "initial": _family(draw, numbers),
     }
     if draw(st.booleans()):
         raw["time"]["snapshots"] = [0.0, steps * dt]
     if draw(st.booleans()):
-        raw["scheme"] = draw(st.sampled_from(["crank_nicolson", "explicit_euler"]))
-    for key in ("potential", "t2_initial"):
-        if draw(st.booleans()):
-            raw[key] = _family(draw, numbers)
-    if draw(st.booleans()):
-        raw["boundary"] = draw(st.sampled_from([
-            {"kind": "periodic"},
-            {"kind": "dirichlet", "left": draw(numbers), "right": draw(numbers)},
-        ]))
-    if draw(st.booleans()):
-        raw["n_rank"] = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        raw["base_values"] = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1,
-                                           max_size=3))
-    if draw(st.booleans()):
-        raw["modes"] = draw(st.integers(1, 12))
-    raw["n_random"] = draw(st.integers(0, 2))
-    return raw
+        raw["emit_plots"] = draw(st.booleans())
+    for key in keys:
+        if key == "initial" or draw(st.booleans()):
+            raw[key] = _value(draw, key, numbers)
+    unread = None
+    if draw(st.integers(0, 3)) == 0:
+        others = {key for s in SCENARIOS.values() for key in s.keys} - set(keys)
+        unread = draw(st.sampled_from(sorted(others)))
+        raw[unread] = _value(draw, unread, numbers)
+    return raw, unread
 
 
 class TestContractProperty:
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-    @given(raw=run_configs())
-    def test_exit_code_summary_and_stderr(self, raw):
+    @given(drawn=run_configs())
+    def test_exit_code_summary_and_stderr(self, drawn):
+        raw, unread = drawn
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "run.yaml", Path(tmp) / "out"
-            cfg.write_text(json.dumps(raw))
+            cfg.write_text(yaml.safe_dump(raw))
             stderr = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
                 warnings.simplefilter("always")
                 code = main(["run", str(cfg), "--out", str(out), "--quiet"])
             assert [str(w.message) for w in caught] == []
             assert code in (0, 2, 3)
+            if code == 2:
+                assert not out.exists()
+                message = json.loads(stderr.getvalue())["error"]["message"]
+                if unread is not None:
+                    assert message.startswith(f"{unread}: ")
+                return
+            assert unread is None
+            summary = summary_sans_meta(out)
             if code == 3:
-                assert summary_sans_meta(out)["status"] == "failed"
-            if code in (2, 3):
+                assert summary["status"] == "failed"
                 assert isinstance(json.loads(stderr.getvalue()), dict)
-            else:
-                assert stderr.getvalue() == ""
+                return
+            assert stderr.getvalue() == ""
+            # the echo holds exactly the keys the scenario reads, and it
+            # parses back to the configuration that ran
+            echo = summary["config"]
+            assert set(echo) == {*COMMON_KEYS, *SCENARIOS[raw["scenario"]].keys}
+            assert parse_config_text(yaml.safe_dump(echo)) == parse_config_text(cfg.read_text())

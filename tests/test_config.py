@@ -111,8 +111,25 @@ class TestParsing:
     def test_twisted_requires_circle(self):
         bad = GOOD.replace("scenario: normalized", "scenario: twisted")
         bad = bad.replace("topology: circle", "topology: interval")
+        bad = bad[:bad.index("potential:")]
         with pytest.raises(ValidationError, match="circle"):
             parse_config_text(bad)
+
+    def test_keys_the_scenario_does_not_read_are_collected_errors(self):
+        # twisted reads neither potential nor t2_initial; naming them does
+        # not stop the grid and field checks that follow
+        bad = GOOD.replace("scenario: normalized", "scenario: twisted")
+        bad = bad.replace("topology: circle", "topology: interval")
+        with pytest.raises(ValidationError) as exc:
+            parse_config_text(bad)
+        msg = str(exc.value)
+        assert msg.startswith("potential: twisted does not read this key")
+        assert "t2_initial: twisted does not read this key" in msg
+        assert "twisted: needs circle topology" in msg
+
+    def test_scheme_is_not_a_key(self):
+        with pytest.raises(ParseError, match="scheme"):
+            parse_config_text(GOOD + "scheme: crank_nicolson\n")
 
     def test_boundary_defaults_from_initial_on_interval(self):
         text = textwrap.dedent("""\
@@ -146,28 +163,32 @@ class TestRoundTrip:
         assert again == cfg
 
     def test_round_trip_with_all_sections(self):
-        text = textwrap.dedent("""\
-            scenario: surface
-            grid: {topology: interval, length: 1.0, n_points: 201}
-            time: {dt: 0.0001, t_end: 0.5, record_every: 100, snapshots: [0.0, 0.25, 0.5]}
-            scheme: crank_nicolson
-            boundary: {kind: dirichlet, left: 0.5, right: 0.8}
-            initial: {family: linear_sine_bump, left: 0.5, right: 0.8,
-                      amplitude: 0.1, mode: 1}
-            potential: {family: constant, value: 0.0}
-            t2_initial: {family: constant, value: 1.0}
-            n_rank: 1
-            base_values: [0.4, 0.45, 0.5]
-            modes: 12
-            n_random: 25
-            seed: 11
-            output_dir: out/surface
-            emit_plots: true
-            tolerances: {gap_min: 1.0e-6, eps_t: 1.0e-8, converged_dev: 1.0e-5}
-        """)
-        cfg = parse_config_text(text)
-        again = parse_config_text(serialize_config(cfg))
-        assert again == cfg
+        # every top-level key, each under a scenario that reads it
+        circle = "grid: {topology: circle, length: 6.283185307179586, n_points: 64}\n"
+        steps = "time: {dt: 0.001, t_end: 0.5, record_every: 100, snapshots: [0.0, 0.25, 0.5]}\n"
+        texts = [
+            textwrap.dedent("""\
+                scenario: surface
+                grid: {topology: interval, length: 1.0, n_points: 201}
+                time: {dt: 0.0001, t_end: 0.5, record_every: 100, snapshots: [0.0, 0.25, 0.5]}
+                boundary: {kind: dirichlet, left: 0.5, right: 0.8}
+                initial: {family: linear_sine_bump, left: 0.5, right: 0.8,
+                          amplitude: 0.1, mode: 1}
+            """),
+            "scenario: twisted\n" + circle + steps + "base_values: [0.4, 0.45, 0.5]\nn_rank: 3\n",
+            GOOD + "tolerances: {gap_min: 1.0e-6, eps_t: 1.0e-8, converged_dev: 1.0e-5}\n",
+            "scenario: spectral_report\n" + circle + textwrap.dedent("""\
+                time: {dt: 0.001, t_end: 0.0}
+                potential: {family: constant, value: 0.5}
+                modes: 12
+                n_random: 25
+                seed: 11
+            """),
+        ]
+        for text in texts:
+            cfg = parse_config_text(text + "output_dir: out/run\nemit_plots: true\n")
+            again = parse_config_text(serialize_config(cfg))
+            assert again == cfg
 
 
 class TestRealization:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from folflow.errors import CflViolation, FolflowError, SolverSingular
+from folflow.errors import FolflowError, SolverSingular
 from folflow.fiber import (
     ScalarField,
     VectorAlongFiber,
@@ -124,14 +124,6 @@ class TestHeatInvariants:
 
 
 class TestStepperErrors:
-    def test_cfl_violation_for_explicit_step(self):
-        g = circle(128)
-        with pytest.raises(CflViolation):
-            HeatStepper(g, None, StepperConfig(1e-2, 1.0, Scheme.EXPLICIT_EULER, PERIODIC))
-        # just inside the limit is fine
-        HeatStepper(g, None,
-                    StepperConfig(0.4 * g.spacing ** 2, 1.0, Scheme.EXPLICIT_EULER, PERIODIC))
-
     def test_boundary_topology_mismatch(self):
         with pytest.raises(ValueError):
             HeatStepper(circle(64), None, StepperConfig(1e-3, 1.0, boundary=Dirichlet(0.0, 0.0)))
@@ -170,13 +162,9 @@ class TestIntervalEndsAndPivots:
         # a reaction that is nonzero at the ends must not move them either
         V = ScalarField(g, 0.4 * np.cos(np.pi * g.x))
         bnd = Dirichlet(float(u0.values[0]), float(u0.values[-1]))
-        if scheme is Scheme.CRANK_NICOLSON:
-            dt, steps = 1e-4, 2000
-        else:
-            dt, steps = 0.4 * g.spacing ** 2, 200
-        stepper = HeatStepper(g, V, StepperConfig(dt, 1.0, scheme, bnd))
+        stepper = HeatStepper(g, V, StepperConfig(1e-4, 1.0, scheme, bnd))
         u = u0
-        for _ in range(steps):
+        for _ in range(2000):
             u = stepper.step(u)
             assert (u.values[0], u.values[-1]) == (u0.values[0], u0.values[-1])
         assert not np.array_equal(u.values[1:-1], u0.values[1:-1])
@@ -197,11 +185,6 @@ class TestIntervalEndsAndPivots:
             errs.append(np.max(np.abs((H1.values - H0.values) / dt - rhs)[1:-1]))
         assert errs[0] <= 1e4 * 2e-6
         assert errs[0] / errs[1] >= 1.8
-
-    def test_burgers_rejects_explicit_euler(self):
-        g = circle(64)
-        with pytest.raises(ValueError):
-            BurgersStepper(g, None, StepperConfig(1e-5, 1.0, Scheme.EXPLICIT_EULER, PERIODIC))
 
     @pytest.mark.parametrize("topology", ["circle", "interval"])
     @pytest.mark.parametrize("c_vmax", [1.5, 4.0, 30.0])

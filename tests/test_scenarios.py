@@ -15,7 +15,6 @@ from folflow.scenarios import (
     run_surface_of_revolution,
     run_twisted_product,
     surface_evolution_crosscheck,
-    twisted_burgers_residual,
 )
 
 
@@ -177,21 +176,6 @@ class TestTwistedRun:
         sup_h = traj.series["sup_H"]
         assert np.all(np.diff(sup_h) < 0.0)
 
-    def test_transport_residual_second_order(self):
-        def residual(n_pts, dt):
-            g = circle(n_pts)
-            slices = tuple(
-                ScalarField(g, a * (1.0 + 0.4 * np.cos(g.x)) + 0.8) for a in (0.4, 0.5)
-            )
-            traj = run_twisted_product(TwistedConfig(g, 2, slices, dt=dt, t_end=0.2,
-                                                     record_every=10))
-            return twisted_burgers_residual(traj, 2)
-
-        coarse = residual(128, 2e-3)
-        fine = residual(256, 1e-3)
-        assert coarse <= 1e-3
-        assert np.log2(coarse / fine) >= 1.8
-
     def test_input_validation(self):
         g = circle(64)
         good = ScalarField(g, np.full(64, 1.0))
@@ -207,15 +191,6 @@ class TestTwistedRun:
         with pytest.raises(ValueError):
             run_twisted_product(TwistedConfig(g, 1, (ScalarField(g, np.cos(g.x)),),
                                               dt=1e-3, t_end=0.1))
-
-    def test_residual_needs_uniform_records(self):
-        g = circle(64)
-        f0 = ScalarField(g, np.full(64, 1.0))
-        traj = run_twisted_product(TwistedConfig(g, 1, (f0,), dt=1e-3, t_end=0.025,
-                                                 record_every=10))
-        # records land at 0, 0.01, 0.02, 0.025: spacing breaks at the tail
-        with pytest.raises(ValueError):
-            twisted_burgers_residual(traj, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""The benchmark's hooks into the package: every name it traces or imports resolves.
+"""The benchmark's hooks into the package: every name it traces or imports
+resolves, and every config it runs parses.
 
 perfbench wraps the functions listed in perfbench.tracer.TRACED (methods are
-read from the class body) and its probes import steppers and solvers by name,
-so renaming or folding one of them away must fail here, not in a later run of
-the benchmark.
+read from the class body), its probes import steppers and solvers by name,
+and its workloads send generated configs and the shipped ones through the
+config parser, so renaming or folding one of them away, or rejecting a key
+a workload config names, must fail here, not in a later run of the
+benchmark.
 """
 import ast
 import importlib
@@ -12,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from folflow.config import parse_config_text
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -19,6 +24,12 @@ ROOT = Path(__file__).resolve().parent.parent
 def tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
     return importlib.import_module("perfbench.tracer")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    return importlib.import_module("perfbench.workloads")
 
 
 def test_every_traced_name_resolves(tracer):
@@ -41,3 +52,12 @@ def test_every_folflow_import_of_the_benchmark_resolves():
                     found = hasattr(module, alias.name) or importlib.util.find_spec(
                         f"{node.module}.{alias.name}") is not None
                     assert found, f"{path.name}: from {node.module} import {alias.name}"
+
+
+def test_every_benchmark_config_parses(workloads):
+    # golden is the shipped configs verbatim, or shortened when tiny
+    for name in workloads.WORKLOADS:
+        for tiny in (True, False):
+            for item in workloads.build(name, 1, tiny):
+                cfg = parse_config_text(item.text, base_dir=item.base_dir)
+                assert cfg.scenario == item.scenario, (name, tiny, item.name)
