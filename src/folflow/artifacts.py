@@ -32,12 +32,14 @@ def snapshot_name(t: float) -> str:
 
 
 def write_fields(path: Path, x: np.ndarray, fields: dict[str, np.ndarray]):
-    columns = ["x", *fields.keys()]
-    lines = [",".join(columns)]
-    for i in range(len(x)):
-        vals = [fmt(x[i])] + [fmt(fields[name][i]) for name in fields]
-        lines.append(",".join(vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # tolist() gives Python floats (or ints), whose repr is fmt's text; 512
+    # rows at a time keep few of them alive
+    cols = [np.asarray(col) for col in (x, *fields.values())]
+    with open(path, "w") as out:
+        out.write(",".join(["x", *fields]) + "\n")
+        for lo in range(0, len(x), 512):
+            rows = zip(*(col[lo:lo + 512].tolist() for col in cols))
+            out.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def _jsonable(obj):

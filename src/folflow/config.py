@@ -8,6 +8,7 @@ one of the collected errors, and the config echo holds only the keys read.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -83,6 +84,22 @@ _BOUNDARY_KEYS = {"kind", "left", "right"}
 _TOL_KEYS = {"gap_min", "eps_t", "converged_dev"}
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that reads YAML 1.2 floats, such as the 1e-05 of a JSON config echo."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+0123456789."),
+)
+
+# the value ranges _as_number checks, by the words of their error message
+_RANGES = {"positive and finite": lambda v: v > 0.0 and np.isfinite(v),
+           "nonnegative and finite": lambda v: v >= 0.0 and np.isfinite(v),
+           "finite": np.isfinite}
+
+
 def _require_mapping(obj, where: str):
     if not isinstance(obj, dict):
         raise ParseError(f"{where} must be a mapping, got {type(obj).__name__}")
@@ -112,17 +129,23 @@ def _field_spec(mapping, where: str) -> FieldSpec:
     return FieldSpec(family=family, params=params)
 
 
-def _as_number(value, where: str, errs: list) -> float:
+def _as_number(value, where: str, errs: list, need: str | None = None) -> float:
+    """value as a float, or nan; one error if it is not a number or outside _RANGES[need]."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errs.append(f"{where} must be a number, got {value!r}")
         return float("nan")
+    if need is not None and not _RANGES[need](float(value)):
+        errs.append(f"{where} must be {need}, got {float(value)}")
     return float(value)
 
 
-def _as_int(value, where: str, errs: list) -> int:
+def _as_int(value, where: str, errs: list, least: int | None = None) -> int:
+    """value as an int, or 0; one error if it is not an integer or is below least."""
     if isinstance(value, bool) or not isinstance(value, int):
         errs.append(f"{where} must be an integer, got {value!r}")
         return 0
+    if least is not None and value < least:
+        errs.append(f"{where} must be at least {least}, got {value}")
     return value
 
 
@@ -142,7 +165,7 @@ def parse_config(path) -> RunConfig:
 
 def parse_config_text(text: str, base_dir=None) -> RunConfig:
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         loc = f" (line {mark.line + 1})" if mark is not None else ""
@@ -167,12 +190,9 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     if topology not in ("circle", "interval"):
         errs.append(f"grid.topology must be 'circle' or 'interval', got {topology!r}")
         topology = "circle"
-    length = _as_number(grid_map.get("length", float("nan")), "grid.length", errs)
-    n_points = _as_int(grid_map.get("n_points", 0), "grid.n_points", errs)
-    if not (length > 0.0 and np.isfinite(length)):
-        errs.append(f"grid.length must be positive and finite, got {length}")
-    if n_points < 8:
-        errs.append(f"grid.n_points must be at least 8, got {n_points}")
+    length = _as_number(grid_map.get("length", float("nan")), "grid.length", errs,
+                        "positive and finite")
+    n_points = _as_int(grid_map.get("n_points", 0), "grid.n_points", errs, 8)
     grid_spec = GridSpec(topology=topology, length=length, n_points=n_points)
     grid = None
     if not errs:
@@ -182,25 +202,19 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
         raise ParseError("configuration needs a 'time' section")
     time_map = _require_mapping(raw["time"], "time")
     _reject_unknown(time_map, _TIME_KEYS, "time")
-    t_end = _as_number(time_map.get("t_end", float("nan")), "time.t_end", errs)
-    if not (t_end >= 0.0 and np.isfinite(t_end)):
-        errs.append(f"time.t_end must be nonnegative and finite, got {t_end}")
+    t_end = _as_number(time_map.get("t_end", float("nan")), "time.t_end", errs,
+                       "nonnegative and finite")
     if "dt" in time_map:
-        dt = _as_number(time_map["dt"], "time.dt", errs)
+        dt = _as_number(time_map["dt"], "time.dt", errs, "positive and finite")
     elif grid is not None:
         dt = min(1e-3, 0.25 * grid.spacing ** 2)
     else:
         dt = 1e-3
-    if not (dt > 0.0 and np.isfinite(dt)):
-        errs.append(f"time.dt must be positive, got {dt}")
-    elif np.isfinite(t_end) and t_end > 0.0:
+    if _RANGES["positive and finite"](dt) and _RANGES["positive and finite"](t_end):
         steps = round(t_end / dt)
         if steps < 1 or abs(steps * dt - t_end) > 1e-9 * max(dt, t_end):
             errs.append(f"time.t_end = {t_end} is not a whole number of dt = {dt} steps")
-    record_every = time_map.get("record_every", 10)
-    record_every = _as_int(record_every, "time.record_every", errs)
-    if record_every < 1:
-        errs.append(f"time.record_every must be at least 1, got {record_every}")
+    record_every = _as_int(time_map.get("record_every", 10), "time.record_every", errs, 1)
     snaps_raw = time_map.get("snapshots", [0.0, t_end])
     if not isinstance(snaps_raw, list):
         errs.append("time.snapshots must be a list of times")
@@ -215,13 +229,9 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     time_spec = TimeSpec(dt=dt, t_end=t_end, record_every=record_every,
                          snapshots=tuple(sorted(set(snapshots))))
 
-    n_rank = _as_int(raw.get("n_rank", 1), "n_rank", errs)
-    if n_rank < 1:
-        errs.append(f"n_rank must be at least 1, got {n_rank}")
+    n_rank = _as_int(raw.get("n_rank", 1), "n_rank", errs, 1)
     modes = _as_int(raw.get("modes", 12), "modes", errs)
-    n_random = _as_int(raw.get("n_random", 25), "n_random", errs)
-    if n_random < 0:
-        errs.append(f"n_random must be nonnegative, got {n_random}")
+    n_random = _as_int(raw.get("n_random", 25), "n_random", errs, 0)
     seed = _as_int(raw.get("seed", 0), "seed", errs)
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
@@ -235,9 +245,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     tol = ToleranceSpec()
     for key in _TOL_KEYS:
         if key in tol_map:
-            val = _as_number(tol_map[key], f"tolerances.{key}", errs)
-            if not (val > 0.0 and np.isfinite(val)):
-                errs.append(f"tolerances.{key} must be positive, got {val}")
+            val = _as_number(tol_map[key], f"tolerances.{key}", errs, "positive and finite")
             setattr(tol, key, val)
 
     initial = _field_spec(raw.get("initial", {"family": "constant", "value": 1.0}), "initial")
@@ -301,10 +309,8 @@ def _boundary_spec(raw, grid_spec, grid, initial, errs) -> BoundarySpec:
             return BoundarySpec(kind="periodic")
         if grid_spec.topology != "interval":
             errs.append("dirichlet boundary needs interval topology")
-        left = _as_number(bmap.get("left", float("nan")), "boundary.left", errs)
-        right = _as_number(bmap.get("right", float("nan")), "boundary.right", errs)
-        if not (np.isfinite(left) and np.isfinite(right)):
-            errs.append("dirichlet boundary needs finite left and right values")
+        left = _as_number(bmap.get("left", float("nan")), "boundary.left", errs, "finite")
+        right = _as_number(bmap.get("right", float("nan")), "boundary.right", errs, "finite")
         return BoundarySpec(kind="dirichlet", left=left, right=right)
     if grid_spec.topology == "circle":
         return BoundarySpec(kind="periodic")
@@ -353,8 +359,3 @@ def config_to_dict(cfg: RunConfig) -> dict:
         d["boundary"] = {"kind": "periodic"}
     reads = COMMON_KEYS + SCENARIOS[cfg.scenario].keys
     return {key: value for key, value in d.items() if key in reads}
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """YAML text that parses back to an equal RunConfig."""
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=False, default_flow_style=False)

@@ -118,24 +118,27 @@ class VectorAlongFiber(_GridFunction):
     """Tangent vector field along the fiber, stored by its single component."""
 
 
+# the stencils act along the last axis: a block holds one field per row
 def _diff1(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     if periodic:
-        return (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * h)
+        return (np.roll(vals, -1, axis=-1) - np.roll(vals, 1, axis=-1)) / (2.0 * h)
     out = np.empty_like(vals)
-    out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
+    out[..., 1:-1] = (vals[..., 2:] - vals[..., :-2]) / (2.0 * h)
+    out[..., 0] = (-3.0 * vals[..., 0] + 4.0 * vals[..., 1] - vals[..., 2]) / (2.0 * h)
+    out[..., -1] = (3.0 * vals[..., -1] - 4.0 * vals[..., -2] + vals[..., -3]) / (2.0 * h)
     return out
 
 
 def _diff2(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     h2 = h * h
     if periodic:
-        return (np.roll(vals, -1) - 2.0 * vals + np.roll(vals, 1)) / h2
+        return (np.roll(vals, -1, axis=-1) - 2.0 * vals + np.roll(vals, 1, axis=-1)) / h2
     out = np.empty_like(vals)
-    out[1:-1] = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h2
-    out[0] = (2.0 * vals[0] - 5.0 * vals[1] + 4.0 * vals[2] - vals[3]) / h2
-    out[-1] = (2.0 * vals[-1] - 5.0 * vals[-2] + 4.0 * vals[-3] - vals[-4]) / h2
+    out[..., 1:-1] = (vals[..., 2:] - 2.0 * vals[..., 1:-1] + vals[..., :-2]) / h2
+    out[..., 0] = (2.0 * vals[..., 0] - 5.0 * vals[..., 1] + 4.0 * vals[..., 2]
+                   - vals[..., 3]) / h2
+    out[..., -1] = (2.0 * vals[..., -1] - 5.0 * vals[..., -2] + 4.0 * vals[..., -3]
+                    - vals[..., -4]) / h2
     return out
 
 

@@ -7,10 +7,13 @@ Both steppers are built on the one fiber Laplacian, fiber.laplacian_matrix;
 on an interval its zero end rows hold the end values fixed, so a step needs
 no boundary source term.  Both are Crank-Nicolson: the heat step fully, the
 Burgers step with implicit diffusion and an explicit midpoint stage for
-advection and forcing (IMEX), of the same order.
+advection and forcing (IMEX), of the same order.  A step maps a field to a
+field of the same type, and values to values: one field's (n,), or (n, m)
+with one column per field, stepped by one multi-column solve.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import FolflowError, SolverSingular
-from .fiber import FiberGrid, ScalarField, VectorAlongFiber, _diff1, laplacian_matrix
+from .fiber import FiberGrid, ScalarField, _diff1, _GridFunction, laplacian_matrix
 
 
 class Scheme(Enum):
@@ -85,9 +88,21 @@ def _factor(matrix: sp.spmatrix):
 
 def _solve(lu, rhs: np.ndarray) -> np.ndarray:
     out = lu.solve(rhs)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise SolverSingular("implicit step produced non-finite values")
     return out
+
+
+def _fields_too(step):
+    """A step on values that also maps a field to a field of the same type."""
+    @functools.wraps(step)
+    def stepped(self, state):
+        if not isinstance(state, _GridFunction):
+            return step(self, state)
+        if state.grid != self.grid:
+            raise ValueError("field lives on a different grid")
+        return type(state)(self.grid, step(self, state.values))
+    return stepped
 
 
 def _moving(grid: FiberGrid) -> np.ndarray:
@@ -121,18 +136,21 @@ class HeatStepper:
         self._plus = (eye + c * a_op).tocsr()
         self._lu = _factor(eye - c * a_op)
 
-    def _check_matches_boundary(self, u: ScalarField):
+    def _check_matches_boundary(self, vals: np.ndarray):
         bnd = self.cfg.boundary
-        scale = 1.0 + float(np.max(np.abs(u.values)))
-        if abs(u.values[0] - bnd.left) > 1e-9 * scale or abs(u.values[-1] - bnd.right) > 1e-9 * scale:
+        left, right = vals[0], vals[-1]
+        # the ends of a marched field match exactly: the operator holds them
+        if vals.ndim == 1 and left == bnd.left and right == bnd.right:
+            return
+        tol = 1e-9 * (1.0 + np.max(np.abs(vals), axis=0))
+        if np.any(np.abs(left - bnd.left) > tol) or np.any(np.abs(right - bnd.right) > tol):
             raise ValueError("field does not match the Dirichlet boundary values")
 
-    def step(self, u: ScalarField) -> ScalarField:
-        if u.grid != self.grid:
-            raise ValueError("field lives on a different grid")
+    @_fields_too
+    def step(self, u: np.ndarray) -> np.ndarray:
         if isinstance(self.cfg.boundary, Dirichlet):
             self._check_matches_boundary(u)
-        return ScalarField(self.grid, _solve(self._lu, self._plus @ u.values))
+        return _solve(self._lu, self._plus @ u)
 
 
 class BurgersStepper:
@@ -161,17 +179,16 @@ class BurgersStepper:
         self._lu_full = _factor(eye - 0.50 * cfg.dt * self._diff)
 
     def _advect(self, hvals: np.ndarray) -> np.ndarray:
-        g = self.grid
-        return self._moving * (-_diff1(hvals * hvals, g.spacing, g.periodic) - self._force_x)
+        # transposed, the fiber runs along the last axis for (n,) and (n, m) alike
+        g, rows = self.grid, hvals.T
+        return (self._moving * (-_diff1(rows * rows, g.spacing, g.periodic) - self._force_x)).T
 
-    def step(self, H: VectorAlongFiber) -> VectorAlongFiber:
-        if H.grid != self.grid:
-            raise ValueError("field lives on a different grid")
-        dt, vals = self.cfg.dt, H.values
-        dif = self._diff @ vals
-        mid = _solve(self._lu_half, vals + 0.5 * dt * self._advect(vals) + 0.25 * dt * dif)
-        new = _solve(self._lu_full, vals + dt * self._advect(mid) + 0.5 * dt * dif)
-        return VectorAlongFiber(self.grid, new)
+    @_fields_too
+    def step(self, H: np.ndarray) -> np.ndarray:
+        dt = self.cfg.dt
+        dif = self._diff @ H
+        mid = _solve(self._lu_half, H + 0.5 * dt * self._advect(H) + 0.25 * dt * dif)
+        return _solve(self._lu_full, H + dt * self._advect(mid) + 0.5 * dt * dif)
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -181,30 +198,49 @@ def _step_count(t_end: float, dt: float) -> int:
     return n
 
 
-def march(step, state, dt: float, t_end: float, record_every: int = 1,
-          on_step=None, on_record=None):
-    """The one time-marching loop: apply step to state until t_end.
+# march's block buffer holds at most _BLOCK_ROWS states and _BLOCK_DOUBLES values
+_BLOCK_ROWS = 64
+_BLOCK_DOUBLES = 2 ** 15
 
-    The state is opaque to the loop (a field, a list of slices, a pair).
-    on_step(t, state) runs after every step; on_record(t, state) runs for
-    the initial state, every record_every steps and after the last step.
-    A FolflowError raised by a step or a hook is re-raised with the time of
-    the failure.  Returns the final state.
+
+def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 1,
+          on_block=None, on_record=None):
+    """The one time-marching loop: apply step to state (an array) until t_end.
+
+    Steps run into a block buffer, one state per row, up to the next record
+    step or a full buffer.  on_block(ts, block) then sees the block's times
+    and states at once and returns None, or (row, error) for the first row
+    its monitors reject.  on_record(t, state) runs for the initial state,
+    every record_every steps and after the last step.  The first failure in
+    step order is raised with its time.  Returns the final state.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     n_steps = _step_count(t_end, dt)
-    t = 0.0
+    state = np.asarray(state, dtype=float)
+    buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // state.size)), *state.shape))
+    k, t = 0, 0.0
     try:
         if on_record is not None:
             on_record(t, state)
-        for k in range(1, n_steps + 1):
+        while k < n_steps:
+            rows = min(len(buf), record_every - k % record_every, n_steps - k)
+            failure = None  # (row of the block, error)
+            for j in range(rows):
+                try:
+                    state = buf[j] = step(state)
+                except FolflowError as err:
+                    failure, rows = (j, err), j
+                    break
+            if on_block is not None and rows:
+                failure = on_block(np.arange(k + 1, k + rows + 1) * dt, buf[:rows]) or failure
+            if failure is not None:
+                t = (k + 1 + failure[0]) * dt
+                raise failure[1]
+            k += rows
             t = k * dt
-            state = step(state)
-            if on_step is not None:
-                on_step(t, state)
             if on_record is not None and (k % record_every == 0 or k == n_steps):
                 on_record(t, state)
     except FolflowError as err:

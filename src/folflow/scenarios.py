@@ -29,16 +29,8 @@ from . import colehopf
 from .curvature import conserved_quantity, riccati_residual, sc_mix_minus_T2
 from .errors import GapTooSmall, NonFiniteValue, NotConverged, ProfileDegenerate
 from .families import build_field
-from .fiber import (
-    FiberGrid,
-    ScalarField,
-    VectorAlongFiber,
-    build_grid,
-    derivative,
-    grad_log,
-    integrate,
-    laplacian,
-)
+from .fiber import (FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, build_grid,
+                    derivative, grad_log, integrate, laplacian)
 from .parabolic import PERIODIC, BurgersStepper, Dirichlet, HeatStepper, StepperConfig, march
 from .schrodinger import GroundState, eigencount, ground_state, spectrum, weyl_theta
 
@@ -97,26 +89,33 @@ def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _check_profile(rho: np.ndarray, slope: np.ndarray):
-    if np.min(rho) <= 0.0:
-        raise ProfileDegenerate(f"profile pinched off (min rho = {np.min(rho):g})")
-    worst = float(np.max(np.abs(slope)))
-    if worst > 1.0 + SLOPE_TOL:
-        raise ProfileDegenerate(
-            f"profile slope |rho_x| = {worst:g} exceeds 1; "
-            "the surface is no longer a graph over arclength"
-        )
+def _profile_failure(rho: np.ndarray, slope: np.ndarray):
+    """The profile guard on a block of profiles, one per row: (row, error) for
+    the first that pinched off or is too steep, or None."""
+    low, worst = np.min(rho, axis=-1), np.max(np.abs(slope), axis=-1)
+    bad = np.flatnonzero((low <= 0.0) | (worst > 1.0 + SLOPE_TOL))
+    if bad.size == 0:
+        return None
+    j = int(bad[0])
+    return j, ProfileDegenerate(
+        f"profile pinched off (min rho = {low[j]:g})" if low[j] <= 0.0 else
+        f"profile slope |rho_x| = {worst[j]:g} exceeds 1; "
+        "the surface is no longer a graph over arclength")
 
 
-def _surface_state(grid, rho, rho0_vals, t) -> SurfaceState:
+def _surface_state(grid, rho, rho0_vals, t) -> tuple[SurfaceState, float]:
+    """The recorded surface and its arclength residual: h is rebuilt from
+    sqrt(1 - slope^2), and the constraint is measured against that slope."""
     slope = derivative(rho).values
-    _check_profile(rho.values, slope)
+    bad = _profile_failure(rho.values[None], slope[None])
+    if bad is not None:
+        raise bad[1]
     h_slope = np.sqrt(np.maximum(1.0 - slope * slope, 0.0))
     h = _cumtrapz(h_slope, grid.spacing)
     k = -slope / rho.values
     kk = -laplacian(rho).values / rho.values
     conf = (rho.values / rho0_vals) ** 2
-    return SurfaceState(
+    state = SurfaceState(
         t=t,
         rho=rho,
         h=ScalarField(grid, h),
@@ -124,14 +123,7 @@ def _surface_state(grid, rho, rho0_vals, t) -> SurfaceState:
         K=ScalarField(grid, kk),
         conformal_factor=ScalarField(grid, conf),
     )
-
-
-def _arc_residual(state: SurfaceState) -> float:
-    # h is rebuilt from sqrt(1 - slope^2) each step; the constraint is measured
-    # against that stored axial slope
-    slope = derivative(state.rho).values
-    rebuilt = np.sqrt(np.maximum(1.0 - slope * slope, 0.0))
-    return float(np.max(np.abs(slope ** 2 + rebuilt ** 2 - 1.0)))
+    return state, float(np.max(np.abs(slope ** 2 + h_slope ** 2 - 1.0)))
 
 
 def run_surface_of_revolution(cfg: SurfaceConfig) -> SurfaceTrajectory:
@@ -147,36 +139,41 @@ def run_surface_of_revolution(cfg: SurfaceConfig) -> SurfaceTrajectory:
         raise ValueError("initial profile lives on a different grid")
     boundary = PERIODIC if grid.periodic else Dirichlet(float(rho0.values[0]), float(rho0.values[-1]))
     stepper = HeatStepper(grid, None, StepperConfig(cfg.dt, 1.0, boundary=boundary))
-    rho0_vals = rho0.values.copy()
+    h, periodic = grid.spacing, grid.periodic
     int_k_gauss = np.zeros(grid.n_points)
     gauss_prev = -laplacian(rho0).values / rho0.values
     states: list[SurfaceState] = []
     rows: list[dict] = []
 
-    def advance(t, rho):
-        # trapezoid integral of the Gauss curvature, and the profile guard
+    def advance(ts, block):
+        # the profile guard on every row before K = -rho_xx/rho is formed,
+        # then the trapezoid integral of K, accumulated in step order
         nonlocal int_k_gauss, gauss_prev
-        gauss = -laplacian(rho).values / rho.values
-        int_k_gauss += 0.5 * cfg.dt * (gauss_prev + gauss)
-        gauss_prev = gauss
-        _check_profile(rho.values, derivative(rho).values)
+        bad = _profile_failure(block, _diff1(block, h, periodic))
+        if bad is not None:
+            return bad
+        gauss = -_diff2(block, h, periodic) / block
+        terms = 0.5 * cfg.dt * (np.vstack([gauss_prev, gauss[:-1]]) + gauss)
+        terms[0] += int_k_gauss
+        int_k_gauss = np.add.accumulate(terms, axis=0)[-1]
+        gauss_prev = gauss[-1]
 
     def record(t, rho):
-        state = _surface_state(grid, rho, rho0_vals, t)
+        state, arc_residual = _surface_state(grid, ScalarField(grid, rho), rho0.values, t)
         states.append(state)
         _append_row(rows, {
             "t": t,
             "sup_K": float(np.max(np.abs(state.K.values))),
             "sup_k": float(np.max(np.abs(state.k.values))),
             "min_rho": float(np.min(state.rho.values)),
-            "arc_residual": _arc_residual(state),
+            "arc_residual": arc_residual,
             "riccati_res": riccati_residual(state.k, state.K),
             "conformal_dev": float(
                 np.max(np.abs(np.exp(-2.0 * int_k_gauss) - state.conformal_factor.values))
             ),
         })
 
-    march(stepper.step, rho0, cfg.dt, cfg.t_end, cfg.record_every, advance, record)
+    march(stepper.step, rho0.values, cfg.dt, cfg.t_end, cfg.record_every, advance, record)
     return SurfaceTrajectory(rows=rows, states=states)
 
 
@@ -293,8 +290,9 @@ def run_twisted_product(cfg: TwistedConfig) -> TwistedTrajectory:
     states: list[TwistedState] = []
     rows: list[dict] = []
 
-    def record(t, fs):
-        state = TwistedState(t, tuple(fs), tuple(grad_log(f, -1.0) for f in fs))
+    def record(t, columns):
+        fs = tuple(ScalarField(grid, col) for col in columns.T)
+        state = TwistedState(t, fs, tuple(grad_log(f, -1.0) for f in fs))
         masses = np.array([integrate(f) for f in state.f])
         states.append(state)
         _append_row(rows, {
@@ -306,7 +304,8 @@ def run_twisted_product(cfg: TwistedConfig) -> TwistedTrajectory:
             ),
         })
 
-    march(lambda fs: [stepper.step(f) for f in fs], slices, cfg.dt, cfg.t_end,
+    # one column per slice, all stepped by one multi-column solve
+    march(stepper.step, np.column_stack([f.values for f in slices]), cfg.dt, cfg.t_end,
           cfg.record_every, on_record=record)
     return TwistedTrajectory(rows=rows, states=states, fiber_means=means)
 
@@ -349,12 +348,13 @@ class NormalizedConfig:
     eps_T: float = 1e-8
 
 
-def normalized_scmix(u: ScalarField, betaD: ScalarField, n: int) -> ScalarField:
+def normalized_scmix(u: np.ndarray, betaD: ScalarField, n: int) -> np.ndarray:
     """Sc_mix - |T|^2 along the flow, evaluated through the positive solution:
-    -n * (u_xx + betaD * u) / u.  Its fixed points are exactly the discrete
-    eigenfunctions, so the long-time value is exactly n * lambda0."""
-    vals = -n * (laplacian(u).values + betaD.values * u.values) / u.values
-    return ScalarField(u.grid, vals)
+    -n * (u_xx + betaD * u) / u, for one u or a block of them, one per row.
+    Its fixed points are exactly the discrete eigenfunctions, so the
+    long-time value is exactly n * lambda0."""
+    g = betaD.grid
+    return -n * (_diff2(u, g.spacing, g.periodic) + betaD.values * u) / u
 
 
 def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
@@ -393,7 +393,7 @@ def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
         ScalarField(grid, n * betaD.values),
         StepperConfig(cfg.dt, float(n), boundary=PERIODIC),
     )
-    scmix = normalized_scmix(cfg.u0, betaD, n)
+    scmix = normalized_scmix(cfg.u0.values, betaD, n)
     exponent = np.zeros(grid.n_points)
     t2_0_vals = cfg.T2_0.values
     states: list[NormalizedState] = []
@@ -401,15 +401,22 @@ def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
     q0 = None
     mask0 = None
 
-    def advance(t, u):
-        # trapezoid average of the |T|^2 exponent over the step
+    def advance(ts, block):
+        # the |T|^2 exponent: trapezoid averages over the steps, accumulated
+        # in step order
         nonlocal scmix, exponent
-        scmix_new = normalized_scmix(u, betaD, n)
-        exponent += 4.0 * cfg.dt * (0.5 * (scmix.values + scmix_new.values) - phi)
-        scmix = scmix_new
+        new = normalized_scmix(block, betaD, n)
+        finite = np.isfinite(new).all(axis=1)
+        if not finite.all():
+            return int(np.argmin(finite)), NonFiniteValue("field values must be finite")
+        terms = 4.0 * cfg.dt * (0.5 * (np.vstack([scmix, new[:-1]]) + new) - phi)
+        terms[0] += exponent
+        exponent = np.add.accumulate(terms, axis=0)[-1]
+        scmix = new[-1]
 
-    def record(t, u):
+    def record(t, u_vals):
         nonlocal q0, mask0
+        u = ScalarField(grid, u_vals)
         t2 = ScalarField(grid, t2_0_vals * np.exp(exponent))
         h_field = grad_log(u, -float(n))
         q, mask = conserved_quantity(h_field, t2, n, cfg.eps_T)
@@ -417,10 +424,10 @@ def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
             q0, mask0 = q, mask
         both = mask & mask0
         hu = -laplacian(u).values - betaD.values * u.values
-        states.append(NormalizedState(t, u, h_field, betaD, t2, scmix, phi))
+        states.append(NormalizedState(t, u, h_field, betaD, t2, ScalarField(grid, scmix), phi))
         _append_row(rows, {
             "t": t,
-            "sup_dev_scmix": float(np.max(np.abs(scmix.values - phi))),
+            "sup_dev_scmix": float(np.max(np.abs(scmix - phi))),
             # numpy division: a norm that underflowed to 0 gives a non-finite
             # row (NonFiniteValue), not a ZeroDivisionError
             "rayleigh": float(
@@ -436,7 +443,7 @@ def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
             "h_dev": float(np.max(np.abs(h_field.values - h_limit.values))),
         })
 
-    march(stepper.step, cfg.u0, cfg.dt, cfg.t_end, cfg.record_every, advance, record)
+    march(stepper.step, cfg.u0.values, cfg.dt, cfg.t_end, cfg.record_every, advance, record)
     return NormalizedTrajectory(
         rows=rows,
         states=states,
@@ -555,14 +562,17 @@ def cole_hopf_rows(grid: FiberGrid, u0: ScalarField, forcing: ScalarField, nu: f
     rows: list[dict] = []
     states: list[ColeHopfState] = []
 
-    def record(t, state):
-        st = ColeHopfState(t, *state, float(nu))
+    def record(t, pair):
+        st = ColeHopfState(t, ScalarField(grid, pair[0]), VectorAlongFiber(grid, pair[1]),
+                           float(nu))
         diff = st.H_direct.values - st.H_transformed.values
         _append_row(rows, {"t": t, "sup_diff": float(np.max(np.abs(diff)))})
         states.append(st)
 
-    march(lambda s: (heat.step(s[0]), burg.step(s[1])),
-          (u0, grad_log(u0, -float(nu))), dt, t_end, record_every, on_record=record)
+    # the state is the pair (u, H), one row each
+    march(lambda s: np.array((heat.step(s[0]), burg.step(s[1]))),
+          np.array((u0.values, grad_log(u0, -float(nu)).values)), dt, t_end, record_every,
+          on_record=record)
     return rows, states
 
 

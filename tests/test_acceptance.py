@@ -173,8 +173,8 @@ def test_criterion_5_conservation_suite(normalized_run, acceptance_verdicts):
     g = build_grid("circle", 2 * np.pi, 128)
     heat = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
     masses = []
-    march(heat.step, ScalarField(g, 2.0 + np.sin(3 * g.x)), 1e-3, 2.0, record_every=2000,
-          on_record=lambda t, u: masses.append(integrate(u)))
+    march(heat.step, 2.0 + np.sin(3 * g.x), 1e-3, 2.0, record_every=2000,
+          on_record=lambda t, u: masses.append(integrate(ScalarField(g, u))))
     heat_drift = abs(masses[-1] - masses[0]) / 2.0
 
     tw = run_twisted_product(TwistedConfig(

@@ -12,14 +12,16 @@ import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from folflow.artifacts import snapshot_name
-from folflow.cli import main
+from folflow import parabolic
+from folflow.artifacts import fmt, snapshot_name, write_fields
+from folflow.cli import execute_config, main
 from folflow.config import parse_config_text
-from folflow.errors import ValidationError
+from folflow.errors import FolflowError, ValidationError
 from folflow.families import FAMILY_PARAMS
 from folflow.scenarios import COMMON_KEYS, SCENARIOS
 
@@ -283,6 +285,52 @@ class TestDeterminism:
             payloads.append(summary_sans_meta(out))
         assert payloads[0] == payloads[1]
 
+    def test_field_columns_written_as_fmt_writes_them(self, tmp_path):
+        x = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0])
+        fields = {"f": x[::-1] * 3.0, "n": np.arange(5)}
+        write_fields(tmp_path / "f.csv", x, fields)
+        rows = [",".join(fmt(col[i]) for col in (x, *fields.values())) for i in range(5)]
+        assert (tmp_path / "f.csv").read_text() == "\n".join(["x,f,n", *rows]) + "\n"
+
+
+def _run_artifacts(cfg, out: Path) -> dict:
+    """What a run writes: the CSV files' bytes and the summary's results."""
+    execute_config(cfg, out, quiet=True)
+    written = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    return {**written, "results": summary_sans_meta(out)["results"]}
+
+
+class TestBlockEdges:
+    """march evaluates steps in blocks; the block length must not show in any artifact."""
+
+    @pytest.mark.parametrize("scenario", sorted(SHORT_RUNS))
+    def test_block_length_leaves_artifacts_unchanged(self, tmp_path, monkeypatch, scenario):
+        raw = yaml.safe_load(SHORT_RUNS[scenario])
+        runs = {}
+        # 50 or 100 steps (spectral_report: none); 3 and 9 divide neither
+        # the step counts nor the block lengths 7 and 64
+        for rows in (parabolic._BLOCK_ROWS, 1, 7):
+            monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+            for every in (3, 9):
+                raw["time"]["record_every"] = every
+                out = tmp_path / f"{rows}_{every}"
+                runs[rows, every] = _run_artifacts(parse_config_text(json.dumps(raw)), out)
+        for (rows, every), artifacts in runs.items():
+            assert artifacts == runs[parabolic._BLOCK_ROWS, every], (rows, every)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("text, error", [
+        (OVERFLOW_RUN, "NonFiniteValue: field values must be finite (failure at t = 0.87)"),
+        (DEGENERATE_RUN, "ProfileDegenerate: profile slope |rho_x| = 1.2 exceeds 1; "
+                         "the surface is no longer a graph over arclength (failure at t = 0)"),
+    ], ids=["overflow", "degenerate"])
+    def test_failure_and_its_time_do_not_depend_on_blocks(self, tmp_path, monkeypatch,
+                                                          rows, text, error):
+        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        with pytest.raises(FolflowError) as exc:
+            execute_config(parse_config_text(text), tmp_path / "out", quiet=True)
+        assert f"{type(exc.value).__name__}: {exc.value}" == error
+
 
 def catalog_lists(text: str, pattern: str = r"trajectory\((.*)\)") -> dict:
     """Scenario name -> the list `pattern` captures, by default the
@@ -491,4 +539,4 @@ class TestContractProperty:
             # parses back to the configuration that ran
             echo = summary["config"]
             assert set(echo) == {*COMMON_KEYS, *SCENARIOS[raw["scenario"]].keys}
-            assert parse_config_text(yaml.safe_dump(echo)) == parse_config_text(cfg.read_text())
+            assert parse_config_text(json.dumps(echo)) == parse_config_text(cfg.read_text())

@@ -1,4 +1,5 @@
 """Run-configuration parsing: fail-closed validation and round-trip fidelity."""
+import json
 import textwrap
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 
 from folflow.errors import ParseError, ValidationError
 from folflow.config import (
+    config_to_dict,
     parse_config,
     parse_config_text,
     realize_field,
     realize_grid,
-    serialize_config,
 )
 from folflow.families import build_field
 from folflow.fiber import build_grid
@@ -157,9 +158,26 @@ class TestParsing:
 
 
 class TestRoundTrip:
+    def test_floats_without_a_decimal_point_are_numbers(self):
+        # YAML 1.2 floats: Python's repr writes small values as 1e-05, so the
+        # JSON config echo holds floats in that form
+        cfg = parse_config_text(GOOD.replace("dt: 0.001", "dt: 1e-04")
+                                .replace("t_end: 1.0", "t_end: 1.0e-2"))
+        assert (cfg.time.dt, cfg.time.t_end) == (1e-4, 1e-2)
+        assert json.dumps(config_to_dict(cfg)["tolerances"]["eps_t"]) == "1e-08"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("dt: 0.001", "dt: '1e-04'", "time.dt must be a number, got '1e-04'"),
+        ("n_points: 128", "n_points: many", "grid.n_points must be an integer, got 'many'"),
+    ])
+    def test_non_number_reported_once(self, old, new, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_config_text(GOOD.replace(old, new))
+        assert str(exc.value) == message
+
     def test_parse_serialize_parse_is_identity(self):
         cfg = parse_config_text(GOOD)
-        again = parse_config_text(serialize_config(cfg))
+        again = parse_config_text(json.dumps(config_to_dict(cfg)))
         assert again == cfg
 
     def test_round_trip_with_all_sections(self):
@@ -187,7 +205,7 @@ class TestRoundTrip:
         ]
         for text in texts:
             cfg = parse_config_text(text + "output_dir: out/run\nemit_plots: true\n")
-            again = parse_config_text(serialize_config(cfg))
+            again = parse_config_text(json.dumps(config_to_dict(cfg)))
             assert again == cfg
 
 

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from folflow.errors import FolflowError, SolverSingular
+from folflow import parabolic
+from folflow.errors import FolflowError, NonFiniteValue, SolverSingular
 from folflow.fiber import (
     ScalarField,
     VectorAlongFiber,
@@ -224,7 +225,7 @@ class TestEvolveDriver:
         u0 = ScalarField(g, np.ones(64))
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
         recs = []
-        march(stepper.step, u0, 1e-3, 0.0, on_record=lambda t, u: recs.append((t, u)))
+        march(stepper.step, u0.values, 1e-3, 0.0, on_record=lambda t, u: recs.append((t, u)))
         assert len(recs) == 1 and recs[0][0] == 0.0
 
     def test_records_and_monitors(self):
@@ -234,18 +235,46 @@ class TestEvolveDriver:
         recs = []
 
         def span(t, u):
-            recs.append((t, float(np.max(u.values) - np.min(u.values))))
+            recs.append((t, float(np.max(u) - np.min(u))))
 
-        march(stepper.step, u0, 1e-3, 0.1, record_every=20, on_record=span)
+        march(stepper.step, u0.values, 1e-3, 0.1, record_every=20, on_record=span)
         assert [t for t, _ in recs] == pytest.approx([0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
         spans = [s for _, s in recs]
         assert all(a > b for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("reject", [None, 10])
+    def test_failures_surface_in_step_order(self, monkeypatch, rows, reject):
+        # the 12th step fails; a block hook that rejects the state after
+        # step 10 wins, since the rows before a failing step are still checked
+        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        seen, records = [], []
+
+        def step(u):
+            if u[0] == 11.0:
+                raise SolverSingular("step failed")
+            return u + 1.0
+
+        def on_block(ts, block):
+            seen.extend(ts)
+            bad = np.flatnonzero(block[:, 0] == reject)
+            return (int(bad[0]), NonFiniteValue("state rejected")) if bad.size else None
+
+        with pytest.raises(FolflowError) as exc:
+            march(step, np.zeros(3), 0.5, 10.0, 4, on_block,
+                  lambda t, u: records.append((t, u[0])))
+        if reject is None:
+            assert str(exc.value) == "step failed (failure at t = 6)"
+            assert seen == pytest.approx(0.5 * np.arange(1, 12))
+        else:
+            assert str(exc.value) == "state rejected (failure at t = 5)"
+        assert records == [(0.0, 0.0), (2.0, 4.0), (4.0, 8.0)]
 
     def test_rejects_negative_horizon(self):
         g = circle(64)
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
         with pytest.raises(ValueError):
-            march(stepper.step, ScalarField(g, np.ones(64)), 1e-3, -1.0)
+            march(stepper.step, np.ones(64), 1e-3, -1.0)
 
 
 class TestBurgersStepper:

@@ -11,6 +11,8 @@ benchmark.
 import ast
 import importlib
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,15 @@ def test_every_benchmark_config_parses(workloads):
             for item in workloads.build(name, 1, tiny):
                 cfg = parse_config_text(item.text, base_dir=item.base_dir)
                 assert cfg.scenario == item.scenario, (name, tiny, item.name)
+
+
+def test_parabolic_probes_run(monkeypatch):
+    # the probes call the steppers directly, so a change to the step
+    # contract shows here rather than in a later benchmark run
+    monkeypatch.syspath_prepend(str(ROOT))
+    probes = importlib.import_module("perfbench.probes")
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+                if m["name"].startswith("parabolic.") and m["name"].count(".") == 3]
+    got = probes.parabolic(steps=2, repeats=1)
+    assert declared and set(declared) <= set(got)
+    assert all(math.isfinite(got[name][0]) for name in declared)
