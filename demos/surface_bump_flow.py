@@ -28,10 +28,10 @@ traj = run_surface_of_revolution(
 
 print("surface of revolution, bump over the 0.5 -> 0.8 cone patch")
 print(f"{'t':>6} {'sup |K|':>12} {'sup |rho - line|':>18}")
-for state in traj.states:
-    dev = float(np.max(np.abs(state.rho.values - straight.values)))
-    supK = float(np.max(np.abs(state.K.values)))
-    print(f"{state.t:6.2f} {supK:12.3e} {dev:18.3e}")
+for t, fields in zip(traj.t, traj.fields):
+    dev = float(np.max(np.abs(fields["rho"] - straight.values)))
+    supK = float(np.max(np.abs(fields["K"])))
+    print(f"{t:6.2f} {supK:12.3e} {dev:18.3e}")
 
 # the arclength parametrization is preserved exactly by construction
 print(f"max arc residual over the run: {np.max(traj.series['arc_residual']):.2e}")

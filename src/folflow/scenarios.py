@@ -13,6 +13,10 @@ The drivers are all stepped by parabolic.march:
 * cole_hopf_rows: a forced Burgers velocity against the transform of the
   heat-reaction solution it should equal.
 
+Each of them returns a Trajectory: per record, one row of monitors (a line of
+trajectory.csv) and one dict of field arrays (the columns of a
+fields_<t>.csv), built by one record hook and appended together.
+
 SCENARIOS maps each scenario name to its Scenario declaration, which the
 config parser, `folflow list` and `folflow run` all read.  A declaration
 lists the config keys its run reads; the parser accepts no other keys and
@@ -30,48 +34,49 @@ from .curvature import conserved_quantity, riccati_residual, sc_mix_minus_T2
 from .errors import GapTooSmall, NonFiniteValue, NotConverged, ProfileDegenerate
 from .families import build_field
 from .fiber import (FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, build_grid,
-                    derivative, grad_log, integrate, laplacian)
-from .parabolic import PERIODIC, BurgersStepper, Dirichlet, HeatStepper, StepperConfig, march
+                    grad_log, integrate, laplacian)
+from .parabolic import (_BLOCK_DOUBLES, _BLOCK_ROWS, PERIODIC, BurgersStepper, Dirichlet,
+                        HeatStepper, StepperConfig, march)
 from .schrodinger import GroundState, eigencount, ground_state, spectrum, weyl_theta
 
 SLOPE_TOL = 1e-8
 
 
 @dataclass
-class _Recorded:
-    """A trajectory's rows, one per record; series holds the same values by column."""
+class Trajectory:
+    """A run's records in time order: rows[i] holds record i's monitors and
+    fields[i] its field arrays, keyed by the fields_<t>.csv columns."""
 
+    grid: FiberGrid
     rows: list[dict]
+    fields: list[dict[str, np.ndarray]]
 
     @property
     def series(self) -> dict[str, np.ndarray]:
+        """The rows by column."""
         return {key: np.array([row[key] for row in self.rows]) for key in self.rows[0]}
 
+    @property
+    def t(self) -> np.ndarray:
+        return np.array([row["t"] for row in self.rows])
 
-def _append_row(rows: list[dict], row: dict):
-    bad = [key for key, value in row.items() if not np.isfinite(value)]
-    if bad:
-        raise NonFiniteValue(f"recorded value(s) {bad} not finite")
-    rows.append(row)
+    def append(self, row: dict, fields: dict[str, np.ndarray]):
+        """Append one record.  Each field array is copied and frozen, so a
+        record shares no memory with the march state or another record."""
+        owned = {name: np.array(values, dtype=float) for name, values in fields.items()}
+        for vals in owned.values():
+            if not np.isfinite(vals).all():
+                raise NonFiniteValue("field values must be finite")
+            vals.flags.writeable = False
+        bad = [key for key, value in row.items() if not np.isfinite(value)]
+        if bad:
+            raise NonFiniteValue(f"recorded value(s) {bad} not finite")
+        self.rows.append(row)
+        self.fields.append(owned)
 
 
 # ---------------------------------------------------------------------------
 # surface of revolution
-
-
-@dataclass(frozen=True)
-class SurfaceState:
-    t: float
-    rho: ScalarField
-    h: ScalarField
-    k: ScalarField
-    K: ScalarField
-    conformal_factor: ScalarField
-
-
-@dataclass
-class SurfaceTrajectory(_Recorded):
-    states: list[SurfaceState]
 
 
 @dataclass
@@ -103,30 +108,7 @@ def _profile_failure(rho: np.ndarray, slope: np.ndarray):
         "the surface is no longer a graph over arclength")
 
 
-def _surface_state(grid, rho, rho0_vals, t) -> tuple[SurfaceState, float]:
-    """The recorded surface and its arclength residual: h is rebuilt from
-    sqrt(1 - slope^2), and the constraint is measured against that slope."""
-    slope = derivative(rho).values
-    bad = _profile_failure(rho.values[None], slope[None])
-    if bad is not None:
-        raise bad[1]
-    h_slope = np.sqrt(np.maximum(1.0 - slope * slope, 0.0))
-    h = _cumtrapz(h_slope, grid.spacing)
-    k = -slope / rho.values
-    kk = -laplacian(rho).values / rho.values
-    conf = (rho.values / rho0_vals) ** 2
-    state = SurfaceState(
-        t=t,
-        rho=rho,
-        h=ScalarField(grid, h),
-        k=ScalarField(grid, k),
-        K=ScalarField(grid, kk),
-        conformal_factor=ScalarField(grid, conf),
-    )
-    return state, float(np.max(np.abs(slope ** 2 + h_slope ** 2 - 1.0)))
-
-
-def run_surface_of_revolution(cfg: SurfaceConfig) -> SurfaceTrajectory:
+def run_surface_of_revolution(cfg: SurfaceConfig) -> Trajectory:
     """Evolve a revolution profile by d(rho)/dt = rho_xx and track curvatures.
 
     Interval profiles keep their endpoint radii fixed; circle profiles are
@@ -142,8 +124,7 @@ def run_surface_of_revolution(cfg: SurfaceConfig) -> SurfaceTrajectory:
     h, periodic = grid.spacing, grid.periodic
     int_k_gauss = np.zeros(grid.n_points)
     gauss_prev = -laplacian(rho0).values / rho0.values
-    states: list[SurfaceState] = []
-    rows: list[dict] = []
+    traj = Trajectory(grid, [], [])
 
     def advance(ts, block):
         # the profile guard on every row before K = -rho_xx/rho is formed,
@@ -159,46 +140,40 @@ def run_surface_of_revolution(cfg: SurfaceConfig) -> SurfaceTrajectory:
         gauss_prev = gauss[-1]
 
     def record(t, rho):
-        state, arc_residual = _surface_state(grid, ScalarField(grid, rho), rho0.values, t)
-        states.append(state)
-        _append_row(rows, {
+        # the profile guard, then h rebuilt from sqrt(1 - slope^2), with the
+        # arclength constraint measured against that slope
+        slope = _diff1(rho, h, periodic)
+        bad = _profile_failure(rho[None], slope[None])
+        if bad is not None:
+            raise bad[1]
+        h_slope = np.sqrt(np.maximum(1.0 - slope * slope, 0.0))
+        k = -slope / rho
+        kk = -_diff2(rho, h, periodic) / rho
+        conf = (rho / rho0.values) ** 2
+        traj.append({
             "t": t,
-            "sup_K": float(np.max(np.abs(state.K.values))),
-            "sup_k": float(np.max(np.abs(state.k.values))),
-            "min_rho": float(np.min(state.rho.values)),
-            "arc_residual": arc_residual,
-            "riccati_res": riccati_residual(state.k, state.K),
-            "conformal_dev": float(
-                np.max(np.abs(np.exp(-2.0 * int_k_gauss) - state.conformal_factor.values))
-            ),
-        })
+            "sup_K": float(np.max(np.abs(kk))),
+            "sup_k": float(np.max(np.abs(k))),
+            "min_rho": float(np.min(rho)),
+            "arc_residual": float(np.max(np.abs(slope ** 2 + h_slope ** 2 - 1.0))),
+            "riccati_res": riccati_residual(ScalarField(grid, k), ScalarField(grid, kk)),
+            "conformal_dev": float(np.max(np.abs(np.exp(-2.0 * int_k_gauss) - conf))),
+        }, {"rho": rho, "h": _cumtrapz(h_slope, h), "k": k, "K": kk, "conformal_factor": conf})
 
     march(stepper.step, rho0.values, cfg.dt, cfg.t_end, cfg.record_every, advance, record)
-    return SurfaceTrajectory(rows=rows, states=states)
+    return traj
 
 
-def _on_record_grid(states: list) -> list:
-    """The records taken every record_every steps.
+def _on_record_grid(t: np.ndarray) -> int:
+    """How many leading records were taken every record_every steps.
 
     march also records after the last step; when record_every does not
     divide the step count, that record falls between grid times and is
     left out.
     """
-    if len(states) > 2:
-        last, spacing = states[-1].t - states[-2].t, states[1].t - states[0].t
-        if last < (1.0 - 1e-9) * spacing:
-            return states[:-1]
-    return states
-
-
-def _record_spacing(states: list) -> float:
-    """The uniform time between records, over at least three of them."""
-    if len(states) < 3:
-        raise ValueError("need at least three recorded states")
-    dts = np.diff([s.t for s in states])
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
-        raise ValueError("records are not uniformly spaced in time")
-    return float(dts[0])
+    if len(t) > 2 and t[-1] - t[-2] < (1.0 - 1e-9) * (t[1] - t[0]):
+        return len(t) - 1
+    return len(t)
 
 
 def linear_interpolant(grid: FiberGrid, left: float, right: float) -> ScalarField:
@@ -206,7 +181,7 @@ def linear_interpolant(grid: FiberGrid, left: float, right: float) -> ScalarFiel
     return ScalarField(grid, left + (right - left) * grid.x / grid.length)
 
 
-def surface_evolution_crosscheck(traj: SurfaceTrajectory) -> dict[str, float]:
+def surface_evolution_crosscheck(traj: Trajectory) -> dict[str, float]:
     """Residuals of dk/dt = d/dx(K) and dK/dt = N(N(K)) - 2k N(K), N = d/dx.
 
     Time derivatives are centered over the records taken every record_every
@@ -215,22 +190,29 @@ def surface_evolution_crosscheck(traj: SurfaceTrajectory) -> dict[str, float]:
     one-sided end stencils are second order individually but do not compose
     to second order, and the identity is a property of the interior dynamics.
     """
-    states = _on_record_grid(traj.states)
-    dt_rec = _record_spacing(states)
-    view = slice(None) if states[0].rho.grid.periodic else slice(3, -3)
-    res_k = 0.0
-    res_cap = 0.0
-    for j in range(1, len(states) - 1):
-        prev_s, cur, nxt = states[j - 1], states[j], states[j + 1]
-        nk = derivative(cur.K).values
-        dk_dt = (nxt.k.values - prev_s.k.values) / (2.0 * dt_rec)
-        res_k = max(res_k, float(np.max(np.abs((dk_dt - nk)[view]))))
-        nnk = derivative(ScalarField(cur.K.grid, nk)).values
-        dk_cap = (nxt.K.values - prev_s.K.values) / (2.0 * dt_rec)
-        res_cap = max(
-            res_cap,
-            float(np.max(np.abs((dk_cap - (nnk - 2.0 * cur.k.values * nk))[view]))),
-        )
+    t = traj.t
+    m = _on_record_grid(t)
+    if m < 3:
+        raise ValueError("need at least three recorded states")
+    dts = np.diff(t[:m])
+    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
+        raise ValueError("records are not uniformly spaced in time")
+    g = traj.grid
+    view = slice(None) if g.periodic else slice(3, -3)
+    res_k = res_cap = 0.0
+    # stacks of march's block size, one record per row, keep the temporaries
+    # small; a stack holds its centered records and their two neighbours
+    size = max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // g.n_points))
+    for lo in range(1, m - 1, size):
+        records = traj.fields[lo - 1:min(lo + size, m - 1) + 1]
+        k, kk = (np.array([rec[name] for rec in records]) for name in ("k", "K"))
+        nk = _diff1(kk[1:-1], g.spacing, g.periodic)
+        nnk = _diff1(nk, g.spacing, g.periodic)
+        dk_dt = (k[2:] - k[:-2]) / (2.0 * dts[0])
+        dk_cap = (kk[2:] - kk[:-2]) / (2.0 * dts[0])
+        res_k = max(res_k, float(np.max(np.abs((dk_dt - nk)[:, view]))))
+        res_cap = max(res_cap, float(np.max(
+            np.abs((dk_cap - (nnk - 2.0 * k[1:-1] * nk))[:, view]))))
     return {"k_residual": res_k, "K_residual": res_cap}
 
 
@@ -238,20 +220,10 @@ def surface_evolution_crosscheck(traj: SurfaceTrajectory) -> dict[str, float]:
 # twisted products
 
 
-@dataclass(frozen=True)
-class TwistedState:
-    t: float
-    f: tuple[ScalarField, ...]
-    H: tuple[VectorAlongFiber, ...]
-
-    @property
-    def base_points(self) -> int:
-        return len(self.f)
-
-
 @dataclass
-class TwistedTrajectory(_Recorded):
-    states: list[TwistedState]
+class TwistedTrajectory(Trajectory):
+    """Records f_<i>, H_<i> per base slice i; fiber_means are the slice limits."""
+
     fiber_means: np.ndarray
 
 
@@ -287,50 +259,41 @@ def run_twisted_product(cfg: TwistedConfig) -> TwistedTrajectory:
     stepper = HeatStepper(grid, None, StepperConfig(cfg.dt, float(cfg.n), boundary=PERIODIC))
     means = np.array([integrate(f) / grid.length for f in slices])
     masses0 = np.array([integrate(f) for f in slices])
-    states: list[TwistedState] = []
-    rows: list[dict] = []
+    traj = TwistedTrajectory(grid, [], [], means)
 
     def record(t, columns):
-        fs = tuple(ScalarField(grid, col) for col in columns.T)
-        state = TwistedState(t, fs, tuple(grad_log(f, -1.0) for f in fs))
-        masses = np.array([integrate(f) for f in state.f])
-        states.append(state)
-        _append_row(rows, {
+        # each slice is summed on its own contiguous copy: a sum down the
+        # columns of the block adds in another order
+        fs = [ScalarField(grid, col) for col in columns.T]
+        hs = [grad_log(f, -1.0).values for f in fs]
+        masses = np.array([integrate(f) for f in fs])
+        traj.append({
             "t": t,
-            "sup_H": max(float(np.max(np.abs(h.values))) for h in state.H),
+            "sup_H": max(float(np.max(np.abs(H))) for H in hs),
             "mass_drift": float(np.max(np.abs(masses - masses0))),
             "sup_dist_to_mean": max(
-                float(np.max(np.abs(f.values - mean))) for f, mean in zip(state.f, means)
-            ),
-        })
+                float(np.max(np.abs(f.values - mean))) for f, mean in zip(fs, means)),
+        }, {f"{name}_{i}": vals for i, (f, H) in enumerate(zip(fs, hs))
+            for name, vals in (("f", f.values), ("H", H))})
 
     # one column per slice, all stepped by one multi-column solve
     march(stepper.step, np.column_stack([f.values for f in slices]), cfg.dt, cfg.t_end,
           cfg.record_every, on_record=record)
-    return TwistedTrajectory(rows=rows, states=states, fiber_means=means)
+    return traj
 
 
 # ---------------------------------------------------------------------------
 # normalized fiber-bundle flow
 
 
-@dataclass(frozen=True)
-class NormalizedState:
-    t: float
-    u: ScalarField
-    H: VectorAlongFiber
-    betaD: ScalarField
-    T2: ScalarField
-    scmixT2: ScalarField
-    Phi: float
-
-
 @dataclass
-class NormalizedTrajectory(_Recorded):
-    states: list[NormalizedState]
+class NormalizedTrajectory(Trajectory):
+    """Records u, H, betaD, T2, scmixT2; the rest are results of the whole run."""
+
     ground: GroundState
     Phi: float
     n: int
+    betaD: ScalarField
     growth_exponent: ScalarField
 
 
@@ -396,8 +359,7 @@ def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
     scmix = normalized_scmix(cfg.u0.values, betaD, n)
     exponent = np.zeros(grid.n_points)
     t2_0_vals = cfg.T2_0.values
-    states: list[NormalizedState] = []
-    rows: list[dict] = []
+    traj = Trajectory(grid, [], [])
     q0 = None
     mask0 = None
 
@@ -414,44 +376,35 @@ def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
         exponent = np.add.accumulate(terms, axis=0)[-1]
         scmix = new[-1]
 
-    def record(t, u_vals):
+    def record(t, u):
         nonlocal q0, mask0
-        u = ScalarField(grid, u_vals)
         t2 = ScalarField(grid, t2_0_vals * np.exp(exponent))
-        h_field = grad_log(u, -float(n))
+        h_field = grad_log(ScalarField(grid, u), -float(n))
         q, mask = conserved_quantity(h_field, t2, n, cfg.eps_T)
         if q0 is None:
             q0, mask0 = q, mask
         both = mask & mask0
-        hu = -laplacian(u).values - betaD.values * u.values
-        states.append(NormalizedState(t, u, h_field, betaD, t2, ScalarField(grid, scmix), phi))
-        _append_row(rows, {
+        hu = -_diff2(u, grid.spacing, grid.periodic) - betaD.values * u
+        traj.append({
             "t": t,
             "sup_dev_scmix": float(np.max(np.abs(scmix - phi))),
-            # numpy division: a norm that underflowed to 0 gives a non-finite
-            # row (NonFiniteValue), not a ZeroDivisionError
-            "rayleigh": float(
-                np.float64(integrate(ScalarField(grid, u.values * hu))) / integrate(u * u)
-            ),
+            # integrate's h * sum on both sides, in numpy arithmetic: an
+            # overflowed or underflowed norm makes this row non-finite
+            "rayleigh": float((grid.spacing * np.sum(u * hu)) / (grid.spacing * np.sum(u * u))),
             "lambda0": gs.lambda0,
             "gap": gs.gap,
-            "min_u": float(np.min(u.values)),
+            "min_u": float(np.min(u)),
             "betaD_drift": 0.0,
             "conservation_drift": (
                 float(np.max(np.abs(q[both] - q0[both]))) if np.any(both) else 0.0
             ),
             "h_dev": float(np.max(np.abs(h_field.values - h_limit.values))),
-        })
+        }, {"u": u, "H": h_field.values, "betaD": betaD.values, "T2": t2.values,
+            "scmixT2": scmix})
 
     march(stepper.step, cfg.u0.values, cfg.dt, cfg.t_end, cfg.record_every, advance, record)
-    return NormalizedTrajectory(
-        rows=rows,
-        states=states,
-        ground=gs,
-        Phi=phi,
-        n=n,
-        growth_exponent=ScalarField(grid, exponent),
-    )
+    return NormalizedTrajectory(grid, traj.rows, traj.fields, gs, phi, n, betaD,
+                                ScalarField(grid, exponent))
 
 
 @dataclass(frozen=True)
@@ -471,16 +424,16 @@ def positivity_verdict(traj: NormalizedTrajectory, converged_tol: float = 1e-5) 
     divided by max betaD: an empirical stand-in for the non-effective
     constant in front of max betaD.
     """
-    final = traj.states[-1]
-    dev = float(np.max(np.abs(final.scmixT2.values - traj.Phi)))
+    final = traj.fields[-1]
+    dev = float(np.max(np.abs(final["scmixT2"] - traj.Phi)))
     if dev > converged_tol:
         raise NotConverged(
             f"normalized quantity still {dev:g} from its limit (tolerance {converged_tol:g}); "
             "run longer before asking for the limit sign"
         )
-    limit = ScalarField(final.u.grid, final.T2.values + final.scmixT2.values)
+    limit = ScalarField(traj.grid, final["T2"] + final["scmixT2"])
     min_val = float(np.min(limit.values))
-    max_beta = float(np.max(final.betaD.values))
+    max_beta = float(np.max(traj.betaD.values))
     lam0 = traj.ground.lambda0
     if lam0 < 0.0 and max_beta > 0.0:
         needed = float(np.max(-traj.n * lam0 * np.exp(-traj.growth_exponent.values)))
@@ -539,41 +492,27 @@ def fit_decay_rate(
 # velocity against transformed density
 
 
-@dataclass(frozen=True)
-class ColeHopfState:
-    t: float
-    u: ScalarField
-    H_direct: VectorAlongFiber
-    nu: float
-
-    @property
-    def H_transformed(self) -> VectorAlongFiber:
-        return grad_log(self.u, -self.nu)
-
-
 def cole_hopf_rows(grid: FiberGrid, u0: ScalarField, forcing: ScalarField, nu: float,
-                   dt: float, t_end: float, record_every: int):
+                   dt: float, t_end: float, record_every: int) -> Trajectory:
     """Step dH/dt + (H^2)_y = nu*H_yy - nu^2*forcing_y and d(u)/dt = nu*(u_yy + forcing*u)
     side by side from H = -nu*(log u0)_y; rows hold the sup distance between H
-    and the transform -nu*(log u)_y.  Returns (rows, the recorded states)."""
+    and the transform -nu*(log u)_y."""
     ucfg = StepperConfig(dt, float(nu), boundary=PERIODIC)
     heat = HeatStepper(grid, ScalarField(grid, nu * forcing.values), ucfg)
     burg = BurgersStepper(grid, forcing, ucfg)
-    rows: list[dict] = []
-    states: list[ColeHopfState] = []
+    traj = Trajectory(grid, [], [])
 
     def record(t, pair):
-        st = ColeHopfState(t, ScalarField(grid, pair[0]), VectorAlongFiber(grid, pair[1]),
-                           float(nu))
-        diff = st.H_direct.values - st.H_transformed.values
-        _append_row(rows, {"t": t, "sup_diff": float(np.max(np.abs(diff)))})
-        states.append(st)
+        u, H = pair
+        transformed = grad_log(ScalarField(grid, u), -float(nu)).values
+        traj.append({"t": t, "sup_diff": float(np.max(np.abs(H - transformed)))},
+                    {"H_direct": H, "H_transformed": transformed, "u": u})
 
     # the state is the pair (u, H), one row each
     march(lambda s: np.array((heat.step(s[0]), burg.step(s[1]))),
           np.array((u0.values, grad_log(u0, -float(nu)).values)), dt, t_end, record_every,
           on_record=record)
-    return rows, states
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -589,17 +528,11 @@ def _field(cfg, grid: FiberGrid, which: str) -> ScalarField:
     return build_field(grid, spec.family, spec.params)
 
 
-def _chosen(states: list, wanted) -> list:
-    """The recorded states nearest each wanted snapshot time, in time order."""
-    ts = np.array([st.t for st in states])
-    return [states[i] for i in sorted({int(np.argmin(np.abs(ts - t))) for t in wanted})]
-
-
-def _snapshots(states: list, wanted, scenario: str) -> dict:
-    """The declared snapshot fields of the chosen states, read off their attributes."""
-    names = SCENARIOS[scenario].fields
-    return {st.t: {name: getattr(st, name).values for name in names}
-            for st in _chosen(states, wanted)}
+def _snapshots(traj: Trajectory, wanted) -> dict:
+    """The field arrays of the records nearest each wanted time, in time order."""
+    ts = traj.t
+    return {traj.rows[i]["t"]: traj.fields[i]
+            for i in sorted({int(np.argmin(np.abs(ts - t))) for t in wanted})}
 
 
 def _run_surface(cfg):
@@ -609,24 +542,23 @@ def _run_surface(cfg):
         grid=grid, rho0=rho0, dt=cfg.time.dt, t_end=cfg.time.t_end,
         record_every=cfg.time.record_every,
     ))
-    snaps = _snapshots(traj.states, cfg.time.snapshots, "surface")
-    final = traj.states[-1]
+    final = traj.fields[-1]
     if grid.periodic:
         limit = integrate(rho0) / grid.length
     else:
         limit = linear_interpolant(grid, float(rho0.values[0]), float(rho0.values[-1])).values
     series = traj.series
     summary = {
-        "final_t": final.t,
-        "sup_K_final": float(np.max(np.abs(final.K.values))),
-        "min_rho_final": float(np.min(final.rho.values)),
-        "limit_profile_dev": float(np.max(np.abs(final.rho.values - limit))),
+        "final_t": traj.rows[-1]["t"],
+        "sup_K_final": float(np.max(np.abs(final["K"]))),
+        "min_rho_final": float(np.min(final["rho"])),
+        "limit_profile_dev": float(np.max(np.abs(final["rho"] - limit))),
         "max_conformal_dev": float(np.max(series["conformal_dev"])),
         "max_arc_residual": float(np.max(series["arc_residual"])),
     }
-    if len(_on_record_grid(traj.states)) >= 3:
+    if _on_record_grid(series["t"]) >= 3:
         summary["evolution_crosscheck"] = surface_evolution_crosscheck(traj)
-    return traj.rows, snaps, summary
+    return traj.rows, _snapshots(traj, cfg.time.snapshots), summary
 
 
 def _run_twisted(cfg):
@@ -637,22 +569,15 @@ def _run_twisted(cfg):
         f0_slices=tuple(ScalarField(grid, a * profile.values) for a in cfg.base_values),
         dt=cfg.time.dt, t_end=cfg.time.t_end, record_every=cfg.time.record_every,
     ))
-    snaps = {}
-    for st in _chosen(traj.states, cfg.time.snapshots):
-        data = {}
-        for i, (f, h) in enumerate(zip(st.f, st.H)):
-            data[f"f_{i}"] = f.values
-            data[f"H_{i}"] = h.values
-        snaps[st.t] = data
     series = traj.series
     summary = {
-        "final_t": traj.states[-1].t,
+        "final_t": traj.rows[-1]["t"],
         "fiber_means": list(traj.fiber_means),
         "final_sup_dist_to_mean": float(series["sup_dist_to_mean"][-1]),
         "max_mass_drift": float(np.max(series["mass_drift"])),
         "n_rank": cfg.n_rank,
     }
-    return traj.rows, snaps, summary
+    return traj.rows, _snapshots(traj, cfg.time.snapshots), summary
 
 
 def _run_normalized(cfg):
@@ -665,22 +590,21 @@ def _run_normalized(cfg):
         dt=cfg.time.dt, t_end=cfg.time.t_end, record_every=cfg.time.record_every,
         gap_min=cfg.tolerances.gap_min, eps_T=cfg.tolerances.eps_t,
     ))
-    snaps = _snapshots(traj.states, cfg.time.snapshots, "normalized")
-    final = traj.states[-1]
+    final = traj.fields[-1]
     series = traj.series
-    velocity_form = sc_mix_minus_T2(final.H, traj.n, final.betaD)
+    velocity_form = sc_mix_minus_T2(VectorAlongFiber(grid, final["H"]), traj.n, traj.betaD)
     summary = {
         "lambda0": traj.ground.lambda0,
         "lambda1": traj.ground.lambda1,
         "gap": traj.ground.gap,
         "Phi": traj.Phi,
-        "final_t": final.t,
+        "final_t": traj.rows[-1]["t"],
         "final_sup_dev_scmix": float(series["sup_dev_scmix"][-1]),
         "final_h_dev": float(series["h_dev"][-1]),
         "max_betaD_drift": float(np.max(series["betaD_drift"])),
         "max_conservation_drift": float(np.max(series["conservation_drift"])),
         "velocity_form_dev": float(
-            np.max(np.abs(velocity_form.values - final.scmixT2.values))
+            np.max(np.abs(velocity_form.values - final["scmixT2"]))
         ),
         "target_rate": traj.n * traj.ground.gap,
     }
@@ -704,23 +628,22 @@ def _run_normalized(cfg):
         }
     except NotConverged as err:
         summary["positivity"] = {"converged": False, "reason": str(err)}
-    return traj.rows, snaps, summary
+    return traj.rows, _snapshots(traj, cfg.time.snapshots), summary
 
 
 def _run_cole_hopf_check(cfg):
     grid = _grid(cfg)
     u0 = _field(cfg, grid, "initial")
     nu = cfg.n_rank
-    rows, states = cole_hopf_rows(grid, u0, _field(cfg, grid, "potential"), nu,
-                                  cfg.time.dt, cfg.time.t_end, cfg.time.record_every)
-    snaps = _snapshots(states, cfg.time.snapshots, "cole_hopf_check")
+    traj = cole_hopf_rows(grid, u0, _field(cfg, grid, "potential"), nu,
+                          cfg.time.dt, cfg.time.t_end, cfg.time.record_every)
     fine = build_grid(grid.topology, grid.length, 2 * grid.n_points)
-    rows_fine, _ = cole_hopf_rows(
+    refined = cole_hopf_rows(
         fine, _field(cfg, fine, "initial"), _field(cfg, fine, "potential"), nu,
         0.5 * cfg.time.dt, cfg.time.t_end, 2 * cfg.time.record_every,
     )
-    max_coarse = max(row["sup_diff"] for row in rows)
-    max_fine = max(row["sup_diff"] for row in rows_fine)
+    max_coarse = max(row["sup_diff"] for row in traj.rows)
+    max_fine = max(row["sup_diff"] for row in refined.rows)
     # no order to observe when either run matches its transform exactly
     order = float(np.log2(max_coarse / max_fine)) if min(max_coarse, max_fine) > 0.0 else None
     summary = {
@@ -730,7 +653,7 @@ def _run_cole_hopf_check(cfg):
         "observed_order": order,
         "roundtrip_residual_u0": colehopf.roundtrip_residual(u0, nu),
     }
-    return rows, snaps, summary
+    return traj.rows, _snapshots(traj, cfg.time.snapshots), summary
 
 
 def _random_trig_potential(grid: FiberGrid, rng) -> ScalarField:

@@ -200,9 +200,9 @@ def test_criterion_6_surface_limit(acceptance_verdicts):
     rho0 = ScalarField(g, interp.values + 0.1 * np.sin(np.pi * g.x))
     traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=3.0,
                                                    record_every=1000))
-    final = traj.states[-1]
-    profile_dev = float(np.max(np.abs(final.rho.values - interp.values)))
-    sup_K = float(np.max(np.abs(final.K.values)))
+    final = traj.fields[-1]
+    profile_dev = float(np.max(np.abs(final["rho"] - interp.values)))
+    sup_K = float(np.max(np.abs(final["K"])))
     arc = float(np.max(traj.series["arc_residual"]))
     conformal = float(np.max(traj.series["conformal_dev"]))
     elapsed = time.perf_counter() - start
@@ -272,7 +272,7 @@ def test_criterion_8_twisted_product_limit(acceptance_verdicts):
     traj = run_twisted_product(TwistedConfig(g, 2, (f0,), dt=1e-3, t_end=1.0,
                                              record_every=100))
     exact = 0.5 * (1.0 + 0.3 * np.exp(-2.0) * np.cos(g.x))
-    rel = float(np.max(np.abs(traj.states[-1].f[0].values - exact))
+    rel = float(np.max(np.abs(traj.fields[-1]["f_0"] - exact))
                 / np.max(np.abs(exact)))
 
     amps = [0.3 + 0.1 * np.cos(b) for b in (0.0, np.pi / 3, 2.0)]

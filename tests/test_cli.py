@@ -320,7 +320,8 @@ class TestBlockEdges:
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     @pytest.mark.parametrize("text, error", [
-        (OVERFLOW_RUN, "NonFiniteValue: field values must be finite (failure at t = 0.87)"),
+        (OVERFLOW_RUN, "NonFiniteValue: recorded value(s) ['rayleigh'] not finite "
+                       "(failure at t = 0.87)"),
         (DEGENERATE_RUN, "ProfileDegenerate: profile slope |rho_x| = 1.2 exceeds 1; "
                          "the surface is no longer a graph over arclength (failure at t = 0)"),
     ], ids=["overflow", "degenerate"])
@@ -345,6 +346,18 @@ def catalog_lists(text: str, pattern: str = r"trajectory\((.*)\)") -> dict:
     return lists
 
 
+def field_columns(declared: list, cfg) -> list:
+    """The fields_<t>.csv columns after x that a fields(...) declaration
+    names: `<name>_i` repeats per base slice, and `e0, e1, ...` runs to one
+    column per mode."""
+    if declared[-1] == "...":
+        head = declared[:declared.index("e0")]
+        return [*head, *(f"e{j}" for j in range(cfg.modes))]
+    if all(name.endswith("_i") for name in declared):
+        return [f"{name[:-2]}_{i}" for i in range(len(cfg.base_values)) for name in declared]
+    return declared
+
+
 class TestListCommand:
     def test_catalog_names_every_scenario(self, capsys):
         assert main(["list"]) == 0
@@ -367,8 +380,10 @@ class TestListCommand:
 
     def test_catalog_columns_match_trajectory_header(self, tmp_path, capsys):
         main(["list"])
-        listed = catalog_lists(capsys.readouterr().out)
-        assert set(listed) == set(SHORT_RUNS)
+        catalog = capsys.readouterr().out
+        listed = catalog_lists(catalog)
+        declared = catalog_lists(catalog, r"fields\((.*)\)")
+        assert set(listed) == set(SHORT_RUNS) == set(declared)
         for name, text in SHORT_RUNS.items():
             cfg = tmp_path / f"{name}.yaml"
             cfg.write_text(text)
@@ -376,6 +391,11 @@ class TestListCommand:
             assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0, name
             header = (out / "trajectory.csv").read_text().splitlines()[0]
             assert header.split(",") == listed[name], name
+            columns = ["x", *field_columns(declared[name], parse_config_text(text))]
+            snapshots = sorted(out.glob("fields_*.csv"))
+            assert snapshots, name
+            for path in snapshots:
+                assert path.read_text().splitlines()[0].split(",") == columns, path.name
 
     def test_catalog_keys_are_the_keys_each_scenario_accepts(self, capsys):
         main(["list"])

@@ -1,9 +1,11 @@
-"""Metamorphic properties of the steppers and the stencils.
+"""Metamorphic properties of the steppers, the stencils, the Schrodinger
+operator and the Cole-Hopf transform.
 
 Each property follows from the structure of the equations, not from stored
 reference data: linearity, translation and reflection symmetry on a circle,
-the conservation laws, held interval ends, and equality of blocked and
-one-field evaluation.
+the conservation laws, held interval ends, equality of blocked and
+one-field evaluation, the spectral shift and lower bound, and the gauge
+freedom u -> c*u of the transform.
 
 Roundoff tolerances come from the condition of the step.  A Crank-Nicolson
 step forms B @ u with B = I + c*A and solves with M = I - c*A, c = dt/2,
@@ -14,12 +16,24 @@ most UNITS * eps * ||B|| * ||M^-1|| * ||u||_inf.  UNITS bounds the rounded
 operations per row, 3 in B @ u and 2 in each of the forward and back
 substitutions, times 2 for the growth factor of an elimination without
 pivoting on a diagonally dominant matrix: 2 * (3 + 2 + 2) = 14, rounded up.
+
+Symmetric eigenvalues are perfectly conditioned: a backward error E moves
+each one by at most ||E||_2 (Weyl), and the unit ground state by at most
+||E||_2 / gap (Davis-Kahan).  Assembly rounds each diagonal entry, and the
+dense solve and the shift-invert solve about sigma are backward stable, so
+||E||_2 <= UNITS * eps * (||A||_2 + |sigma|), with ||A||_2 <= 4/h^2 + max|f|
+by Gershgorin; at the sizes drawn here (n <= 64) the growth of the solvers'
+constants with n stays inside UNITS.  A sampled log(u) is off by at most
+eps * (1 + |log u|): one rounding of the product c*u, one of the log.
 """
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from folflow.fiber import ScalarField, VectorAlongFiber, _diff1, _diff2, build_grid, integrate
+from folflow.fiber import (ScalarField, VectorAlongFiber, _diff1, _diff2, build_grid, grad_log,
+                           integrate)
 from folflow.parabolic import PERIODIC, BurgersStepper, Dirichlet, HeatStepper, StepperConfig
+from folflow.scenarios import cole_hopf_rows
+from folflow.schrodinger import ground_state, spectrum
 
 EPS = np.finfo(float).eps
 UNITS = 16
@@ -175,3 +189,114 @@ class TestShapes:
         for diff in (_diff1, _diff2):
             each = np.array([diff(row.copy(), grid.spacing, grid.periodic) for row in block])
             assert np.array_equal(diff(block, grid.spacing, grid.periodic), each)
+
+
+@st.composite
+def potentials(draw, topology=st.sampled_from(["circle", "interval"])):
+    """A grid, a random potential of size 0.1 to 10 about a random offset, rough
+    or nearly flat (where lambda0 is near -max(f)), and a constant of that size."""
+    grid = build_grid(draw(topology), draw(st.sampled_from([1.0, 2 * np.pi, 7.5])),
+                      draw(st.integers(16, 64)))
+    amp = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    noise = draw(st.sampled_from([0.01, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    offset, c = amp * rng.uniform(-5.0, 5.0, size=2)
+    return grid, offset + noise * amp * rng.normal(size=grid.n_points), c
+
+
+def eigen_scale(grid, f) -> float:
+    """||A||_2 + |sigma| for A = -Lap - diag(f) and the Lanczos shift -max(f) - 1."""
+    return 4.0 / grid.spacing ** 2 + np.max(np.abs(f)) + abs(np.max(f)) + 1.0
+
+
+def mirror(grid, vals):
+    """The reflection that maps the grid onto itself."""
+    return reflect(vals) if grid.periodic else vals[::-1]
+
+
+class TestSchrodingerOperator:
+    @PROPERTY
+    @given(case=potentials())
+    def test_constant_shifts_lambda0(self, case):
+        grid, f, c = case
+        moved = ground_state(ScalarField(grid, f + c)).lambda0
+        defect = abs(moved - (ground_state(ScalarField(grid, f)).lambda0 - c))
+        assert defect <= UNITS * EPS * (eigen_scale(grid, f) + eigen_scale(grid, f + c))
+
+    @PROPERTY
+    @given(case=potentials())
+    def test_reflected_potential_has_the_same_spectrum(self, case):
+        grid, f, _ = case
+        m = 6
+        same = spectrum(ScalarField(grid, mirror(grid, f)), m).eigenvalues
+        defect = np.max(np.abs(same - spectrum(ScalarField(grid, f), m).eigenvalues))
+        assert defect <= 2 * UNITS * EPS * eigen_scale(grid, f)
+
+    @PROPERTY
+    @given(case=potentials(topology=st.just("circle")))
+    def test_constant_potential_has_constant_ground_state(self, case):
+        # a constant is the unit ground state 1/sqrt(L); the error in the
+        # discrete unit vector is divided by sqrt(h) in the field's L2 scaling
+        grid, _, c = case
+        f = np.full(grid.n_points, c)
+        gs = ground_state(ScalarField(grid, f))
+        defect = np.max(np.abs(gs.e0.values - 1.0 / np.sqrt(grid.length)))
+        bound = UNITS * EPS * eigen_scale(grid, f) / gs.gap / np.sqrt(grid.spacing)
+        assert defect <= bound
+        assert abs(gs.lambda0 + c) <= UNITS * EPS * eigen_scale(grid, f)
+
+    @PROPERTY
+    @given(case=potentials())
+    def test_lambda0_is_at_least_minus_max_potential(self, case):
+        # -Lap is positive semidefinite, so the Rayleigh quotient is >= -max(f)
+        grid, f, _ = case
+        lam0 = ground_state(ScalarField(grid, f)).lambda0
+        assert lam0 + np.max(f) >= -UNITS * EPS * eigen_scale(grid, f)
+
+
+@st.composite
+def gauge_cases(draw, topology=st.sampled_from(["circle", "interval"])):
+    """A grid, a positive field, a gauge factor c = 2^k and a scale."""
+    grid = build_grid(draw(topology), draw(st.sampled_from([1.0, 2 * np.pi, 7.5])),
+                      draw(st.integers(16, 48)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = draw(st.sampled_from([1e-3, 1.0, 1e3])) * np.exp(0.5 * rng.normal(size=grid.n_points))
+    return grid, u, 2.0 ** draw(st.integers(-30, 30)), draw(st.sampled_from([-2.0, -1.0, 0.5]))
+
+
+def gauge_defect_bound(grid, u, c, scale) -> float:
+    """Roundoff in scale * (grad log(c*u) - grad log(u)): log c cancels in
+    the stencil, a node's two sampled logs differ from it by at most
+    3 * eps * (1 + max|log|) (two logs, one product), and the stencil
+    weights sum to at most 4/h (an interval end): 12, inside UNITS."""
+    logs = max(np.max(np.abs(np.log(c * u))), np.max(np.abs(np.log(u))))
+    return UNITS * EPS * abs(scale) * (1.0 + logs) / grid.spacing
+
+
+class TestColeHopfGauge:
+    @PROPERTY
+    @given(case=gauge_cases())
+    def test_grad_log_ignores_the_scale_of_u(self, case):
+        grid, u, c, scale = case
+        defect = np.max(np.abs(grad_log(ScalarField(grid, c * u), scale).values
+                               - grad_log(ScalarField(grid, u), scale).values))
+        assert defect <= gauge_defect_bound(grid, u, c, scale)
+
+    @settings(PROPERTY, max_examples=10)
+    @given(case=gauge_cases(topology=st.just("circle")), nu=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_sup_diff_ignores_the_scale_of_u0(self, case, nu):
+        # c = 2^k scales the linear heat march exactly, so the runs differ
+        # only through the initial velocities, off by the gauge bound, and
+        # the Burgers steps' own roundoff; both grow at most like
+        # exp(2 * max|H_x| * t) (maximum principle for the linearized flow)
+        grid, u, c, _ = case
+        forcing = 0.3 * np.cos(grid.x)
+        dt, steps = 1e-3, 40
+        runs = [cole_hopf_rows(grid, ScalarField(grid, a * u), ScalarField(grid, forcing), nu,
+                               dt, steps * dt, 10) for a in (1.0, c)]
+        diffs = [np.array([row["sup_diff"] for row in run.rows]) for run in runs]
+        H = np.array([rec["H_direct"] for rec in runs[0].fields])
+        growth = np.exp(2.0 * np.max(np.abs(_diff1(H, grid.spacing, True))) * steps * dt)
+        start = gauge_defect_bound(grid, u, c, nu)
+        per_step = 4 * UNITS * EPS * burgers_scale(grid, dt, nu, H, forcing)
+        assert np.max(np.abs(diffs[1] - diffs[0])) <= growth * (start + steps * per_step) + start

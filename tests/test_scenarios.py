@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
+from folflow import parabolic, scenarios
 from folflow.errors import GapTooSmall, NotConverged, ProfileDegenerate
 from folflow.fiber import ScalarField, build_grid, derivative, integrate
 from folflow.scenarios import (
     NormalizedConfig,
     SurfaceConfig,
     TwistedConfig,
+    cole_hopf_rows,
     fit_decay_rate,
     linear_interpolant,
     positivity_verdict,
@@ -33,8 +35,8 @@ class TestSurfaceRun:
         rho0 = ScalarField(g, interp.values + 0.1 * np.sin(np.pi * g.x))
         traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=0.5,
                                                        record_every=1000))
-        dev0 = np.max(np.abs(traj.states[0].rho.values - interp.values))
-        devT = np.max(np.abs(traj.states[-1].rho.values - interp.values))
+        dev0 = np.max(np.abs(traj.fields[0]["rho"] - interp.values))
+        devT = np.max(np.abs(traj.fields[-1]["rho"] - interp.values))
         # the bump decays at rate pi^2, three decades by t = 0.5
         assert devT <= dev0 * np.exp(-np.pi ** 2 * 0.5) * 1.01
         assert np.all(np.diff(traj.series["sup_K"]) <= 1e-12)
@@ -51,7 +53,7 @@ class TestSurfaceRun:
         g = build_grid("interval", 1.0, 201)
         rho0 = ScalarField(g, linear_interpolant(g, 0.5, 0.8).values)
         traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=0.0))
-        h = traj.states[0].h.values
+        h = traj.fields[0]["h"]
         assert h[0] == 0.0
         assert np.all(np.diff(h) > 0.0)
         # profile slope 0.3 gives axial slope sqrt(1 - 0.09)
@@ -72,10 +74,10 @@ class TestSurfaceRun:
         rho0 = ScalarField(g, 3.0 + 0.5 * np.cos(g.x))
         traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=0.5,
                                                        record_every=2500))
-        for st in traj.states:
-            total = integrate(ScalarField(g, st.K.values * st.rho.values))
+        for rec in traj.fields:
+            total = integrate(ScalarField(g, rec["K"] * rec["rho"]))
             assert abs(total) <= 1e-12
-            assert integrate(st.K) <= 0.0
+            assert integrate(ScalarField(g, rec["K"])) <= 0.0
 
     def test_pinched_profile_rejected(self):
         # diffusion can only raise the minimum, so a nonpositive radius is
@@ -128,10 +130,10 @@ class TestSurfaceCrosscheck:
                                                        record_every=1000))
         stepper = BurgersStepper(g, ScalarField(g, np.zeros(256)),
                                  StepperConfig(dt, 1.0, boundary=PERIODIC))
-        H = VectorAlongFiber(g, traj.states[0].k.values)
+        H = VectorAlongFiber(g, traj.fields[0]["k"])
         for _ in range(1000):
             H = stepper.step(H)
-        assert np.max(np.abs(H.values - traj.states[-1].k.values)) <= 1e-5
+        assert np.max(np.abs(H.values - traj.fields[-1]["k"])) <= 1e-5
 
 
 class TestLinearInterpolant:
@@ -153,7 +155,7 @@ class TestTwistedRun:
         f0 = ScalarField(g, 0.5 * (1.0 + 0.3 * np.cos(g.x)))
         traj = run_twisted_product(TwistedConfig(g, 2, (f0,), dt=1e-3, t_end=1.0,
                                                  record_every=100))
-        fT = traj.states[-1].f[0].values
+        fT = traj.fields[-1]["f_0"]
         exact = 0.5 * (1.0 + 0.3 * np.exp(-2.0) * np.cos(g.x))
         rel = np.max(np.abs(fT - exact)) / np.max(np.abs(exact))
         assert rel <= 1e-5
@@ -204,10 +206,10 @@ class TestNormalizedRun:
                                ScalarField(g, np.full(128, 1.0)),
                                ScalarField(g, np.full(128, 4.0)), dt=1e-3, t_end=1.0)
         traj = run_normalized_flow(cfg)
-        final = traj.states[-1]
+        final = traj.fields[-1]
         assert abs(traj.ground.lambda0) <= 1e-12
-        assert np.max(np.abs(final.scmixT2.values)) <= 1e-10
-        assert np.max(np.abs(final.T2.values - 4.0)) <= 1e-10
+        assert np.max(np.abs(final["scmixT2"])) <= 1e-10
+        assert np.max(np.abs(final["T2"] - 4.0)) <= 1e-10
 
     def test_constant_potential_shifts_the_limit_exactly(self):
         g = circle(128)
@@ -289,6 +291,52 @@ class TestNormalizedRun:
         h_dev = traj.series["h_dev"]
         assert h_dev[-1] <= 1e-3
         assert h_dev[-1] < h_dev[0]
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def _short_run(flow: str):
+    """A few steps of one stepped flow, recorded every 3 steps and at the end."""
+    g = circle(32)
+    bump = ScalarField(g, 1.0 + 0.3 * np.cos(g.x))
+    if flow == "surface":
+        line = build_grid("interval", 1.0, 33)
+        rho0 = ScalarField(line, 0.5 + 0.3 * line.x + 0.05 * np.sin(np.pi * line.x))
+        return run_surface_of_revolution(SurfaceConfig(line, rho0, dt=1e-3, t_end=0.01,
+                                                       record_every=3))
+    if flow == "twisted":
+        return run_twisted_product(TwistedConfig(g, 2, (bump, 0.5 * bump), dt=1e-3,
+                                                 t_end=0.01, record_every=3))
+    if flow == "normalized":
+        return run_normalized_flow(NormalizedConfig(g, 2, ScalarField(g, 0.2 * bump.values),
+                                                    bump, bump, dt=1e-3, t_end=0.01,
+                                                    record_every=3))
+    return cole_hopf_rows(g, bump, ScalarField(g, 0.2 * bump.values), 1.0, 1e-3, 0.01, 3)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("flow", ["surface", "twisted", "normalized", "cole_hopf"])
+    def test_recorded_arrays_are_read_only_and_own_their_memory(self, monkeypatch, flow, rows):
+        # no view of the march state or block buffer, and none shared between
+        # records, whatever the block length
+        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        finals = []
+
+        def march(*args, **kwargs):
+            finals.append(parabolic.march(*args, **kwargs))
+            return finals[-1]
+
+        monkeypatch.setattr(scenarios, "march", march)
+        traj = _short_run(flow)
+        arrays = [values for record in traj.fields for values in record.values()]
+        assert len(traj.fields) == len(traj.rows) == 5
+        assert not any(values.flags.writeable for values in arrays)
+        for i, values in enumerate(arrays):
+            assert not np.shares_memory(values, finals[0])
+            assert not any(np.shares_memory(values, other) for other in arrays[i + 1:])
 
 
 class TestFitDecayRate:

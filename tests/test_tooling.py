@@ -1,5 +1,5 @@
 """The benchmark's hooks into the package: every name it traces or imports
-resolves, and every config it runs parses.
+resolves, and every config it runs parses; and every demo runs.
 
 perfbench wraps the functions listed in perfbench.tracer.TRACED (methods are
 read from the class body), its probes import steppers and solvers by name,
@@ -9,10 +9,13 @@ a workload config names, must fail here, not in a later run of the
 benchmark.
 """
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import math
+import runpy
 from pathlib import Path
 
 import pytest
@@ -75,3 +78,13 @@ def test_parabolic_probes_run(monkeypatch):
     got = probes.parabolic(steps=2, repeats=1)
     assert declared and set(declared) <= set(got)
     assert all(math.isfinite(got[name][0]) for name in declared)
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    # the demos read the flows' results directly, so an API change that
+    # leaves one behind shows here
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(demo), run_name="__main__")
+    assert out.getvalue()
