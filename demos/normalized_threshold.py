@@ -11,11 +11,7 @@ spectral term, none leaves it negative.
 import numpy as np
 
 from folflow import ScalarField, build_grid
-from folflow.scenarios import (
-    NormalizedConfig,
-    positivity_verdict,
-    run_normalized_flow,
-)
+from folflow.scenarios import positivity_verdict, run_normalized_flow
 
 grid = build_grid("circle", 2 * np.pi, 256)
 n = 2
@@ -25,11 +21,8 @@ ones = ScalarField(grid, np.ones(grid.n_points))
 
 def run(T2_uniform, t_end):
     return run_normalized_flow(
-        NormalizedConfig(
-            grid, n, betaD, u0=ones,
-            T2_0=ScalarField(grid, np.full(grid.n_points, T2_uniform)),
-            dt=1e-3, t_end=t_end, record_every=500,
-        )
+        ones, betaD, ScalarField(grid, np.full(grid.n_points, T2_uniform)), n,
+        dt=1e-3, t_end=t_end, record_every=500,
     )
 
 

@@ -10,11 +10,7 @@ between its boundary radii: the flat cone patch.
 import numpy as np
 
 from folflow import ScalarField, build_grid
-from folflow.scenarios import (
-    SurfaceConfig,
-    linear_interpolant,
-    run_surface_of_revolution,
-)
+from folflow.scenarios import linear_interpolant, run_surface_of_revolution
 
 grid = build_grid("interval", 1.0, 201)
 straight = linear_interpolant(grid, 0.5, 0.8)
@@ -22,9 +18,7 @@ straight = linear_interpolant(grid, 0.5, 0.8)
 # sin(pi x) vanishes at both ends, so the boundary radii stay admissible
 rho0 = ScalarField(grid, straight.values + 0.1 * np.sin(np.pi * grid.x))
 
-traj = run_surface_of_revolution(
-    SurfaceConfig(grid, rho0, dt=1e-4, t_end=3.0, record_every=2000)
-)
+traj = run_surface_of_revolution(rho0, dt=1e-4, t_end=3.0, record_every=2000)
 
 print("surface of revolution, bump over the 0.5 -> 0.8 cone patch")
 print(f"{'t':>6} {'sup |K|':>12} {'sup |rho - line|':>18}")

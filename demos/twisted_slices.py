@@ -2,7 +2,7 @@
 import numpy as np
 
 from folflow import ScalarField, build_grid, integrate
-from folflow.scenarios import TwistedConfig, run_twisted_product
+from folflow.scenarios import run_twisted_product
 
 grid = build_grid("circle", 2 * np.pi, 256)
 
@@ -13,9 +13,7 @@ slices = tuple(
     ScalarField(grid, a * (1.0 + 0.3 * np.cos(grid.x))) for a in amps
 )
 
-traj = run_twisted_product(
-    TwistedConfig(grid, n=2, f0_slices=slices, dt=1e-3, t_end=6.0, record_every=600)
-)
+traj = run_twisted_product(slices, n=2, dt=1e-3, t_end=6.0, record_every=600)
 
 print("twisted product with 3 base slices, n = 2")
 print("predicted limits are the fiber means of the initial slices:")
@@ -34,10 +32,8 @@ for t, dist, supH, drift in zip(
 # single-mode initial data has a closed form: the cosine amplitude decays
 # like exp(-n t) while the mean never moves
 single = run_twisted_product(
-    TwistedConfig(
-        grid, 2, (ScalarField(grid, 0.5 * (1.0 + 0.3 * np.cos(grid.x))),),
-        dt=1e-3, t_end=1.0, record_every=1000,
-    )
+    (ScalarField(grid, 0.5 * (1.0 + 0.3 * np.cos(grid.x))),), 2,
+    dt=1e-3, t_end=1.0, record_every=1000,
 )
 exact = 0.5 * (1.0 + 0.3 * np.exp(-2.0) * np.cos(grid.x))
 first, last = (ScalarField(grid, single.fields[i]["f_0"]) for i in (0, -1))

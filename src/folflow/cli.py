@@ -23,10 +23,11 @@ from .artifacts import (
     write_summary,
     write_trajectory,
 )
-from .config import RunConfig, config_to_dict, parse_config, realize_grid
+from .config import (FIELD_KEYS, RunConfig, config_to_dict, parse_config, realize_field,
+                     realize_grid)
 from .errors import FolflowError, ParseError, ValidationError
 from .fiber import grad_log  # noqa: F401  perfbench's traced-run test checks this binding
-from .scenarios import COMMON_KEYS, SCENARIOS
+from .scenarios import COMMON_KEYS, SCENARIOS, snapshots
 
 
 def list_scenarios() -> str:
@@ -58,8 +59,11 @@ def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
     scenario = SCENARIOS[cfg.scenario]
     started = time.perf_counter()
     try:
+        grid = realize_grid(cfg)
+        fields = {which: realize_field(cfg, which) for which in FIELD_KEYS
+                  if which in scenario.keys}
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows, snaps, summary = scenario.run(cfg)
+            traj, summary = scenario.run(cfg, grid, fields)
     except FolflowError as err:
         write_summary(out_dir / "summary.json", {
             "status": "failed",
@@ -68,10 +72,9 @@ def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
             "meta": {"wall_clock_s": time.perf_counter() - started},
         })
         raise
-    write_trajectory(out_dir / "trajectory.csv", list(rows[0]), rows)
-    x = realize_grid(cfg).x
-    for t, fields in snaps.items():
-        write_fields(out_dir / snapshot_name(t), x, fields)
+    write_trajectory(out_dir / "trajectory.csv", list(traj.rows[0]), traj.rows)
+    for t, values in snapshots(traj, cfg.time.snapshots).items():
+        write_fields(out_dir / snapshot_name(t), grid.x, values)
     write_summary(out_dir / "summary.json", {
         "status": "ok",
         "config": config_to_dict(cfg),

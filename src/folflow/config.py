@@ -330,9 +330,8 @@ def _scenario_errors(cfg: RunConfig, grid: FiberGrid) -> list[str]:
     for which in FIELD_KEYS:
         if which not in scenario.keys:
             continue
-        spec = getattr(cfg, which)
         try:
-            fields[which] = build_field(grid, spec.family, spec.params)
+            fields[which] = realize_field(cfg, which)
         except (ValueError, OSError) as err:
             errs.append(f"{which}: {err}")
     return errs + scenario.check(cfg, grid, fields)

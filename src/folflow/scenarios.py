@@ -13,7 +13,8 @@ The drivers are all stepped by parabolic.march:
 * cole_hopf_rows: a forced Burgers velocity against the transform of the
   heat-reaction solution it should equal.
 
-Each of them returns a Trajectory: per record, one row of monitors (a line of
+Each of them takes its input fields, runs on the one grid they share, and
+returns a Trajectory: per record, one row of monitors (a line of
 trajectory.csv) and one dict of field arrays (the columns of a
 fields_<t>.csv), built by one record hook and appended together.
 
@@ -75,17 +76,23 @@ class Trajectory:
         self.fields.append(owned)
 
 
+def snapshots(traj: Trajectory, wanted) -> dict:
+    """The field arrays of the records nearest each wanted time, in time order."""
+    ts = traj.t
+    return {traj.rows[i]["t"]: traj.fields[i]
+            for i in sorted({int(np.argmin(np.abs(ts - t))) for t in wanted})}
+
+
+def _shared_grid(*fields: ScalarField) -> FiberGrid:
+    """The one grid all input fields live on."""
+    grids = {f.grid for f in fields}
+    if len(grids) != 1:
+        raise ValueError("input fields live on different grids")
+    return grids.pop()
+
+
 # ---------------------------------------------------------------------------
 # surface of revolution
-
-
-@dataclass
-class SurfaceConfig:
-    grid: FiberGrid
-    rho0: ScalarField
-    dt: float
-    t_end: float
-    record_every: int = 10
 
 
 def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
@@ -108,19 +115,17 @@ def _profile_failure(rho: np.ndarray, slope: np.ndarray):
         "the surface is no longer a graph over arclength")
 
 
-def run_surface_of_revolution(cfg: SurfaceConfig) -> Trajectory:
+def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
+                              record_every: int = 10) -> Trajectory:
     """Evolve a revolution profile by d(rho)/dt = rho_xx and track curvatures.
 
     Interval profiles keep their endpoint radii fixed; circle profiles are
     closed tori.  The conformal factor (rho/rho0)^2 is cross-checked against
     exp(-2 * int_0^t K) accumulated along the run.
     """
-    grid = cfg.grid
-    rho0 = cfg.rho0
-    if rho0.grid != grid:
-        raise ValueError("initial profile lives on a different grid")
+    grid = rho0.grid
     boundary = PERIODIC if grid.periodic else Dirichlet(float(rho0.values[0]), float(rho0.values[-1]))
-    stepper = HeatStepper(grid, None, StepperConfig(cfg.dt, 1.0, boundary=boundary))
+    stepper = HeatStepper(grid, None, StepperConfig(dt, 1.0, boundary=boundary))
     h, periodic = grid.spacing, grid.periodic
     int_k_gauss = np.zeros(grid.n_points)
     gauss_prev = -laplacian(rho0).values / rho0.values
@@ -134,16 +139,17 @@ def run_surface_of_revolution(cfg: SurfaceConfig) -> Trajectory:
         if bad is not None:
             return bad
         gauss = -_diff2(block, h, periodic) / block
-        terms = 0.5 * cfg.dt * (np.vstack([gauss_prev, gauss[:-1]]) + gauss)
+        terms = 0.5 * dt * (np.vstack([gauss_prev, gauss[:-1]]) + gauss)
         terms[0] += int_k_gauss
         int_k_gauss = np.add.accumulate(terms, axis=0)[-1]
         gauss_prev = gauss[-1]
 
     def record(t, rho):
-        # the profile guard, then h rebuilt from sqrt(1 - slope^2), with the
+        # advance guarded every stepped profile, so only the initial one is
+        # checked here; then h rebuilt from sqrt(1 - slope^2), with the
         # arclength constraint measured against that slope
         slope = _diff1(rho, h, periodic)
-        bad = _profile_failure(rho[None], slope[None])
+        bad = None if traj.rows else _profile_failure(rho[None], slope[None])
         if bad is not None:
             raise bad[1]
         h_slope = np.sqrt(np.maximum(1.0 - slope * slope, 0.0))
@@ -160,7 +166,7 @@ def run_surface_of_revolution(cfg: SurfaceConfig) -> Trajectory:
             "conformal_dev": float(np.max(np.abs(np.exp(-2.0 * int_k_gauss) - conf))),
         }, {"rho": rho, "h": _cumtrapz(h_slope, h), "k": k, "K": kk, "conformal_factor": conf})
 
-    march(stepper.step, rho0.values, cfg.dt, cfg.t_end, cfg.record_every, advance, record)
+    march(stepper.step, rho0.values, dt, t_end, record_every, advance, record)
     return traj
 
 
@@ -227,36 +233,24 @@ class TwistedTrajectory(Trajectory):
     fiber_means: np.ndarray
 
 
-@dataclass
-class TwistedConfig:
-    grid: FiberGrid
-    n: int
-    f0_slices: tuple[ScalarField, ...]
-    dt: float
-    t_end: float
-    record_every: int = 10
-
-
-def run_twisted_product(cfg: TwistedConfig) -> TwistedTrajectory:
+def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
+                        record_every: int = 10) -> TwistedTrajectory:
     """Evolve each base slice of the warping function by d(f)/dt = n * f_yy.
 
     The fiber is closed; every slice keeps its fiber mass and relaxes to its
     own fiber mean, which is reported as the limit value per slice.
     """
-    grid = cfg.grid
-    if not grid.periodic:
-        raise ValueError("twisted-product fibers must be closed (circle topology)")
-    if cfg.n < 1:
-        raise ValueError("distribution rank must be at least 1")
-    slices = list(cfg.f0_slices)
+    slices = list(f0_slices)
     if not slices:
         raise ValueError("need at least one base slice")
-    for f in slices:
-        if f.grid != grid:
-            raise ValueError("slice lives on a different grid")
-        if np.min(f.values) <= 0.0:
-            raise ValueError("warping slices must be strictly positive")
-    stepper = HeatStepper(grid, None, StepperConfig(cfg.dt, float(cfg.n), boundary=PERIODIC))
+    grid = _shared_grid(*slices)
+    if not grid.periodic:
+        raise ValueError("twisted-product fibers must be closed (circle topology)")
+    if n < 1:
+        raise ValueError("distribution rank must be at least 1")
+    if any(np.min(f.values) <= 0.0 for f in slices):
+        raise ValueError("warping slices must be strictly positive")
+    stepper = HeatStepper(grid, None, StepperConfig(dt, float(n), boundary=PERIODIC))
     means = np.array([integrate(f) / grid.length for f in slices])
     masses0 = np.array([integrate(f) for f in slices])
     traj = TwistedTrajectory(grid, [], [], means)
@@ -277,8 +271,8 @@ def run_twisted_product(cfg: TwistedConfig) -> TwistedTrajectory:
             for name, vals in (("f", f.values), ("H", H))})
 
     # one column per slice, all stepped by one multi-column solve
-    march(stepper.step, np.column_stack([f.values for f in slices]), cfg.dt, cfg.t_end,
-          cfg.record_every, on_record=record)
+    march(stepper.step, np.column_stack([f.values for f in slices]), dt, t_end, record_every,
+          on_record=record)
     return traj
 
 
@@ -297,20 +291,6 @@ class NormalizedTrajectory(Trajectory):
     growth_exponent: ScalarField
 
 
-@dataclass
-class NormalizedConfig:
-    grid: FiberGrid
-    n: int
-    betaD: ScalarField
-    u0: ScalarField
-    T2_0: ScalarField
-    dt: float
-    t_end: float
-    record_every: int = 10
-    gap_min: float = 1e-6
-    eps_T: float = 1e-8
-
-
 def normalized_scmix(u: np.ndarray, betaD: ScalarField, n: int) -> np.ndarray:
     """Sc_mix - |T|^2 along the flow, evaluated through the positive solution:
     -n * (u_xx + betaD * u) / u, for one u or a block of them, one per row.
@@ -320,45 +300,45 @@ def normalized_scmix(u: np.ndarray, betaD: ScalarField, n: int) -> np.ndarray:
     return -n * (_diff2(u, g.spacing, g.periodic) + betaD.values * u) / u
 
 
-def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
+def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, n: int,
+                        dt: float, t_end: float, record_every: int = 10,
+                        gap_min: float = 1e-6, eps_T: float = 1e-8) -> NormalizedTrajectory:
     """Drive du/dt = n*(u_xx + betaD*u) and transport |T|^2 alongside.
 
     |T|^2 is updated each step by the exponential integrating factor
     exp(4 * (Sc_mix - |T|^2 - Phi) dt) with the trapezoid average of the
     exponent, so zeros of |T|^2 persist exactly and the sign never flips.
     """
-    grid = cfg.grid
+    grid = _shared_grid(u0, betaD, T2_0)
     if not grid.periodic:
         raise ValueError("normalized flow runs on closed fibers (circle topology)")
-    if cfg.n < 1:
+    if n < 1:
         raise ValueError("distribution rank must be at least 1")
-    beta_min = float(np.min(cfg.betaD.values))
+    beta_min = float(np.min(betaD.values))
     if beta_min < -1e-12:
         raise ValueError(f"betaD must be nonnegative, min value {beta_min}")
-    betaD = ScalarField(grid, np.maximum(cfg.betaD.values, 0.0))
-    if np.min(cfg.u0.values) <= 0.0:
+    betaD = ScalarField(grid, np.maximum(betaD.values, 0.0))
+    if np.min(u0.values) <= 0.0:
         raise ValueError("u0 must be strictly positive")
-    if np.min(cfg.T2_0.values) < 0.0:
+    if np.min(T2_0.values) < 0.0:
         raise ValueError("|T|^2 must be nonnegative")
 
     gs = ground_state(betaD)
-    if gs.gap < cfg.gap_min:
+    if gs.gap < gap_min:
         raise GapTooSmall(
-            f"spectral gap {gs.gap:g} below {cfg.gap_min:g}; "
+            f"spectral gap {gs.gap:g} below {gap_min:g}; "
             "convergence rates are not resolvable"
         )
-    n = cfg.n
     phi = n * gs.lambda0
     h_limit = grad_log(gs.e0, -float(n))
 
     stepper = HeatStepper(
         grid,
         ScalarField(grid, n * betaD.values),
-        StepperConfig(cfg.dt, float(n), boundary=PERIODIC),
+        StepperConfig(dt, float(n), boundary=PERIODIC),
     )
-    scmix = normalized_scmix(cfg.u0.values, betaD, n)
+    scmix = normalized_scmix(u0.values, betaD, n)
     exponent = np.zeros(grid.n_points)
-    t2_0_vals = cfg.T2_0.values
     traj = Trajectory(grid, [], [])
     q0 = None
     mask0 = None
@@ -371,16 +351,16 @@ def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
         finite = np.isfinite(new).all(axis=1)
         if not finite.all():
             return int(np.argmin(finite)), NonFiniteValue("field values must be finite")
-        terms = 4.0 * cfg.dt * (0.5 * (np.vstack([scmix, new[:-1]]) + new) - phi)
+        terms = 4.0 * dt * (0.5 * (np.vstack([scmix, new[:-1]]) + new) - phi)
         terms[0] += exponent
         exponent = np.add.accumulate(terms, axis=0)[-1]
         scmix = new[-1]
 
     def record(t, u):
         nonlocal q0, mask0
-        t2 = ScalarField(grid, t2_0_vals * np.exp(exponent))
+        t2 = ScalarField(grid, T2_0.values * np.exp(exponent))
         h_field = grad_log(ScalarField(grid, u), -float(n))
-        q, mask = conserved_quantity(h_field, t2, n, cfg.eps_T)
+        q, mask = conserved_quantity(h_field, t2, n, eps_T)
         if q0 is None:
             q0, mask0 = q, mask
         both = mask & mask0
@@ -402,7 +382,7 @@ def run_normalized_flow(cfg: NormalizedConfig) -> NormalizedTrajectory:
         }, {"u": u, "H": h_field.values, "betaD": betaD.values, "T2": t2.values,
             "scmixT2": scmix})
 
-    march(stepper.step, cfg.u0.values, cfg.dt, cfg.t_end, cfg.record_every, advance, record)
+    march(stepper.step, u0.values, dt, t_end, record_every, advance, record)
     return NormalizedTrajectory(grid, traj.rows, traj.fields, gs, phi, n, betaD,
                                 ScalarField(grid, exponent))
 
@@ -492,11 +472,12 @@ def fit_decay_rate(
 # velocity against transformed density
 
 
-def cole_hopf_rows(grid: FiberGrid, u0: ScalarField, forcing: ScalarField, nu: float,
-                   dt: float, t_end: float, record_every: int) -> Trajectory:
+def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, t_end: float,
+                   record_every: int) -> Trajectory:
     """Step dH/dt + (H^2)_y = nu*H_yy - nu^2*forcing_y and d(u)/dt = nu*(u_yy + forcing*u)
     side by side from H = -nu*(log u0)_y; rows hold the sup distance between H
     and the transform -nu*(log u)_y."""
+    grid = _shared_grid(u0, forcing)
     ucfg = StepperConfig(dt, float(nu), boundary=PERIODIC)
     heat = HeatStepper(grid, ScalarField(grid, nu * forcing.values), ucfg)
     burg = BurgersStepper(grid, forcing, ucfg)
@@ -516,32 +497,12 @@ def cole_hopf_rows(grid: FiberGrid, u0: ScalarField, forcing: ScalarField, nu: f
 
 
 # ---------------------------------------------------------------------------
-# scenario declarations: run(cfg) -> (rows, snapshots, summary) and checks
+# scenario declarations: run(cfg, grid, fields) -> (Trajectory, summary) and checks
 
 
-def _grid(cfg) -> FiberGrid:
-    return build_grid(cfg.grid.topology, cfg.grid.length, cfg.grid.n_points)
-
-
-def _field(cfg, grid: FiberGrid, which: str) -> ScalarField:
-    spec = getattr(cfg, which)
-    return build_field(grid, spec.family, spec.params)
-
-
-def _snapshots(traj: Trajectory, wanted) -> dict:
-    """The field arrays of the records nearest each wanted time, in time order."""
-    ts = traj.t
-    return {traj.rows[i]["t"]: traj.fields[i]
-            for i in sorted({int(np.argmin(np.abs(ts - t))) for t in wanted})}
-
-
-def _run_surface(cfg):
-    grid = _grid(cfg)
-    rho0 = _field(cfg, grid, "initial")
-    traj = run_surface_of_revolution(SurfaceConfig(
-        grid=grid, rho0=rho0, dt=cfg.time.dt, t_end=cfg.time.t_end,
-        record_every=cfg.time.record_every,
-    ))
+def _run_surface(cfg, grid, fields):
+    rho0 = fields["initial"]
+    traj = run_surface_of_revolution(rho0, cfg.time.dt, cfg.time.t_end, cfg.time.record_every)
     final = traj.fields[-1]
     if grid.periodic:
         limit = integrate(rho0) / grid.length
@@ -558,17 +519,14 @@ def _run_surface(cfg):
     }
     if _on_record_grid(series["t"]) >= 3:
         summary["evolution_crosscheck"] = surface_evolution_crosscheck(traj)
-    return traj.rows, _snapshots(traj, cfg.time.snapshots), summary
+    return traj, summary
 
 
-def _run_twisted(cfg):
-    grid = _grid(cfg)
-    profile = _field(cfg, grid, "initial")
-    traj = run_twisted_product(TwistedConfig(
-        grid=grid, n=cfg.n_rank,
-        f0_slices=tuple(ScalarField(grid, a * profile.values) for a in cfg.base_values),
-        dt=cfg.time.dt, t_end=cfg.time.t_end, record_every=cfg.time.record_every,
-    ))
+def _run_twisted(cfg, grid, fields):
+    profile = fields["initial"]
+    traj = run_twisted_product(
+        tuple(ScalarField(grid, a * profile.values) for a in cfg.base_values), cfg.n_rank,
+        cfg.time.dt, cfg.time.t_end, cfg.time.record_every)
     series = traj.series
     summary = {
         "final_t": traj.rows[-1]["t"],
@@ -577,19 +535,14 @@ def _run_twisted(cfg):
         "max_mass_drift": float(np.max(series["mass_drift"])),
         "n_rank": cfg.n_rank,
     }
-    return traj.rows, _snapshots(traj, cfg.time.snapshots), summary
+    return traj, summary
 
 
-def _run_normalized(cfg):
-    grid = _grid(cfg)
-    traj = run_normalized_flow(NormalizedConfig(
-        grid=grid, n=cfg.n_rank,
-        betaD=_field(cfg, grid, "potential"),
-        u0=_field(cfg, grid, "initial"),
-        T2_0=_field(cfg, grid, "t2_initial"),
-        dt=cfg.time.dt, t_end=cfg.time.t_end, record_every=cfg.time.record_every,
-        gap_min=cfg.tolerances.gap_min, eps_T=cfg.tolerances.eps_t,
-    ))
+def _run_normalized(cfg, grid, fields):
+    traj = run_normalized_flow(
+        fields["initial"], fields["potential"], fields["t2_initial"], cfg.n_rank,
+        cfg.time.dt, cfg.time.t_end, cfg.time.record_every,
+        gap_min=cfg.tolerances.gap_min, eps_T=cfg.tolerances.eps_t)
     final = traj.fields[-1]
     series = traj.series
     velocity_form = sc_mix_minus_T2(VectorAlongFiber(grid, final["H"]), traj.n, traj.betaD)
@@ -628,19 +581,17 @@ def _run_normalized(cfg):
         }
     except NotConverged as err:
         summary["positivity"] = {"converged": False, "reason": str(err)}
-    return traj.rows, _snapshots(traj, cfg.time.snapshots), summary
+    return traj, summary
 
 
-def _run_cole_hopf_check(cfg):
-    grid = _grid(cfg)
-    u0 = _field(cfg, grid, "initial")
-    nu = cfg.n_rank
-    traj = cole_hopf_rows(grid, u0, _field(cfg, grid, "potential"), nu,
-                          cfg.time.dt, cfg.time.t_end, cfg.time.record_every)
+def _run_cole_hopf_check(cfg, grid, fields):
+    u0, nu = fields["initial"], cfg.n_rank
+    traj = cole_hopf_rows(u0, fields["potential"], nu, cfg.time.dt, cfg.time.t_end,
+                          cfg.time.record_every)
     fine = build_grid(grid.topology, grid.length, 2 * grid.n_points)
     refined = cole_hopf_rows(
-        fine, _field(cfg, fine, "initial"), _field(cfg, fine, "potential"), nu,
-        0.5 * cfg.time.dt, cfg.time.t_end, 2 * cfg.time.record_every,
+        *(build_field(fine, spec.family, spec.params) for spec in (cfg.initial, cfg.potential)),
+        nu, 0.5 * cfg.time.dt, cfg.time.t_end, 2 * cfg.time.record_every,
     )
     max_coarse = max(row["sup_diff"] for row in traj.rows)
     max_fine = max(row["sup_diff"] for row in refined.rows)
@@ -653,7 +604,7 @@ def _run_cole_hopf_check(cfg):
         "observed_order": order,
         "roundtrip_residual_u0": colehopf.roundtrip_residual(u0, nu),
     }
-    return traj.rows, _snapshots(traj, cfg.time.snapshots), summary
+    return traj, summary
 
 
 def _random_trig_potential(grid: FiberGrid, rng) -> ScalarField:
@@ -665,9 +616,8 @@ def _random_trig_potential(grid: FiberGrid, rng) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def _run_spectral_report(cfg):
-    grid = _grid(cfg)
-    f = _field(cfg, grid, "potential")
+def _run_spectral_report(cfg, grid, fields):
+    f = fields["potential"]
     gs = ground_state(f)
     dec = spectrum(f, cfg.modes)
     lam_top = float(dec.eigenvalues[-1])
@@ -675,11 +625,11 @@ def _run_spectral_report(cfg):
         weyl = eigencount(dec, lam_top) / (weyl_theta(grid) * np.sqrt(lam_top))
     else:
         weyl = 0.0
-    rows = [{"t": 0.0, "lambda0": gs.lambda0, "lambda1": gs.lambda1, "gap": gs.gap,
-             "weyl_ratio": weyl}]
-    snap = {"potential": f.values}
-    for j, ef in enumerate(dec.eigenfunctions):
-        snap[f"e{j}"] = ef.values
+    traj = Trajectory(grid, [], [])
+    traj.append({"t": 0.0, "lambda0": gs.lambda0, "lambda1": gs.lambda1, "gap": gs.gap,
+                 "weyl_ratio": weyl},
+                {"potential": f.values,
+                 **{f"e{j}": ef.values for j, ef in enumerate(dec.eigenfunctions)}})
     rng = np.random.default_rng(cfg.seed)
     bound_margin = None
     for _ in range(cfg.n_random):
@@ -696,7 +646,7 @@ def _run_spectral_report(cfg):
         "n_random": cfg.n_random,
         "min_bound_margin": bound_margin,
     }
-    return rows, {0.0: snap}, summary
+    return traj, summary
 
 
 def _positive_initial(cfg, fields: dict) -> list[str]:
@@ -745,6 +695,13 @@ def _check_normalized(cfg, grid, fields) -> list[str]:
     return errs
 
 
+def _check_cole_hopf(cfg, grid, fields) -> list[str]:
+    return _check_closed_flow(cfg, grid, fields) + [
+        f"{which}: cole_hopf_check evaluates it again on 2 * n_points nodes, "
+        "where from_csv has no values"
+        for which in ("initial", "potential") if getattr(cfg, which).family == "from_csv"]
+
+
 def _check_spectral(cfg, grid, fields) -> list[str]:
     errs = []
     if cfg.time.t_end != 0.0:
@@ -775,7 +732,7 @@ class Scenario:
     # fields_<t>.csv columns after x; i numbers the slices or modes
     fields: tuple[str, ...]
     plot_column: str
-    # run(cfg) -> (rows, {t: {field: values}}, summary)
+    # run(cfg, grid, realized fields) -> (Trajectory, summary)
     run: Callable
     # check(cfg, grid, realized fields) -> list of constraint violations
     check: Callable
@@ -840,7 +797,7 @@ SCENARIOS = {s.name: s for s in (
         fields=("H_direct", "H_transformed", "u"),
         plot_column="sup_diff",
         run=_run_cole_hopf_check,
-        check=_check_closed_flow,
+        check=_check_cole_hopf,
     ),
     Scenario(
         name="spectral_report",

@@ -22,9 +22,6 @@ from folflow.parabolic import (
 )
 from folflow.schrodinger import dense_spectrum, ground_state
 from folflow.scenarios import (
-    NormalizedConfig,
-    SurfaceConfig,
-    TwistedConfig,
     fit_decay_rate,
     linear_interpolant,
     positivity_verdict,
@@ -42,18 +39,10 @@ def normalized_run():
     """Shared flow over the cosine well, horizon 12/(n*gap), used by 3-5."""
     g = build_grid("circle", 2 * np.pi, 256)
     beta = ScalarField(g, 0.2 * (1.0 + np.cos(g.x)))
-    cfg = NormalizedConfig(
-        grid=g,
-        n=2,
-        betaD=beta,
-        u0=ScalarField(g, np.full(256, 1.0)),
-        T2_0=ScalarField(g, np.full(256, 16.0)),
-        dt=1e-3,
-        t_end=5.904,
-        record_every=24,
-    )
     start = time.perf_counter()
-    traj = run_normalized_flow(cfg)
+    traj = run_normalized_flow(ScalarField(g, np.full(256, 1.0)), beta,
+                               ScalarField(g, np.full(256, 16.0)), n=2, dt=1e-3, t_end=5.904,
+                               record_every=24)
     return traj, beta, time.perf_counter() - start
 
 
@@ -143,13 +132,9 @@ def test_criterion_4_limit_identity(normalized_run, acceptance_verdicts):
 
     # same well with no twist to start from: the limit drops to n*lambda0 < 0
     g = build_grid("circle", 2 * np.pi, 128)
-    bare = run_normalized_flow(NormalizedConfig(
-        grid=g, n=2,
-        betaD=ScalarField(g, 0.2 * (1.0 + np.cos(g.x))),
-        u0=ScalarField(g, np.full(128, 1.0)),
-        T2_0=ScalarField(g, np.zeros(128)),
-        dt=1e-3, t_end=6.0,
-    ))
+    bare = run_normalized_flow(ScalarField(g, np.full(128, 1.0)),
+                               ScalarField(g, 0.2 * (1.0 + np.cos(g.x))),
+                               ScalarField(g, np.zeros(128)), n=2, dt=1e-3, t_end=6.0)
     bare_report = positivity_verdict(bare)
     ok = (final_dev <= 1e-5 and report.positive_everywhere
           and not bare_report.positive_everywhere and bare_report.min_value < 0.0)
@@ -177,9 +162,8 @@ def test_criterion_5_conservation_suite(normalized_run, acceptance_verdicts):
           on_record=lambda t, u: masses.append(integrate(ScalarField(g, u))))
     heat_drift = abs(masses[-1] - masses[0]) / 2.0
 
-    tw = run_twisted_product(TwistedConfig(
-        g, 2, (ScalarField(g, 1.0 + 0.3 * np.cos(g.x)),), dt=1e-3, t_end=2.0,
-        record_every=500))
+    tw = run_twisted_product((ScalarField(g, 1.0 + 0.3 * np.cos(g.x)),), 2, dt=1e-3, t_end=2.0,
+                             record_every=500)
     tw_drift = float(np.max(tw.series["mass_drift"])) / 2.0
 
     ok = (beta_drift == 0.0 and drift <= 1e-6
@@ -198,8 +182,7 @@ def test_criterion_6_surface_limit(acceptance_verdicts):
     g = build_grid("interval", 1.0, 201)
     interp = linear_interpolant(g, 0.5, 0.8)
     rho0 = ScalarField(g, interp.values + 0.1 * np.sin(np.pi * g.x))
-    traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=3.0,
-                                                   record_every=1000))
+    traj = run_surface_of_revolution(rho0, dt=1e-4, t_end=3.0, record_every=1000)
     final = traj.fields[-1]
     profile_dev = float(np.max(np.abs(final["rho"] - interp.values)))
     sup_K = float(np.max(np.abs(final["K"])))
@@ -245,8 +228,7 @@ def test_criterion_7_curvature_identity_orders(acceptance_verdicts):
         g = build_grid("interval", 1.0, n_pts)
         interp = linear_interpolant(g, 0.5, 0.8)
         rho0 = ScalarField(g, interp.values + 0.1 * np.sin(np.pi * g.x))
-        traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=dt, t_end=0.05,
-                                                       record_every=50))
+        traj = run_surface_of_revolution(rho0, dt=dt, t_end=0.05, record_every=50)
         return surface_evolution_crosscheck(traj)
 
     coarse = cross(201, 1e-4)
@@ -269,16 +251,14 @@ def test_criterion_7_curvature_identity_orders(acceptance_verdicts):
 def test_criterion_8_twisted_product_limit(acceptance_verdicts):
     g = build_grid("circle", 2 * np.pi, 256)
     f0 = ScalarField(g, 0.5 * (1.0 + 0.3 * np.cos(g.x)))
-    traj = run_twisted_product(TwistedConfig(g, 2, (f0,), dt=1e-3, t_end=1.0,
-                                             record_every=100))
+    traj = run_twisted_product((f0,), 2, dt=1e-3, t_end=1.0, record_every=100)
     exact = 0.5 * (1.0 + 0.3 * np.exp(-2.0) * np.cos(g.x))
     rel = float(np.max(np.abs(traj.fields[-1]["f_0"] - exact))
                 / np.max(np.abs(exact)))
 
     amps = [0.3 + 0.1 * np.cos(b) for b in (0.0, np.pi / 3, 2.0)]
     slices = tuple(ScalarField(g, a * (1.0 + 0.3 * np.cos(g.x))) for a in amps)
-    relax = run_twisted_product(TwistedConfig(g, 2, slices, dt=1e-3, t_end=6.0,
-                                              record_every=1000))
+    relax = run_twisted_product(slices, 2, dt=1e-3, t_end=6.0, record_every=1000)
     mean_dev = float(relax.series["sup_dist_to_mean"][-1])
     means_err = float(np.max(np.abs(relax.fiber_means - np.array(amps))))
     ok = rel <= 1e-4 and mean_dev <= 1e-6 and means_err <= 1e-12

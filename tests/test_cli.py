@@ -20,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 from folflow import parabolic
 from folflow.artifacts import fmt, snapshot_name, write_fields
 from folflow.cli import execute_config, main
-from folflow.config import parse_config_text
+from folflow.config import parse_config, parse_config_text
 from folflow.errors import FolflowError, ValidationError
-from folflow.families import FAMILY_PARAMS
+from folflow.families import FAMILY_PARAMS, build_field
+from folflow.fiber import build_grid
 from folflow.scenarios import COMMON_KEYS, SCENARIOS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -188,8 +189,12 @@ class TestRunCommand:
         assert err["error"]["type"] == error
         assert summary_sans_meta(out)["error"] == err["error"]
 
-    @pytest.mark.parametrize("key", ["boundary", "twisted", "time", "n_rank"])
+    @pytest.mark.parametrize("key", ["boundary", "twisted", "time", "n_rank", "initial",
+                                     "potential"])
     def test_values_contradicting_the_run_exit_2(self, tmp_path, capsys, key):
+        x = build_grid("circle", 2 * np.pi, 64).x.tolist()
+        (tmp_path / "field.csv").write_text(
+            "x,value\n" + "".join(f"{xi!r},{2.0 + math.cos(xi)!r}\n" for xi in x))
         cfg = tmp_path / "run.yaml"
         cfg.write_text({
             # a surface profile keeps its own end radii, 0.5 and 0.8 here
@@ -203,6 +208,14 @@ class TestRunCommand:
                                                           "t_end: 3.0, snapshots: [1.0]"),
             # only the fiber-rank scenarios read n_rank
             "n_rank": SHORT_RUNS["surface"] + "n_rank: 7\n",
+            # cole_hopf_check evaluates both fields again on a refined grid,
+            # where a CSV sampled on the run's 64 nodes has no values
+            "initial": FAST_RUN.replace("initial: {family: cosine_perturbed, base: 2.0, "
+                                        "amplitude: 1.0, mode: 1}",
+                                        "initial: {family: from_csv, path: field.csv}"),
+            "potential": FAST_RUN.replace("potential: {family: cosine_perturbed, base: 0.2, "
+                                          "amplitude: 0.2, mode: 1}",
+                                          "potential: {family: from_csv, path: field.csv}"),
         }[key])
         assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -460,13 +473,27 @@ _HOSTILE = st.one_of(
 )
 
 
-def _family(draw, numbers) -> dict:
-    family = draw(st.sampled_from(["constant", "linear", "cosine_perturbed", "gaussian_bump",
-                                   "linear_sine_bump"]))
+def _params(draw, numbers, family: str) -> dict:
     params = {name: draw(numbers) for name in FAMILY_PARAMS[family]}
     if "mode" in params:
         params["mode"] = draw(st.integers(0, 4))
-    return {"family": family, **params}
+    return params
+
+
+def _family(draw, numbers, key: str, grid, csvs: dict) -> dict:
+    """A drawn field family.  One field in four is from_csv: another drawn
+    family sampled on the drawn grid into csvs[<key>.csv], which goes beside
+    the config; a sample that fails to evaluate is written as NaN."""
+    family = draw(st.sampled_from([name for name in FAMILY_PARAMS if name != "from_csv"]))
+    if draw(st.integers(0, 3)) != 0:
+        return {"family": family, **_params(draw, numbers, family)}
+    try:
+        values = build_field(grid, family, _params(draw, numbers, family)).values
+    except ValueError:
+        values = np.full(grid.n_points, np.nan)
+    csvs[f"{key}.csv"] = "x,value\n" + "".join(
+        f"{x!r},{v!r}\n" for x, v in zip(grid.x.tolist(), values.tolist()))
+    return {"family": "from_csv", "path": f"{key}.csv"}
 
 
 _VALUES = {
@@ -482,10 +509,10 @@ _VALUES = {
 }
 
 
-def _value(draw, key: str, numbers):
+def _value(draw, key: str, numbers, grid, csvs: dict):
     """A drawn value for one of the keys a scenario declares."""
     if key in ("initial", "potential", "t2_initial"):
-        return _family(draw, numbers)
+        return _family(draw, numbers, key, grid, csvs)
     if key == "boundary":
         return draw(st.sampled_from([
             {"kind": "periodic"},
@@ -495,10 +522,11 @@ def _value(draw, key: str, numbers):
 
 
 @st.composite
-def run_configs(draw) -> tuple[dict, str | None]:
+def run_configs(draw) -> tuple[dict, str | None, dict]:
     """A config of one scenario over the keys it reads: small grids, at most 20
     steps.  One draw in four also names a key that only other scenarios read,
-    which is returned beside the config."""
+    which is returned beside the config, and so are the from_csv fields' CSV
+    files by name."""
     scenario = draw(st.sampled_from(list(SCENARIOS)))
     keys = SCENARIOS[scenario].keys
     # four of the five scenarios need a circle
@@ -513,29 +541,33 @@ def run_configs(draw) -> tuple[dict, str | None]:
                  "n_points": draw(st.integers(8, 33))},
         "time": {"dt": dt, "t_end": steps * dt, "record_every": draw(st.integers(1, 25))},
     }
+    grid = build_grid(**raw["grid"])
+    csvs = {}
     if draw(st.booleans()):
         raw["time"]["snapshots"] = [0.0, steps * dt]
     if draw(st.booleans()):
         raw["emit_plots"] = draw(st.booleans())
     for key in keys:
         if key == "initial" or draw(st.booleans()):
-            raw[key] = _value(draw, key, numbers)
+            raw[key] = _value(draw, key, numbers, grid, csvs)
     unread = None
     if draw(st.integers(0, 3)) == 0:
         others = {key for s in SCENARIOS.values() for key in s.keys} - set(keys)
         unread = draw(st.sampled_from(sorted(others)))
-        raw[unread] = _value(draw, unread, numbers)
-    return raw, unread
+        raw[unread] = _value(draw, unread, numbers, grid, csvs)
+    return raw, unread, csvs
 
 
 class TestContractProperty:
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(drawn=run_configs())
     def test_exit_code_summary_and_stderr(self, drawn):
-        raw, unread = drawn
+        raw, unread, csvs = drawn
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "run.yaml", Path(tmp) / "out"
             cfg.write_text(yaml.safe_dump(raw))
+            for name, text in csvs.items():
+                (Path(tmp) / name).write_text(text)
             stderr = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
                 warnings.simplefilter("always")
@@ -559,4 +591,4 @@ class TestContractProperty:
             # parses back to the configuration that ran
             echo = summary["config"]
             assert set(echo) == {*COMMON_KEYS, *SCENARIOS[raw["scenario"]].keys}
-            assert parse_config_text(json.dumps(echo)) == parse_config_text(cfg.read_text())
+            assert parse_config_text(json.dumps(echo)) == parse_config(cfg)

@@ -292,7 +292,7 @@ class TestColeHopfGauge:
         grid, u, c, _ = case
         forcing = 0.3 * np.cos(grid.x)
         dt, steps = 1e-3, 40
-        runs = [cole_hopf_rows(grid, ScalarField(grid, a * u), ScalarField(grid, forcing), nu,
+        runs = [cole_hopf_rows(ScalarField(grid, a * u), ScalarField(grid, forcing), nu,
                                dt, steps * dt, 10) for a in (1.0, c)]
         diffs = [np.array([row["sup_diff"] for row in run.rows]) for run in runs]
         H = np.array([rec["H_direct"] for rec in runs[0].fields])

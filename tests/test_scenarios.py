@@ -6,9 +6,6 @@ from folflow import parabolic, scenarios
 from folflow.errors import GapTooSmall, NotConverged, ProfileDegenerate
 from folflow.fiber import ScalarField, build_grid, derivative, integrate
 from folflow.scenarios import (
-    NormalizedConfig,
-    SurfaceConfig,
-    TwistedConfig,
     cole_hopf_rows,
     fit_decay_rate,
     linear_interpolant,
@@ -24,6 +21,10 @@ def circle(n, length=2 * np.pi):
     return build_grid("circle", length, n)
 
 
+def cosine_well(g):
+    return ScalarField(g, 0.2 * (1.0 + np.cos(g.x)))
+
+
 # ---------------------------------------------------------------------------
 # surfaces of revolution
 
@@ -33,8 +34,7 @@ class TestSurfaceRun:
         g = build_grid("interval", 1.0, 201)
         interp = linear_interpolant(g, 0.5, 0.8)
         rho0 = ScalarField(g, interp.values + 0.1 * np.sin(np.pi * g.x))
-        traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=0.5,
-                                                       record_every=1000))
+        traj = run_surface_of_revolution(rho0, dt=1e-4, t_end=0.5, record_every=1000)
         dev0 = np.max(np.abs(traj.fields[0]["rho"] - interp.values))
         devT = np.max(np.abs(traj.fields[-1]["rho"] - interp.values))
         # the bump decays at rate pi^2, three decades by t = 0.5
@@ -45,14 +45,13 @@ class TestSurfaceRun:
         g = build_grid("interval", 1.0, 201)
         interp = linear_interpolant(g, 0.5, 0.8)
         rho0 = ScalarField(g, interp.values + 0.1 * np.sin(np.pi * g.x))
-        traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=0.1,
-                                                       record_every=100))
+        traj = run_surface_of_revolution(rho0, dt=1e-4, t_end=0.1, record_every=100)
         assert np.max(traj.series["arc_residual"]) <= 1e-12
 
     def test_axial_coordinate_monotone_and_anchored(self):
         g = build_grid("interval", 1.0, 201)
         rho0 = ScalarField(g, linear_interpolant(g, 0.5, 0.8).values)
-        traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=0.0))
+        traj = run_surface_of_revolution(rho0, dt=1e-4, t_end=0.0)
         h = traj.fields[0]["h"]
         assert h[0] == 0.0
         assert np.all(np.diff(h) > 0.0)
@@ -63,8 +62,7 @@ class TestSurfaceRun:
         g = build_grid("interval", 1.0, 201)
         interp = linear_interpolant(g, 0.5, 0.8)
         rho0 = ScalarField(g, interp.values + 0.1 * np.sin(np.pi * g.x))
-        traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=1.0,
-                                                       record_every=1000))
+        traj = run_surface_of_revolution(rho0, dt=1e-4, t_end=1.0, record_every=1000)
         assert np.max(traj.series["conformal_dev"]) <= 1e-5
 
     def test_closed_profile_total_curvature_vanishes(self):
@@ -72,8 +70,7 @@ class TestSurfaceRun:
         # integrates to zero against the area element at every instant
         g = circle(256)
         rho0 = ScalarField(g, 3.0 + 0.5 * np.cos(g.x))
-        traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=0.5,
-                                                       record_every=2500))
+        traj = run_surface_of_revolution(rho0, dt=1e-4, t_end=0.5, record_every=2500)
         for rec in traj.fields:
             total = integrate(ScalarField(g, rec["K"] * rec["rho"]))
             assert abs(total) <= 1e-12
@@ -85,18 +82,13 @@ class TestSurfaceRun:
         g = circle(128)
         rho0 = ScalarField(g, 0.5 + 0.6 * np.cos(g.x))
         with pytest.raises(ProfileDegenerate):
-            run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=1.0))
+            run_surface_of_revolution(rho0, dt=1e-4, t_end=1.0)
 
     def test_steep_initial_slope_rejected(self):
         g = build_grid("interval", 1.0, 101)
         rho0 = ScalarField(g, 1.0 + 1.2 * g.x)
         with pytest.raises(ProfileDegenerate):
-            run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=0.1))
-
-    def test_grid_mismatch_rejected(self):
-        rho0 = ScalarField(circle(64), np.full(64, 2.0))
-        with pytest.raises(ValueError):
-            run_surface_of_revolution(SurfaceConfig(circle(128), rho0, dt=1e-3, t_end=0.1))
+            run_surface_of_revolution(rho0, dt=1e-4, t_end=0.1)
 
 
 class TestSurfaceCrosscheck:
@@ -104,8 +96,7 @@ class TestSurfaceCrosscheck:
         g = build_grid("interval", 1.0, 201)
         interp = linear_interpolant(g, 0.5, 0.8)
         rho0 = ScalarField(g, interp.values + 0.1 * np.sin(np.pi * g.x))
-        traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-4, t_end=0.05,
-                                                       record_every=50))
+        traj = run_surface_of_revolution(rho0, dt=1e-4, t_end=0.05, record_every=50)
         res = surface_evolution_crosscheck(traj)
         assert res["k_residual"] <= 5e-3
         assert res["K_residual"] <= 5e-2
@@ -113,7 +104,7 @@ class TestSurfaceCrosscheck:
     def test_needs_three_uniform_records(self):
         g = build_grid("interval", 1.0, 101)
         rho0 = ScalarField(g, linear_interpolant(g, 0.5, 0.8).values)
-        traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=1e-3, t_end=0.0))
+        traj = run_surface_of_revolution(rho0, dt=1e-3, t_end=0.0)
         with pytest.raises(ValueError):
             surface_evolution_crosscheck(traj)
 
@@ -126,8 +117,7 @@ class TestSurfaceCrosscheck:
         g = circle(256)
         rho0 = ScalarField(g, 3.0 + 0.5 * np.cos(g.x))
         dt = 1e-3
-        traj = run_surface_of_revolution(SurfaceConfig(g, rho0, dt=dt, t_end=1.0,
-                                                       record_every=1000))
+        traj = run_surface_of_revolution(rho0, dt=dt, t_end=1.0, record_every=1000)
         stepper = BurgersStepper(g, ScalarField(g, np.zeros(256)),
                                  StepperConfig(dt, 1.0, boundary=PERIODIC))
         H = VectorAlongFiber(g, traj.fields[0]["k"])
@@ -153,8 +143,7 @@ class TestTwistedRun:
     def test_single_slice_closed_form(self):
         g = circle(256)
         f0 = ScalarField(g, 0.5 * (1.0 + 0.3 * np.cos(g.x)))
-        traj = run_twisted_product(TwistedConfig(g, 2, (f0,), dt=1e-3, t_end=1.0,
-                                                 record_every=100))
+        traj = run_twisted_product((f0,), 2, dt=1e-3, t_end=1.0, record_every=100)
         fT = traj.fields[-1]["f_0"]
         exact = 0.5 * (1.0 + 0.3 * np.exp(-2.0) * np.cos(g.x))
         rel = np.max(np.abs(fT - exact)) / np.max(np.abs(exact))
@@ -164,8 +153,7 @@ class TestTwistedRun:
         g = circle(256)
         amps = [0.3 + 0.1 * np.cos(b) for b in (0.0, np.pi / 3, 2.0)]
         slices = tuple(ScalarField(g, a * (1.0 + 0.3 * np.cos(g.x))) for a in amps)
-        traj = run_twisted_product(TwistedConfig(g, 2, slices, dt=1e-3, t_end=6.0,
-                                                 record_every=1000))
+        traj = run_twisted_product(slices, 2, dt=1e-3, t_end=6.0, record_every=1000)
         assert traj.series["sup_dist_to_mean"][-1] <= 1e-6
         np.testing.assert_allclose(traj.fiber_means, amps, atol=1e-12)
         assert np.max(traj.series["mass_drift"]) <= 1e-12
@@ -173,8 +161,7 @@ class TestTwistedRun:
     def test_velocity_supremum_decays(self):
         g = circle(128)
         f0 = ScalarField(g, 1.0 + 0.4 * np.sin(g.x))
-        traj = run_twisted_product(TwistedConfig(g, 1, (f0,), dt=1e-3, t_end=2.0,
-                                                 record_every=200))
+        traj = run_twisted_product((f0,), 1, dt=1e-3, t_end=2.0, record_every=200)
         sup_h = traj.series["sup_H"]
         assert np.all(np.diff(sup_h) < 0.0)
 
@@ -182,17 +169,14 @@ class TestTwistedRun:
         g = circle(64)
         good = ScalarField(g, np.full(64, 1.0))
         with pytest.raises(ValueError):
-            run_twisted_product(TwistedConfig(build_grid("interval", 1.0, 64), 1,
-                                              (ScalarField(build_grid("interval", 1.0, 64),
-                                                           np.ones(64)),),
-                                              dt=1e-3, t_end=0.1))
+            run_twisted_product((ScalarField(build_grid("interval", 1.0, 64), np.ones(64)),), 1,
+                                dt=1e-3, t_end=0.1)
         with pytest.raises(ValueError):
-            run_twisted_product(TwistedConfig(g, 0, (good,), dt=1e-3, t_end=0.1))
+            run_twisted_product((good,), 0, dt=1e-3, t_end=0.1)
         with pytest.raises(ValueError):
-            run_twisted_product(TwistedConfig(g, 1, (), dt=1e-3, t_end=0.1))
+            run_twisted_product((), 1, dt=1e-3, t_end=0.1)
         with pytest.raises(ValueError):
-            run_twisted_product(TwistedConfig(g, 1, (ScalarField(g, np.cos(g.x)),),
-                                              dt=1e-3, t_end=0.1))
+            run_twisted_product((ScalarField(g, np.cos(g.x)),), 1, dt=1e-3, t_end=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +186,8 @@ class TestTwistedRun:
 class TestNormalizedRun:
     def test_flat_potential_is_a_fixed_point(self):
         g = circle(128)
-        cfg = NormalizedConfig(g, 2, ScalarField(g, np.zeros(128)),
-                               ScalarField(g, np.full(128, 1.0)),
-                               ScalarField(g, np.full(128, 4.0)), dt=1e-3, t_end=1.0)
-        traj = run_normalized_flow(cfg)
+        traj = run_normalized_flow(ScalarField(g, np.full(128, 1.0)), ScalarField(g, np.zeros(128)),
+                                   ScalarField(g, np.full(128, 4.0)), 2, dt=1e-3, t_end=1.0)
         final = traj.fields[-1]
         assert abs(traj.ground.lambda0) <= 1e-12
         assert np.max(np.abs(final["scmixT2"])) <= 1e-10
@@ -214,10 +196,8 @@ class TestNormalizedRun:
     def test_constant_potential_shifts_the_limit_exactly(self):
         g = circle(128)
         c = 0.7
-        cfg = NormalizedConfig(g, 2, ScalarField(g, np.full(128, c)),
-                               ScalarField(g, np.full(128, 1.0)),
-                               ScalarField(g, np.full(128, 4.0)), dt=1e-3, t_end=1.0)
-        traj = run_normalized_flow(cfg)
+        traj = run_normalized_flow(ScalarField(g, np.full(128, 1.0)), ScalarField(g, np.full(128, c)),
+                                   ScalarField(g, np.full(128, 4.0)), 2, dt=1e-3, t_end=1.0)
         assert traj.ground.lambda0 == pytest.approx(-c, abs=1e-8)
         assert traj.Phi == pytest.approx(-2 * c, abs=1e-8)
         report = positivity_verdict(traj)
@@ -226,10 +206,8 @@ class TestNormalizedRun:
 
     def test_zero_T2_yields_negative_limit(self):
         g = circle(128)
-        cfg = NormalizedConfig(g, 2, ScalarField(g, 0.2 * (1.0 + np.cos(g.x))),
-                               ScalarField(g, np.full(128, 1.0)),
-                               ScalarField(g, np.zeros(128)), dt=1e-3, t_end=6.0)
-        traj = run_normalized_flow(cfg)
+        traj = run_normalized_flow(ScalarField(g, np.full(128, 1.0)), cosine_well(g),
+                                   ScalarField(g, np.zeros(128)), 2, dt=1e-3, t_end=6.0)
         report = positivity_verdict(traj)
         assert not report.positive_everywhere
         # with no twist left the limit is exactly the normalization constant
@@ -238,56 +216,44 @@ class TestNormalizedRun:
 
     def test_verdict_requires_convergence(self):
         g = circle(128)
-        cfg = NormalizedConfig(g, 2, ScalarField(g, 0.2 * (1.0 + np.cos(g.x))),
-                               ScalarField(g, np.full(128, 1.0)),
-                               ScalarField(g, np.full(128, 16.0)), dt=1e-3, t_end=0.1)
-        traj = run_normalized_flow(cfg)
+        traj = run_normalized_flow(ScalarField(g, np.full(128, 1.0)), cosine_well(g),
+                                   ScalarField(g, np.full(128, 16.0)), 2, dt=1e-3, t_end=0.1)
         with pytest.raises(NotConverged):
             positivity_verdict(traj)
 
     def test_small_gap_rejected_up_front(self):
         g = circle(128)
-        cfg = NormalizedConfig(g, 2, ScalarField(g, 0.2 * (1.0 + np.cos(g.x))),
-                               ScalarField(g, np.full(128, 1.0)),
-                               ScalarField(g, np.full(128, 1.0)),
-                               dt=1e-3, t_end=0.1, gap_min=2.0)
+        one = ScalarField(g, np.full(128, 1.0))
         with pytest.raises(GapTooSmall):
-            run_normalized_flow(cfg)
+            run_normalized_flow(one, cosine_well(g), one, 2, dt=1e-3, t_end=0.1, gap_min=2.0)
 
     def test_input_validation(self):
         g = circle(64)
         beta = ScalarField(g, np.zeros(64))
         one = ScalarField(g, np.ones(64))
         with pytest.raises(ValueError):
-            run_normalized_flow(NormalizedConfig(g, 2, ScalarField(g, np.cos(g.x)),
-                                                 one, one, dt=1e-3, t_end=0.1))
+            run_normalized_flow(one, ScalarField(g, np.cos(g.x)), one, 2, dt=1e-3, t_end=0.1)
         with pytest.raises(ValueError):
-            run_normalized_flow(NormalizedConfig(g, 2, beta, ScalarField(g, np.cos(g.x)),
-                                                 one, dt=1e-3, t_end=0.1))
+            run_normalized_flow(ScalarField(g, np.cos(g.x)), beta, one, 2, dt=1e-3, t_end=0.1)
         with pytest.raises(ValueError):
-            run_normalized_flow(NormalizedConfig(g, 2, beta, one,
-                                                 ScalarField(g, np.full(64, -1.0)),
-                                                 dt=1e-3, t_end=0.1))
+            run_normalized_flow(one, beta, ScalarField(g, np.full(64, -1.0)), 2, dt=1e-3,
+                                t_end=0.1)
         with pytest.raises(ValueError):
-            run_normalized_flow(NormalizedConfig(g, 0, beta, one, one, dt=1e-3, t_end=0.1))
+            run_normalized_flow(one, beta, one, 0, dt=1e-3, t_end=0.1)
 
     def test_conserved_combination_drift_stays_small(self):
         g = circle(128)
-        cfg = NormalizedConfig(g, 2, ScalarField(g, 0.2 * (1.0 + np.cos(g.x))),
-                               ScalarField(g, np.full(128, 1.0)),
-                               ScalarField(g, np.full(128, 16.0)), dt=1e-3, t_end=1.0,
-                               record_every=50)
-        traj = run_normalized_flow(cfg)
+        traj = run_normalized_flow(ScalarField(g, np.full(128, 1.0)), cosine_well(g),
+                                   ScalarField(g, np.full(128, 16.0)), 2, dt=1e-3, t_end=1.0,
+                                   record_every=50)
         assert np.max(traj.series["betaD_drift"]) == 0.0
         assert np.max(traj.series["conservation_drift"]) <= 1e-6
 
     def test_velocity_approaches_its_spectral_limit(self):
         g = circle(128)
-        cfg = NormalizedConfig(g, 2, ScalarField(g, 0.2 * (1.0 + np.cos(g.x))),
-                               ScalarField(g, np.full(128, 1.0)),
-                               ScalarField(g, np.full(128, 16.0)), dt=1e-3, t_end=4.0,
-                               record_every=100)
-        traj = run_normalized_flow(cfg)
+        traj = run_normalized_flow(ScalarField(g, np.full(128, 1.0)), cosine_well(g),
+                                   ScalarField(g, np.full(128, 16.0)), 2, dt=1e-3, t_end=4.0,
+                                   record_every=100)
         h_dev = traj.series["h_dev"]
         assert h_dev[-1] <= 1e-3
         assert h_dev[-1] < h_dev[0]
@@ -304,16 +270,13 @@ def _short_run(flow: str):
     if flow == "surface":
         line = build_grid("interval", 1.0, 33)
         rho0 = ScalarField(line, 0.5 + 0.3 * line.x + 0.05 * np.sin(np.pi * line.x))
-        return run_surface_of_revolution(SurfaceConfig(line, rho0, dt=1e-3, t_end=0.01,
-                                                       record_every=3))
+        return run_surface_of_revolution(rho0, dt=1e-3, t_end=0.01, record_every=3)
     if flow == "twisted":
-        return run_twisted_product(TwistedConfig(g, 2, (bump, 0.5 * bump), dt=1e-3,
-                                                 t_end=0.01, record_every=3))
+        return run_twisted_product((bump, 0.5 * bump), 2, dt=1e-3, t_end=0.01, record_every=3)
     if flow == "normalized":
-        return run_normalized_flow(NormalizedConfig(g, 2, ScalarField(g, 0.2 * bump.values),
-                                                    bump, bump, dt=1e-3, t_end=0.01,
-                                                    record_every=3))
-    return cole_hopf_rows(g, bump, ScalarField(g, 0.2 * bump.values), 1.0, 1e-3, 0.01, 3)
+        return run_normalized_flow(bump, ScalarField(g, 0.2 * bump.values), bump, 2, dt=1e-3,
+                                   t_end=0.01, record_every=3)
+    return cole_hopf_rows(bump, ScalarField(g, 0.2 * bump.values), 1.0, 1e-3, 0.01, 3)
 
 
 class TestRecords:
@@ -337,6 +300,28 @@ class TestRecords:
         for i, values in enumerate(arrays):
             assert not np.shares_memory(values, finals[0])
             assert not any(np.shares_memory(values, other) for other in arrays[i + 1:])
+
+
+def _ones(g):
+    return ScalarField(g, np.ones(g.n_points))
+
+
+class TestSharedGrid:
+    """A driver reads its grid from its input fields, so they must share one."""
+
+    # u0, betaD, T2_0 / u0, forcing / two slices; the odd field has the same
+    # n_points on a fiber of another length, so its values alone look right
+    @pytest.mark.parametrize("run", [
+        lambda same, odd: run_normalized_flow(odd, same, same, 2, dt=1e-3, t_end=0.01),
+        lambda same, odd: run_normalized_flow(same, odd, same, 2, dt=1e-3, t_end=0.01),
+        lambda same, odd: run_normalized_flow(same, same, odd, 2, dt=1e-3, t_end=0.01),
+        lambda same, odd: cole_hopf_rows(odd, same, 1.0, 1e-3, 0.01, 5),
+        lambda same, odd: run_twisted_product((same, odd), 2, dt=1e-3, t_end=0.01),
+    ], ids=["normalized_u0", "normalized_betaD", "normalized_T2_0", "cole_hopf_u0",
+            "twisted_slice"])
+    def test_input_on_another_grid_rejected(self, run):
+        with pytest.raises(ValueError, match="^input fields live on different grids$"):
+            run(_ones(circle(64)), _ones(circle(64, 1.0)))
 
 
 class TestFitDecayRate:

@@ -1,5 +1,6 @@
 """The benchmark's hooks into the package: every name it traces or imports
-resolves, and every config it runs parses; and every demo runs.
+resolves, and every config it runs parses; and every demo and the README's
+library quick start run.
 
 perfbench wraps the functions listed in perfbench.tracer.TRACED (methods are
 read from the class body), its probes import steppers and solvers by name,
@@ -87,4 +88,15 @@ def test_demo_runs(demo):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(demo), run_name="__main__")
+    assert out.getvalue()
+
+
+def test_readme_quick_start_runs():
+    # the quick start shows the library API, so an API change that leaves it
+    # behind shows here
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {"__name__": "__main__"})
     assert out.getvalue()
