@@ -42,24 +42,11 @@ def write_fields(path: Path, x: np.ndarray, fields: dict[str, np.ndarray]):
             out.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def write_summary(path: Path, payload: dict):
-    Path(path).write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    # numpy float64 subclasses float, which json writes with float.__repr__;
+    # arrays and the other numpy scalars are written as their tolist()
+    text = json.dumps(payload, sort_keys=True, indent=2, default=lambda obj: obj.tolist())
+    Path(path).write_text(text + "\n")
 
 
 def write_plot_script(path: Path, scenario: str, y_column: str):

@@ -94,16 +94,26 @@ def _error_json(err: Exception) -> str:
     )
 
 
+def _make_dir(path: Path):
+    """Create the output directory path, or raise a ValidationError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ValidationError(f"cannot create output directory {path}: {err.strerror}") from err
+
+
 def _run_one(path, out, seed, quiet: bool):
     """Parse, apply the seed override and execute: (exit code, error or None)."""
     try:
         cfg = parse_config(path)
         if seed is not None:
             cfg = dataclasses.replace(cfg, seed=seed)
+        out_dir = Path(out or cfg.output_dir)
+        _make_dir(out_dir)
     except (ParseError, ValidationError) as err:
         return 2, err
     try:
-        execute_config(cfg, Path(out or cfg.output_dir), quiet=quiet)
+        execute_config(cfg, out_dir, quiet=quiet)
     except FolflowError as err:
         return 3, err
     return 0, None
@@ -124,8 +134,14 @@ def _sweep_command(args) -> int:
         return 2
     out_root = Path(args.out) if args.out else directory / "out"
     threads = os.environ.get("FOLFLOW_THREADS")
-    max_workers = int(threads) if threads else (os.cpu_count() or 1)
-    max_workers = max(1, min(max_workers, len(files)))
+    try:
+        if threads and not (threads.isdecimal() and int(threads) >= 1):
+            raise ValidationError(f"FOLFLOW_THREADS must be a positive integer, got {threads!r}")
+        _make_dir(out_root)
+    except ValidationError as err:
+        print(_error_json(err), file=sys.stderr)
+        return 2
+    max_workers = min(int(threads) if threads else (os.cpu_count() or 1), len(files))
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         futures = [pool.submit(_run_one, f, out_root / f.stem, args.seed, True) for f in files]
         results = [fut.result() for fut in futures]

@@ -4,38 +4,33 @@ A strictly positive u corresponds to the velocity H = -n * grad(log u); the
 inverse map integrates -H/n to a log-potential and exponentiates, with the
 overall scale fixed by the gauge integral(u) = fiber length.
 
-On circle fibers the log derivative is evaluated spectrally, so the pair of
-maps invert each other to rounding for smooth data; on intervals the stencil
-derivative pairs with a corrected trapezoid antiderivative and the round trip
-closes at second order.
+Both maps work on circle fibers, where the log derivative and its inverse
+are evaluated spectrally, so the pair invert each other to rounding for
+smooth data.  On an interval both raise ValueError.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import NonPositiveField, NotConservative
-from .fiber import (
-    FiberGrid,
-    ScalarField,
-    VectorAlongFiber,
-    _diff1,
-    fourier_derivative,
-    grad_log,
-    integrate,
-)
+from .fiber import FiberGrid, ScalarField, VectorAlongFiber, fourier_derivative, integrate
 
 CIRCULATION_TOL = 1e-8
 
 
+def _require_circle(grid: FiberGrid):
+    if not grid.periodic:
+        raise ValueError("the velocity/potential maps are defined on circle fibers only")
+
+
 def velocity_from_potential_fn(u: ScalarField, n: float) -> VectorAlongFiber:
-    """H = -n * d/dx log(u) for strictly positive u."""
-    if u.grid.periodic:
-        m = float(np.min(u.values))
-        if m <= 0.0:
-            raise NonPositiveField(f"velocity map needs a positive field, min value {m}")
-        logs = ScalarField(u.grid, np.log(u.values))
-        return VectorAlongFiber(u.grid, -float(n) * fourier_derivative(logs).values)
-    return grad_log(u, -float(n))
+    """H = -n * d/dx log(u) for strictly positive u on a circle."""
+    _require_circle(u.grid)
+    m = float(np.min(u.values))
+    if m <= 0.0:
+        raise NonPositiveField(f"velocity map needs a positive field, min value {m}")
+    logs = ScalarField(u.grid, np.log(u.values))
+    return VectorAlongFiber(u.grid, -float(n) * fourier_derivative(logs).values)
 
 
 def _antiderivative_circle(vals: np.ndarray, grid: FiberGrid) -> np.ndarray:
@@ -51,38 +46,23 @@ def _antiderivative_circle(vals: np.ndarray, grid: FiberGrid) -> np.ndarray:
     return np.fft.irfft(spec, m)
 
 
-def _antiderivative_interval(vals: np.ndarray, grid: FiberGrid) -> np.ndarray:
-    # cumulative trapezoid with an endpoint-gradient correction (fourth order)
-    h = grid.spacing
-    out = np.zeros_like(vals)
-    out[1:] = np.cumsum(0.5 * h * (vals[1:] + vals[:-1]))
-    slope = _diff1(vals, h, periodic=False)
-    out -= (h * h / 12.0) * (slope - slope[0])
-    return out
-
-
 def potential_from_velocity(H: VectorAlongFiber, n: float) -> ScalarField:
     """Reconstruct u > 0 with -n*(grad u)/u = H, normalized to integral(u) = length.
 
-    On a circle the velocity must have (numerically) zero circulation; a
-    circulation beyond CIRCULATION_TOL * length means no single-valued
-    potential exists.
+    The velocity must have (numerically) zero circulation; a circulation
+    beyond CIRCULATION_TOL * length means no single-valued potential exists.
     """
     g = H.grid
-    nf = float(n)
-    if g.periodic:
-        circ = integrate(H)
-        if abs(circ) > CIRCULATION_TOL * g.length:
-            raise NotConservative(
-                f"circulation {circ:g} exceeds {CIRCULATION_TOL:g} * length; "
-                "no single-valued potential"
-            )
-        psi = _antiderivative_circle(-H.values / nf, g)
-    else:
-        psi = _antiderivative_interval(-H.values / nf, g)
+    _require_circle(g)
+    circ = integrate(H)
+    if abs(circ) > CIRCULATION_TOL * g.length:
+        raise NotConservative(
+            f"circulation {circ:g} exceeds {CIRCULATION_TOL:g} * length; "
+            "no single-valued potential"
+        )
+    psi = _antiderivative_circle(-H.values / float(n), g)
     u = np.exp(psi - np.max(psi))
-    u_field = ScalarField(g, u)
-    return ScalarField(g, u * (g.length / integrate(u_field)))
+    return ScalarField(g, u * (g.length / integrate(ScalarField(g, u))))
 
 
 def roundtrip_residual(u: ScalarField, n: float) -> float:

@@ -20,7 +20,11 @@ from .families import FAMILY_PARAMS, build_field
 from .fiber import FiberGrid, ScalarField, build_grid
 from .scenarios import COMMON_KEYS, SCENARIOS
 
-FIELD_KEYS = ("initial", "potential", "t2_initial")
+# the field keys and the field each takes when the config leaves it out
+_FIELD_DEFAULTS = {"initial": {"family": "constant", "value": 1.0},
+                   "potential": {"family": "constant", "value": 0.0},
+                   "t2_initial": {"family": "constant", "value": 1.0}}
+FIELD_KEYS = tuple(_FIELD_DEFAULTS)
 
 
 @dataclass
@@ -248,12 +252,20 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
             val = _as_number(tol_map[key], f"tolerances.{key}", errs, "positive and finite")
             setattr(tol, key, val)
 
-    initial = _field_spec(raw.get("initial", {"family": "constant", "value": 1.0}), "initial")
-    potential = _field_spec(raw.get("potential", {"family": "constant", "value": 0.0}), "potential")
-    t2_initial = _field_spec(raw.get("t2_initial", {"family": "constant", "value": 1.0}), "t2_initial")
-    for spec in (initial, potential, t2_initial):
+    specs = {which: _field_spec(raw.get(which, default), which)
+             for which, default in _FIELD_DEFAULTS.items()}
+    for spec in specs.values():
         if spec.family == "from_csv" and base_dir is not None:
             spec.params = {"path": str((Path(base_dir) / str(spec.params["path"])).resolve())}
+    # each field the scenario reads is realized once, on the grid built above
+    fields, field_errs = {}, []
+    if grid is not None and scenario in SCENARIOS:
+        for which, spec in specs.items():
+            if which in SCENARIOS[scenario].keys:
+                try:
+                    fields[which] = build_field(grid, spec.family, spec.params)
+                except (ValueError, OSError) as err:
+                    field_errs.append(f"{which}: {err}")
 
     base_values_raw = raw.get("base_values", [0.4, 0.45, 0.5])
     if not isinstance(base_values_raw, list) or not base_values_raw:
@@ -266,16 +278,14 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
         if any(not (v > 0.0) for v in base_values if np.isfinite(v)):
             errs.append("base_values must all be positive")
 
-    boundary = _boundary_spec(raw, grid_spec, grid, initial, errs)
+    boundary = _boundary_spec(raw, grid_spec, fields.get("initial"), errs)
 
     cfg = RunConfig(
         scenario=scenario,
         grid=grid_spec,
         time=time_spec,
         boundary=boundary,
-        initial=initial,
-        potential=potential,
-        t2_initial=t2_initial,
+        **specs,
         n_rank=n_rank,
         base_values=base_values,
         modes=modes,
@@ -286,14 +296,14 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
         tolerances=tol,
     )
     if grid is not None and scenario in SCENARIOS:
-        errs += _scenario_errors(cfg, grid)
+        errs += field_errs + SCENARIOS[scenario].check(cfg, grid, fields)
     errs = unread + errs
     if errs:
         raise ValidationError("; ".join(errs))
     return cfg
 
 
-def _boundary_spec(raw, grid_spec, grid, initial, errs) -> BoundarySpec:
+def _boundary_spec(raw, grid_spec, initial: ScalarField | None, errs) -> BoundarySpec:
     if "boundary" in raw:
         bmap = _require_mapping(raw["boundary"], "boundary")
         _reject_unknown(bmap, _BOUNDARY_KEYS, "boundary")
@@ -314,27 +324,10 @@ def _boundary_spec(raw, grid_spec, grid, initial, errs) -> BoundarySpec:
         return BoundarySpec(kind="dirichlet", left=left, right=right)
     if grid_spec.topology == "circle":
         return BoundarySpec(kind="periodic")
-    if grid is not None:
-        try:
-            vals = build_field(grid, initial.family, initial.params).values
-            return BoundarySpec(kind="dirichlet", left=float(vals[0]), right=float(vals[-1]))
-        except (ValueError, OSError):
-            pass
+    if initial is not None:
+        vals = initial.values
+        return BoundarySpec(kind="dirichlet", left=float(vals[0]), right=float(vals[-1]))
     return BoundarySpec(kind="dirichlet", left=0.0, right=0.0)
-
-
-def _scenario_errors(cfg: RunConfig, grid: FiberGrid) -> list[str]:
-    """Errors realizing the fields the scenario reads, then its declared constraints."""
-    scenario = SCENARIOS[cfg.scenario]
-    errs, fields = [], {}
-    for which in FIELD_KEYS:
-        if which not in scenario.keys:
-            continue
-        try:
-            fields[which] = realize_field(cfg, which)
-        except (ValueError, OSError) as err:
-            errs.append(f"{which}: {err}")
-    return errs + scenario.check(cfg, grid, fields)
 
 
 def realize_grid(cfg: RunConfig) -> FiberGrid:

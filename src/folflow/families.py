@@ -58,16 +58,31 @@ def build_field(grid: FiberGrid, family: str, params: dict) -> ScalarField:
     return ScalarField(grid, vals)
 
 
+def _csv_sample(row: list) -> tuple[float, float]:
+    if len(row) != 2:
+        raise ValueError(f"expected the 2 columns x,value, got {len(row)}")
+    try:
+        x, value = float(row[0]), float(row[1])
+    except ValueError:
+        raise ValueError(f"{','.join(row)!r} is not a pair of numbers") from None
+    if not np.isfinite(x):
+        raise ValueError(f"sample point x = {x} is not finite")
+    return x, value
+
+
 def _read_csv_field(path: str, grid: FiberGrid) -> np.ndarray:
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["x", "value"]:
-        raise ValueError(f"{path}: expected header 'x,value'")
-    body = rows[1:]
-    if len(body) != grid.n_points:
-        raise ValueError(f"{path}: has {len(body)} rows for a grid of {grid.n_points} points")
-    xs = np.array([float(r[0]) for r in body])
-    vals = np.array([float(r[1]) for r in body])
+        reader = csv.reader(fh)
+        try:
+            if [c.strip() for c in next(reader, [])] != ["x", "value"]:
+                raise ValueError("expected header 'x,value'")
+            samples = [_csv_sample(row) for row in reader]
+        except (ValueError, csv.Error) as err:
+            # an empty file misses its header on line 1
+            raise ValueError(f"{path}, line {max(reader.line_num, 1)}: {err}") from None
+    if len(samples) != grid.n_points:
+        raise ValueError(f"{path}: has {len(samples)} rows for a grid of {grid.n_points} points")
+    xs, vals = np.array(samples).T
     if np.max(np.abs(xs - grid.x)) > 1e-9 * max(grid.length, 1.0):
         raise ValueError(f"{path}: sample points do not match the grid")
     return vals

@@ -75,39 +75,13 @@ class _GridFunction:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def _wrap(self, vals: np.ndarray):
-        return type(self)(self.grid, vals)
-
-    def _coerce(self, other) -> np.ndarray:
+    def __mul__(self, other):
+        """Pointwise product with a field on the same grid, an array or a number."""
         if isinstance(other, _GridFunction):
             if other.grid != self.grid:
                 raise ValueError("fields live on different grids")
-            return other.values
-        return np.asarray(other, dtype=float)
-
-    def __add__(self, other):
-        return self._wrap(self.values + self._coerce(other))
-
-    def __radd__(self, other):
-        return self._wrap(self._coerce(other) + self.values)
-
-    def __sub__(self, other):
-        return self._wrap(self.values - self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._wrap(self._coerce(other) - self.values)
-
-    def __mul__(self, other):
-        return self._wrap(self.values * self._coerce(other))
-
-    def __rmul__(self, other):
-        return self._wrap(self._coerce(other) * self.values)
-
-    def __truediv__(self, other):
-        return self._wrap(self.values / self._coerce(other))
-
-    def __neg__(self):
-        return self._wrap(-self.values)
+            other = other.values
+        return type(self)(self.grid, self.values * np.asarray(other, dtype=float))
 
 
 class ScalarField(_GridFunction):

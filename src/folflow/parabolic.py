@@ -161,18 +161,15 @@ class BurgersStepper:
     On an interval the end values are held.
     """
 
-    def __init__(self, grid: FiberGrid, forcing: ScalarField | None, cfg: StepperConfig):
+    def __init__(self, grid: FiberGrid, forcing: ScalarField, cfg: StepperConfig):
         _check_boundary_topology(grid, cfg)
-        if forcing is not None and forcing.grid != grid:
+        if forcing.grid != grid:
             raise ValueError("forcing lives on a different grid")
         self.grid = grid
         self.cfg = cfg
         nu = cfg.diffusivity
         self._moving = _moving(grid)
-        if forcing is None:
-            self._force_x = np.zeros(grid.n_points)
-        else:
-            self._force_x = nu * nu * _diff1(forcing.values, grid.spacing, grid.periodic)
+        self._force_x = nu * nu * _diff1(forcing.values, grid.spacing, grid.periodic)
         self._diff = nu * laplacian_matrix(grid)
         eye = sp.identity(grid.n_points, format="csr")
         self._lu_half = _factor(eye - 0.25 * cfg.dt * self._diff)

@@ -389,7 +389,6 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
 
 @dataclass(frozen=True)
 class PositivityReport:
-    limit_scmix: ScalarField
     positive_everywhere: bool
     min_value: float
     threshold_ratio: float
@@ -411,8 +410,7 @@ def positivity_verdict(traj: NormalizedTrajectory, converged_tol: float = 1e-5) 
             f"normalized quantity still {dev:g} from its limit (tolerance {converged_tol:g}); "
             "run longer before asking for the limit sign"
         )
-    limit = ScalarField(traj.grid, final["T2"] + final["scmixT2"])
-    min_val = float(np.min(limit.values))
+    min_val = float(np.min(final["T2"] + final["scmixT2"]))
     max_beta = float(np.max(traj.betaD.values))
     lam0 = traj.ground.lambda0
     if lam0 < 0.0 and max_beta > 0.0:
@@ -420,12 +418,7 @@ def positivity_verdict(traj: NormalizedTrajectory, converged_tol: float = 1e-5) 
         ratio = needed / max_beta
     else:
         ratio = 0.0
-    return PositivityReport(
-        limit_scmix=limit,
-        positive_everywhere=bool(min_val > 0.0),
-        min_value=min_val,
-        threshold_ratio=ratio,
-    )
+    return PositivityReport(bool(min_val > 0.0), min_val, ratio)
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,49 @@ class TestRunCommand:
         assert err["error"]["message"].startswith(f"{key}: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("defect, line, words", [
+        ("short_row", 4, "expected the 2 columns x,value, got 1"),
+        ("non_number", 4, "'1.5707963267948966,two' is not a pair of numbers"),
+        ("nan_x", 4, "sample point x = nan is not finite"),
+        # a trailing blank line is a row without columns, not a ninth sample
+        ("blank_line", 10, "expected the 2 columns x,value, got 0"),
+        # the csv module's own limit
+        ("huge_field", 4, "field larger than field limit (131072)"),
+    ], ids=["short_row", "non_number", "nan_x", "blank_line", "huge_field"])
+    def test_malformed_csv_row_exits_2_naming_its_line(self, tmp_path, capsys, defect, line,
+                                                       words):
+        x = build_grid("circle", 2 * np.pi, 8).x.tolist()
+        rows = [f"{xi!r},{2.0 + math.cos(xi)!r}\n" for xi in x]
+        rows[2] = {"short_row": f"{x[2]!r}\n", "non_number": f"{x[2]!r},two\n",
+                   "nan_x": f"nan,{2.0 + math.cos(x[2])!r}\n",
+                   "huge_field": f"{x[2]!r},{'1' * 200_000}\n"}.get(defect, rows[2])
+        path = tmp_path / "field.csv"
+        path.write_text("x,value\n" + "".join(rows) + ("\n" if defect == "blank_line" else ""))
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(SHORT_RUNS["twisted"].replace(
+            "n_points: 64", "n_points: 8").replace(
+            "initial: {family: cosine_perturbed, base: 2.0, amplitude: 1.0, mode: 1}",
+            "initial: {family: from_csv, path: field.csv}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert err["error"]["message"] == f"initial: {path}, line {line}: {words}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("FOLFLOW_THREADS", "1")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(FAST_RUN)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        where = str(cfg) if command == "run" else str(tmp_path)
+        assert main([command, where, "--out", str(taken), "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert str(taken) in err["error"]["message"]
+        assert taken.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize("value", [4.859, 10.0])
     def test_cole_hopf_exact_match_writes_strict_json(self, tmp_path, value):
         # a constant u0 stays constant, so H and its transform are both 0 up
@@ -442,6 +485,19 @@ class TestSweepCommand:
         proc = run_cli("sweep", str(tmp_path))
         assert proc.returncode == 2
 
+    # small values only: a test must not start many worker processes
+    @pytest.mark.parametrize("threads", ["two", "0", "-1", "2.5", "1e0"])
+    def test_sweep_rejects_threads_that_are_not_a_positive_integer(self, tmp_path, capsys,
+                                                                   monkeypatch, threads):
+        monkeypatch.setenv("FOLFLOW_THREADS", threads)
+        (tmp_path / "a.yaml").write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["sweep", str(tmp_path), "--out", str(out), "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ValidationError", "message":
+                                f"FOLFLOW_THREADS must be a positive integer, got {threads!r}"}
+        assert not out.exists()
+
     def test_sweep_reports_worst_exit_code(self, tmp_path):
         (tmp_path / "good.yaml").write_text(FAST_RUN)
         (tmp_path / "bad.yaml").write_text(DEGENERATE_RUN)
@@ -482,8 +538,10 @@ def _params(draw, numbers, family: str) -> dict:
 
 def _family(draw, numbers, key: str, grid, csvs: dict) -> dict:
     """A drawn field family.  One field in four is from_csv: another drawn
-    family sampled on the drawn grid into csvs[<key>.csv], which goes beside
-    the config; a sample that fails to evaluate is written as NaN."""
+    family sampled on the drawn grid into csvs[<key>.csv] = (text, malformed),
+    which goes beside the config; a sample that fails to evaluate is written
+    as NaN.  Four files in five carry one malformed row: a short row, a blank
+    line (trailing ones too), a non-number or a NaN sample point."""
     family = draw(st.sampled_from([name for name in FAMILY_PARAMS if name != "from_csv"]))
     if draw(st.integers(0, 3)) != 0:
         return {"family": family, **_params(draw, numbers, family)}
@@ -491,8 +549,16 @@ def _family(draw, numbers, key: str, grid, csvs: dict) -> dict:
         values = build_field(grid, family, _params(draw, numbers, family)).values
     except ValueError:
         values = np.full(grid.n_points, np.nan)
-    csvs[f"{key}.csv"] = "x,value\n" + "".join(
-        f"{x!r},{v!r}\n" for x, v in zip(grid.x.tolist(), values.tolist()))
+    lines = [f"{x!r},{v!r}" for x, v in zip(grid.x.tolist(), values.tolist())]
+    defect = draw(st.sampled_from([None, "short_row", "blank_line", "non_number", "nan_x"]))
+    if defect == "blank_line":
+        lines.insert(draw(st.integers(0, grid.n_points)), "")
+    elif defect is not None:
+        at = draw(st.integers(0, grid.n_points - 1))
+        x, v = lines[at].split(",")
+        lines[at] = {"short_row": x, "non_number": f"{x},one", "nan_x": f"nan,{v}"}[defect]
+    csvs[f"{key}.csv"] = ("x,value\n" + "".join(line + "\n" for line in lines),
+                          defect is not None)
     return {"family": "from_csv", "path": f"{key}.csv"}
 
 
@@ -526,7 +592,7 @@ def run_configs(draw) -> tuple[dict, str | None, dict]:
     """A config of one scenario over the keys it reads: small grids, at most 20
     steps.  One draw in four also names a key that only other scenarios read,
     which is returned beside the config, and so are the from_csv fields' CSV
-    files by name."""
+    files by name, each as (text, malformed)."""
     scenario = draw(st.sampled_from(list(SCENARIOS)))
     keys = SCENARIOS[scenario].keys
     # four of the five scenarios need a circle
@@ -566,7 +632,7 @@ class TestContractProperty:
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "run.yaml", Path(tmp) / "out"
             cfg.write_text(yaml.safe_dump(raw))
-            for name, text in csvs.items():
+            for name, (text, _) in csvs.items():
                 (Path(tmp) / name).write_text(text)
             stderr = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
@@ -574,11 +640,16 @@ class TestContractProperty:
                 code = main(["run", str(cfg), "--out", str(out), "--quiet"])
             assert [str(w.message) for w in caught] == []
             assert code in (0, 2, 3)
+            malformed = [name[:-len(".csv")] for name, (_, bad) in csvs.items() if bad]
+            assert code == 2 or not malformed
             if code == 2:
                 assert not out.exists()
                 message = json.loads(stderr.getvalue())["error"]["message"]
                 if unread is not None:
                     assert message.startswith(f"{unread}: ")
+                # a malformed row of a file the run reads is named by its line
+                for key in set(malformed) - {unread}:
+                    assert re.search(rf"(^|; ){key}: \S*{key}\.csv, line \d+: ", message)
                 return
             assert unread is None
             summary = summary_sans_meta(out)

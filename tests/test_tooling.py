@@ -1,6 +1,7 @@
 """The benchmark's hooks into the package: every name it traces or imports
-resolves, and every config it runs parses; and every demo and the README's
-library quick start run.
+resolves, and every config it runs parses; every demo and the README's
+library quick start run, and the README's table of the keys each scenario
+reads is the scenario declarations.
 
 perfbench wraps the functions listed in perfbench.tracer.TRACED (methods are
 read from the class body), its probes import steppers and solvers by name,
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from folflow.config import parse_config_text
+from folflow.scenarios import SCENARIOS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,3 +102,16 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {"__name__": "__main__"})
     assert out.getvalue()
+
+
+def test_readme_key_table_is_the_declared_keys():
+    # README's "scenario | also reads" table, row by row, against the
+    # declarations the parser and the config echo use
+    section = (ROOT / "README.md").read_text().split("| scenario | also reads |\n", 1)[1]
+    table = {}
+    for line in section.splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        name, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        table[name.strip("`")] = tuple(key.strip().strip("`") for key in keys.split(","))
+    assert table == {name: s.keys for name, s in SCENARIOS.items()}
