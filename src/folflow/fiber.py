@@ -92,12 +92,15 @@ class VectorAlongFiber(_GridFunction):
     """Tangent vector field along the fiber, stored by its single component."""
 
 
-# the stencils act along the last axis: a block holds one field per row
+# the stencils act along the last axis: a block holds one field per row.  Slices,
+# not np.roll, close the circle: a roll copies the whole array.
 def _diff1(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    if periodic:
-        return (np.roll(vals, -1, axis=-1) - np.roll(vals, 1, axis=-1)) / (2.0 * h)
     out = np.empty_like(vals)
     out[..., 1:-1] = (vals[..., 2:] - vals[..., :-2]) / (2.0 * h)
+    if periodic:
+        out[..., 0] = (vals[..., 1] - vals[..., -1]) / (2.0 * h)
+        out[..., -1] = (vals[..., 0] - vals[..., -2]) / (2.0 * h)
+        return out
     out[..., 0] = (-3.0 * vals[..., 0] + 4.0 * vals[..., 1] - vals[..., 2]) / (2.0 * h)
     out[..., -1] = (3.0 * vals[..., -1] - 4.0 * vals[..., -2] + vals[..., -3]) / (2.0 * h)
     return out
@@ -105,10 +108,12 @@ def _diff1(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
 
 def _diff2(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     h2 = h * h
-    if periodic:
-        return (np.roll(vals, -1, axis=-1) - 2.0 * vals + np.roll(vals, 1, axis=-1)) / h2
     out = np.empty_like(vals)
     out[..., 1:-1] = (vals[..., 2:] - 2.0 * vals[..., 1:-1] + vals[..., :-2]) / h2
+    if periodic:
+        out[..., 0] = (vals[..., 1] - 2.0 * vals[..., 0] + vals[..., -1]) / h2
+        out[..., -1] = (vals[..., 0] - 2.0 * vals[..., -1] + vals[..., -2]) / h2
+        return out
     out[..., 0] = (2.0 * vals[..., 0] - 5.0 * vals[..., 1] + 4.0 * vals[..., 2]
                    - vals[..., 3]) / h2
     out[..., -1] = (2.0 * vals[..., -1] - 5.0 * vals[..., -2] + 4.0 * vals[..., -3]
