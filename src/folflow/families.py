@@ -65,8 +65,9 @@ def _csv_sample(row: list) -> tuple[float, float]:
         x, value = float(row[0]), float(row[1])
     except ValueError:
         raise ValueError(f"{','.join(row)!r} is not a pair of numbers") from None
-    if not np.isfinite(x):
-        raise ValueError(f"sample point x = {x} is not finite")
+    for name, number in (("sample point x", x), ("value", value)):
+        if not np.isfinite(number):
+            raise ValueError(f"{name} = {number} is not finite")
     return x, value
 
 

@@ -92,8 +92,7 @@ class VectorAlongFiber(_GridFunction):
     """Tangent vector field along the fiber, stored by its single component."""
 
 
-# the stencils act along the last axis: a block holds one field per row.  Slices,
-# not np.roll, close the circle: a roll copies the whole array.
+# the stencils act along the last axis (a block holds one field per row)
 def _diff1(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     out = np.empty_like(vals)
     out[..., 1:-1] = (vals[..., 2:] - vals[..., :-2]) / (2.0 * h)
@@ -122,23 +121,15 @@ def _diff2(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
 
 
 def laplacian_matrix(grid: FiberGrid) -> sp.csr_matrix:
-    """Sparse 3-point second difference over all nodes of the grid.
-
-    On a circle the stencil wraps round through two corner entries.  On an
-    interval the two end rows are zero, so an operator built from this
-    matrix leaves the end values where they are.
-    """
-    n = grid.n_points
-    inv = 1.0 / (grid.spacing * grid.spacing)
-    main = np.full(n, -2.0 * inv)
-    lower = np.full(n - 1, inv)
-    upper = np.full(n - 1, inv)
+    """Sparse 3-point second difference over all nodes, wrapping round a circle
+    through two corner entries.  An interval's end rows lack a neighbour: use
+    its interior block, the homogeneous Dirichlet operator."""
+    n, inv = grid.n_points, 1.0 / (grid.spacing * grid.spacing)
+    side = np.full(n - 1, inv)
+    bands, offsets = [side, np.full(n, -2.0 * inv), side], [-1, 0, 1]
     if grid.periodic:
-        return sp.diags([[inv], lower, main, upper, [inv]], [-(n - 1), -1, 0, 1, n - 1],
-                        format="csr")
-    # row 0 holds main[0] and upper[0]; row n-1 holds lower[-1] and main[-1]
-    main[[0, -1]] = lower[-1] = upper[0] = 0.0
-    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+        bands, offsets = [[inv], *bands, [inv]], [-(n - 1), *offsets, n - 1]
+    return sp.diags(bands, offsets, format="csr")
 
 
 def derivative(field: ScalarField) -> ScalarField:

@@ -3,12 +3,11 @@
 Heat-reaction:   du/dt = nu * u_xx + V * u
 Forced Burgers:  dH/dt = nu * H_xx - (H^2)_x - nu^2 * (forcing)_x
 
-Both steppers are built on the one fiber Laplacian, fiber.laplacian_matrix;
-on an interval its zero end rows hold the end values fixed, so a step needs
-no boundary source term.  Both are Crank-Nicolson: the heat step fully, the
-Burgers step with implicit diffusion and an explicit midpoint stage for
-advection and forcing (IMEX), of the same order.  A step maps a field to a
-field of the same type, and values to values: one field's (n,), or (n, m)
+Both are Crank-Nicolson: the heat step fully, the Burgers step with implicit
+diffusion and an explicit midpoint stage for advection and forcing (IMEX).
+Each implicit matrix I - c*(nu*Lap + V) is symmetric tridiagonal, cyclic on a
+circle, and must be positive definite (c*max(V) < 1).  A step maps a field to
+a field of the same type, and values to values: one field's (n,), or (n, m)
 with one column per field, stepped by one multi-column solve.
 """
 from __future__ import annotations
@@ -18,11 +17,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import FolflowError, SolverSingular
-from .fiber import FiberGrid, ScalarField, _diff1, _GridFunction, laplacian_matrix
+from .fiber import FiberGrid, ScalarField, _diff1, _GridFunction
 
 
 class Scheme(Enum):
@@ -66,31 +64,64 @@ def _check_boundary_topology(grid: FiberGrid, cfg: StepperConfig):
         raise ValueError("interval fiber needs Dirichlet boundary data")
 
 
-def _factor(matrix: sp.spmatrix):
-    # diagonal pivots: an interval operator's identity end rows must pivot
-    # on themselves, or the solve smears roundoff into the held end values.
-    # Elimination without row exchanges is stable while the matrix is
-    # diagonally dominant, which I - c*(nu*Lap + V) is while c*max(V) < 1.
-    try:
-        lu = spla.splu(matrix.tocsc(), diag_pivot_thresh=0.0)
-    except RuntimeError as err:
-        raise SolverSingular(f"implicit step matrix is singular: {err}") from err
-    # splu happily factors a numerically singular matrix into a roundoff
-    # pivot; catch that here rather than emitting garbage solutions
-    diag = np.abs(lu.U.diagonal())
-    if np.min(diag) <= 1e-12 * np.max(diag):
-        raise SolverSingular(
-            f"implicit step matrix is numerically singular "
-            f"(pivot ratio {np.min(diag) / np.max(diag):.3g})"
-        )
-    return lu
+_NOT_DEFINITE = "implicit step matrix is not positive definite: dt is too large for the potential"
 
 
-def _solve(lu, rhs: np.ndarray) -> np.ndarray:
-    out = lu.solve(rhs)
-    if not np.isfinite(out).all():
-        raise SolverSingular("implicit step produced non-finite values")
-    return out
+class _Tridiagonal:
+    """A = nu*Lap + diag(V) on the nodes that move, and I - c*A factored once by
+    LAPACK dpttrf.  advance() steps in delta form, u + d with (I - c*A) d = rhs
+    solved by dpttrs, d zero at an interval's held ends.  On a circle,
+    Sherman-Morrison (Numerical Recipes 2.7, gamma = -diag[0]) takes out the
+    corners: I - c*A = T + w*w^T/gamma, T tridiagonal, w nonzero at the ends.
+    Fields run along axis 0: (n,), or (n, m) with each column solved alone."""
+
+    def __init__(self, grid: FiberGrid, nu: float, V: np.ndarray | None, c: float):
+        self.periodic = grid.periodic
+        self._inv = nu / (grid.spacing * grid.spacing)
+        self._V = V if V is None or self.periodic else V[1:-1]
+        diag = np.full(grid.n_points - 2 * (not self.periodic), 1.0 + 2.0 * c * self._inv)
+        if self._V is not None:
+            diag -= c * self._V
+        off = -c * self._inv
+        if self.periodic:
+            if diag[0] <= 0.0:
+                raise SolverSingular(f"{_NOT_DEFINITE} (diagonal {diag[0]:.3g})")
+            gamma = -diag[0]
+            diag[0], diag[-1] = diag[0] - gamma, diag[-1] - off * off / gamma
+        self._d, self._e, info = dpttrf(diag, np.full(len(diag) - 1, off))
+        if info != 0 or np.min(self._d) <= 1e-12 * np.max(self._d):
+            raise SolverSingular(f"{_NOT_DEFINITE} (smallest pivot {np.min(self._d):.3g}, "
+                                 f"largest {np.max(self._d):.3g})")
+        if self.periodic:
+            self._z = dpttrs(self._d, self._e, np.r_[gamma, np.zeros(len(diag) - 2), off])[0]
+            dot = self._z[0] + (off / gamma) * self._z[-1]
+            if not 1.0 + dot > 1e-12 * abs(dot):
+                raise SolverSingular(f"{_NOT_DEFINITE} (Sherman-Morrison denominator {1 + dot:.3g})")
+            self._w0, self._w1 = 1.0 / (1.0 + dot), (off / gamma) / (1.0 + dot)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """A u at the moving nodes, u[1:-1] once a circle is closed by its neighbours."""
+        if self.periodic:
+            u = np.concatenate((u[-1:], u, u[:1]))
+        au = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * self._inv
+        if self._V is not None:
+            au += (self._V * u[1:-1].T).T
+        return au
+
+    def advance(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """u + d, where (I - c*A) d = rhs at the moving nodes."""
+        d = dpttrs(self._d, self._e, rhs)[0]
+        if self.periodic:
+            # reduce by w's two entries, not by a dot product down the
+            # column, so a block solves exactly as its columns do one by one
+            d -= np.multiply.outer(self._z, self._w0 * d[0] + self._w1 * d[-1])
+            new = u + d
+        else:
+            new = u.copy()
+            new[1:-1] += d
+        if not np.isfinite(new).all():
+            raise SolverSingular("implicit step produced non-finite values")
+        return new
 
 
 def _fields_too(step):
@@ -105,21 +136,10 @@ def _fields_too(step):
     return stepped
 
 
-def _moving(grid: FiberGrid) -> np.ndarray:
-    """1 at nodes that evolve, 0 at the held ends of an interval."""
-    moving = np.ones(grid.n_points)
-    if not grid.periodic:
-        moving[[0, -1]] = 0.0
-    return moving
-
-
 class HeatStepper:
-    """Prefactored stepper for du/dt = nu*u_xx + V*u on a fixed grid.
-
-    Crank-Nicolson factorizations are built once, so repeated steps cost a
-    pair of triangular solves.  On an interval the operator has zero end
-    rows, so every step returns the end values it was given.
-    """
+    """Prefactored stepper for du/dt = nu*u_xx + V*u on a fixed grid: a step
+    costs a stencil and one tridiagonal solve.  On an interval every step
+    returns the end values it was given, bit for bit."""
 
     def __init__(self, grid: FiberGrid, V: ScalarField | None, cfg: StepperConfig):
         _check_boundary_topology(grid, cfg)
@@ -127,19 +147,13 @@ class HeatStepper:
             raise ValueError("reaction coefficient lives on a different grid")
         self.grid = grid
         self.cfg = cfg
-        a_op = cfg.diffusivity * laplacian_matrix(grid)
-        if V is not None:
-            a_op = a_op + sp.diags(_moving(grid) * V.values)
-        a_op = a_op.tocsr()
-        c = 0.5 * cfg.dt
-        eye = sp.identity(grid.n_points, format="csr")
-        self._plus = (eye + c * a_op).tocsr()
-        self._lu = _factor(eye - c * a_op)
+        self._op = _Tridiagonal(grid, cfg.diffusivity, None if V is None else V.values,
+                                0.5 * cfg.dt)
 
     def _check_matches_boundary(self, vals: np.ndarray):
         bnd = self.cfg.boundary
         left, right = vals[0], vals[-1]
-        # the ends of a marched field match exactly: the operator holds them
+        # the ends of a marched field match exactly: the step holds them
         if vals.ndim == 1 and left == bnd.left and right == bnd.right:
             return
         tol = 1e-9 * (1.0 + np.max(np.abs(vals), axis=0))
@@ -150,16 +164,15 @@ class HeatStepper:
     def step(self, u: np.ndarray) -> np.ndarray:
         if isinstance(self.cfg.boundary, Dirichlet):
             self._check_matches_boundary(u)
-        return _solve(self._lu, self._plus @ u)
+        # u_new = (I - cA)^-1 (I + cA) u = u + d with (I - cA) d = 2c A u
+        return self._op.advance(u, self.cfg.dt * self._op.apply(u))
 
 
 class BurgersStepper:
     """Prefactored stepper for dH/dt = nu*H_xx - (H^2)_x - nu^2*(forcing)_x.
 
-    Diffusion is treated by Crank-Nicolson, advection and forcing by an
-    explicit midpoint stage, giving a second-order step without history.
-    On an interval the end values are held.
-    """
+    Diffusion is treated by Crank-Nicolson, advection and forcing by an explicit
+    midpoint stage: second order without history.  Interval ends are held."""
 
     def __init__(self, grid: FiberGrid, forcing: ScalarField, cfg: StepperConfig):
         _check_boundary_topology(grid, cfg)
@@ -168,24 +181,25 @@ class BurgersStepper:
         self.grid = grid
         self.cfg = cfg
         nu = cfg.diffusivity
-        self._moving = _moving(grid)
         self._force_x = nu * nu * _diff1(forcing.values, grid.spacing, grid.periodic)
-        self._diff = nu * laplacian_matrix(grid)
-        eye = sp.identity(grid.n_points, format="csr")
-        self._lu_half = _factor(eye - 0.25 * cfg.dt * self._diff)
-        self._lu_full = _factor(eye - 0.50 * cfg.dt * self._diff)
+        self._half = _Tridiagonal(grid, nu, None, 0.25 * cfg.dt)
+        self._full = _Tridiagonal(grid, nu, None, 0.50 * cfg.dt)
 
     def _advect(self, hvals: np.ndarray) -> np.ndarray:
+        """-(H^2)_x - nu^2*forcing_x at the moving nodes."""
         # transposed, the fiber runs along the last axis for (n,) and (n, m) alike
         g, rows = self.grid, hvals.T
-        return (self._moving * (-_diff1(rows * rows, g.spacing, g.periodic) - self._force_x)).T
+        adv = (-_diff1(rows * rows, g.spacing, g.periodic) - self._force_x).T
+        return adv if g.periodic else adv[1:-1]
 
     @_fields_too
     def step(self, H: np.ndarray) -> np.ndarray:
+        # delta form of mid = M_half^-1 (H + dt/2 N(H) + dt/4 D H) and
+        # H_new = M_full^-1 (H + dt N(mid) + dt/2 D H), M = I - c*D
         dt = self.cfg.dt
-        dif = self._diff @ H
-        mid = _solve(self._lu_half, H + 0.5 * dt * self._advect(H) + 0.25 * dt * dif)
-        return _solve(self._lu_full, H + dt * self._advect(mid) + 0.5 * dt * dif)
+        dif = self._half.apply(H)
+        mid = self._half.advance(H, 0.5 * dt * (self._advect(H) + dif))
+        return self._full.advance(H, dt * (self._advect(mid) + dif))
 
 
 def _step_count(t_end: float, dt: float) -> int:

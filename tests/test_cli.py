@@ -285,6 +285,25 @@ class TestRunCommand:
         assert results["max_sup_diff"] == 0.0
         assert results["observed_order"] is None
 
+    def test_step_matrix_not_positive_definite_exits_3(self, tmp_path, capsys):
+        # c*V = 0.05 * 30 = 1.5: the Crank-Nicolson matrix is indefinite, and the
+        # run stops before its first step instead of marching a sign-flipped u
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(textwrap.dedent("""\
+            scenario: cole_hopf_check
+            grid: {topology: circle, length: 1.0, n_points: 8}
+            time: {dt: 0.1, t_end: 0.7}
+            potential: {family: constant, value: 30.0}
+            initial: {family: constant, value: 2.0}
+        """))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "SolverSingular"
+        assert err["message"].startswith(
+            "implicit step matrix is not positive definite: dt is too large for the potential")
+        assert summary_sans_meta(out)["error"] == err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         proc = run_cli("run", str(tmp_path / "nope.yaml"))
         assert proc.returncode == 2

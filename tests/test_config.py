@@ -237,6 +237,17 @@ class TestRealization:
         vals = realize_field(cfg, "initial").values
         np.testing.assert_allclose(vals, 2.0 + np.cos(grid.x), atol=1e-12)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_value_names_its_file_and_line(self, tmp_path, cell):
+        grid = build_grid("circle", 2 * np.pi, 8)
+        rows = [f"{float(x)!r},{float(2.0 + np.cos(x))!r}" for x in grid.x]
+        rows[2] = f"{float(grid.x[2])!r},{cell}"
+        path = tmp_path / "field.csv"
+        path.write_text("x,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as exc:
+            build_field(grid, "from_csv", {"path": str(path)})
+        assert str(exc.value) == f"{path}, line 4: value = {float(cell)} is not finite"
+
 
 class TestFieldFamilies:
     def test_each_family_evaluates(self):

@@ -153,6 +153,84 @@ class TestStepperErrors:
             StepperConfig(1e-3, 0.0)
 
 
+class TestPositiveDefinite:
+    """The step matrix must be positive definite: each failure is typed."""
+
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    def test_indefinite_matrix_refused_with_its_reason(self, topology):
+        # c*V = 1.5 everywhere: I - c*(Lap + V) is nonsingular but indefinite
+        g = build_grid(topology, 1.0, 32)
+        dt = 1e-2
+        V = ScalarField(g, np.full(32, 1.5 / (0.5 * dt)))
+        bnd = PERIODIC if topology == "circle" else Dirichlet(0.0, 0.0)
+        with pytest.raises(SolverSingular, match="not positive definite: dt is too large"):
+            HeatStepper(g, V, StepperConfig(dt, 1.0, boundary=bnd))
+
+    def test_zero_corner_diagonal_refused_before_dividing(self):
+        # h = 1, c = 1/2: the first diagonal entry 1 + 2c - c*V[0] is exactly 0,
+        # and dividing by it would warn (an error under this suite's filters)
+        g = build_grid("circle", 8.0, 8)
+        V = ScalarField(g, np.where(np.arange(8) == 0, 4.0, 0.0))
+        with pytest.raises(SolverSingular, match=r"not positive definite.*\(diagonal 0\)"):
+            HeatStepper(g, V, StepperConfig(1.0, 1.0, boundary=PERIODIC))
+
+    def test_tiny_pivot_refused(self):
+        # positive definite, but one pivot is 1e-14 of the others: I - c*V at
+        # node 4 with a diffusion too weak to lift it
+        g = build_grid("interval", 1.0, 16)
+        dt = 1e-3
+        V = ScalarField(g, np.where(np.arange(16) == 4, (1.0 - 1e-14) / (0.5 * dt), 0.0))
+        with pytest.raises(SolverSingular, match=r"\(smallest pivot \S+e-1[45], largest 1\)"):
+            HeatStepper(g, V, StepperConfig(dt, 1e-20, boundary=Dirichlet(0.0, 0.0)))
+
+    def test_one_negative_eigenvalue_on_a_circle_refused(self):
+        # c*V = 1 + 1e-4 lifts only the constant mode above 1: the tridiagonal
+        # part stays positive definite and Sherman-Morrison's denominator is
+        # negative
+        g = circle(64)
+        dt = 1e-3
+        V = ScalarField(g, np.full(64, (1.0 + 1e-4) / (0.5 * dt)))
+        with pytest.raises(SolverSingular, match="Sherman-Morrison denominator -"):
+            HeatStepper(g, V, StepperConfig(dt, 1.0, boundary=PERIODIC))
+
+
+class TestDeltaForm:
+    """A step adds an increment solved from the stencil of the state."""
+
+    CASES = [(n, nu, dt) for n in (8, 37, 256, 1024, 4099) for nu in (0.3, 1.0)
+             for dt in (1e-4, 3e-3, 0.1)]
+
+    @pytest.mark.parametrize("kind", ["heat", "burgers"])
+    def test_constant_is_an_exact_fixed_point_on_a_circle(self, kind):
+        moved = []
+        for n, nu, dt in self.CASES:
+            g = build_grid("circle", 2 * np.pi, n)
+            cfg = StepperConfig(dt, nu, boundary=PERIODIC)
+            stepper = (HeatStepper(g, None, cfg) if kind == "heat"
+                       else BurgersStepper(g, ScalarField(g, np.full(n, 0.7)), cfg))
+            u0 = np.full(n, 1.0 / 3.0)
+            u = u0
+            for _ in range(10):
+                u = stepper.step(u)
+            if not np.array_equal(u, u0):
+                moved.append((n, nu, dt))
+        assert moved == []
+
+    def test_circle_heat_conserves_mass_to_roundoff_of_the_increment(self):
+        worst = {}
+        for n in (8, 32, 128, 512, 1024):
+            g = circle(n)
+            for nu, dt in ((1.0, 1e-3), (1.0, 0.1), (0.5, 1e-2)):
+                u0 = 1.0 + 0.5 * np.random.default_rng(n).random(n)
+                stepper = HeatStepper(g, None, StepperConfig(dt, nu, boundary=PERIODIC))
+                u = u0
+                for _ in range(200):
+                    u = stepper.step(u)
+                drift = abs(np.sum(u) - np.sum(u0)) / np.sum(u0)
+                worst[n] = max(worst.get(n, 0.0), drift)
+        assert max(worst.values()) <= 1e-13, worst
+
+
 class TestIntervalEndsAndPivots:
     """Interval ends are held by the operator's zero end rows, bit for bit."""
 
