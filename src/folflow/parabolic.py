@@ -75,13 +75,12 @@ class _Tridiagonal:
     corners: I - c*A = T + w*w^T/gamma, T tridiagonal, w nonzero at the ends.
     Fields run along axis 0: (n,), or (n, m) with each column solved alone."""
 
-    def __init__(self, grid: FiberGrid, nu: float, V: np.ndarray | None, c: float):
+    def __init__(self, grid: FiberGrid, nu: float, V: ScalarField | None, c: float):
         self.periodic = grid.periodic
         self._inv = nu / (grid.spacing * grid.spacing)
-        self._V = V if V is None or self.periodic else V[1:-1]
+        self._V = None if V is None else V.values if self.periodic else V.values[1:-1]
         diag = np.full(grid.n_points - 2 * (not self.periodic), 1.0 + 2.0 * c * self._inv)
-        if self._V is not None:
-            diag -= c * self._V
+        diag -= 0.0 if self._V is None else c * self._V
         off = -c * self._inv
         if self.periodic:
             if diag[0] <= 0.0:
@@ -103,7 +102,10 @@ class _Tridiagonal:
         """A u at the moving nodes, u[1:-1] once a circle is closed by its neighbours."""
         if self.periodic:
             u = np.concatenate((u[-1:], u, u[:1]))
-        au = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * self._inv
+        au = -2.0 * u[1:-1]
+        au += u[2:]
+        au += u[:-2]
+        au *= self._inv
         if self._V is not None:
             au += (self._V * u[1:-1].T).T
         return au
@@ -112,9 +114,9 @@ class _Tridiagonal:
         """u + d, where (I - c*A) d = rhs at the moving nodes."""
         d = dpttrs(self._d, self._e, rhs)[0]
         if self.periodic:
-            # reduce by w's two entries, not by a dot product down the
-            # column, so a block solves exactly as its columns do one by one
-            d -= np.multiply.outer(self._z, self._w0 * d[0] + self._w1 * d[-1])
+            # reduce by w's two entries, not a dot product down the column, so a block
+            # solves exactly as its columns do; the outer product is laid out as d is
+            d -= np.multiply.outer(self._w0 * d[0] + self._w1 * d[-1], self._z).T
             new = u + d
         else:
             new = u.copy()
@@ -137,9 +139,8 @@ def _fields_too(step):
 
 
 class HeatStepper:
-    """Prefactored stepper for du/dt = nu*u_xx + V*u on a fixed grid: a step
-    costs a stencil and one tridiagonal solve.  On an interval every step
-    returns the end values it was given, bit for bit."""
+    """Prefactored stepper for du/dt = nu*u_xx + V*u on a fixed grid; on an
+    interval every step returns the end values it was given, bit for bit."""
 
     def __init__(self, grid: FiberGrid, V: ScalarField | None, cfg: StepperConfig):
         _check_boundary_topology(grid, cfg)
@@ -147,8 +148,7 @@ class HeatStepper:
             raise ValueError("reaction coefficient lives on a different grid")
         self.grid = grid
         self.cfg = cfg
-        self._op = _Tridiagonal(grid, cfg.diffusivity, None if V is None else V.values,
-                                0.5 * cfg.dt)
+        self._op = _Tridiagonal(grid, cfg.diffusivity, V, 0.5 * cfg.dt)
 
     def _check_matches_boundary(self, vals: np.ndarray):
         bnd = self.cfg.boundary

@@ -216,6 +216,26 @@ class TestDeltaForm:
                 moved.append((n, nu, dt))
         assert moved == []
 
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    def test_step_matches_dense_crank_nicolson(self, topology):
+        # the dense matrices are the reference for the tridiagonal solves,
+        # Sherman-Morrison on the circle included; c*max(V) = 0.5
+        g = build_grid(topology, 1.0, 48)
+        n, h, dt, nu = 48, g.spacing, 2e-3, 0.8
+        c = 0.5 * dt
+        rng = np.random.default_rng(5)
+        V, u = (0.5 / c) * rng.uniform(-1.0, 1.0, n), rng.normal(size=n)
+        A = nu * (np.eye(n, k=-1) + np.eye(n, k=1) - 2.0 * np.eye(n)) / h ** 2 + np.diag(V)
+        if topology == "circle":
+            A[0, -1] = A[-1, 0] = nu / h ** 2
+            bnd = PERIODIC
+        else:
+            A[[0, -1], :] = 0.0
+            bnd = Dirichlet(float(u[0]), float(u[-1]))
+        ref = np.linalg.solve(np.eye(n) - c * A, (np.eye(n) + c * A) @ u)
+        got = HeatStepper(g, ScalarField(g, V), StepperConfig(dt, nu, boundary=bnd)).step(u)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_circle_heat_conserves_mass_to_roundoff_of_the_increment(self):
         worst = {}
         for n in (8, 32, 128, 512, 1024):
