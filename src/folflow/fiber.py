@@ -92,7 +92,7 @@ class VectorAlongFiber(_GridFunction):
     """Tangent vector field along the fiber, stored by its single component."""
 
 
-# the stencils act along the last axis (a block holds one field per row)
+# the stencils act along the last axis: a block holds one field per row
 def _diff1(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     out = np.empty_like(vals)
     out[..., 1:-1] = (vals[..., 2:] - vals[..., :-2]) / (2.0 * h)

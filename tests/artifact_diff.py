@@ -1,18 +1,18 @@
 """Compare two artifact trees column by column: the equivalence gate for a
 change that alters the arithmetic on purpose.
 
-    python3 tests/artifact_diff.py PARENT CHANGE [--bound 1e-9] [--all]
+    python3 tests/artifact_diff.py PARENT CHANGE
 
 A run is a directory holding summary.json.  Every run of PARENT must be in
 CHANGE with the same files, CSV headers, row counts and status.  For each
 CSV column, the largest difference over the run's files is divided by the
 column's largest absolute value over the run in either tree.  The stepped
-state columns (rho, u, f_<i>, H_direct) must stay within --bound.  Every
+state columns (rho, u, f_<i>, H_direct) must stay within BOUND.  Every
 other column is derived from the state through 1/h or 1/h^2 stencils or is
-itself a roundoff monitor, so it is reported without a bound, parent value
-next to change value where the scaled difference is largest; so is every
-number in summary.json's results.  --all also prints the columns that do
-not differ.  Exit status 0 when every state column holds the bound, else 1.
+itself a roundoff monitor, so where it differs it is reported without a
+bound, parent value next to change value where the scaled difference is
+largest; so is every number in summary.json's results.  Exit status 0 when
+every state column holds the bound and the trees match in structure, else 1.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 STATE = re.compile(r"rho|u|f_\d+|H_direct")
+BOUND = 1e-9
 
 
 def _columns(run: Path) -> tuple[dict, dict]:
@@ -106,23 +107,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--bound", type=float, default=1e-9)
-    parser.add_argument("--all", action="store_true")
     args = parser.parse_args(argv)
     rows, problems = compare_runs(args.parent, args.change)
     for run, name, scaled, old, new, is_state in rows:
         if is_state:
-            verdict = "ok" if scaled <= args.bound else "EXCEEDS BOUND"
-            print(f"{run}  {name}  {scaled:.3g}  state, bound {args.bound:g}: {verdict}")
-        elif scaled != 0.0 or args.all:
+            verdict = "ok" if scaled <= BOUND else "EXCEEDS BOUND"
+            print(f"{run}  {name}  {scaled:.3g}  state, bound {BOUND:g}: {verdict}")
+        elif scaled != 0.0:
             print(f"{run}  {name}  {scaled:.3g}  parent {old!r}  change {new!r}")
     for problem in problems:
         print(problem)
     state = [row for row in rows if row[5]]
     worst = max(state, key=lambda row: row[2], default=("-", "-", 0.0))
-    failed = problems or worst[2] > args.bound
+    failed = problems or worst[2] > BOUND
     print(f"{len({row[0] for row in rows})} runs, {len(state)} state columns, worst "
-          f"{worst[2]:.3g} ({worst[0]} {worst[1]}), bound {args.bound:g}: "
+          f"{worst[2]:.3g} ({worst[0]} {worst[1]}), bound {BOUND:g}: "
           f"{'FAIL' if failed else 'PASS'}")
     return 1 if failed else 0
 
