@@ -3,12 +3,12 @@
 Heat-reaction:   du/dt = nu * u_xx + V * u
 Forced Burgers:  dH/dt = nu * H_xx - (H^2)_x - nu^2 * (forcing)_x
 
-Both are Crank-Nicolson: the heat step fully, the Burgers step with implicit
-diffusion and an explicit midpoint stage for advection and forcing (IMEX).
-Each implicit matrix I - c*(nu*Lap + V) is symmetric tridiagonal, cyclic on a
-circle, and must be positive definite (c*max(V) < 1).  A step maps a field to
-a field of the same type, and values to values: one field's (n,), or (n, m)
-with one column per field, stepped by one multi-column solve.
+Both are Crank-Nicolson, Burgers with an explicit midpoint stage for advection
+and forcing (IMEX).  Each implicit matrix I - c*(nu*Lap + V) is symmetric
+tridiagonal and must be positive definite, c*max(V) < 1: LAPACK dpttrf factors
+it once and dpttrs solves for the increment d of each step u + d, with
+Sherman-Morrison for a circle's corners.  A step maps a field to a field of
+the same type, and values to values: (n,), or (n, m) with a field per column.
 """
 from __future__ import annotations
 
