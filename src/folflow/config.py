@@ -225,7 +225,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
         snaps_raw = [0.0, t_end]
     snapshots = []
     for i, s in enumerate(snaps_raw):
-        sv = _as_number(s, f"time.snapshots[{i}]", errs)
+        sv = _as_number(s, f"time.snapshots[{i}]", errs, "finite")
         if np.isfinite(sv):
             if not (0.0 <= sv <= t_end + 1e-12):
                 errs.append(f"time.snapshots[{i}] = {sv} outside [0, t_end]")

@@ -16,7 +16,6 @@ from .fiber import (
     ScalarField,
     VectorAlongFiber,
     _diff1,
-    derivative,
     divergence,
     grad_log,
 )
@@ -114,20 +113,15 @@ def riccati_residual(k: ScalarField, K: ScalarField) -> float:
     """
     if K.grid != k.grid:
         raise ValueError("fields live on different grids")
-    res = derivative(k).values - k.values ** 2 - K.values
-    if not k.grid.periodic:
-        res = res[2:-2]
-    return float(np.max(np.abs(res)))
+    return float(_riccati_residual(k.values, K.values, k.grid.spacing, k.grid.periodic))
 
 
-def _half_grad_log_ratio(T2: np.ndarray, mask: np.ndarray, grid) -> np.ndarray:
-    # centered difference of log(T2)/2 on the mask; equals grad log |T|
-    # where T2 > 0.  The mask guarantees both neighbors are inside, so the
-    # logarithm is only ever taken at points bounded away from zero.
-    w = np.log(np.where(T2 > 0.0, T2, 1.0))
-    out = np.zeros_like(T2)
-    out[mask] = 0.5 * _diff1(w, grid.spacing, grid.periodic)[mask]
-    return out
+def _riccati_residual(k: np.ndarray, K: np.ndarray, spacing: float, periodic: bool):
+    """riccati_residual of each field (row) of k and K, along the last axis."""
+    res = _diff1(k, spacing, periodic) - k ** 2 - K
+    if not periodic:
+        res = res[..., 2:-2]
+    return np.max(np.abs(res), axis=-1)
 
 
 def conserved_quantity(H: VectorAlongFiber, T2: ScalarField, n: int, eps_T: float = 1e-8):
@@ -136,17 +130,24 @@ def conserved_quantity(H: VectorAlongFiber, T2: ScalarField, n: int, eps_T: floa
     The mask keeps points whose neighbors also carry |T|^2 > eps_T, so the
     centered ratio derivative never touches the degenerate set.
     """
-    grid = H.grid
-    t2 = T2.values
+    return _conserved_quantity(H.values, T2.values, n, eps_T, H.grid.spacing, H.grid.periodic)
+
+
+def _conserved_quantity(H: np.ndarray, t2: np.ndarray, n: int, eps_T: float, spacing: float,
+                        periodic: bool):
+    """conserved_quantity of each field (row) of H and t2, along the last axis."""
     inside = t2 > eps_T
-    if grid.periodic:
-        mask = inside & np.roll(inside, 1) & np.roll(inside, -1)
+    if periodic:
+        mask = inside & np.roll(inside, 1, axis=-1) & np.roll(inside, -1, axis=-1)
     else:
         mask = inside.copy()
-        mask[1:-1] &= inside[2:] & inside[:-2]
-        mask[0] = mask[-1] = False
-    q = 2.0 * H.values - n * _half_grad_log_ratio(t2, mask, grid)
-    return q, mask
+        mask[..., 1:-1] &= inside[..., 2:] & inside[..., :-2]
+        mask[..., [0, -1]] = False
+    # centered difference of log(T2)/2 on the mask, which equals grad log |T|
+    # there; the mask keeps both neighbours inside, so the logarithm is only
+    # ever taken at points bounded away from zero
+    w = np.log(np.where(t2 > 0.0, t2, 1.0))
+    return 2.0 * H - n * np.where(mask, 0.5 * _diff1(w, spacing, periodic), 0.0), mask
 
 
 def surface_extrinsic_data(rho: ScalarField, T_norm_sq: ScalarField | None = None) -> ExtrinsicData:

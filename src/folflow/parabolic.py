@@ -13,6 +13,7 @@ the same type, and values to values: (n,), or (n, m) with a field per column.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -202,11 +203,16 @@ class BurgersStepper:
         return self._full.advance(H, dt * (self._advect(mid) + dif))
 
 
-def _step_count(t_end: float, dt: float) -> int:
+def record_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
+    """The steps after which march records: 0, every record_every steps, the last."""
+    if t_end < 0.0:
+        raise ValueError("t_end must be nonnegative")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     n = int(round(t_end / dt))
     if abs(n * dt - t_end) > 1e-9 * max(dt, t_end):
         raise ValueError(f"t_end = {t_end} is not a whole number of dt = {dt} steps")
-    return n
+    return np.r_[np.arange(0, n, record_every), n]
 
 
 # march's block buffer holds at most _BLOCK_ROWS states and _BLOCK_DOUBLES values
@@ -218,26 +224,27 @@ def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 
           on_block=None, on_record=None):
     """The one time-marching loop: apply step to state (an array) until t_end.
 
-    Steps run into a block buffer, one state per row, up to the next record
-    step or a full buffer.  on_block(ts, block) then sees the block's times
-    and states at once and returns None, or (row, error) for the first row
-    its monitors reject.  on_record(t, state) runs for the initial state,
-    every record_every steps and after the last step.  The first failure in
-    step order is raised with its time.  Returns the final state.
+    Steps run into a block buffer, one state per row, until it is full or
+    the run ends.  on_block(ts, block) then sees the block's times and
+    states at once and returns None, or (row, error) for the first row its
+    monitors reject.  on_record(ts, block, rows) sees the same block and the
+    rows to record (record_steps), up to the first rejected row; the initial
+    state comes as a block of one row, which on_block does not see.  It
+    returns None, or (i, error) for the first of those records it rejects.
+    The first failure in step order is raised with its time.  Returns the
+    final state.
     """
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
-    n_steps = _step_count(t_end, dt)
+    steps = record_steps(dt, t_end, record_every).tolist()
+    n_steps = steps[-1]
     state = np.asarray(state, dtype=float)
     buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // state.size)), *state.shape))
     k, t = 0, 0.0
     try:
-        if on_record is not None:
-            on_record(t, state)
+        failure = on_record and on_record(np.zeros(1), state[None], np.zeros(1, dtype=int))
+        if failure:
+            raise failure[1]
         while k < n_steps:
-            rows = min(len(buf), record_every - k % record_every, n_steps - k)
+            rows = min(len(buf), n_steps - k)
             failure = None  # (row of the block, error)
             for j in range(rows):
                 try:
@@ -245,15 +252,20 @@ def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 
                 except FolflowError as err:
                     failure, rows = (j, err), j
                     break
+            ts = np.arange(k + 1, k + rows + 1) * dt
             if on_block is not None and rows:
-                failure = on_block(np.arange(k + 1, k + rows + 1) * dt, buf[:rows]) or failure
+                failure = on_block(ts, buf[:rows]) or failure
+            end = k + 1 + (rows if failure is None else failure[0])
+            recorded = steps[bisect_left(steps, k + 1):bisect_left(steps, end)]
+            if on_record is not None and recorded:
+                recorded = np.subtract(recorded, k + 1)
+                bad = on_record(ts, buf[:rows], recorded)
+                failure = (int(recorded[bad[0]]), bad[1]) if bad else failure
             if failure is not None:
                 t = (k + 1 + failure[0]) * dt
                 raise failure[1]
             k += rows
             t = k * dt
-            if on_record is not None and (k % record_every == 0 or k == n_steps):
-                on_record(t, state)
     except FolflowError as err:
         raise type(err)(f"{err} (failure at t = {t:.6g})") from err
     return state

@@ -16,7 +16,9 @@ The drivers are all stepped by parabolic.march:
 Each of them takes its input fields, runs on the one grid they share, and
 returns a Trajectory: per record, one row of monitors (a line of
 trajectory.csv) and one dict of field arrays (the columns of a
-fields_<t>.csv), built by one record hook and appended together.
+fields_<t>.csv), built by one record hook for all records of a march
+block at once.  Given snapshot times, a driver keeps every row but the
+field arrays of only the records snapshots() picks for them and the last.
 
 SCENARIOS maps each scenario name to its Scenario declaration, which the
 config parser, `folflow list` and `folflow run` all read.  A declaration
@@ -31,13 +33,13 @@ from typing import Callable
 import numpy as np
 
 from . import colehopf
-from .curvature import conserved_quantity, riccati_residual, sc_mix_minus_T2
-from .errors import GapTooSmall, NonFiniteValue, NotConverged, ProfileDegenerate
+from .curvature import _conserved_quantity, _riccati_residual, sc_mix_minus_T2
+from .errors import GapTooSmall, NonFiniteValue, NonPositiveField, NotConverged, ProfileDegenerate
 from .families import build_field
 from .fiber import (FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, build_grid,
                     grad_log, integrate, laplacian)
-from .parabolic import (_BLOCK_DOUBLES, _BLOCK_ROWS, PERIODIC, BurgersStepper, Dirichlet,
-                        HeatStepper, StepperConfig, march)
+from .parabolic import (PERIODIC, BurgersStepper, Dirichlet, HeatStepper, StepperConfig, march,
+                        record_steps)
 from .schrodinger import GroundState, eigencount, ground_state, spectrum, weyl_theta
 
 SLOPE_TOL = 1e-8
@@ -46,11 +48,12 @@ SLOPE_TOL = 1e-8
 @dataclass
 class Trajectory:
     """A run's records in time order: rows[i] holds record i's monitors and
-    fields[i] its field arrays, keyed by the fields_<t>.csv columns."""
+    fields[i] its field arrays, keyed by the fields_<t>.csv columns, or None
+    for a record whose fields the run did not keep."""
 
     grid: FiberGrid
     rows: list[dict]
-    fields: list[dict[str, np.ndarray]]
+    fields: list[dict[str, np.ndarray] | None]
 
     @property
     def series(self) -> dict[str, np.ndarray]:
@@ -61,26 +64,82 @@ class Trajectory:
     def t(self) -> np.ndarray:
         return np.array([row["t"] for row in self.rows])
 
+    def extend(self, columns: dict[str, np.ndarray], fields: dict[str, np.ndarray],
+               keep=None, failure=None):
+        """Append records in time order: columns[key][i] is record i's row value
+        and fields[name][i] its field array.  Record failure[0], if given, fails
+        with failure[1], and so does the first record with a non-finite field or
+        row value; only the records before the first failure are appended, and
+        (i, error) is returned for it, or None.  The fields of the records
+        (counted over the run) in keep, or of all if keep is None, are copied
+        and frozen, so a record shares no memory with the march or another."""
+        n = len(columns["t"]) if failure is None else failure[0]
+        fields_ok = np.ones(n, dtype=bool)
+        for vals in fields.values():
+            fields_ok &= np.isfinite(vals[:n]).all(axis=tuple(range(1, np.ndim(vals))))
+        ok = fields_ok & np.logical_and.reduce([np.isfinite(col[:n]) for col in columns.values()])
+        if not ok.all():
+            n = int(np.argmin(ok))
+            bad = [key for key, col in columns.items() if not np.isfinite(col[n])]
+            failure = n, NonFiniteValue("field values must be finite" if not fields_ok[n] else
+                                        f"recorded value(s) {bad} not finite")
+        first, keys = len(self.rows), list(columns)
+        for i, values in enumerate(zip(*(columns[key][:n].tolist() for key in keys))):
+            self.rows.append(dict(zip(keys, values)))
+            self.fields.append(None if keep is not None and first + i not in keep else
+                               {name: _frozen(vals[i]) for name, vals in fields.items()})
+        return failure
+
     def append(self, row: dict, fields: dict[str, np.ndarray]):
-        """Append one record.  Each field array is copied and frozen, so a
-        record shares no memory with the march state or another record."""
-        owned = {name: np.array(values, dtype=float) for name, values in fields.items()}
-        for vals in owned.values():
-            if not np.isfinite(vals).all():
-                raise NonFiniteValue("field values must be finite")
-            vals.flags.writeable = False
-        bad = [key for key, value in row.items() if not np.isfinite(value)]
-        if bad:
-            raise NonFiniteValue(f"recorded value(s) {bad} not finite")
-        self.rows.append(row)
-        self.fields.append(owned)
+        """Append one record, or raise its failure."""
+        failure = self.extend({key: np.array([value]) for key, value in row.items()},
+                              {name: np.asarray(vals)[None] for name, vals in fields.items()})
+        if failure:
+            raise failure[1]
+
+
+def _frozen(values) -> np.ndarray:
+    owned = np.array(values, dtype=float)
+    owned.flags.writeable = False
+    return owned
+
+
+def snapshot_records(times, wanted) -> list[int]:
+    """The indices of the records nearest each wanted time, in time order."""
+    times = np.asarray(times)
+    return sorted({int(np.argmin(np.abs(times - t))) for t in wanted})
 
 
 def snapshots(traj: Trajectory, wanted) -> dict:
     """The field arrays of the records nearest each wanted time, in time order."""
-    ts = traj.t
-    return {traj.rows[i]["t"]: traj.fields[i]
-            for i in sorted({int(np.argmin(np.abs(ts - t))) for t in wanted})}
+    return {traj.rows[i]["t"]: traj.fields[i] for i in snapshot_records(traj.t, wanted)}
+
+
+def _kept_records(dt: float, t_end: float, record_every: int, wanted):
+    """The records whose fields a run keeps: with snapshot times (wanted), those
+    snapshots() picks and the last; without, None, which keeps them all."""
+    if wanted is None:
+        return None
+    times = record_steps(dt, t_end, record_every) * dt
+    return frozenset({*snapshot_records(times, wanted), len(times) - 1})
+
+
+def _first_failure(bad: np.ndarray, error, failure=None):
+    """The earlier of failure and (i, error(i)) for the first record i that is bad."""
+    hits = np.flatnonzero(bad[:len(bad) if failure is None else failure[0]])
+    return failure if hits.size == 0 else (int(hits[0]), error(int(hits[0])))
+
+
+def _grad_log_failure(u: np.ndarray, failure=None):
+    """grad_log's check on records of fields along the last axis: the earlier of
+    failure and the first record holding a field that is not strictly positive."""
+    low = np.min(u, axis=-1).reshape(len(u), -1)
+
+    def error(i):
+        m = float(low[i][low[i] <= 0.0][0])
+        return NonPositiveField(f"grad_log needs a strictly positive field, min value {m}")
+
+    return _first_failure((low <= 0.0).any(axis=1), error, failure)
 
 
 def _shared_grid(*fields: ScalarField) -> FiberGrid:
@@ -97,7 +156,7 @@ def _shared_grid(*fields: ScalarField) -> FiberGrid:
 
 def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros_like(vals)
-    out[1:] = np.cumsum(0.5 * h * (vals[1:] + vals[:-1]))
+    out[..., 1:] = np.cumsum(0.5 * h * (vals[..., 1:] + vals[..., :-1]), axis=-1)
     return out
 
 
@@ -115,8 +174,17 @@ def _profile_failure(rho: np.ndarray, slope: np.ndarray):
         "the surface is no longer a graph over arclength")
 
 
+@dataclass
+class SurfaceTrajectory(Trajectory):
+    """Records rho, h, k, K, conformal_factor; evolution_crosscheck is
+    surface_evolution_crosscheck's result, reduced along the run, or None
+    when fewer than three records were taken every record_every steps."""
+
+    evolution_crosscheck: dict | None = None
+
+
 def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
-                              record_every: int = 10) -> Trajectory:
+                              record_every: int = 10, snapshots=None) -> SurfaceTrajectory:
     """Evolve a revolution profile by d(rho)/dt = rho_xx and track curvatures.
 
     Interval profiles keep their endpoint radii fixed; circle profiles are
@@ -127,46 +195,61 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
     boundary = PERIODIC if grid.periodic else Dirichlet(float(rho0.values[0]), float(rho0.values[-1]))
     stepper = HeatStepper(grid, None, StepperConfig(dt, 1.0, boundary=boundary))
     h, periodic = grid.spacing, grid.periodic
-    int_k_gauss = np.zeros(grid.n_points)
+    # int_0^t K after each row of the last block, the initial state a block of one
+    int_k_gauss = np.zeros((1, grid.n_points))
     gauss_prev = -laplacian(rho0).values / rho0.values
-    traj = Trajectory(grid, [], [])
+    traj = SurfaceTrajectory(grid, [], [])
 
     def advance(ts, block):
         # the profile guard on every row before K = -rho_xx/rho is formed,
-        # then the trapezoid integral of K, accumulated in step order
+        # then the trapezoid integral of K, accumulated in step order up to
+        # the first rejected row
         nonlocal int_k_gauss, gauss_prev
         bad = _profile_failure(block, _diff1(block, h, periodic))
-        if bad is not None:
-            return bad
-        gauss = -_diff2(block, h, periodic) / block
-        terms = 0.5 * dt * (np.vstack([gauss_prev, gauss[:-1]]) + gauss)
-        terms[0] += int_k_gauss
-        int_k_gauss = np.add.accumulate(terms, axis=0)[-1]
-        gauss_prev = gauss[-1]
+        good = block[:len(block) if bad is None else bad[0]]
+        if len(good):
+            gauss = -_diff2(good, h, periodic) / good
+            terms = 0.5 * dt * (np.vstack([gauss_prev, gauss[:-1]]) + gauss)
+            terms[0] += int_k_gauss[-1]
+            int_k_gauss = np.add.accumulate(terms, axis=0)
+            gauss_prev = gauss[-1]
+        return bad
 
-    def record(t, rho):
+    def record(ts, block, rows):
         # advance guarded every stepped profile, so only the initial one is
         # checked here; then h rebuilt from sqrt(1 - slope^2), with the
         # arclength constraint measured against that slope
+        rho = block[rows]
         slope = _diff1(rho, h, periodic)
-        bad = None if traj.rows else _profile_failure(rho[None], slope[None])
-        if bad is not None:
-            raise bad[1]
+        failure = None if traj.rows else _profile_failure(rho, slope)
+        good = slice(len(rho) if failure is None else failure[0])
+        rho, slope = rho[good], slope[good]
         h_slope = np.sqrt(np.maximum(1.0 - slope * slope, 0.0))
         k = -slope / rho
         kk = -_diff2(rho, h, periodic) / rho
         conf = (rho / rho0.values) ** 2
-        traj.append({
-            "t": t,
-            "sup_K": float(np.max(np.abs(kk))),
-            "sup_k": float(np.max(np.abs(k))),
-            "min_rho": float(np.min(rho)),
-            "arc_residual": float(np.max(np.abs(slope ** 2 + h_slope ** 2 - 1.0))),
-            "riccati_res": riccati_residual(ScalarField(grid, k), ScalarField(grid, kk)),
-            "conformal_dev": float(np.max(np.abs(np.exp(-2.0 * int_k_gauss) - conf))),
-        }, {"rho": rho, "h": _cumtrapz(h_slope, h), "k": k, "K": kk, "conformal_factor": conf})
+        first = len(traj.rows)
+        failure = traj.extend({
+            "t": ts[rows],
+            "sup_K": np.max(np.abs(kk), axis=-1),
+            "sup_k": np.max(np.abs(k), axis=-1),
+            "min_rho": np.min(rho, axis=-1),
+            "arc_residual": np.max(np.abs(slope ** 2 + h_slope ** 2 - 1.0), axis=-1),
+            "riccati_res": _riccati_residual(k, kk, h, periodic),
+            "conformal_dev": np.max(np.abs(np.exp(-2.0 * int_k_gauss[rows[good]]) - conf),
+                                    axis=-1),
+        }, {"rho": rho, "h": _cumtrapz(h_slope, h), "k": k, "K": kk, "conformal_factor": conf},
+            keep, failure)
+        # the records taken every record_every steps, those before the off-grid last
+        taken = slice(max(0, min(len(traj.rows), on_grid) - first))
+        residuals.add(k[taken], kk[taken])
+        return failure
 
+    keep = _kept_records(dt, t_end, record_every, snapshots)
+    on_grid = int(np.count_nonzero(record_steps(dt, t_end, record_every) % record_every == 0))
+    residuals = _EvolutionResiduals(grid, record_every * dt)
     march(stepper.step, rho0.values, dt, t_end, record_every, advance, record)
+    traj.evolution_crosscheck = residuals.result()
     return traj
 
 
@@ -187,6 +270,36 @@ def linear_interpolant(grid: FiberGrid, left: float, right: float) -> ScalarFiel
     return ScalarField(grid, left + (right - left) * grid.x / grid.length)
 
 
+class _EvolutionResiduals:
+    """The running sup residuals of surface_evolution_crosscheck's identities
+    over consecutive records dt_rec apart, fed a block of them at a time."""
+
+    def __init__(self, grid: FiberGrid, dt_rec: float):
+        self.grid, self.dt_rec, self.count = grid, dt_rec, 0
+        # the last two records seen, the neighbours of the next centred ones
+        self.k = self.kk = np.empty((0, grid.n_points))
+        self.res_k = self.res_cap = 0.0
+
+    def add(self, k: np.ndarray, kk: np.ndarray):
+        g = self.grid
+        self.count += len(k)
+        k, kk = np.vstack([self.k, k]), np.vstack([self.kk, kk])
+        self.k, self.kk = k[-2:].copy(), kk[-2:].copy()
+        if len(k) < 3:
+            return
+        view = slice(None) if g.periodic else slice(3, -3)
+        nk = _diff1(kk[1:-1], g.spacing, g.periodic)
+        nnk = _diff1(nk, g.spacing, g.periodic)
+        dk_dt = (k[2:] - k[:-2]) / (2.0 * self.dt_rec)
+        dk_cap = (kk[2:] - kk[:-2]) / (2.0 * self.dt_rec)
+        self.res_k = max(self.res_k, float(np.max(np.abs((dk_dt - nk)[:, view]))))
+        self.res_cap = max(self.res_cap, float(np.max(
+            np.abs((dk_cap - (nnk - 2.0 * k[1:-1] * nk))[:, view]))))
+
+    def result(self) -> dict[str, float] | None:
+        return {"k_residual": self.res_k, "K_residual": self.res_cap} if self.count >= 3 else None
+
+
 def surface_evolution_crosscheck(traj: Trajectory) -> dict[str, float]:
     """Residuals of dk/dt = d/dx(K) and dK/dt = N(N(K)) - 2k N(K), N = d/dx.
 
@@ -195,6 +308,9 @@ def surface_evolution_crosscheck(traj: Trajectory) -> dict[str, float]:
     interval grids the sup skips the three nodes nearest each end: the
     one-sided end stencils are second order individually but do not compose
     to second order, and the identity is a property of the interior dynamics.
+    It reads the k and K of every such record, which a run given snapshot
+    times does not keep; that run reduces the same residuals as it goes, into
+    its evolution_crosscheck.
     """
     t = traj.t
     m = _on_record_grid(t)
@@ -203,23 +319,11 @@ def surface_evolution_crosscheck(traj: Trajectory) -> dict[str, float]:
     dts = np.diff(t[:m])
     if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
         raise ValueError("records are not uniformly spaced in time")
-    g = traj.grid
-    view = slice(None) if g.periodic else slice(3, -3)
-    res_k = res_cap = 0.0
-    # stacks of march's block size, one record per row, keep the temporaries
-    # small; a stack holds its centered records and their two neighbours
-    size = max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // g.n_points))
-    for lo in range(1, m - 1, size):
-        records = traj.fields[lo - 1:min(lo + size, m - 1) + 1]
-        k, kk = (np.array([rec[name] for rec in records]) for name in ("k", "K"))
-        nk = _diff1(kk[1:-1], g.spacing, g.periodic)
-        nnk = _diff1(nk, g.spacing, g.periodic)
-        dk_dt = (k[2:] - k[:-2]) / (2.0 * dts[0])
-        dk_cap = (kk[2:] - kk[:-2]) / (2.0 * dts[0])
-        res_k = max(res_k, float(np.max(np.abs((dk_dt - nk)[:, view]))))
-        res_cap = max(res_cap, float(np.max(
-            np.abs((dk_cap - (nnk - 2.0 * k[1:-1] * nk))[:, view]))))
-    return {"k_residual": res_k, "K_residual": res_cap}
+    if any(rec is None for rec in traj.fields[:m]):
+        raise ValueError("the run kept the field arrays of its snapshot records only")
+    residuals = _EvolutionResiduals(traj.grid, dts[0])
+    residuals.add(*(np.array([rec[name] for rec in traj.fields[:m]]) for name in ("k", "K")))
+    return residuals.result()
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +338,7 @@ class TwistedTrajectory(Trajectory):
 
 
 def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
-                        record_every: int = 10) -> TwistedTrajectory:
+                        record_every: int = 10, snapshots=None) -> TwistedTrajectory:
     """Evolve each base slice of the warping function by d(f)/dt = n * f_yy.
 
     The fiber is closed; every slice keeps its fiber mass and relaxes to its
@@ -255,21 +359,24 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
     masses0 = np.array([integrate(f) for f in slices])
     traj = TwistedTrajectory(grid, [], [], means)
 
-    def record(t, columns):
-        # each slice is summed on its own contiguous copy: a sum down the
-        # columns of the block adds in another order
-        fs = [ScalarField(grid, col) for col in columns.T]
-        hs = [grad_log(f, -1.0).values for f in fs]
-        masses = np.array([integrate(f) for f in fs])
-        traj.append({
-            "t": t,
-            "sup_H": max(float(np.max(np.abs(H))) for H in hs),
-            "mass_drift": float(np.max(np.abs(masses - masses0))),
-            "sup_dist_to_mean": max(
-                float(np.max(np.abs(f.values - mean))) for f, mean in zip(fs, means)),
-        }, {f"{name}_{i}": vals for i, (f, H) in enumerate(zip(fs, hs))
-            for name, vals in (("f", f.values), ("H", H))})
+    def record(ts, block, rows):
+        # each slice laid out along the last axis, so it is summed as a
+        # contiguous row: a sum down the columns of the block adds in
+        # another order
+        f = np.ascontiguousarray(block[rows].transpose(0, 2, 1))
+        failure = _grad_log_failure(f)
+        good = f[:len(f) if failure is None else failure[0]]
+        H = -1.0 * _diff1(np.log(good), grid.spacing, True)
+        masses = grid.spacing * np.sum(good, axis=-1)
+        return traj.extend({
+            "t": ts[rows],
+            "sup_H": np.max(np.abs(H), axis=(1, 2)),
+            "mass_drift": np.max(np.abs(masses - masses0), axis=-1),
+            "sup_dist_to_mean": np.max(np.abs(good - means[:, None]), axis=(1, 2)),
+        }, {f"{name}_{i}": vals[:, i] for i in range(len(slices))
+            for name, vals in (("f", good), ("H", H))}, keep, failure)
 
+    keep = _kept_records(dt, t_end, record_every, snapshots)
     # one column per slice, all stepped by one multi-column solve
     march(stepper.step, np.column_stack([f.values for f in slices]), dt, t_end, record_every,
           on_record=record)
@@ -302,7 +409,8 @@ def normalized_scmix(u: np.ndarray, betaD: ScalarField, n: int) -> np.ndarray:
 
 def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, n: int,
                         dt: float, t_end: float, record_every: int = 10,
-                        gap_min: float = 1e-6, eps_T: float = 1e-8) -> NormalizedTrajectory:
+                        gap_min: float = 1e-6, eps_T: float = 1e-8,
+                        snapshots=None) -> NormalizedTrajectory:
     """Drive du/dt = n*(u_xx + betaD*u) and transport |T|^2 alongside.
 
     |T|^2 is updated each step by the exponential integrating factor
@@ -337,54 +445,62 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
         ScalarField(grid, n * betaD.values),
         StepperConfig(dt, float(n), boundary=PERIODIC),
     )
-    scmix = normalized_scmix(u0.values, betaD, n)
-    exponent = np.zeros(grid.n_points)
+    # Sc_mix - |T|^2 and the |T|^2 exponent after each row of the last block,
+    # the initial state a block of one
+    scmix = normalized_scmix(u0.values, betaD, n)[None]
+    exponent = np.zeros((1, grid.n_points))
     traj = Trajectory(grid, [], [])
-    q0 = None
-    mask0 = None
+    q0 = mask0 = None
 
     def advance(ts, block):
         # the |T|^2 exponent: trapezoid averages over the steps, accumulated
-        # in step order
+        # in step order up to the first rejected row
         nonlocal scmix, exponent
         new = normalized_scmix(block, betaD, n)
         finite = np.isfinite(new).all(axis=1)
-        if not finite.all():
-            return int(np.argmin(finite)), NonFiniteValue("field values must be finite")
-        terms = 4.0 * dt * (0.5 * (np.vstack([scmix, new[:-1]]) + new) - phi)
-        terms[0] += exponent
-        exponent = np.add.accumulate(terms, axis=0)[-1]
-        scmix = new[-1]
+        bad = _first_failure(~finite, lambda i: NonFiniteValue("field values must be finite"))
+        new = new[:len(new) if bad is None else bad[0]]
+        if len(new):
+            terms = 4.0 * dt * (0.5 * (np.vstack([scmix[-1], new[:-1]]) + new) - phi)
+            terms[0] += exponent[-1]
+            scmix, exponent = new, np.add.accumulate(terms, axis=0)
+        return bad
 
-    def record(t, u):
+    def record(ts, block, rows):
         nonlocal q0, mask0
-        t2 = ScalarField(grid, T2_0.values * np.exp(exponent))
-        h_field = grad_log(ScalarField(grid, u), -float(n))
-        q, mask = conserved_quantity(h_field, t2, n, eps_T)
-        if q0 is None:
-            q0, mask0 = q, mask
-        both = mask & mask0
+        u = block[rows]
+        t2 = T2_0.values * np.exp(exponent[rows])
+        failure = _first_failure(~np.isfinite(t2).all(axis=-1),
+                                 lambda i: NonFiniteValue("field values must be finite"))
+        failure = _grad_log_failure(u, failure)
+        good = slice(len(u) if failure is None else failure[0])
+        u, t2, sc = u[good], t2[good], scmix[rows[good]]
+        H = -float(n) * _diff1(np.log(u), grid.spacing, True)
+        q, mask = _conserved_quantity(H, t2, n, eps_T, grid.spacing, True)
+        if q0 is None and len(q):
+            q0, mask0 = q[0], mask[0]
         hu = -_diff2(u, grid.spacing, grid.periodic) - betaD.values * u
-        traj.append({
-            "t": t,
-            "sup_dev_scmix": float(np.max(np.abs(scmix - phi))),
+        return traj.extend({
+            "t": ts[rows],
+            "sup_dev_scmix": np.max(np.abs(sc - phi), axis=-1),
             # integrate's h * sum on both sides, in numpy arithmetic: an
             # overflowed or underflowed norm makes this row non-finite
-            "rayleigh": float((grid.spacing * np.sum(u * hu)) / (grid.spacing * np.sum(u * u))),
-            "lambda0": gs.lambda0,
-            "gap": gs.gap,
-            "min_u": float(np.min(u)),
-            "betaD_drift": 0.0,
-            "conservation_drift": (
-                float(np.max(np.abs(q[both] - q0[both]))) if np.any(both) else 0.0
-            ),
-            "h_dev": float(np.max(np.abs(h_field.values - h_limit.values))),
-        }, {"u": u, "H": h_field.values, "betaD": betaD.values, "T2": t2.values,
-            "scmixT2": scmix})
+            "rayleigh": (grid.spacing * np.sum(u * hu, axis=-1))
+            / (grid.spacing * np.sum(u * u, axis=-1)),
+            "lambda0": np.full(len(u), gs.lambda0),
+            "gap": np.full(len(u), gs.gap),
+            "min_u": np.min(u, axis=-1),
+            "betaD_drift": np.zeros(len(u)),
+            # the sup over the points inside both masks, 0 where there are none
+            "conservation_drift": np.max(np.where(mask & mask0, np.abs(q - q0), 0.0), axis=-1),
+            "h_dev": np.max(np.abs(H - h_limit.values), axis=-1),
+        }, {"u": u, "H": H, "betaD": np.broadcast_to(betaD.values, u.shape), "T2": t2,
+            "scmixT2": sc}, keep, failure)
 
+    keep = _kept_records(dt, t_end, record_every, snapshots)
     march(stepper.step, u0.values, dt, t_end, record_every, advance, record)
     return NormalizedTrajectory(grid, traj.rows, traj.fields, gs, phi, n, betaD,
-                                ScalarField(grid, exponent))
+                                ScalarField(grid, exponent[-1]))
 
 
 @dataclass(frozen=True)
@@ -466,7 +582,7 @@ def fit_decay_rate(
 
 
 def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, t_end: float,
-                   record_every: int) -> Trajectory:
+                   record_every: int, snapshots=None) -> Trajectory:
     """Step dH/dt + (H^2)_y = nu*H_yy - nu^2*forcing_y and d(u)/dt = nu*(u_yy + forcing*u)
     side by side from H = -nu*(log u0)_y; rows hold the sup distance between H
     and the transform -nu*(log u)_y."""
@@ -476,12 +592,16 @@ def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, 
     burg = BurgersStepper(grid, forcing, ucfg)
     traj = Trajectory(grid, [], [])
 
-    def record(t, pair):
-        u, H = pair
-        transformed = grad_log(ScalarField(grid, u), -float(nu)).values
-        traj.append({"t": t, "sup_diff": float(np.max(np.abs(H - transformed)))},
-                    {"H_direct": H, "H_transformed": transformed, "u": u})
+    def record(ts, block, rows):
+        u, H = block[rows, 0], block[rows, 1]
+        failure = _grad_log_failure(u)
+        good = slice(len(u) if failure is None else failure[0])
+        transformed = -float(nu) * _diff1(np.log(u[good]), grid.spacing, True)
+        return traj.extend(
+            {"t": ts[rows], "sup_diff": np.max(np.abs(H[good] - transformed), axis=-1)},
+            {"H_direct": H, "H_transformed": transformed, "u": u}, keep, failure)
 
+    keep = _kept_records(dt, t_end, record_every, snapshots)
     # the state is the pair (u, H), one row each
     march(lambda s: np.array((heat.step(s[0]), burg.step(s[1]))),
           np.array((u0.values, grad_log(u0, -float(nu)).values)), dt, t_end, record_every,
@@ -495,7 +615,8 @@ def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, 
 
 def _run_surface(cfg, grid, fields):
     rho0 = fields["initial"]
-    traj = run_surface_of_revolution(rho0, cfg.time.dt, cfg.time.t_end, cfg.time.record_every)
+    traj = run_surface_of_revolution(rho0, cfg.time.dt, cfg.time.t_end, cfg.time.record_every,
+                                     cfg.time.snapshots)
     final = traj.fields[-1]
     if grid.periodic:
         limit = integrate(rho0) / grid.length
@@ -510,8 +631,8 @@ def _run_surface(cfg, grid, fields):
         "max_conformal_dev": float(np.max(series["conformal_dev"])),
         "max_arc_residual": float(np.max(series["arc_residual"])),
     }
-    if _on_record_grid(series["t"]) >= 3:
-        summary["evolution_crosscheck"] = surface_evolution_crosscheck(traj)
+    if traj.evolution_crosscheck is not None:
+        summary["evolution_crosscheck"] = traj.evolution_crosscheck
     return traj, summary
 
 
@@ -519,7 +640,7 @@ def _run_twisted(cfg, grid, fields):
     profile = fields["initial"]
     traj = run_twisted_product(
         tuple(ScalarField(grid, a * profile.values) for a in cfg.base_values), cfg.n_rank,
-        cfg.time.dt, cfg.time.t_end, cfg.time.record_every)
+        cfg.time.dt, cfg.time.t_end, cfg.time.record_every, cfg.time.snapshots)
     series = traj.series
     summary = {
         "final_t": traj.rows[-1]["t"],
@@ -535,7 +656,8 @@ def _run_normalized(cfg, grid, fields):
     traj = run_normalized_flow(
         fields["initial"], fields["potential"], fields["t2_initial"], cfg.n_rank,
         cfg.time.dt, cfg.time.t_end, cfg.time.record_every,
-        gap_min=cfg.tolerances.gap_min, eps_T=cfg.tolerances.eps_t)
+        gap_min=cfg.tolerances.gap_min, eps_T=cfg.tolerances.eps_t,
+        snapshots=cfg.time.snapshots)
     final = traj.fields[-1]
     series = traj.series
     velocity_form = sc_mix_minus_T2(VectorAlongFiber(grid, final["H"]), traj.n, traj.betaD)
@@ -580,11 +702,11 @@ def _run_normalized(cfg, grid, fields):
 def _run_cole_hopf_check(cfg, grid, fields):
     u0, nu = fields["initial"], cfg.n_rank
     traj = cole_hopf_rows(u0, fields["potential"], nu, cfg.time.dt, cfg.time.t_end,
-                          cfg.time.record_every)
+                          cfg.time.record_every, cfg.time.snapshots)
     fine = build_grid(grid.topology, grid.length, 2 * grid.n_points)
     refined = cole_hopf_rows(
         *(build_field(fine, spec.family, spec.params) for spec in (cfg.initial, cfg.potential)),
-        nu, 0.5 * cfg.time.dt, cfg.time.t_end, 2 * cfg.time.record_every,
+        nu, 0.5 * cfg.time.dt, cfg.time.t_end, 2 * cfg.time.record_every, snapshots=(),
     )
     max_coarse = max(row["sup_diff"] for row in traj.rows)
     max_fine = max(row["sup_diff"] for row in refined.rows)

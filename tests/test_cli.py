@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism, sweep."""
 import ast
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -120,6 +122,18 @@ class TestRunCommand:
         assert proc.returncode == 2
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("scenario, value", [("twisted", ".nan"), ("surface", ".inf")])
+    def test_non_finite_snapshot_time_exits_2(self, tmp_path, scenario, value):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(SHORT_RUNS[scenario].replace("time: {", f"time: {{snapshots: [{value}], "))
+        out = tmp_path / "out"
+        proc = run_cli("run", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == "ValidationError"
+        assert "time.snapshots[0] must be finite" in err["message"]
+        assert not list(out.glob("*"))
 
     def test_numerical_failure_exits_3_and_flushes_summary(self, tmp_path):
         cfg = tmp_path / "degenerate.yaml"
@@ -393,19 +407,81 @@ class TestBlockEdges:
         for (rows, every), artifacts in runs.items():
             assert artifacts == runs[parabolic._BLOCK_ROWS, every], (rows, every)
 
+    @pytest.mark.parametrize("scenario, every", [
+        ("surface", 1), ("twisted", 1), ("normalized", 1), ("cole_hopf_check", 1),
+        ("surface", 7),
+    ])
+    def test_records_inside_blocks_leave_artifacts_unchanged(self, tmp_path, monkeypatch,
+                                                            scenario, every):
+        # every step recorded, so blocks of 7 and 64 rows hold many records;
+        # 7 does not divide the surface's 100 steps, whose last record is off-grid
+        raw = yaml.safe_load(SHORT_RUNS[scenario])
+        t_end = raw["time"]["t_end"]
+        raw["time"].update(record_every=every, snapshots=[0.0, t_end / 3, 0.5 * t_end, t_end])
+        runs = []
+        for rows in (1, 7, 64):
+            monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+            runs.append(_run_artifacts(parse_config_text(json.dumps(raw)), tmp_path / str(rows)))
+        assert len([name for name in runs[0] if name.startswith("fields_")]) == 4
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     @pytest.mark.parametrize("rows", [1, 7, 64])
     @pytest.mark.parametrize("text, error", [
         (OVERFLOW_RUN, "NonFiniteValue: recorded value(s) ['rayleigh'] not finite "
                        "(failure at t = 0.87)"),
         (DEGENERATE_RUN, "ProfileDegenerate: profile slope |rho_x| = 1.2 exceeds 1; "
                          "the surface is no longer a graph over arclength (failure at t = 0)"),
-    ], ids=["overflow", "degenerate"])
+        # every step recorded: the overflowed record sits inside a block
+        (OVERFLOW_RUN.replace("t_end: 2.0}", "t_end: 2.0, record_every: 1}"),
+         "NonFiniteValue: recorded value(s) ['rayleigh'] not finite (failure at t = 0.863)"),
+    ], ids=["overflow", "degenerate", "overflow_every_step"])
     def test_failure_and_its_time_do_not_depend_on_blocks(self, tmp_path, monkeypatch,
                                                           rows, text, error):
         monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
         with pytest.raises(FolflowError) as exc:
             execute_config(parse_config_text(text), tmp_path / "out", quiet=True)
         assert f"{type(exc.value).__name__}: {exc.value}" == error
+
+
+class TestRecordMemory:
+    """A run keeps the field arrays of the records it writes, not of every record."""
+
+    @staticmethod
+    def _peak(tmp_path, steps: int) -> int:
+        raw = yaml.safe_load(SHORT_RUNS["twisted"])
+        raw["grid"]["n_points"] = 128
+        raw["base_values"] = [0.3, 0.45, 0.6]
+        raw["time"] = {"dt": 1e-3, "t_end": steps * 1e-3, "record_every": 1}
+        cfg = parse_config_text(json.dumps(raw))
+        tracemalloc.start()
+        try:
+            execute_config(cfg, tmp_path / str(steps), quiet=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_records(self, tmp_path):
+        self._peak(tmp_path, 10)
+        # a record's six fields take 6 KB: 200 more of them would add 1.2 MB
+        # to the peak, the rows 60 KB
+        assert self._peak(tmp_path, 400) <= 1.1 * self._peak(tmp_path, 200)
+
+    def test_kept_records_are_the_files_written(self, tmp_path, monkeypatch):
+        # records after steps 0, 3, 6, 9 and the off-grid 10: snapshots
+        # between two records, on a tie, twice on one record and on the last
+        dt = 2.0 ** -10
+        raw = yaml.safe_load(SHORT_RUNS["twisted"])
+        raw["time"] = {"dt": dt, "t_end": 10 * dt, "record_every": 3,
+                       "snapshots": [dt, 4.5 * dt, 5.5 * dt, 6.5 * dt, 9.75 * dt]}
+        scenario, runs = SCENARIOS["twisted"], []
+        monkeypatch.setitem(SCENARIOS, "twisted", dataclasses.replace(
+            scenario, run=lambda *args: runs.append(scenario.run(*args)) or runs[-1]))
+        execute_config(parse_config_text(json.dumps(raw)), tmp_path, quiet=True)
+        traj = runs[0][0]
+        kept = [row["t"] for row, fields in zip(traj.rows, traj.fields) if fields is not None]
+        assert kept == [0.0, 3 * dt, 6 * dt, 10 * dt]
+        written = sorted(path.name for path in tmp_path.glob("fields_*.csv"))
+        assert written == [snapshot_name(t) for t in kept]
 
 
 def catalog_lists(text: str, pattern: str = r"trajectory\((.*)\)") -> dict:

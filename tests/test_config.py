@@ -175,6 +175,13 @@ class TestRoundTrip:
             parse_config_text(GOOD.replace(old, new))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    def test_non_finite_snapshot_time_rejected(self, value):
+        bad = GOOD.replace("record_every: 20", f"record_every: 20\n  snapshots: [0.5, {value}]")
+        with pytest.raises(ValidationError) as exc:
+            parse_config_text(bad)
+        assert str(exc.value).startswith("time.snapshots[1] must be finite, got ")
+
     def test_parse_serialize_parse_is_identity(self):
         cfg = parse_config_text(GOOD)
         again = parse_config_text(json.dumps(config_to_dict(cfg)))

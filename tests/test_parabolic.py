@@ -323,7 +323,8 @@ class TestEvolveDriver:
         u0 = ScalarField(g, np.ones(64))
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
         recs = []
-        march(stepper.step, u0.values, 1e-3, 0.0, on_record=lambda t, u: recs.append((t, u)))
+        march(stepper.step, u0.values, 1e-3, 0.0,
+              on_record=lambda ts, block, rows: recs.extend(zip(ts[rows], block[rows])))
         assert len(recs) == 1 and recs[0][0] == 0.0
 
     def test_records_and_monitors(self):
@@ -332,8 +333,8 @@ class TestEvolveDriver:
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
         recs = []
 
-        def span(t, u):
-            recs.append((t, float(np.max(u) - np.min(u))))
+        def span(ts, block, rows):
+            recs.extend((t, float(np.max(u) - np.min(u))) for t, u in zip(ts[rows], block[rows]))
 
         march(stepper.step, u0.values, 1e-3, 0.1, record_every=20, on_record=span)
         assert [t for t, _ in recs] == pytest.approx([0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
@@ -360,13 +361,46 @@ class TestEvolveDriver:
 
         with pytest.raises(FolflowError) as exc:
             march(step, np.zeros(3), 0.5, 10.0, 4, on_block,
-                  lambda t, u: records.append((t, u[0])))
+                  lambda ts, block, rows: records.extend(zip(ts[rows], block[rows, 0])))
         if reject is None:
             assert str(exc.value) == "step failed (failure at t = 6)"
             assert seen == pytest.approx(0.5 * np.arange(1, 12))
         else:
             assert str(exc.value) == "state rejected (failure at t = 5)"
         assert records == [(0.0, 0.0), (2.0, 4.0), (4.0, 8.0)]
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("bad_record, reject, error, kept", [
+        # a record rejected before a monitor failure in the same block wins
+        (6.0, 8.0, "record rejected (failure at t = 3)", [0.0, 2.0, 4.0]),
+        # a monitor failure on a record's own row wins over that record
+        (8.0, 8.0, "state rejected (failure at t = 4)", [0.0, 2.0, 4.0, 6.0]),
+        # a monitor failure between records keeps the records before it
+        (None, 7.0, "state rejected (failure at t = 3.5)", [0.0, 2.0, 4.0, 6.0]),
+    ], ids=["record_first", "monitor_on_record", "monitor_between"])
+    def test_records_inside_a_block_fail_in_step_order(self, monkeypatch, rows, bad_record,
+                                                       reject, error, kept):
+        # state k after step k, recorded every 2 steps; the record hook takes
+        # the records before the one it rejects
+        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        seen, records = [], []
+
+        def on_block(ts, block):
+            bad = np.flatnonzero(block[:, 0] == reject)
+            return (int(bad[0]), NonFiniteValue("state rejected")) if bad.size else None
+
+        def on_record(ts, block, rows):
+            seen.extend(block[rows, 0])
+            for i, u in enumerate(block[rows, 0]):
+                if u == bad_record:
+                    return i, NonFiniteValue("record rejected")
+                records.append(u)
+
+        with pytest.raises(FolflowError) as exc:
+            march(lambda u: u + 1.0, np.zeros(3), 0.5, 10.0, 2, on_block, on_record)
+        assert str(exc.value) == error
+        assert records == kept
+        assert reject not in seen
 
     def test_rejects_negative_horizon(self):
         g = circle(64)

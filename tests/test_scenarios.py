@@ -13,6 +13,8 @@ from folflow.scenarios import (
     run_normalized_flow,
     run_surface_of_revolution,
     run_twisted_product,
+    snapshot_records,
+    snapshots,
     surface_evolution_crosscheck,
 )
 
@@ -107,6 +109,22 @@ class TestSurfaceCrosscheck:
         traj = run_surface_of_revolution(rho0, dt=1e-3, t_end=0.0)
         with pytest.raises(ValueError):
             surface_evolution_crosscheck(traj)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_running_crosscheck_equals_the_crosscheck_of_every_record(self, monkeypatch,
+                                                                      rows):
+        # 100 steps recorded every 7: the records after step 98 and the
+        # off-grid step 100 fall in one block of 7 or 64 rows
+        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        g = build_grid("interval", 1.0, 101)
+        rho0 = ScalarField(g, 0.5 + 0.3 * g.x + 0.1 * np.sin(np.pi * g.x))
+        full = run_surface_of_revolution(rho0, dt=1e-4, t_end=0.01, record_every=7)
+        lean = run_surface_of_revolution(rho0, dt=1e-4, t_end=0.01, record_every=7,
+                                         snapshots=(0.005,))
+        assert full.evolution_crosscheck == lean.evolution_crosscheck
+        assert full.evolution_crosscheck == surface_evolution_crosscheck(full)
+        with pytest.raises(ValueError, match="snapshot"):
+            surface_evolution_crosscheck(lean)
 
     def test_velocity_tracks_transport_law(self):
         # profile curvature evolved through the quadratic transport equation
@@ -263,20 +281,23 @@ class TestNormalizedRun:
 # records
 
 
-def _short_run(flow: str):
+def _short_run(flow: str, snapshots=None):
     """A few steps of one stepped flow, recorded every 3 steps and at the end."""
     g = circle(32)
     bump = ScalarField(g, 1.0 + 0.3 * np.cos(g.x))
     if flow == "surface":
         line = build_grid("interval", 1.0, 33)
         rho0 = ScalarField(line, 0.5 + 0.3 * line.x + 0.05 * np.sin(np.pi * line.x))
-        return run_surface_of_revolution(rho0, dt=1e-3, t_end=0.01, record_every=3)
+        return run_surface_of_revolution(rho0, dt=1e-3, t_end=0.01, record_every=3,
+                                         snapshots=snapshots)
     if flow == "twisted":
-        return run_twisted_product((bump, bump * 0.5), 2, dt=1e-3, t_end=0.01, record_every=3)
+        return run_twisted_product((bump, bump * 0.5), 2, dt=1e-3, t_end=0.01, record_every=3,
+                                   snapshots=snapshots)
     if flow == "normalized":
         return run_normalized_flow(bump, ScalarField(g, 0.2 * bump.values), bump, 2, dt=1e-3,
-                                   t_end=0.01, record_every=3)
-    return cole_hopf_rows(bump, ScalarField(g, 0.2 * bump.values), 1.0, 1e-3, 0.01, 3)
+                                   t_end=0.01, record_every=3, snapshots=snapshots)
+    return cole_hopf_rows(bump, ScalarField(g, 0.2 * bump.values), 1.0, 1e-3, 0.01, 3,
+                          snapshots=snapshots)
 
 
 class TestRecords:
@@ -300,6 +321,35 @@ class TestRecords:
         for i, values in enumerate(arrays):
             assert not np.shares_memory(values, finals[0])
             assert not any(np.shares_memory(values, other) for other in arrays[i + 1:])
+
+
+    def test_snapshot_records_are_the_nearest_in_time_order(self):
+        # records after steps 0, 3, 6, 9 and the off-grid last step 10 of dt = 0.25
+        times = [0.0, 0.75, 1.5, 2.25, 2.5]
+        assert snapshot_records(times, [0.25]) == [0]  # between two records
+        assert snapshot_records(times, [1.125]) == [1]  # a tie goes to the earlier record
+        assert snapshot_records(times, [1.6, 1.4]) == [2]  # twice on one record
+        assert snapshot_records(times, [2.45, 0.25]) == [0, 4]  # the off-grid last record
+
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("flow", ["surface", "twisted", "normalized", "cole_hopf"])
+    def test_runs_given_snapshots_keep_those_records_and_the_last(self, monkeypatch, flow,
+                                                                   rows):
+        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        full = _short_run(flow)
+        # records at t = 0, 0.003, 0.006, 0.009, 0.01: the first is nearest
+        # 0.001, the third nearest both 0.0052 and 0.0058
+        wanted = (0.001, 0.0052, 0.0058)
+        lean = _short_run(flow, snapshots=wanted)
+        assert all(fields is not None for fields in full.fields)
+        assert lean.rows == full.rows
+        assert [i for i, fields in enumerate(lean.fields) if fields is not None] == [0, 2, 4]
+        for kept, every in ((lean.fields[-1], full.fields[-1]),
+                            *zip(snapshots(lean, wanted).values(),
+                                 snapshots(full, wanted).values())):
+            assert kept.keys() == every.keys()
+            assert all(np.array_equal(kept[name], every[name]) for name in kept)
+        assert list(snapshots(lean, wanted)) == list(snapshots(full, wanted))
 
 
 def _ones(g):
