@@ -166,11 +166,25 @@ def grad_log(u: ScalarField, scale: float = 1.0) -> VectorAlongFiber:
     along a flow reduce to the derivative of a sum of per-step log ratios,
     so the stencil truncation error cancels instead of growing.
     """
-    m = float(np.min(u.values))
-    if m <= 0.0:
-        raise NonPositiveField(f"grad_log needs a strictly positive field, min value {m}")
     g = u.grid
-    return VectorAlongFiber(g, scale * _diff1(np.log(u.values), g.spacing, g.periodic))
+    values, failure = _grad_log(u.values[None], scale, g.spacing, g.periodic)
+    if failure:
+        raise failure[1]
+    return VectorAlongFiber(g, values[0])
+
+
+def _grad_log(u: np.ndarray, scale: float, spacing: float, periodic: bool):
+    """grad_log of records of fields along the last axis, one record per row of u:
+    the values of the records before the first holding a field that is not
+    strictly positive, and (i, error) for that record i, or None."""
+    low = np.min(u, axis=-1).reshape(len(u), -1)
+    bad = np.flatnonzero((low <= 0.0).any(axis=1))
+    values = scale * _diff1(np.log(u[:bad[0] if bad.size else len(u)]), spacing, periodic)
+    if bad.size == 0:
+        return values, None
+    i = int(bad[0])
+    m = float(low[i][low[i] <= 0.0][0])
+    return values, (i, NonPositiveField(f"grad_log needs a strictly positive field, min value {m}"))
 
 
 def fourier_derivative(field: ScalarField) -> ScalarField:

@@ -34,10 +34,10 @@ import numpy as np
 
 from . import colehopf
 from .curvature import _conserved_quantity, _riccati_residual, sc_mix_minus_T2
-from .errors import GapTooSmall, NonFiniteValue, NonPositiveField, NotConverged, ProfileDegenerate
+from .errors import GapTooSmall, NonFiniteValue, NotConverged, ProfileDegenerate
 from .families import build_field
-from .fiber import (FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, build_grid,
-                    grad_log, integrate, laplacian)
+from .fiber import (FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, _grad_log,
+                    build_grid, grad_log, integrate, laplacian)
 from .parabolic import (PERIODIC, BurgersStepper, Dirichlet, HeatStepper, StepperConfig, march,
                         record_steps)
 from .schrodinger import GroundState, eigencount, ground_state, spectrum, weyl_theta
@@ -90,13 +90,6 @@ class Trajectory:
                                {name: _frozen(vals[i]) for name, vals in fields.items()})
         return failure
 
-    def append(self, row: dict, fields: dict[str, np.ndarray]):
-        """Append one record, or raise its failure."""
-        failure = self.extend({key: np.array([value]) for key, value in row.items()},
-                              {name: np.asarray(vals)[None] for name, vals in fields.items()})
-        if failure:
-            raise failure[1]
-
 
 def _frozen(values) -> np.ndarray:
     owned = np.array(values, dtype=float)
@@ -122,24 +115,6 @@ def _kept_records(dt: float, t_end: float, record_every: int, wanted):
         return None
     times = record_steps(dt, t_end, record_every) * dt
     return frozenset({*snapshot_records(times, wanted), len(times) - 1})
-
-
-def _first_failure(bad: np.ndarray, error, failure=None):
-    """The earlier of failure and (i, error(i)) for the first record i that is bad."""
-    hits = np.flatnonzero(bad[:len(bad) if failure is None else failure[0]])
-    return failure if hits.size == 0 else (int(hits[0]), error(int(hits[0])))
-
-
-def _grad_log_failure(u: np.ndarray, failure=None):
-    """grad_log's check on records of fields along the last axis: the earlier of
-    failure and the first record holding a field that is not strictly positive."""
-    low = np.min(u, axis=-1).reshape(len(u), -1)
-
-    def error(i):
-        m = float(low[i][low[i] <= 0.0][0])
-        return NonPositiveField(f"grad_log needs a strictly positive field, min value {m}")
-
-    return _first_failure((low <= 0.0).any(axis=1), error, failure)
 
 
 def _shared_grid(*fields: ScalarField) -> FiberGrid:
@@ -253,18 +228,6 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
     return traj
 
 
-def _on_record_grid(t: np.ndarray) -> int:
-    """How many leading records were taken every record_every steps.
-
-    march also records after the last step; when record_every does not
-    divide the step count, that record falls between grid times and is
-    left out.
-    """
-    if len(t) > 2 and t[-1] - t[-2] < (1.0 - 1e-9) * (t[1] - t[0]):
-        return len(t) - 1
-    return len(t)
-
-
 def linear_interpolant(grid: FiberGrid, left: float, right: float) -> ScalarField:
     """Boundary-respecting straight-line profile, the interval steady state."""
     return ScalarField(grid, left + (right - left) * grid.x / grid.length)
@@ -300,7 +263,7 @@ class _EvolutionResiduals:
         return {"k_residual": self.res_k, "K_residual": self.res_cap} if self.count >= 3 else None
 
 
-def surface_evolution_crosscheck(traj: Trajectory) -> dict[str, float]:
+def surface_evolution_crosscheck(traj: SurfaceTrajectory) -> dict[str, float]:
     """Residuals of dk/dt = d/dx(K) and dK/dt = N(N(K)) - 2k N(K), N = d/dx.
 
     Time derivatives are centered over the records taken every record_every
@@ -308,22 +271,11 @@ def surface_evolution_crosscheck(traj: Trajectory) -> dict[str, float]:
     interval grids the sup skips the three nodes nearest each end: the
     one-sided end stencils are second order individually but do not compose
     to second order, and the identity is a property of the interior dynamics.
-    It reads the k and K of every such record, which a run given snapshot
-    times does not keep; that run reduces the same residuals as it goes, into
-    its evolution_crosscheck.
+    The run reduces them as it goes, into its evolution_crosscheck.
     """
-    t = traj.t
-    m = _on_record_grid(t)
-    if m < 3:
+    if traj.evolution_crosscheck is None:
         raise ValueError("need at least three recorded states")
-    dts = np.diff(t[:m])
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
-        raise ValueError("records are not uniformly spaced in time")
-    if any(rec is None for rec in traj.fields[:m]):
-        raise ValueError("the run kept the field arrays of its snapshot records only")
-    residuals = _EvolutionResiduals(traj.grid, dts[0])
-    residuals.add(*(np.array([rec[name] for rec in traj.fields[:m]]) for name in ("k", "K")))
-    return residuals.result()
+    return traj.evolution_crosscheck
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +316,8 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
         # contiguous row: a sum down the columns of the block adds in
         # another order
         f = np.ascontiguousarray(block[rows].transpose(0, 2, 1))
-        failure = _grad_log_failure(f)
-        good = f[:len(f) if failure is None else failure[0]]
-        H = -1.0 * _diff1(np.log(good), grid.spacing, True)
+        H, failure = _grad_log(f, -1.0, grid.spacing, grid.periodic)
+        good = f[:len(H)]
         masses = grid.spacing * np.sum(good, axis=-1)
         return traj.extend({
             "t": ts[rows],
@@ -458,25 +409,27 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
         nonlocal scmix, exponent
         new = normalized_scmix(block, betaD, n)
         finite = np.isfinite(new).all(axis=1)
-        bad = _first_failure(~finite, lambda i: NonFiniteValue("field values must be finite"))
-        new = new[:len(new) if bad is None else bad[0]]
+        new = new[:len(new) if finite.all() else int(np.argmin(finite))]
         if len(new):
             terms = 4.0 * dt * (0.5 * (np.vstack([scmix[-1], new[:-1]]) + new) - phi)
             terms[0] += exponent[-1]
             scmix, exponent = new, np.add.accumulate(terms, axis=0)
-        return bad
+        if len(new) < len(finite):
+            return len(new), NonFiniteValue("field values must be finite")
+        return None
 
     def record(ts, block, rows):
         nonlocal q0, mask0
         u = block[rows]
         t2 = T2_0.values * np.exp(exponent[rows])
-        failure = _first_failure(~np.isfinite(t2).all(axis=-1),
-                                 lambda i: NonFiniteValue("field values must be finite"))
-        failure = _grad_log_failure(u, failure)
+        H, failure = _grad_log(u, -float(n), grid.spacing, grid.periodic)
+        # a record's non-finite |T|^2 is checked before its grad_log
+        finite = np.isfinite(t2[:len(H) + 1]).all(axis=-1)
+        if not finite.all():
+            failure = int(np.argmin(finite)), NonFiniteValue("field values must be finite")
         good = slice(len(u) if failure is None else failure[0])
-        u, t2, sc = u[good], t2[good], scmix[rows[good]]
-        H = -float(n) * _diff1(np.log(u), grid.spacing, True)
-        q, mask = _conserved_quantity(H, t2, n, eps_T, grid.spacing, True)
+        u, t2, sc, H = u[good], t2[good], scmix[rows[good]], H[good]
+        q, mask = _conserved_quantity(H, t2, n, eps_T, grid.spacing, grid.periodic)
         if q0 is None and len(q):
             q0, mask0 = q[0], mask[0]
         hu = -_diff2(u, grid.spacing, grid.periodic) - betaD.values * u
@@ -594,11 +547,10 @@ def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, 
 
     def record(ts, block, rows):
         u, H = block[rows, 0], block[rows, 1]
-        failure = _grad_log_failure(u)
-        good = slice(len(u) if failure is None else failure[0])
-        transformed = -float(nu) * _diff1(np.log(u[good]), grid.spacing, True)
+        transformed, failure = _grad_log(u, -float(nu), grid.spacing, grid.periodic)
         return traj.extend(
-            {"t": ts[rows], "sup_diff": np.max(np.abs(H[good] - transformed), axis=-1)},
+            {"t": ts[rows], "sup_diff": np.max(np.abs(H[:len(transformed)] - transformed),
+                                               axis=-1)},
             {"H_direct": H, "H_transformed": transformed, "u": u}, keep, failure)
 
     keep = _kept_records(dt, t_end, record_every, snapshots)
@@ -741,10 +693,14 @@ def _run_spectral_report(cfg, grid, fields):
     else:
         weyl = 0.0
     traj = Trajectory(grid, [], [])
-    traj.append({"t": 0.0, "lambda0": gs.lambda0, "lambda1": gs.lambda1, "gap": gs.gap,
-                 "weyl_ratio": weyl},
-                {"potential": f.values,
-                 **{f"e{j}": ef.values for j, ef in enumerate(dec.eigenfunctions)}})
+    row = {"t": 0.0, "lambda0": gs.lambda0, "lambda1": gs.lambda1, "gap": gs.gap,
+           "weyl_ratio": weyl}
+    failure = traj.extend(
+        {key: np.array([value]) for key, value in row.items()},
+        {"potential": f.values[None],
+         **{f"e{j}": ef.values[None] for j, ef in enumerate(dec.eigenfunctions)}})
+    if failure:
+        raise failure[1]
     rng = np.random.default_rng(cfg.seed)
     bound_margin = None
     for _ in range(cfg.n_random):
