@@ -12,18 +12,10 @@ from pathlib import Path
 import numpy as np
 
 
-def fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_trajectory(path: Path, columns: list[str], rows: list[dict]):
+    # the row values are Python floats (Trajectory.extend takes them from tolist())
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(row[c]) for c in columns))
+    lines += [",".join(map(repr, [row[c] for c in columns])) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -32,8 +24,8 @@ def snapshot_name(t: float) -> str:
 
 
 def write_fields(path: Path, x: np.ndarray, fields: dict[str, np.ndarray]):
-    # tolist() gives Python floats (or ints), whose repr is fmt's text; 512
-    # rows at a time keep few of them alive
+    # tolist() gives Python floats (or ints), written by repr; 512 rows at a
+    # time keep few of them alive
     cols = [np.asarray(col) for col in (x, *fields.values())]
     with open(path, "w") as out:
         out.write(",".join(["x", *fields]) + "\n")

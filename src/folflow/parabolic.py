@@ -7,12 +7,16 @@ Both are Crank-Nicolson, Burgers with an explicit midpoint stage for advection
 and forcing (IMEX).  Each implicit matrix I - c*(nu*Lap + V) is symmetric
 tridiagonal and must be positive definite, c*max(V) < 1: LAPACK dpttrf factors
 it once and dpttrs solves for the increment d of each step u + d, with
-Sherman-Morrison for a circle's corners.  A step maps a field to a field of
-the same type, and values to values: (n,), or (n, m) with a field per column.
+Sherman-Morrison for a circle's corners.  Fields run along the last axis:
+values are (n,), or (m, n) with a field per row.  A step maps a field to a
+field of the same type and values to new values, checked finite; or it writes
+values into a given out array, allocating no state-sized array and checking
+nothing, which is how march steps them: march checks each block of steps
+finite at once.  A stepper keeps work arrays the size of one state, so it
+takes one step at a time.
 """
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -58,14 +62,10 @@ class StepperConfig:
             raise ValueError(f"diffusivity must be positive, got {self.diffusivity}")
 
 
-def _check_boundary_topology(grid: FiberGrid, cfg: StepperConfig):
-    if grid.periodic and isinstance(cfg.boundary, Dirichlet):
-        raise ValueError("Dirichlet boundary on a circle fiber")
-    if not grid.periodic and isinstance(cfg.boundary, Periodic):
-        raise ValueError("interval fiber needs Dirichlet boundary data")
-
-
 _NOT_DEFINITE = "implicit step matrix is not positive definite: dt is too large for the potential"
+_NON_FINITE = "implicit step produced non-finite values"
+# numpy scales an array by a 0-d array faster than by a Python float
+_MINUS_TWO = np.array(-2.0)
 
 
 class _Tridiagonal:
@@ -74,15 +74,17 @@ class _Tridiagonal:
     solved by dpttrs, d zero at an interval's held ends.  On a circle,
     Sherman-Morrison (Numerical Recipes 2.7, gamma = -diag[0]) takes out the
     corners: I - c*A = T + w*w^T/gamma, T tridiagonal, w nonzero at the ends.
-    Fields run along axis 0: (n,), or (n, m) with each column solved alone."""
+    Fields run along the last axis, (n,) or (m, n) with each row solved alone,
+    in the work array rhs that resize() sizes for one state: C-contiguous, so
+    dpttrs solves its transpose in place."""
 
     def __init__(self, grid: FiberGrid, nu: float, V: ScalarField | None, c: float):
         self.periodic = grid.periodic
-        self._inv = nu / (grid.spacing * grid.spacing)
+        inv = nu / (grid.spacing * grid.spacing)
         self._V = None if V is None else V.values if self.periodic else V.values[1:-1]
-        diag = np.full(grid.n_points - 2 * (not self.periodic), 1.0 + 2.0 * c * self._inv)
+        diag = np.full(grid.n_points - 2 * (not self.periodic), 1.0 + 2.0 * c * inv)
         diag -= 0.0 if self._V is None else c * self._V
-        off = -c * self._inv
+        off = -c * inv
         if self.periodic:
             if diag[0] <= 0.0:
                 raise SolverSingular(f"{_NOT_DEFINITE} (diagonal {diag[0]:.3g})")
@@ -97,110 +99,162 @@ class _Tridiagonal:
             dot = self._z[0] + (off / gamma) * self._z[-1]
             if not 1.0 + dot > 1e-12 * abs(dot):
                 raise SolverSingular(f"{_NOT_DEFINITE} (Sherman-Morrison denominator {1 + dot:.3g})")
-            self._w0, self._w1 = 1.0 / (1.0 + dot), (off / gamma) / (1.0 + dot)
+            self._w0, self._w1 = np.array(1.0 / (1.0 + dot)), np.array((off / gamma) / (1.0 + dot))
+        self._inv, self._ends = np.array(inv), (..., slice(None, None, grid.n_points - 1))
+        self.shape = None
+
+    def resize(self, shape: tuple):
+        """Work arrays for states of this shape."""
+        self.shape = shape
+        self.rhs = r = np.empty((*shape[:-1], len(self._d)))
+        self._tmp = np.empty_like(r)
+        self._views = r.T, r[..., :-1], r[..., 1:], r[..., :1], r[..., -1:]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """A u at the moving nodes, u[1:-1] once a circle is closed by its neighbours."""
+        """rhs = A u at the moving nodes, a circle closed by u's other end."""
+        out, _, head, tail, first, last = self.rhs, *self._views
         if self.periodic:
-            u = np.concatenate((u[-1:], u, u[:1]))
-        au = -2.0 * u[1:-1]
-        au += u[2:]
-        au += u[:-2]
-        au *= self._inv
-        if self._V is not None:
-            au += (self._V * u[1:-1].T).T
-        return au
-
-    def advance(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """u + d, where (I - c*A) d = rhs at the moving nodes."""
-        d = dpttrs(self._d, self._e, rhs)[0]
-        if self.periodic:
-            # reduce by w's two entries, not a dot product down the column, so a block
-            # solves exactly as its columns do; the outer product is laid out as d is
-            d -= np.multiply.outer(self._w0 * d[0] + self._w1 * d[-1], self._z).T
-            new = u + d
+            np.multiply(u, _MINUS_TWO, out)
+            np.add(head, u[..., 1:], head)
+            np.add(last, u[..., :1], last)
+            np.add(tail, u[..., :-1], tail)
+            np.add(first, u[..., -1:], first)
         else:
-            new = u.copy()
-            new[1:-1] += d
+            np.multiply(u[..., 1:-1], _MINUS_TWO, out)
+            np.add(out, u[..., 2:], out)
+            np.add(out, u[..., :-2], out)
+        np.multiply(out, self._inv, out)
+        if self._V is not None:
+            np.add(out, np.multiply(self._V, u if self.periodic else u[..., 1:-1], self._tmp), out)
+        return out
+
+    def advance(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = u + d, where (I - c*A) d = rhs at the moving nodes; the solve
+        overwrites rhs, and out may be u itself."""
+        d, d_t, _, _, first, last = self.rhs, *self._views
+        dpttrs(self._d, self._e, d_t, 1)
+        if self.periodic:
+            # reduce by w's two entries, not a dot product along the row, so a
+            # block solves exactly as its rows do
+            np.subtract(d, np.multiply(self._w0 * first + self._w1 * last, self._z, self._tmp), d)
+            return np.add(u, d, out)
+        out[self._ends] = u[self._ends]
+        np.add(u[..., 1:-1], d, out[..., 1:-1])
+        return out
+
+
+class _Stepper:
+    """What both steppers share: the checks on their inputs, and a step without out."""
+
+    def __init__(self, grid: FiberGrid, cfg: StepperConfig, coefficient, name: str):
+        if grid.periodic and isinstance(cfg.boundary, Dirichlet):
+            raise ValueError("Dirichlet boundary on a circle fiber")
+        if not grid.periodic and isinstance(cfg.boundary, Periodic):
+            raise ValueError("interval fiber needs Dirichlet boundary data")
+        if coefficient is not None and coefficient.grid != grid:
+            raise ValueError(f"{name} lives on a different grid")
+        self.grid, self.cfg, self._dt = grid, cfg, np.array(cfg.dt)
+
+    def _check(self, vals: np.ndarray):
+        """Raise if values may not be stepped."""
+
+    def _fresh(self, u):
+        """A step of u into a new array, checked finite, or into a new field of u's type."""
+        if isinstance(u, _GridFunction):
+            if u.grid != self.grid:
+                raise ValueError("field lives on a different grid")
+            return type(u)(self.grid, self._fresh(u.values))
+        u = np.asarray(u, dtype=float)
+        self._check(u)
+        new = self._step(u, np.empty(u.shape))
         if not np.isfinite(new).all():
-            raise SolverSingular("implicit step produced non-finite values")
+            raise SolverSingular(_NON_FINITE)
         return new
 
 
-def _fields_too(step):
-    """A step on values that also maps a field to a field of the same type."""
-    @functools.wraps(step)
-    def stepped(self, state):
-        if not isinstance(state, _GridFunction):
-            return step(self, state)
-        if state.grid != self.grid:
-            raise ValueError("field lives on a different grid")
-        return type(state)(self.grid, step(self, state.values))
-    return stepped
-
-
-class HeatStepper:
+class HeatStepper(_Stepper):
     """Prefactored stepper for du/dt = nu*u_xx + V*u on a fixed grid; on an
     interval every step returns the end values it was given, bit for bit."""
 
     def __init__(self, grid: FiberGrid, V: ScalarField | None, cfg: StepperConfig):
-        _check_boundary_topology(grid, cfg)
-        if V is not None and V.grid != grid:
-            raise ValueError("reaction coefficient lives on a different grid")
-        self.grid = grid
-        self.cfg = cfg
+        super().__init__(grid, cfg, V, "reaction coefficient")
         self._op = _Tridiagonal(grid, cfg.diffusivity, V, 0.5 * cfg.dt)
 
-    def _check_matches_boundary(self, vals: np.ndarray):
+    def _check(self, vals: np.ndarray):
         bnd = self.cfg.boundary
-        left, right = vals[0], vals[-1]
-        # the ends of a marched field match exactly: the step holds them
-        if vals.ndim == 1 and left == bnd.left and right == bnd.right:
-            return
-        tol = 1e-9 * (1.0 + np.max(np.abs(vals), axis=0))
-        if np.any(np.abs(left - bnd.left) > tol) or np.any(np.abs(right - bnd.right) > tol):
-            raise ValueError("field does not match the Dirichlet boundary values")
+        if isinstance(bnd, Dirichlet):
+            tol = 1e-9 * (1.0 + np.max(np.abs(vals), axis=-1))
+            if (np.any(np.abs(vals[..., 0] - bnd.left) > tol)
+                    or np.any(np.abs(vals[..., -1] - bnd.right) > tol)):
+                raise ValueError("field does not match the Dirichlet boundary values")
 
-    @_fields_too
-    def step(self, u: np.ndarray) -> np.ndarray:
-        if isinstance(self.cfg.boundary, Dirichlet):
-            self._check_matches_boundary(u)
+    def step(self, u, out: np.ndarray | None = None):
+        """One step of u: values, (n,) or (m, n) with a field per row, or a field.
+        With out, the values step into out (which may be u) unchecked, as march
+        steps them.  Without, a new array or field is returned, u's ends checked
+        against Dirichlet data and the result checked finite."""
+        return self._fresh(u) if out is None else self._step(u, out)
+
+    def _step(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         # u_new = (I - cA)^-1 (I + cA) u = u + d with (I - cA) d = 2c A u
-        return self._op.advance(u, self.cfg.dt * self._op.apply(u))
+        op = self._op
+        if u.shape != op.shape:
+            op.resize(u.shape)
+        np.multiply(op.apply(u), self._dt, op.rhs)
+        return op.advance(u, out)
 
 
-class BurgersStepper:
+class BurgersStepper(_Stepper):
     """Prefactored stepper for dH/dt = nu*H_xx - (H^2)_x - nu^2*(forcing)_x.
 
     Diffusion is treated by Crank-Nicolson, advection and forcing by an explicit
     midpoint stage: second order without history.  Interval ends are held."""
 
     def __init__(self, grid: FiberGrid, forcing: ScalarField, cfg: StepperConfig):
-        _check_boundary_topology(grid, cfg)
-        if forcing.grid != grid:
-            raise ValueError("forcing lives on a different grid")
-        self.grid = grid
-        self.cfg = cfg
+        super().__init__(grid, cfg, forcing, "forcing")
         nu = cfg.diffusivity
-        self._force_x = nu * nu * _diff1(forcing.values, grid.spacing, grid.periodic)
+        force_x = nu * nu * _diff1(forcing.values, grid.spacing, grid.periodic)
+        self._force_x = force_x if grid.periodic else force_x[1:-1]
         self._half = _Tridiagonal(grid, nu, None, 0.25 * cfg.dt)
         self._full = _Tridiagonal(grid, nu, None, 0.50 * cfg.dt)
+        # dividing by -2h negates _diff1's quotient by 2h exactly
+        self._half_dt, self._minus_2h = np.array(0.5 * cfg.dt), np.array(-2.0 * grid.spacing)
 
-    def _advect(self, hvals: np.ndarray) -> np.ndarray:
-        """-(H^2)_x - nu^2*forcing_x at the moving nodes."""
-        # transposed, the fiber runs along the last axis for (n,) and (n, m) alike
-        g, rows = self.grid, hvals.T
-        adv = (-_diff1(rows * rows, g.spacing, g.periodic) - self._force_x).T
-        return adv if g.periodic else adv[1:-1]
+    def _advect(self, h: np.ndarray) -> np.ndarray:
+        """The half solve's rhs = -(h^2)_x - nu^2*forcing_x at the moving nodes,
+        by _diff1's stencil; mid (which may be h) receives h^2."""
+        sq, out = self._mid, self._half.rhs
+        np.multiply(h, h, sq)
+        if self.grid.periodic:
+            np.subtract(sq[..., 2:], sq[..., :-2], out[..., 1:-1])
+            np.subtract(sq[..., 1:2], sq[..., -1:], out[..., :1])
+            np.subtract(sq[..., :1], sq[..., -2:-1], out[..., -1:])
+        else:
+            np.subtract(sq[..., 2:], sq[..., :-2], out)
+        np.divide(out, self._minus_2h, out)
+        return np.subtract(out, self._force_x, out)
 
-    @_fields_too
-    def step(self, H: np.ndarray) -> np.ndarray:
+    def step(self, H, out: np.ndarray | None = None):
+        """One step of H, as HeatStepper.step, without an end check."""
+        return self._fresh(H) if out is None else self._step(H, out)
+
+    def _step(self, H: np.ndarray, out: np.ndarray) -> np.ndarray:
         # delta form of mid = M_half^-1 (H + dt/2 N(H) + dt/4 D H) and
-        # H_new = M_full^-1 (H + dt N(mid) + dt/2 D H), M = I - c*D
-        dt = self.cfg.dt
-        dif = self._half.apply(H)
-        mid = self._half.advance(H, 0.5 * dt * (self._advect(H) + dif))
-        return self._full.advance(H, dt * (self._advect(mid) + dif))
+        # H_new = M_full^-1 (H + dt N(mid) + dt/2 D H), M = I - c*D; D H waits
+        # in the full solve's rhs
+        half, full = self._half, self._full
+        if H.shape != full.shape:
+            half.resize(H.shape)
+            full.resize(H.shape)
+            self._mid = np.empty(H.shape)
+        dif = full.apply(H)
+        rhs = self._advect(H)
+        np.add(rhs, dif, rhs)
+        np.multiply(rhs, self._half_dt, rhs)
+        half.advance(H, self._mid)
+        np.add(dif, self._advect(self._mid), dif)
+        np.multiply(dif, self._dt, dif)
+        return full.advance(H, out)
 
 
 def record_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
@@ -222,22 +276,28 @@ _BLOCK_DOUBLES = 2 ** 15
 
 def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 1,
           on_block=None, on_record=None):
-    """The one time-marching loop: apply step to state (an array) until t_end.
-
-    Steps run into a block buffer, one state per row, until it is full or
-    the run ends.  on_block(ts, block) then sees the block's times and
-    states at once and returns None, or (row, error) for the first row its
-    monitors reject.  on_record(ts, block, rows) sees the same block and the
-    rows to record (record_steps), up to the first rejected row; the initial
-    state comes as a block of one row, which on_block does not see.  It
-    returns None, or (i, error) for the first of those records it rejects.
-    The first failure in step order is raised with its time.  Returns the
-    final state.
+    """The one time-marching loop: step state, (n,) or (m, n) with a field per
+    row, until t_end.  step(u) returns the state a step after u and makes the
+    stepper's checks of its input; step(u, out) writes it into out, which may
+    be u itself, and checks nothing.  The first step is step(u), the rest
+    step into a block buffer, one state per row, until it is full or the run
+    ends.  The block's rows are then checked finite at once: the first
+    non-finite one fails as a step that raises does (numpy's overflow and
+    invalid warnings are off while a block steps).  on_block(ts, block) sees
+    the block's times and states before a failed row and returns None, or
+    (row, error) for the first row its monitors reject.
+    on_record(ts, block, rows) sees the same block and the rows to record
+    (record_steps) before the first rejected row; the initial state comes as
+    a block of one row, which on_block does not see.  It returns None, or
+    (i, error) for the first of those records it rejects.  The first failure
+    in step order is raised with its time.  Returns the final state.
     """
     steps = record_steps(dt, t_end, record_every).tolist()
     n_steps = steps[-1]
     state = np.asarray(state, dtype=float)
-    buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // state.size)), *state.shape))
+    size = state.size
+    buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // size)), *state.shape))
+    buf_rows = list(buf)
     k, t = 0, 0.0
     try:
         failure = on_record and on_record(np.zeros(1), state[None], np.zeros(1, dtype=int))
@@ -246,12 +306,21 @@ def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 
         while k < n_steps:
             rows = min(len(buf), n_steps - k)
             failure = None  # (row of the block, error)
-            for j in range(rows):
-                try:
-                    state = buf[j] = step(state)
-                except FolflowError as err:
-                    failure, rows = (j, err), j
-                    break
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(rows):
+                    try:
+                        if k or j:
+                            step(state, buf_rows[j])
+                        else:
+                            buf[0] = step(state)
+                    except FolflowError as err:
+                        failure, rows = (j, err), j
+                        break
+                    state = buf_rows[j]
+            finite = np.isfinite(buf[:rows].reshape(rows, size)).all(axis=1)
+            if not finite.all():
+                rows = int(np.argmin(finite))
+                failure = rows, SolverSingular(_NON_FINITE)
             ts = np.arange(k + 1, k + rows + 1) * dt
             if on_block is not None and rows:
                 failure = on_block(ts, buf[:rows]) or failure

@@ -312,10 +312,7 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
     traj = TwistedTrajectory(grid, [], [], means)
 
     def record(ts, block, rows):
-        # each slice laid out along the last axis, so it is summed as a
-        # contiguous row: a sum down the columns of the block adds in
-        # another order
-        f = np.ascontiguousarray(block[rows].transpose(0, 2, 1))
+        f = block[rows]
         H, failure = _grad_log(f, -1.0, grid.spacing, grid.periodic)
         good = f[:len(H)]
         masses = grid.spacing * np.sum(good, axis=-1)
@@ -328,8 +325,8 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
             for name, vals in (("f", good), ("H", H))}, keep, failure)
 
     keep = _kept_records(dt, t_end, record_every, snapshots)
-    # one column per slice, all stepped by one multi-column solve
-    march(stepper.step, np.column_stack([f.values for f in slices]), dt, t_end, record_every,
+    # one row per slice, all stepped by one multi-row solve
+    march(stepper.step, np.array([f.values for f in slices]), dt, t_end, record_every,
           on_record=record)
     return traj
 
@@ -553,11 +550,16 @@ def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, 
                                                axis=-1)},
             {"H_direct": H, "H_transformed": transformed, "u": u}, keep, failure)
 
+    def step(s, out=None):
+        # the state is the pair (u, H), one row each
+        out = np.empty_like(s) if out is None else out
+        heat.step(s[0], out[0])
+        burg.step(s[1], out[1])
+        return out
+
     keep = _kept_records(dt, t_end, record_every, snapshots)
-    # the state is the pair (u, H), one row each
-    march(lambda s: np.array((heat.step(s[0]), burg.step(s[1]))),
-          np.array((u0.values, grad_log(u0, -float(nu)).values)), dt, t_end, record_every,
-          on_record=record)
+    march(step, np.array((u0.values, grad_log(u0, -float(nu)).values)), dt, t_end,
+          record_every, on_record=record)
     return traj
 
 

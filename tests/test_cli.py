@@ -20,7 +20,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from folflow import parabolic
-from folflow.artifacts import fmt, snapshot_name, write_fields
+from folflow.artifacts import snapshot_name, write_fields, write_trajectory
 from folflow.cli import execute_config, main
 from folflow.config import parse_config, parse_config_text
 from folflow.errors import FolflowError, ValidationError
@@ -374,12 +374,18 @@ class TestDeterminism:
             payloads.append(summary_sans_meta(out))
         assert payloads[0] == payloads[1]
 
-    def test_field_columns_written_as_fmt_writes_them(self, tmp_path):
+    def test_field_columns_written_as_the_repr_of_their_values(self, tmp_path):
         x = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0])
         fields = {"f": x[::-1] * 3.0, "n": np.arange(5)}
         write_fields(tmp_path / "f.csv", x, fields)
-        rows = [",".join(fmt(col[i]) for col in (x, *fields.values())) for i in range(5)]
+        rows = [",".join(repr(col[i].item()) for col in (x, *fields.values())) for i in range(5)]
         assert (tmp_path / "f.csv").read_text() == "\n".join(["x,f,n", *rows]) + "\n"
+
+    def test_trajectory_rows_written_as_the_repr_of_their_values(self, tmp_path):
+        rows = [{"t": 0.0, "a": -0.0}, {"t": 0.1 + 0.2, "a": 5e-324}, {"t": 1e16, "a": 1.0}]
+        write_trajectory(tmp_path / "t.csv", ["t", "a"], rows)
+        assert (tmp_path / "t.csv").read_text() == (
+            "t,a\n0.0,-0.0\n0.30000000000000004,5e-324\n1e+16,1.0\n")
 
 
 def _run_artifacts(cfg, out: Path) -> dict:

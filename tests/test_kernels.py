@@ -165,20 +165,27 @@ class TestShapes:
     @PROPERTY
     @given(case=heat_cases(), topology=st.sampled_from(["circle", "interval"]),
            kind=st.sampled_from(["heat", "burgers"]), m=st.integers(1, 5))
-    def test_columns_step_like_single_fields(self, case, topology, kind, m):
+    def test_rows_step_like_single_fields(self, case, topology, kind, m):
+        # a block of fields, one per row, steps each row as it steps alone:
+        # into a new array, into a given out array, and in place
         circle, dt, nu, V, rng = case
         grid = build_grid(topology, circle.length, circle.n_points)
-        cols = rng.normal(size=(grid.n_points, m))
+        block = rng.normal(size=(m, grid.n_points))
         boundary = PERIODIC
         if topology == "interval":
-            cols[0], cols[-1] = 0.3, -0.7
+            block[:, 0], block[:, -1] = 0.3, -0.7
             boundary = Dirichlet(0.3, -0.7)
         cfg = StepperConfig(dt, nu, boundary=boundary)
         field = ScalarField(grid, V)
         stepper = (HeatStepper(grid, field, cfg) if kind == "heat"
                    else BurgersStepper(grid, field, cfg))
-        each = np.column_stack([stepper.step(cols[:, i].copy()) for i in range(m)])
-        assert np.array_equal(stepper.step(cols), each)
+        each = [stepper.step(row.copy()) for row in block]
+        into, in_place = np.full_like(block, np.nan), block.copy()
+        stepper.step(block, into)
+        stepper.step(in_place, in_place)
+        for stepped in (stepper.step(block), into, in_place):
+            for i in range(m):
+                assert np.array_equal(stepped[i], each[i]), i
 
     @PROPERTY
     @given(topology=st.sampled_from(["circle", "interval"]), rows=st.integers(1, 9),

@@ -137,6 +137,9 @@ class TestStepperErrors:
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=Dirichlet(0.0, 0.0)))
         with pytest.raises(ValueError):
             stepper.step(ScalarField(g, np.ones(64)))
+        # march checks the initial state's ends once, by its first step
+        with pytest.raises(ValueError, match="Dirichlet"):
+            march(stepper.step, np.ones(64), 1e-3, 0.01)
 
     def test_singular_implicit_matrix_detected(self):
         # V = 2/dt makes (I - dt/2 (nu*Lap + V)) singular on the constants
@@ -349,10 +352,10 @@ class TestEvolveDriver:
         monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
         seen, records = [], []
 
-        def step(u):
+        def step(u, out=None):
             if u[0] == 11.0:
                 raise SolverSingular("step failed")
-            return u + 1.0
+            return np.add(u, 1.0, out=out)
 
         def on_block(ts, block):
             seen.extend(ts)
@@ -397,10 +400,36 @@ class TestEvolveDriver:
                 records.append(u)
 
         with pytest.raises(FolflowError) as exc:
-            march(lambda u: u + 1.0, np.zeros(3), 0.5, 10.0, 2, on_block, on_record)
+            march(lambda u, out=None: np.add(u, 1.0, out=out), np.zeros(3), 0.5, 10.0, 2,
+                  on_block, on_record)
         assert str(exc.value) == error
         assert records == kept
         assert reject not in seen
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_overflowing_step_fails_at_its_time_and_keeps_the_records_before(self, monkeypatch,
+                                                                             rows):
+        # c*V = 0.95 multiplies u by 39 a step, so step 194 overflows: only its
+        # own overflow is let through, and the steps past it that a block runs
+        # on inf and nan must raise no warning of their own
+        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        g, dt = build_grid("circle", 1.0, 16), 0.1
+        stepper = HeatStepper(g, ScalarField(g, np.full(16, 19.0)),
+                              StepperConfig(dt, 1e-3, boundary=PERIODIC))
+        u0 = 1.0 + 0.5 * np.cos(2 * np.pi * g.x)
+        alone, records = [u0], []
+        with np.errstate(over="ignore"):
+            for _ in range(193):
+                alone.append(stepper.step(alone[-1]))
+            with pytest.raises(SolverSingular, match="^implicit step produced non-finite values$"):
+                stepper.step(alone[-1])
+            with pytest.raises(SolverSingular) as exc:
+                march(stepper.step, u0, dt, 30.0, 10, on_record=lambda ts, block, rows:
+                      records.extend(zip(ts[rows], block[rows])))
+        assert str(exc.value) == "implicit step produced non-finite values (failure at t = 19.4)"
+        assert [t for t, _ in records] == pytest.approx(dt * np.arange(0, 194, 10))
+        for (_, u), step in zip(records, range(0, 194, 10)):
+            assert np.array_equal(u, alone[step])
 
     def test_rejects_negative_horizon(self):
         g = circle(64)

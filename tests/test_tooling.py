@@ -1,7 +1,8 @@
 """The benchmark's hooks into the package: every name it traces or imports
-resolves, and every config it runs parses; every demo and the README's
-library quick start run, and the README's table of the keys each scenario
-reads is the scenario declarations.
+resolves, every config it runs parses, and each step of a run is one call of
+a traced step method; every demo and the README's library quick start run,
+and the README's table of the keys each scenario reads is the scenario
+declarations.
 
 perfbench wraps the functions listed in perfbench.tracer.TRACED (methods are
 read from the class body), its probes import steppers and solvers by name,
@@ -11,6 +12,7 @@ a workload config names, must fail here, not in a later run of the
 benchmark.
 """
 import ast
+import collections
 import contextlib
 import importlib
 import importlib.util
@@ -20,10 +22,15 @@ import math
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from folflow import parabolic
 from folflow.config import parse_config_text
-from folflow.scenarios import SCENARIOS
+from folflow.fiber import ScalarField, build_grid
+from folflow.parabolic import BurgersStepper, HeatStepper
+from folflow.scenarios import (SCENARIOS, cole_hopf_rows, run_normalized_flow,
+                               run_surface_of_revolution, run_twisted_product)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,6 +88,35 @@ def test_parabolic_probes_run(monkeypatch):
     got = probes.parabolic(steps=2, repeats=1)
     assert declared and set(declared) <= set(got)
     assert all(math.isfinite(got[name][0]) for name in declared)
+
+
+@pytest.mark.parametrize("flow", ["surface", "twisted", "normalized", "cole_hopf"])
+def test_each_step_of_a_run_is_one_stepper_step_call(monkeypatch, flow):
+    # perfbench counts parabolic.heat_steps and burgers_steps by wrapping the
+    # two step methods in their class bodies, as done here, so a march that
+    # stepped past them would read 0 steps there
+    calls = collections.Counter()
+    for cls in (HeatStepper, BurgersStepper):
+        def counted(self, *args, _step=cls.__dict__["step"], _name=cls.__name__, **kwargs):
+            calls[_name] += 1
+            return _step(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "step", counted)
+    monkeypatch.setattr(parabolic, "_BLOCK_ROWS", 7)
+    g = build_grid("interval" if flow == "surface" else "circle", 2 * np.pi, 32)
+    bump = ScalarField(g, 1.5 + 0.3 * np.sin(g.x))
+    dt, t_end = 1e-3, 0.05
+    if flow == "surface":
+        run_surface_of_revolution(bump, dt, t_end, record_every=3)
+    elif flow == "twisted":
+        run_twisted_product((bump, bump * 0.5, bump * 0.7), 2, dt, t_end, record_every=3)
+    elif flow == "normalized":
+        run_normalized_flow(bump, ScalarField(g, 0.2 * bump.values), bump, 2, dt, t_end,
+                            record_every=3)
+    else:
+        cole_hopf_rows(bump, ScalarField(g, 0.2 * bump.values), 1.0, dt, t_end, 3)
+    steps = round(t_end / dt)
+    expected = {"HeatStepper": steps, "BurgersStepper": steps if flow == "cole_hopf" else 0}
+    assert {name: calls[name] for name in expected} == expected
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
