@@ -22,7 +22,7 @@ traj = run_surface_of_revolution(rho0, dt=1e-4, t_end=3.0, record_every=2000)
 
 print("surface of revolution, bump over the 0.5 -> 0.8 cone patch")
 print(f"{'t':>6} {'sup |K|':>12} {'sup |rho - line|':>18}")
-for t, fields in zip(traj.t, traj.fields):
+for t, fields in zip(traj.series["t"], traj.fields):
     dev = float(np.max(np.abs(fields["rho"] - straight.values)))
     supK = float(np.max(np.abs(fields["K"])))
     print(f"{t:6.2f} {supK:12.3e} {dev:18.3e}")

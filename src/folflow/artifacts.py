@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 
 
-def write_trajectory(path: Path, columns: list[str], rows: list[dict]):
-    # the row values are Python floats (Trajectory.extend takes them from tolist())
-    lines = [",".join(columns)]
-    lines += [",".join(map(repr, [row[c] for c in columns])) for row in rows]
+def write_trajectory(path: Path, columns, series: dict[str, np.ndarray]):
+    # a line per record of the columns; tolist() gives Python floats, written by repr
+    rows = zip(*(series[c].tolist() for c in columns))
+    lines = [",".join(columns), *(",".join(map(repr, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -23,11 +23,11 @@ from .artifacts import (
     write_summary,
     write_trajectory,
 )
-from .config import (FIELD_KEYS, RunConfig, config_to_dict, parse_config, realize_field,
-                     realize_grid)
+from .config import (FIELD_KEYS, RunConfig, check_seed, config_to_dict, parse_config,
+                     realize_field, realize_grid)
 from .errors import FolflowError, ParseError, ValidationError
 from .fiber import grad_log  # noqa: F401  perfbench's traced-run test checks this binding
-from .scenarios import COMMON_KEYS, SCENARIOS, snapshots
+from .scenarios import COMMON_KEYS, SCENARIOS
 
 
 def list_scenarios() -> str:
@@ -72,8 +72,8 @@ def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
             "meta": {"wall_clock_s": time.perf_counter() - started},
         })
         raise
-    write_trajectory(out_dir / "trajectory.csv", list(traj.rows[0]), traj.rows)
-    for t, values in snapshots(traj, cfg.time.snapshots).items():
+    write_trajectory(out_dir / "trajectory.csv", scenario.columns, traj.series)
+    for t, values in traj.snapshots.items():
         write_fields(out_dir / snapshot_name(t), grid.x, values)
     write_summary(out_dir / "summary.json", {
         "status": "ok",
@@ -107,7 +107,7 @@ def _run_one(path, out, seed, quiet: bool):
     try:
         cfg = parse_config(path)
         if seed is not None:
-            cfg = dataclasses.replace(cfg, seed=seed)
+            cfg = dataclasses.replace(cfg, seed=check_seed(seed))
         out_dir = Path(out or cfg.output_dir)
         _make_dir(out_dir)
     except (ParseError, ValidationError) as err:
@@ -137,6 +137,8 @@ def _sweep_command(args) -> int:
     try:
         if threads and not (threads.isdecimal() and int(threads) >= 1):
             raise ValidationError(f"FOLFLOW_THREADS must be a positive integer, got {threads!r}")
+        if args.seed is not None:
+            check_seed(args.seed)
         _make_dir(out_root)
     except ValidationError as err:
         print(_error_json(err), file=sys.stderr)

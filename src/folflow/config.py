@@ -89,7 +89,18 @@ _TOL_KEYS = {"gap_min", "eps_t", "converged_dev"}
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that reads YAML 1.2 floats, such as the 1e-05 of a JSON config echo."""
+    """SafeLoader that reads YAML 1.2 floats, such as the 1e-05 of a JSON config
+    echo, and rejects a key repeated in one mapping, which would hide the first."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()  # of the scalar keys; a << merge's keys yield to the mapping's own
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ParseError(f"duplicate key {key!r} (line {key_node.start_mark.line + 1})")
+                seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 _Loader.add_implicit_resolver(
@@ -236,7 +247,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     n_rank = _as_int(raw.get("n_rank", 1), "n_rank", errs, 1)
     modes = _as_int(raw.get("modes", 12), "modes", errs)
     n_random = _as_int(raw.get("n_random", 25), "n_random", errs, 0)
-    seed = _as_int(raw.get("seed", 0), "seed", errs)
+    seed = _as_int(raw.get("seed", 0), "seed", errs, 0)
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         errs.append(f"output_dir must be a nonempty string, got {output_dir!r}")
@@ -328,6 +339,15 @@ def _boundary_spec(raw, grid_spec, initial: ScalarField | None, errs) -> Boundar
         vals = initial.values
         return BoundarySpec(kind="dirichlet", left=float(vals[0]), right=float(vals[-1]))
     return BoundarySpec(kind="dirichlet", left=0.0, right=0.0)
+
+
+def check_seed(seed) -> int:
+    """seed, checked as parsing checks a config's seed: an integer of at least 0."""
+    errs: list[str] = []
+    _as_int(seed, "seed", errs, 0)
+    if errs:
+        raise ValidationError(errs[0])
+    return seed
 
 
 def realize_grid(cfg: RunConfig) -> FiberGrid:

@@ -15,10 +15,10 @@ The drivers are all stepped by parabolic.march:
 
 Each of them takes its input fields, runs on the one grid they share, and
 returns a Trajectory: per record, one row of monitors (a line of
-trajectory.csv) and one dict of field arrays (the columns of a
-fields_<t>.csv), built by one record hook for all records of a march
-block at once.  Given snapshot times, a driver keeps every row but the
-field arrays of only the records snapshots() picks for them and the last.
+trajectory.csv, stored by column) and one dict of field arrays (the
+columns of a fields_<t>.csv), built by one record hook for all records of
+a march block at once.  Given snapshot times, a driver keeps every row but
+the field arrays of only the records nearest them and the last.
 
 SCENARIOS maps each scenario name to its Scenario declaration, which the
 config parser, `folflow list` and `folflow run` all read.  A declaration
@@ -27,7 +27,7 @@ the summary echoes no other keys.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -47,33 +47,44 @@ SLOPE_TOL = 1e-8
 
 @dataclass
 class Trajectory:
-    """A run's records in time order: rows[i] holds record i's monitors and
-    fields[i] its field arrays, keyed by the fields_<t>.csv columns, or None
-    for a record whose fields the run did not keep."""
+    """The records of a march of t_end in steps of dt, recording every
+    record_every: series[key][i] is record i's value in trajectory.csv column
+    key (its time for "t", set up front; nan until taken for the others), and
+    fields[i] its field arrays by fields_<t>.csv column, kept for the records
+    nearest the wanted snapshot times (snapshot_rows, all if wanted is None)
+    and the last, else None."""
 
     grid: FiberGrid
-    rows: list[dict]
-    fields: list[dict[str, np.ndarray] | None]
+    dt: InitVar[float]
+    t_end: InitVar[float]
+    record_every: InitVar[int]
+    wanted: InitVar[tuple | None]
+    snapshot_rows: list[int] = field(init=False)
+    series: dict[str, np.ndarray] = field(init=False)
+    fields: list[dict[str, np.ndarray] | None] = field(init=False, default_factory=list)
+
+    def __post_init__(self, dt, t_end, record_every, wanted):
+        times = record_steps(dt, t_end, record_every) * dt
+        self.snapshot_rows = (list(range(len(times))) if wanted is None else
+                              sorted({int(np.argmin(np.abs(times - t))) for t in wanted}))
+        self._kept = np.array(sorted({*self.snapshot_rows, len(times) - 1}))
+        self.series = {"t": times}
 
     @property
-    def series(self) -> dict[str, np.ndarray]:
-        """The rows by column."""
-        return {key: np.array([row[key] for row in self.rows]) for key in self.rows[0]}
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.array([row["t"] for row in self.rows])
+    def snapshots(self) -> dict[float, dict[str, np.ndarray]]:
+        """The snapshot records' field arrays by their time, in time order."""
+        return {self.series["t"][i].item(): self.fields[i] for i in self.snapshot_rows}
 
     def extend(self, columns: dict[str, np.ndarray], fields: dict[str, np.ndarray],
-               keep=None, failure=None):
-        """Append records in time order: columns[key][i] is record i's row value
-        and fields[name][i] its field array.  Record failure[0], if given, fails
-        with failure[1], and so does the first record with a non-finite field or
-        row value; only the records before the first failure are appended, and
-        (i, error) is returned for it, or None.  The fields of the records
-        (counted over the run) in keep, or of all if keep is None, are copied
-        and frozen, so a record shares no memory with the march or another."""
-        n = len(columns["t"]) if failure is None else failure[0]
+               failure=None):
+        """Append the next records: columns[key][i] is record i's value in each
+        column but "t", and fields[name][i] its field array.  Record failure[0],
+        if given, fails with failure[1], and so does the first record with a
+        non-finite field or row value; only the records before the first failure
+        are appended, and (i, error) is returned for it, or None.  The fields the
+        run keeps are copied and frozen, so a record shares no memory with the
+        march or another."""
+        n = len(next(iter(columns.values()))) if failure is None else failure[0]
         fields_ok = np.ones(n, dtype=bool)
         for vals in fields.values():
             fields_ok &= np.isfinite(vals[:n]).all(axis=tuple(range(1, np.ndim(vals))))
@@ -83,38 +94,19 @@ class Trajectory:
             bad = [key for key, col in columns.items() if not np.isfinite(col[n])]
             failure = n, NonFiniteValue("field values must be finite" if not fields_ok[n] else
                                         f"recorded value(s) {bad} not finite")
-        first, keys = len(self.rows), list(columns)
-        for i, values in enumerate(zip(*(columns[key][:n].tolist() for key in keys))):
-            self.rows.append(dict(zip(keys, values)))
-            self.fields.append(None if keep is not None and first + i not in keep else
-                               {name: _frozen(vals[i]) for name, vals in fields.items()})
+        first = len(self.fields)
+        for key, col in columns.items():
+            if key not in self.series:
+                self.series[key] = np.full(len(self.series["t"]), np.nan)
+            self.series[key][first:first + n] = col[:n]
+        self.fields += [None] * n
+        lo, hi = np.searchsorted(self._kept, (first, first + n))
+        for i in self._kept[lo:hi].tolist():
+            self.fields[i] = {name: np.array(vals[i - first], dtype=float)
+                              for name, vals in fields.items()}
+            for owned in self.fields[i].values():
+                owned.flags.writeable = False
         return failure
-
-
-def _frozen(values) -> np.ndarray:
-    owned = np.array(values, dtype=float)
-    owned.flags.writeable = False
-    return owned
-
-
-def snapshot_records(times, wanted) -> list[int]:
-    """The indices of the records nearest each wanted time, in time order."""
-    times = np.asarray(times)
-    return sorted({int(np.argmin(np.abs(times - t))) for t in wanted})
-
-
-def snapshots(traj: Trajectory, wanted) -> dict:
-    """The field arrays of the records nearest each wanted time, in time order."""
-    return {traj.rows[i]["t"]: traj.fields[i] for i in snapshot_records(traj.t, wanted)}
-
-
-def _kept_records(dt: float, t_end: float, record_every: int, wanted):
-    """The records whose fields a run keeps: with snapshot times (wanted), those
-    snapshots() picks and the last; without, None, which keeps them all."""
-    if wanted is None:
-        return None
-    times = record_steps(dt, t_end, record_every) * dt
-    return frozenset({*snapshot_records(times, wanted), len(times) - 1})
 
 
 def _shared_grid(*fields: ScalarField) -> FiberGrid:
@@ -123,6 +115,14 @@ def _shared_grid(*fields: ScalarField) -> FiberGrid:
     if len(grids) != 1:
         raise ValueError("input fields live on different grids")
     return grids.pop()
+
+
+def _running_integral(total: np.ndarray, prev: np.ndarray, new: np.ndarray, term) -> np.ndarray:
+    """total[-1] plus the running sum, in step order, of term(before, new) over
+    the rows of new, before[i] being the row preceding new[i] (prev for the first)."""
+    terms = term(np.vstack([prev, new[:-1]]), new)
+    terms[0] += total[-1]
+    return np.add.accumulate(terms, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
     # int_0^t K after each row of the last block, the initial state a block of one
     int_k_gauss = np.zeros((1, grid.n_points))
     gauss_prev = -laplacian(rho0).values / rho0.values
-    traj = SurfaceTrajectory(grid, [], [])
+    traj = SurfaceTrajectory(grid, dt, t_end, record_every, snapshots)
 
     def advance(ts, block):
         # the profile guard on every row before K = -rho_xx/rho is formed,
@@ -184,9 +184,8 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
         good = block[:len(block) if bad is None else bad[0]]
         if len(good):
             gauss = -_diff2(good, h, periodic) / good
-            terms = 0.5 * dt * (np.vstack([gauss_prev, gauss[:-1]]) + gauss)
-            terms[0] += int_k_gauss[-1]
-            int_k_gauss = np.add.accumulate(terms, axis=0)
+            int_k_gauss = _running_integral(int_k_gauss, gauss_prev, gauss,
+                                            lambda before, now: 0.5 * dt * (before + now))
             gauss_prev = gauss[-1]
         return bad
 
@@ -196,16 +195,15 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
         # arclength constraint measured against that slope
         rho = block[rows]
         slope = _diff1(rho, h, periodic)
-        failure = None if traj.rows else _profile_failure(rho, slope)
+        failure = None if traj.fields else _profile_failure(rho, slope)
         good = slice(len(rho) if failure is None else failure[0])
         rho, slope = rho[good], slope[good]
         h_slope = np.sqrt(np.maximum(1.0 - slope * slope, 0.0))
         k = -slope / rho
         kk = -_diff2(rho, h, periodic) / rho
         conf = (rho / rho0.values) ** 2
-        first = len(traj.rows)
+        first = len(traj.fields)
         failure = traj.extend({
-            "t": ts[rows],
             "sup_K": np.max(np.abs(kk), axis=-1),
             "sup_k": np.max(np.abs(k), axis=-1),
             "min_rho": np.min(rho, axis=-1),
@@ -214,13 +212,12 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
             "conformal_dev": np.max(np.abs(np.exp(-2.0 * int_k_gauss[rows[good]]) - conf),
                                     axis=-1),
         }, {"rho": rho, "h": _cumtrapz(h_slope, h), "k": k, "K": kk, "conformal_factor": conf},
-            keep, failure)
+            failure)
         # the records taken every record_every steps, those before the off-grid last
-        taken = slice(max(0, min(len(traj.rows), on_grid) - first))
+        taken = slice(max(0, min(len(traj.fields), on_grid) - first))
         residuals.add(k[taken], kk[taken])
         return failure
 
-    keep = _kept_records(dt, t_end, record_every, snapshots)
     on_grid = int(np.count_nonzero(record_steps(dt, t_end, record_every) % record_every == 0))
     residuals = _EvolutionResiduals(grid, record_every * dt)
     march(stepper.step, rho0.values, dt, t_end, record_every, advance, record)
@@ -309,7 +306,7 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
     stepper = HeatStepper(grid, None, StepperConfig(dt, float(n), boundary=PERIODIC))
     means = np.array([integrate(f) / grid.length for f in slices])
     masses0 = np.array([integrate(f) for f in slices])
-    traj = TwistedTrajectory(grid, [], [], means)
+    traj = TwistedTrajectory(grid, dt, t_end, record_every, snapshots, means)
 
     def record(ts, block, rows):
         f = block[rows]
@@ -317,14 +314,12 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
         good = f[:len(H)]
         masses = grid.spacing * np.sum(good, axis=-1)
         return traj.extend({
-            "t": ts[rows],
             "sup_H": np.max(np.abs(H), axis=(1, 2)),
             "mass_drift": np.max(np.abs(masses - masses0), axis=-1),
             "sup_dist_to_mean": np.max(np.abs(good - means[:, None]), axis=(1, 2)),
         }, {f"{name}_{i}": vals[:, i] for i in range(len(slices))
-            for name, vals in (("f", good), ("H", H))}, keep, failure)
+            for name, vals in (("f", good), ("H", H))}, failure)
 
-    keep = _kept_records(dt, t_end, record_every, snapshots)
     # one row per slice, all stepped by one multi-row solve
     march(stepper.step, np.array([f.values for f in slices]), dt, t_end, record_every,
           on_record=record)
@@ -397,7 +392,7 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
     # the initial state a block of one
     scmix = normalized_scmix(u0.values, betaD, n)[None]
     exponent = np.zeros((1, grid.n_points))
-    traj = Trajectory(grid, [], [])
+    traj = NormalizedTrajectory(grid, dt, t_end, record_every, snapshots, gs, phi, n, betaD, None)
     q0 = mask0 = None
 
     def advance(ts, block):
@@ -408,9 +403,9 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
         finite = np.isfinite(new).all(axis=1)
         new = new[:len(new) if finite.all() else int(np.argmin(finite))]
         if len(new):
-            terms = 4.0 * dt * (0.5 * (np.vstack([scmix[-1], new[:-1]]) + new) - phi)
-            terms[0] += exponent[-1]
-            scmix, exponent = new, np.add.accumulate(terms, axis=0)
+            exponent = _running_integral(exponent, scmix[-1], new, lambda before, now:
+                                         4.0 * dt * (0.5 * (before + now) - phi))
+            scmix = new
         if len(new) < len(finite):
             return len(new), NonFiniteValue("field values must be finite")
         return None
@@ -431,7 +426,6 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
             q0, mask0 = q[0], mask[0]
         hu = -_diff2(u, grid.spacing, grid.periodic) - betaD.values * u
         return traj.extend({
-            "t": ts[rows],
             "sup_dev_scmix": np.max(np.abs(sc - phi), axis=-1),
             # integrate's h * sum on both sides, in numpy arithmetic: an
             # overflowed or underflowed norm makes this row non-finite
@@ -445,12 +439,11 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
             "conservation_drift": np.max(np.where(mask & mask0, np.abs(q - q0), 0.0), axis=-1),
             "h_dev": np.max(np.abs(H - h_limit.values), axis=-1),
         }, {"u": u, "H": H, "betaD": np.broadcast_to(betaD.values, u.shape), "T2": t2,
-            "scmixT2": sc}, keep, failure)
+            "scmixT2": sc}, failure)
 
-    keep = _kept_records(dt, t_end, record_every, snapshots)
     march(stepper.step, u0.values, dt, t_end, record_every, advance, record)
-    return NormalizedTrajectory(grid, traj.rows, traj.fields, gs, phi, n, betaD,
-                                ScalarField(grid, exponent[-1]))
+    traj.growth_exponent = ScalarField(grid, exponent[-1])
+    return traj
 
 
 @dataclass(frozen=True)
@@ -540,15 +533,14 @@ def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, 
     ucfg = StepperConfig(dt, float(nu), boundary=PERIODIC)
     heat = HeatStepper(grid, ScalarField(grid, nu * forcing.values), ucfg)
     burg = BurgersStepper(grid, forcing, ucfg)
-    traj = Trajectory(grid, [], [])
+    traj = Trajectory(grid, dt, t_end, record_every, snapshots)
 
     def record(ts, block, rows):
         u, H = block[rows, 0], block[rows, 1]
         transformed, failure = _grad_log(u, -float(nu), grid.spacing, grid.periodic)
         return traj.extend(
-            {"t": ts[rows], "sup_diff": np.max(np.abs(H[:len(transformed)] - transformed),
-                                               axis=-1)},
-            {"H_direct": H, "H_transformed": transformed, "u": u}, keep, failure)
+            {"sup_diff": np.max(np.abs(H[:len(transformed)] - transformed), axis=-1)},
+            {"H_direct": H, "H_transformed": transformed, "u": u}, failure)
 
     def step(s, out=None):
         # the state is the pair (u, H), one row each
@@ -557,7 +549,6 @@ def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, 
         burg.step(s[1], out[1])
         return out
 
-    keep = _kept_records(dt, t_end, record_every, snapshots)
     march(step, np.array((u0.values, grad_log(u0, -float(nu)).values)), dt, t_end,
           record_every, on_record=record)
     return traj
@@ -576,14 +567,13 @@ def _run_surface(cfg, grid, fields):
         limit = integrate(rho0) / grid.length
     else:
         limit = linear_interpolant(grid, float(rho0.values[0]), float(rho0.values[-1])).values
-    series = traj.series
     summary = {
-        "final_t": traj.rows[-1]["t"],
+        "final_t": float(traj.series["t"][-1]),
         "sup_K_final": float(np.max(np.abs(final["K"]))),
         "min_rho_final": float(np.min(final["rho"])),
         "limit_profile_dev": float(np.max(np.abs(final["rho"] - limit))),
-        "max_conformal_dev": float(np.max(series["conformal_dev"])),
-        "max_arc_residual": float(np.max(series["arc_residual"])),
+        "max_conformal_dev": float(np.max(traj.series["conformal_dev"])),
+        "max_arc_residual": float(np.max(traj.series["arc_residual"])),
     }
     if traj.evolution_crosscheck is not None:
         summary["evolution_crosscheck"] = traj.evolution_crosscheck
@@ -595,12 +585,11 @@ def _run_twisted(cfg, grid, fields):
     traj = run_twisted_product(
         tuple(ScalarField(grid, a * profile.values) for a in cfg.base_values), cfg.n_rank,
         cfg.time.dt, cfg.time.t_end, cfg.time.record_every, cfg.time.snapshots)
-    series = traj.series
     summary = {
-        "final_t": traj.rows[-1]["t"],
+        "final_t": float(traj.series["t"][-1]),
         "fiber_means": list(traj.fiber_means),
-        "final_sup_dist_to_mean": float(series["sup_dist_to_mean"][-1]),
-        "max_mass_drift": float(np.max(series["mass_drift"])),
+        "final_sup_dist_to_mean": float(traj.series["sup_dist_to_mean"][-1]),
+        "max_mass_drift": float(np.max(traj.series["mass_drift"])),
         "n_rank": cfg.n_rank,
     }
     return traj, summary
@@ -613,18 +602,17 @@ def _run_normalized(cfg, grid, fields):
         gap_min=cfg.tolerances.gap_min, eps_T=cfg.tolerances.eps_t,
         snapshots=cfg.time.snapshots)
     final = traj.fields[-1]
-    series = traj.series
     velocity_form = sc_mix_minus_T2(VectorAlongFiber(grid, final["H"]), traj.n, traj.betaD)
     summary = {
         "lambda0": traj.ground.lambda0,
         "lambda1": traj.ground.lambda1,
         "gap": traj.ground.gap,
         "Phi": traj.Phi,
-        "final_t": traj.rows[-1]["t"],
-        "final_sup_dev_scmix": float(series["sup_dev_scmix"][-1]),
-        "final_h_dev": float(series["h_dev"][-1]),
-        "max_betaD_drift": float(np.max(series["betaD_drift"])),
-        "max_conservation_drift": float(np.max(series["conservation_drift"])),
+        "final_t": float(traj.series["t"][-1]),
+        "final_sup_dev_scmix": float(traj.series["sup_dev_scmix"][-1]),
+        "final_h_dev": float(traj.series["h_dev"][-1]),
+        "max_betaD_drift": float(np.max(traj.series["betaD_drift"])),
+        "max_conservation_drift": float(np.max(traj.series["conservation_drift"])),
         "velocity_form_dev": float(
             np.max(np.abs(velocity_form.values - final["scmixT2"]))
         ),
@@ -632,22 +620,12 @@ def _run_normalized(cfg, grid, fields):
     }
     for key, label in (("sup_dev_scmix", "rate_scmix"), ("h_dev", "rate_h")):
         try:
-            fit = fit_decay_rate(series["t"], series[key])
-            summary[label] = {
-                "rate": fit.rate,
-                "window": list(fit.window),
-                "n_points": fit.n_points,
-            }
+            summary[label] = asdict(fit_decay_rate(traj.series["t"], traj.series[key]))
         except ValueError:
             summary[label] = None
     try:
         verdict = positivity_verdict(traj, converged_tol=cfg.tolerances.converged_dev)
-        summary["positivity"] = {
-            "converged": True,
-            "positive_everywhere": verdict.positive_everywhere,
-            "min_value": verdict.min_value,
-            "threshold_ratio": verdict.threshold_ratio,
-        }
+        summary["positivity"] = {"converged": True, **asdict(verdict)}
     except NotConverged as err:
         summary["positivity"] = {"converged": False, "reason": str(err)}
     return traj, summary
@@ -662,8 +640,7 @@ def _run_cole_hopf_check(cfg, grid, fields):
         *(build_field(fine, spec.family, spec.params) for spec in (cfg.initial, cfg.potential)),
         nu, 0.5 * cfg.time.dt, cfg.time.t_end, 2 * cfg.time.record_every, snapshots=(),
     )
-    max_coarse = max(row["sup_diff"] for row in traj.rows)
-    max_fine = max(row["sup_diff"] for row in refined.rows)
+    max_coarse, max_fine = (float(np.max(run.series["sup_diff"])) for run in (traj, refined))
     # no order to observe when either run matches its transform exactly
     order = float(np.log2(max_coarse / max_fine)) if min(max_coarse, max_fine) > 0.0 else None
     summary = {
@@ -694,9 +671,9 @@ def _run_spectral_report(cfg, grid, fields):
         weyl = eigencount(dec, lam_top) / (weyl_theta(grid) * np.sqrt(lam_top))
     else:
         weyl = 0.0
-    traj = Trajectory(grid, [], [])
-    row = {"t": 0.0, "lambda0": gs.lambda0, "lambda1": gs.lambda1, "gap": gs.gap,
-           "weyl_ratio": weyl}
+    traj = Trajectory(grid, cfg.time.dt, cfg.time.t_end, cfg.time.record_every,
+                      cfg.time.snapshots)
+    row = {"lambda0": gs.lambda0, "lambda1": gs.lambda1, "gap": gs.gap, "weyl_ratio": weyl}
     failure = traj.extend(
         {key: np.array([value]) for key, value in row.items()},
         {"potential": f.values[None],

@@ -343,6 +343,30 @@ class TestRunCommand:
         assert outs[0]["config"]["seed"] == 1
         assert outs[1]["config"]["seed"] == 2
 
+    @pytest.mark.parametrize("how", ["config", "override"])
+    def test_negative_seed_exits_2_with_json(self, tmp_path, how):
+        text = (CONFIGS / "spectral_cosine.yaml").read_text()
+        cfg, out = tmp_path / "spec.yaml", tmp_path / "out"
+        cfg.write_text(text.replace("seed: 3", "seed: -1") if how == "config" else text)
+        proc = run_cli("run", str(cfg), "--out", str(out),
+                       *(["--seed", "-1"] if how == "override" else []))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "ValidationError", "message": "seed must be at least 0, got -1"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, key", [(20, "n_rank"), (7, "n_points")])
+    def test_repeated_key_exits_2_with_json(self, tmp_path, line, key):
+        text = (CONFIGS / "twisted_relax.yaml").read_text()
+        cfg, out = tmp_path / "twisted.yaml", tmp_path / "out"
+        cfg.write_text(text + "n_rank: 7\n" if key == "n_rank" else
+                       text.replace("  n_points: 256", "  n_points: 256\n  n_points: 8"))
+        proc = run_cli("run", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "ParseError", "message": f"duplicate key '{key}' (line {line})"}
+        assert not out.exists()
+
     def test_emit_plots_writes_script_not_image(self, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(FAST_RUN + "emit_plots: true\n")
@@ -382,8 +406,8 @@ class TestDeterminism:
         assert (tmp_path / "f.csv").read_text() == "\n".join(["x,f,n", *rows]) + "\n"
 
     def test_trajectory_rows_written_as_the_repr_of_their_values(self, tmp_path):
-        rows = [{"t": 0.0, "a": -0.0}, {"t": 0.1 + 0.2, "a": 5e-324}, {"t": 1e16, "a": 1.0}]
-        write_trajectory(tmp_path / "t.csv", ["t", "a"], rows)
+        series = {"a": np.array([-0.0, 5e-324, 1.0]), "t": np.array([0.0, 0.1 + 0.2, 1e16])}
+        write_trajectory(tmp_path / "t.csv", ("t", "a"), series)
         assert (tmp_path / "t.csv").read_text() == (
             "t,a\n0.0,-0.0\n0.30000000000000004,5e-324\n1e+16,1.0\n")
 
@@ -484,7 +508,8 @@ class TestRecordMemory:
             scenario, run=lambda *args: runs.append(scenario.run(*args)) or runs[-1]))
         execute_config(parse_config_text(json.dumps(raw)), tmp_path, quiet=True)
         traj = runs[0][0]
-        kept = [row["t"] for row, fields in zip(traj.rows, traj.fields) if fields is not None]
+        kept = [t for t, fields in zip(traj.series["t"].tolist(), traj.fields)
+                if fields is not None]
         assert kept == [0.0, 3 * dt, 6 * dt, 10 * dt]
         written = sorted(path.name for path in tmp_path.glob("fields_*.csv"))
         assert written == [snapshot_name(t) for t in kept]
@@ -554,6 +579,16 @@ class TestListCommand:
             for path in snapshots:
                 assert path.read_text().splitlines()[0].split(",") == columns, path.name
 
+    def test_each_run_records_exactly_its_declared_columns(self, tmp_path, monkeypatch):
+        # trajectory.csv's header is the declaration, so a column a record
+        # hook adds without declaring it would be left out of the file
+        for name, text in SHORT_RUNS.items():
+            scenario, runs = SCENARIOS[name], []
+            monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(
+                scenario, run=lambda *args, run=scenario.run: runs.append(run(*args)) or runs[-1]))
+            execute_config(parse_config_text(text), tmp_path / name, quiet=True)
+            assert list(runs[0][0].series) == list(scenario.columns), name
+
     def test_catalog_keys_are_the_keys_each_scenario_accepts(self, capsys):
         main(["list"])
         listed = catalog_lists(capsys.readouterr().out, r"keys:\s+(.*)")
@@ -597,6 +632,15 @@ class TestSweepCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == {"type": "ValidationError", "message":
                                 f"FOLFLOW_THREADS must be a positive integer, got {threads!r}"}
+        assert not out.exists()
+
+    def test_sweep_rejects_a_negative_seed(self, tmp_path):
+        (tmp_path / "a.yaml").write_text(FAST_RUN)
+        out = tmp_path / "out"
+        proc = run_cli("sweep", str(tmp_path), "--out", str(out), "--seed", "-1")
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "ValidationError", "message": "seed must be at least 0, got -1"}
         assert not out.exists()
 
     def test_sweep_reports_worst_exit_code(self, tmp_path):
@@ -668,7 +712,7 @@ _VALUES = {
     "base_values": st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3),
     "modes": st.integers(1, 12),
     "n_random": st.integers(0, 2),
-    "seed": st.integers(0, 2**31 - 1),
+    "seed": st.integers(-2**31, 2**31 - 1),
     "tolerances": st.fixed_dictionaries({}, optional={
         "gap_min": st.sampled_from([1e-6, 0.1, 1.0]),
         "converged_dev": st.sampled_from([1e-5, 1.0]),
@@ -742,12 +786,15 @@ class TestContractProperty:
             assert [str(w.message) for w in caught] == []
             assert code in (0, 2, 3)
             malformed = [name[:-len(".csv")] for name, (_, bad) in csvs.items() if bad]
-            assert code == 2 or not malformed
+            negative_seed = raw.get("seed", 0) < 0 and "seed" in SCENARIOS[raw["scenario"]].keys
+            assert code == 2 or not (malformed or negative_seed)
             if code == 2:
                 assert not out.exists()
                 message = json.loads(stderr.getvalue())["error"]["message"]
                 if unread is not None:
                     assert message.startswith(f"{unread}: ")
+                if negative_seed:
+                    assert f"seed must be at least 0, got {raw['seed']}" in message
                 # a malformed row of a file the run reads is named by its line
                 for key in set(malformed) - {unread}:
                     assert re.search(rf"(^|; ){key}: \S*{key}\.csv, line \d+: ", message)

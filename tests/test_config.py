@@ -64,6 +64,30 @@ class TestParsing:
         with pytest.raises(ParseError, match="cadence"):
             parse_config_text(bad)
 
+    def test_repeated_top_level_key_rejected_with_its_line(self):
+        # a second n_rank would otherwise silently replace the first
+        with pytest.raises(ParseError, match=r"^duplicate key 'n_rank' \(line 22\)$"):
+            parse_config_text(GOOD + "n_rank: 7\n")
+
+    def test_repeated_nested_key_rejected_with_its_line(self):
+        bad = GOOD.replace("  n_points: 128", "  n_points: 128\n  n_points: 8")
+        with pytest.raises(ParseError, match=r"^duplicate key 'n_points' \(line 6\)$"):
+            parse_config_text(bad)
+        flow = "grid: {topology: circle, length: 6.283185307179586, n_points: 64, n_points: 8}"
+        with pytest.raises(ParseError, match=r"^duplicate key 'n_points' \(line 2\)$"):
+            parse_config_text(f"scenario: twisted\n{flow}\ntime: {{dt: 0.001, t_end: 0.01}}\n")
+
+    def test_merge_key_values_yield_to_the_mappings_own(self):
+        # a << merge is not a repeated key, so the YAML override rule stands
+        text = GOOD.replace("t2_initial:\n  family: constant",
+                            "t2_initial:\n  <<: {family: constant, value: 2.0}")
+        assert parse_config_text(text).t2_initial.params == {"value": 16.0}
+
+    def test_negative_seed_rejected(self):
+        text = "scenario: spectral_report\ngrid: {topology: circle, length: 1.0, n_points: 16}\n"
+        with pytest.raises(ValidationError, match=r"seed must be at least 0, got -1"):
+            parse_config_text(text + "time: {dt: 0.001, t_end: 0.0}\nmodes: 2\nseed: -1\n")
+
     def test_invalid_yaml_reports_location(self):
         with pytest.raises(ParseError, match="invalid YAML"):
             parse_config_text("scenario: [unclosed\n")

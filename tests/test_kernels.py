@@ -301,7 +301,7 @@ class TestColeHopfGauge:
         dt, steps = 1e-3, 40
         runs = [cole_hopf_rows(ScalarField(grid, a * u), ScalarField(grid, forcing), nu,
                                dt, steps * dt, 10) for a in (1.0, c)]
-        diffs = [np.array([row["sup_diff"] for row in run.rows]) for run in runs]
+        diffs = [run.series["sup_diff"] for run in runs]
         H = np.array([rec["H_direct"] for rec in runs[0].fields])
         growth = np.exp(2.0 * np.max(np.abs(_diff1(H, grid.spacing, True))) * steps * dt)
         start = gauge_defect_bound(grid, u, c, nu)

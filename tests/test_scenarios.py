@@ -6,6 +6,7 @@ from folflow import parabolic, scenarios
 from folflow.errors import GapTooSmall, NotConverged, ProfileDegenerate
 from folflow.fiber import ScalarField, _diff1, build_grid, derivative, integrate
 from folflow.scenarios import (
+    Trajectory,
     cole_hopf_rows,
     fit_decay_rate,
     linear_interpolant,
@@ -13,8 +14,6 @@ from folflow.scenarios import (
     run_normalized_flow,
     run_surface_of_revolution,
     run_twisted_product,
-    snapshot_records,
-    snapshots,
     surface_evolution_crosscheck,
 )
 
@@ -123,8 +122,8 @@ class TestSurfaceCrosscheck:
                                          snapshots=(0.005,))
         # the identities' residuals over the k and K of every record on the
         # record grid at once, centred differences in time and space
-        k, K = (np.array([fields[name] for row, fields in zip(full.rows, full.fields)
-                          if round(row["t"] / 1e-4) % 7 == 0]) for name in ("k", "K"))
+        k, K = (np.array([fields[name] for t, fields in zip(full.series["t"], full.fields)
+                          if round(t / 1e-4) % 7 == 0]) for name in ("k", "K"))
         assert len(k) == 15
         nk = _diff1(K[1:-1], g.spacing, False)
         nnk = _diff1(nk, g.spacing, False)
@@ -325,7 +324,7 @@ class TestRecords:
         monkeypatch.setattr(scenarios, "march", march)
         traj = _short_run(flow)
         arrays = [values for record in traj.fields for values in record.values()]
-        assert len(traj.fields) == len(traj.rows) == 5
+        assert len(traj.fields) == len(traj.series["t"]) == 5
         assert not any(values.flags.writeable for values in arrays)
         for i, values in enumerate(arrays):
             assert not np.shares_memory(values, finals[0])
@@ -333,12 +332,15 @@ class TestRecords:
 
 
     def test_snapshot_records_are_the_nearest_in_time_order(self):
-        # records after steps 0, 3, 6, 9 and the off-grid last step 10 of dt = 0.25
-        times = [0.0, 0.75, 1.5, 2.25, 2.5]
-        assert snapshot_records(times, [0.25]) == [0]  # between two records
-        assert snapshot_records(times, [1.125]) == [1]  # a tie goes to the earlier record
-        assert snapshot_records(times, [1.6, 1.4]) == [2]  # twice on one record
-        assert snapshot_records(times, [2.45, 0.25]) == [0, 4]  # the off-grid last record
+        # records after steps 0, 3, 6, 9 and the off-grid last step 10 of dt = 0.25,
+        # at t = 0, 0.75, 1.5, 2.25 and 2.5
+        def snapshot_rows(wanted):
+            return Trajectory(circle(8), 0.25, 2.5, 3, wanted).snapshot_rows
+
+        assert snapshot_rows([0.25]) == [0]  # between two records
+        assert snapshot_rows([1.125]) == [1]  # a tie goes to the earlier record
+        assert snapshot_rows([1.6, 1.4]) == [2]  # twice on one record
+        assert snapshot_rows([2.45, 0.25]) == [0, 4]  # the off-grid last record
 
     @pytest.mark.parametrize("rows", [1, 64])
     @pytest.mark.parametrize("flow", ["surface", "twisted", "normalized", "cole_hopf"])
@@ -351,14 +353,15 @@ class TestRecords:
         wanted = (0.001, 0.0052, 0.0058)
         lean = _short_run(flow, snapshots=wanted)
         assert all(fields is not None for fields in full.fields)
-        assert lean.rows == full.rows
+        assert lean.series.keys() == full.series.keys()
+        assert all(np.array_equal(lean.series[key], full.series[key]) for key in full.series)
         assert [i for i, fields in enumerate(lean.fields) if fields is not None] == [0, 2, 4]
+        assert lean.snapshot_rows == [0, 2]
         for kept, every in ((lean.fields[-1], full.fields[-1]),
-                            *zip(snapshots(lean, wanted).values(),
-                                 snapshots(full, wanted).values())):
+                            *zip(lean.snapshots.values(), (full.fields[i] for i in (0, 2)))):
             assert kept.keys() == every.keys()
             assert all(np.array_equal(kept[name], every[name]) for name in kept)
-        assert list(snapshots(lean, wanted)) == list(snapshots(full, wanted))
+        assert list(lean.snapshots) == full.series["t"][[0, 2]].tolist()
 
 
 def _ones(g):

@@ -78,6 +78,24 @@ def test_every_benchmark_config_parses(workloads):
                 assert cfg.scenario == item.scenario, (name, tiny, item.name)
 
 
+def test_every_artifact_tree_run_parses(monkeypatch):
+    # tests/artifact_trees.py writes one directory per run; a run whose
+    # config no longer parses would leave a hole in every tree alike
+    monkeypatch.syspath_prepend(str(ROOT))
+    spec = importlib.util.spec_from_file_location("artifact_trees",
+                                                  ROOT / "tests" / "artifact_trees.py")
+    trees = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trees)
+    runs = trees.runs()
+    assert len({directory for directory, *_ in runs}) == len(runs)
+    assert {directory.split("/")[0] for directory, *_ in runs} == {"configs", *(
+        f"{name}_{seed}_{size}" for name in trees.workloads.WORKLOADS for seed in (1, 2)
+        for size in ("full", "tiny"))}
+    for directory, text, base_dir, seed in runs:
+        cfg = trees.parse(text, base_dir, seed)
+        assert seed is None or cfg.seed == seed, directory
+
+
 def test_parabolic_probes_run(monkeypatch):
     # the probes call the steppers directly, so a change to the step
     # contract shows here rather than in a later benchmark run
