@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NonFiniteValue, NonPositiveField
 
@@ -118,18 +117,6 @@ def _diff2(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     out[..., -1] = (2.0 * vals[..., -1] - 5.0 * vals[..., -2] + 4.0 * vals[..., -3]
                     - vals[..., -4]) / h2
     return out
-
-
-def laplacian_matrix(grid: FiberGrid) -> sp.csr_matrix:
-    """Sparse 3-point second difference over all nodes, wrapping round a circle
-    through two corner entries.  An interval's end rows lack a neighbour: use
-    its interior block, the homogeneous Dirichlet operator."""
-    n, inv = grid.n_points, 1.0 / (grid.spacing * grid.spacing)
-    side = np.full(n - 1, inv)
-    bands, offsets = [side, np.full(n, -2.0 * inv), side], [-1, 0, 1]
-    if grid.periodic:
-        bands, offsets = [[inv], *bands, [inv]], [-(n - 1), *offsets, n - 1]
-    return sp.diags(bands, offsets, format="csr")
 
 
 def derivative(field: ScalarField) -> ScalarField:

@@ -852,9 +852,10 @@ SCENARIOS = {s.name: s for s in (
     Scenario(
         name="spectral_report",
         about=("low spectrum of the fiber operator -d2/dy2 - potential: lambda0 by",
-               "shift-invert Lanczos and by a dense eigensolve, the spectral gap,",
-               "orthonormal eigenfunctions, a Weyl-count ratio, and the bound",
-               "lambda0 >= -max(potential) over n_random seeded random potentials;",
+               "shift-invert Lanczos and by bisection on the band, the spectral gap,",
+               "orthonormal eigenfunctions (one canonical basis per eigenspace), a",
+               "Weyl-count ratio, and the bound lambda0 >= -max(potential) over",
+               "n_random seeded random potentials;",
                "no time stepping, so time.t_end is 0"),
         equations=("-e'' - potential*e = lambda*e on the fiber",),
         keys=("potential", "modes", "n_random", "seed"),

@@ -1,8 +1,11 @@
 """Discrete Schrodinger operator Hf = -u_xx - f*u and its low spectrum.
 
 The ground state and the first excited value come from shift-invert
-Lanczos on the sparse matrix; a dense symmetric eigensolve over the same
-matrix serves as an independent route and provides the decompositions.
+Lanczos on the sparse matrix.  The partial spectra come from an
+independent banded route: bisection on the band for the eigenvalues,
+inverse iteration for the eigenvectors, and one canonical basis per
+eigenspace.  A dense symmetric eigensolve of the same matrix stays as the
+reference that route is compared against.
 """
 from __future__ import annotations
 
@@ -14,17 +17,63 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from .errors import ConvergenceFailure
-from .fiber import FiberGrid, ScalarField, integrate, laplacian_matrix
+from .fiber import FiberGrid, ScalarField, integrate
+
+# fixed seed of the probe vectors that start inverse iteration and fix each
+# eigenspace's basis and signs
+_PROBE_SEED = 20240607
+
+
+def _diagonal(f: ScalarField) -> tuple[np.ndarray, float]:
+    """Diagonal of the operator over the active nodes, and 1/h^2: neighbouring
+    nodes couple through -1/h^2."""
+    g = f.grid
+    inv = 1.0 / (g.spacing * g.spacing)
+    return 2.0 * inv - (f.values if g.periodic else f.values[1:-1]), inv
 
 
 def assemble_operator(f: ScalarField) -> sp.csr_matrix:
     """Matrix of -d2/dx2 - diag(f) over the active nodes.
 
-    Active nodes are all nodes on a circle and the interior nodes of an
-    interval (homogeneous Dirichlet ends).  The matrix is symmetric.
+    Active nodes are all nodes on a circle, where two corner entries wrap
+    round, and the interior nodes of an interval (homogeneous Dirichlet
+    ends).  The matrix is symmetric; entries that are zero are not stored.
     """
-    mat = -laplacian_matrix(f.grid) - sp.diags(f.values)
-    return mat if f.grid.periodic else mat[1:-1, 1:-1]
+    diag, inv = _diagonal(f)
+    size = diag.size
+    cols = np.arange(size)[:, None] + np.arange(-1, 2)
+    data = np.stack([np.full(size, -inv), diag, np.full(size, -inv)], axis=1)
+    if f.grid.periodic:  # columns ascend along each row
+        cols[0], cols[-1] = (0, 1, size - 1), (0, size - 2, size - 1)
+        data[0], data[-1] = data[0, [1, 2, 0]], data[-1, [2, 0, 1]]
+    keep = (cols >= 0) & (cols < size) & (data != 0.0)
+    indptr = np.concatenate(([0], np.cumsum(np.sum(keep, axis=1))))
+    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(size, size))
+
+
+def _band(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """The operator as a band of half-width u, band[u + i - j, j] =
+    A[order[i], order[j]] for |i - j| <= u (the storage of solve_banded;
+    its first u + 1 rows are the upper storage of eig_banded), and the
+    order of the active nodes along it.  An interval is tridiagonal
+    (u = 1).  A circle taken in the order 0, n-1, 1, n-2, ... is
+    pentadiagonal (u = 2): each node sits two places from its neighbours,
+    except the two pairs at the ends of the order."""
+    diag, inv = _diagonal(f)
+    size = diag.size
+    if not f.grid.periodic:
+        band = np.zeros((3, size))
+        band[0, 1:] = band[2, :-1] = -inv
+        band[1] = diag
+        return np.arange(size), band
+    order = np.empty(size, dtype=np.intp)
+    order[0::2] = np.arange((size + 1) // 2)
+    order[1::2] = size - 1 - np.arange(size // 2)
+    band = np.zeros((5, size))
+    band[0, 2:] = band[4, :-2] = -inv
+    band[1, [1, -1]] = band[3, [0, -2]] = -inv
+    band[2] = diag[order]
+    return order, band
 
 
 def _embed(grid: FiberGrid, active: np.ndarray) -> np.ndarray:
@@ -91,7 +140,8 @@ def ground_state(f: ScalarField) -> GroundState:
 
 
 def dense_spectrum(f: ScalarField, m: int):
-    """Dense symmetric eigensolve of the assembled matrix (independent route).
+    """Dense symmetric eigensolve of the assembled matrix: the reference the
+    banded route of spectrum is compared against.
 
     Returns the lowest m eigenpairs over the active nodes as (eigenvalues,
     columns), ascending, with columns orthonormal in the plain dot product.
@@ -112,42 +162,133 @@ class SpectralDecomposition:
             raise ValueError("eigenvalue/eigenfunction count mismatch")
 
 
+def _tolerance(lam):
+    """Residual tolerance of eigenpairs with eigenvalues lam, relative to the
+    size of their eigenvectors."""
+    return 1e-8 * (abs(lam) + 1.0)
+
+
+def _clusters(vals: np.ndarray) -> list[tuple[int, int]]:
+    """Index ranges [a, b) of the eigenspaces of ascending vals: each holds the
+    eigenvalues within the residual tolerance of its first one."""
+    starts = [0]
+    for j in range(1, len(vals)):
+        if vals[j] - vals[starts[-1]] > _tolerance(vals[starts[-1]]):
+            starts.append(j)
+    return list(zip(starts, starts[1:] + [len(vals)]))
+
+
+def _probes(size: int, count: int) -> np.ndarray:
+    """Fixed random columns with no symmetry; column j does not depend on count."""
+    return np.random.default_rng(_PROBE_SEED).standard_normal((count, size)).T
+
+
+def _energy(f: ScalarField, vecs: np.ndarray) -> np.ndarray:
+    """Gram matrix <v_i, A v_j> of active columns vecs in the form
+    sum (dv)^2 / h^2 - sum f v^2, which rounds with the size of the
+    eigenvalues instead of the size of A."""
+    g = f.grid
+    if g.periodic:
+        diff, pot = np.diff(vecs, axis=0, append=vecs[:1]), f.values
+    else:
+        zero = np.zeros((1, vecs.shape[1]))
+        diff, pot = np.diff(vecs, axis=0, prepend=zero, append=zero), f.values[1:-1]
+    return diff.T @ diff / (g.spacing * g.spacing) - vecs.T @ (pot[:, None] * vecs)
+
+
+def canonicalize(f: ScalarField, vals: np.ndarray, vecs: np.ndarray):
+    """Eigenpairs with one canonical basis per eigenspace.
+
+    vals ascending and orthonormal eigenvector columns vecs over the active
+    nodes, covering whole eigenspaces (see _clusters).  Each eigenspace's
+    eigenvalues become the Rayleigh-Ritz values of its block, and its basis
+    the Gram-Schmidt orthonormalization of the projections of the probes of
+    its indices, each vector's product with its probe positive.  So the
+    result does not depend on the basis vecs held, nor on its signs.
+    """
+    vals, vecs = np.array(vals, dtype=float), np.array(vecs, dtype=float)
+    probes = _probes(*vecs.shape)
+    for a, b in _clusters(vals):
+        block = vecs[:, a:b]
+        vals[a:b] = np.linalg.eigvalsh(_energy(f, block))
+        basis, tri = np.linalg.qr(block.T @ probes[:, a:b])
+        vecs[:, a:b] = block @ (basis * np.copysign(1.0, np.diag(tri)))
+    return vals, vecs
+
+
+def _inverse_iteration(order: np.ndarray, band: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Orthonormal columns over the active nodes, one per eigenvalue of
+    vals: two banded solves with the band shifted by the eigenvalue, from
+    the probe of its index, each result orthogonalized against every
+    earlier column, so that columns of eigenvalues closer together than
+    bisection resolves stay orthogonal in or out of one eigenspace."""
+    u = len(band) // 2
+    # bisection ends where a pivot of the elimination changes sign, so it
+    # can be exactly zero there: shift a few units of roundoff of A below
+    nudge = 4.0 * np.finfo(float).eps * np.max(np.sum(np.abs(band), axis=0))
+    probes = _probes(band.shape[1], len(vals))[order]
+    vecs = np.empty_like(probes)
+    for j, lam in enumerate(vals):
+        shifted = band.copy()
+        shifted[u] -= lam - nudge
+        x = probes[:, j]
+        for _ in range(2):
+            try:
+                x = scipy.linalg.solve_banded((u, u), shifted, x, check_finite=False)
+            except np.linalg.LinAlgError as err:
+                raise ConvergenceFailure(f"inverse iteration at {lam:g} failed: {err}") from err
+            x -= vecs[:, :j] @ (vecs[:, :j].T @ x)
+            x /= np.linalg.norm(x)
+        vecs[:, j] = x
+    natural = np.empty_like(vecs)
+    natural[order] = vecs
+    return natural
+
+
 def spectrum(f: ScalarField, m: int) -> SpectralDecomposition:
-    """First m eigenpairs, eigenfunctions orthonormal in the discrete L2 product."""
+    """First m eigenpairs, eigenfunctions orthonormal in the discrete L2
+    product, with one canonical basis per eigenspace (see canonicalize):
+    spectrum(f, m) is the first m pairs of spectrum(f, m + k) to roundoff.
+
+    Bisection on the band gives the eigenvalues up to the end of the
+    eigenspace that holds the m-th, inverse iteration their eigenvectors.
+    """
     g = f.grid
     size = g.n_points if g.periodic else g.n_points - 2
     if not 1 <= m <= size:
         raise ValueError(f"m must be between 1 and {size}, got {m}")
-    vals, vecs = dense_spectrum(f, m)
-    fields = []
-    for j in range(m):
-        col = vecs[:, j]
-        anchor = int(np.argmax(np.abs(col)))
-        if col[anchor] < 0.0:
-            col = -col
-        fields.append(_to_field(g, col))
-    dec = SpectralDecomposition(vals, tuple(fields))
+    order, band = _band(f)
+    count = min(m + 2, size)  # a circle's eigenspaces come in pairs
+    while True:
+        vals = scipy.linalg.eig_banded(band[:len(band) // 2 + 1], eigvals_only=True,
+                                       select="i", select_range=(0, count - 1),
+                                       check_finite=False)
+        # the last eigenspace found may go on past the count
+        end = count if count == size else _clusters(vals)[-1][0]
+        if end >= m:
+            break
+        count = min(2 * count, size)
+    vals, vecs = canonicalize(f, vals[:end], _inverse_iteration(order, band, vals[:end]))
+    dec = SpectralDecomposition(vals[:m], tuple(_to_field(g, vecs[:, j]) for j in range(m)))
     _validate_decomposition(f, dec)
     return dec
 
 
 def _validate_decomposition(f: ScalarField, dec: SpectralDecomposition):
-    mat = assemble_operator(f)
     g = f.grid
-    lam_scale = np.abs(dec.eigenvalues) + 1.0
-    for lam, ef, scale in zip(dec.eigenvalues, dec.eigenfunctions, lam_scale):
-        active = ef.values if g.periodic else ef.values[1:-1]
-        resid = np.max(np.abs(mat @ active - lam * active))
-        norm = np.max(np.abs(active))
-        if resid > 1e-8 * scale * max(norm, 1.0):
-            raise ConvergenceFailure(f"eigenpair residual {resid:g} too large")
-    funcs = dec.eigenfunctions
-    for i in range(len(funcs)):
-        for j in range(i, len(funcs)):
-            gram = integrate(funcs[i] * funcs[j])
-            target = 1.0 if i == j else 0.0
-            if abs(gram - target) > 1e-8:
-                raise ConvergenceFailure("eigenfunctions are not orthonormal")
+    funcs = np.stack([ef.values for ef in dec.eigenfunctions], axis=1)
+    active = funcs if g.periodic else funcs[1:-1]
+    resid = np.max(np.abs(assemble_operator(f) @ active - active * dec.eigenvalues), axis=0)
+    norm = np.max(np.abs(active), axis=0)
+    bad = np.flatnonzero(resid > _tolerance(dec.eigenvalues) * np.maximum(norm, 1.0))
+    if bad.size:
+        raise ConvergenceFailure(f"eigenpair residual {resid[bad[0]]:g} too large")
+    weights = np.full(g.n_points, g.spacing)
+    if not g.periodic:  # the trapezoid rule of integrate
+        weights[[0, -1]] *= 0.5
+    gram = funcs.T @ (weights[:, None] * funcs)
+    if np.max(np.abs(gram - np.eye(len(gram)))) > 1e-8:
+        raise ConvergenceFailure("eigenfunctions are not orthonormal")
 
 
 def expand(u: ScalarField, dec: SpectralDecomposition) -> np.ndarray:

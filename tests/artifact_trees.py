@@ -5,9 +5,9 @@ benchmark workload, one run directory each.
     PYTHONPATH=src python3 tests/artifact_trees.py OUT
 
 Runs go through the folflow on the path, parse_config_text and
-execute_config, with BLAS pinned to one thread (spectral_report's
-eigenpairs depend on the thread count), and each summary.json is rewritten
-without its wall-clock `meta` block.  A failed run keeps its summary.json.
+execute_config, with BLAS pinned to one thread as in the benchmark, and
+each summary.json is rewritten without its wall-clock `meta` block.  A
+failed run keeps its summary.json.
 Trees written from two checkouts are then compared by
 
     diff -r PARENT CHANGE

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -397,6 +398,19 @@ class TestDeterminism:
             main(["run", str(cfg), "--out", str(out), "--quiet"])
             payloads.append(summary_sans_meta(out))
         assert payloads[0] == payloads[1]
+
+    def test_spectral_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-m", "folflow.cli", "run",
+                                   str(CONFIGS / "spectral_cosine.yaml"), "--out", str(out),
+                                   "--quiet"], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert {"trajectory.csv", "fields_0.000000.csv"} <= set(written[0])
+        assert written[0] == written[1]
 
     def test_field_columns_written_as_the_repr_of_their_values(self, tmp_path):
         x = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0])
@@ -811,3 +825,37 @@ class TestContractProperty:
             echo = summary["config"]
             assert set(echo) == {*COMMON_KEYS, *SCENARIOS[raw["scenario"]].keys}
             assert parse_config_text(json.dumps(echo)) == parse_config(cfg)
+
+
+@st.composite
+def spectral_configs(draw) -> dict:
+    """A valid spectral_report config: a flat or cosine potential, even and
+    odd modes, on a circle or an interval of 8 to 256 points."""
+    topology = draw(st.sampled_from(["circle", "interval"]))
+    n = draw(st.integers(8, 256))
+    size = n if topology == "circle" else n - 2
+    if draw(st.booleans()):
+        potential = {"family": "constant", "value": draw(st.floats(-5.0, 5.0))}
+    else:
+        potential = {"family": "cosine_perturbed", "base": draw(st.floats(-1.0, 1.0)),
+                     "amplitude": draw(st.floats(-2.0, 2.0)), "mode": draw(st.integers(1, 6))}
+    return {
+        "scenario": "spectral_report",
+        "grid": {"topology": topology, "length": draw(st.sampled_from([1.0, 2 * math.pi, 7.5])),
+                 "n_points": n},
+        "time": {"dt": 0.001, "t_end": 0.0},
+        "modes": draw(st.integers(1, min(size, 24))),
+        "n_random": 0,
+        "potential": potential,
+    }
+
+
+class TestSpectralProperty:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(raw=spectral_configs())
+    def test_valid_configs_run_and_the_routes_agree(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            execute_config(parse_config_text(json.dumps(raw)), Path(tmp), quiet=True)
+            summary = summary_sans_meta(Path(tmp))
+        assert summary["status"] == "ok"
+        assert summary["results"]["route_agreement"] <= 1e-8

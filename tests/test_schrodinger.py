@@ -1,13 +1,19 @@
 """Ground states, spectral decompositions, and counting asymptotics."""
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from folflow.errors import ConvergenceFailure
 from folflow.fiber import ScalarField, build_grid, integrate
 from folflow.parabolic import PERIODIC, HeatStepper, StepperConfig
 from folflow.schrodinger import (
+    SpectralDecomposition,
+    _band,
+    _validate_decomposition,
     assemble_operator,
+    canonicalize,
     dense_spectrum,
     eigencount,
     expand,
@@ -175,6 +181,149 @@ class TestSpectralDecomposition:
             spectrum(f, 0)
         with pytest.raises(ValueError):
             spectrum(f, 65)
+
+
+def sparse_diags_operator(f):
+    """The operator built by sparse diagonal arithmetic, then sliced to the
+    interior on an interval: the reference for the direct assembly."""
+    g = f.grid
+    n, inv = g.n_points, 1.0 / (g.spacing * g.spacing)
+    side = np.full(n - 1, inv)
+    bands, offsets = [side, np.full(n, -2.0 * inv), side], [-1, 0, 1]
+    if g.periodic:
+        bands, offsets = [[inv], *bands, [inv]], [-(n - 1), *offsets, n - 1]
+    mat = -sp.diags(bands, offsets, format="csr") - sp.diags(f.values)
+    return mat if g.periodic else mat[1:-1, 1:-1]
+
+
+class TestOperatorAssembly:
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 1024])
+    def test_direct_assembly_equals_the_sparse_diagonal_arithmetic(self, topology, n):
+        g = build_grid(topology, 2.0, n)
+        rng = np.random.default_rng(n)
+        hits_zero = rng.normal(size=n)
+        hits_zero[n // 2] = 2.0 / g.spacing ** 2  # a zero diagonal entry is not stored
+        for vals in (rng.normal(size=n), np.zeros(n), hits_zero):
+            f = ScalarField(g, vals)
+            mine, reference = assemble_operator(f), sparse_diags_operator(f)
+            assert mine.format == reference.format and mine.shape == reference.shape
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(mine, part), getattr(reference, part)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 64, 65])
+    def test_band_is_the_operator_in_its_order(self, topology, n):
+        g = build_grid(topology, 2.0, n)
+        f = ScalarField(g, np.random.default_rng(n).normal(size=n))
+        order, band = _band(f)
+        u, size = len(band) // 2, band.shape[1]
+        full = np.zeros((size, size))
+        for d in range(-u, u + 1):
+            j = np.arange(max(d, 0), size + min(d, 0))
+            full[j - d, j] = band[u - d, j]
+        assert np.array_equal(full, assemble_operator(f).toarray()[np.ix_(order, order)])
+
+
+def active_columns(dec):
+    """Eigenfunctions over the active nodes, scaled to unit plain 2-norm."""
+    g = dec.eigenfunctions[0].grid
+    cols = np.stack([ef.values for ef in dec.eigenfunctions], axis=1)
+    return np.sqrt(g.spacing) * (cols if g.periodic else cols[1:-1])
+
+
+# flat circles (exact pairs), the cos(2x) circle whose mirrored nodes tie
+# under an argmax sign rule, a potential symmetric about an interval's
+# midpoint, and four wells whose lowest four eigenvalues lie within 1.3e-9,
+# one eigenspace that runs past m + 2.  m of each test: the first cuts an
+# eigenspace on the circles; the second stops below cos(2x)'s eighth and
+# ninth eigenvalues, 4.6e-7 apart, whose dense eigenvectors are only good
+# to about eps * ||A|| / 4.6e-7.
+CANONICAL_CASES = {
+    "flat_circle_64": ("circle", 2 * np.pi, 64, lambda x: 0.0 * x, 6, 6),
+    "flat_circle_512": ("circle", 2 * np.pi, 512, lambda x: 0.0 * x, 10, 10),
+    "cos2x_circle_64": ("circle", 2 * np.pi, 64, lambda x: 0.3 * np.cos(2 * x), 14, 6),
+    "symmetric_interval": ("interval", 1.0, 65, lambda x: 40.0 * np.exp(-30.0 * (x - 0.5) ** 2),
+                           6, 6),
+    "four_wells_circle_256": ("circle", 40.0, 256, lambda x: 10.0 * sum(
+        np.exp(-(x - c) ** 2) for c in (5.0, 15.0, 25.0, 35.0)), 1, 4),
+}
+
+
+def canonical_case(name):
+    topology, length, n, potential, *modes = CANONICAL_CASES[name]
+    g = build_grid(topology, length, n)
+    return ScalarField(g, potential(g.x)), modes
+
+
+class TestCanonicalBasis:
+    @pytest.mark.parametrize("case", sorted(CANONICAL_CASES))
+    def test_more_modes_keep_the_first_ones(self, case):
+        f, (m, _) = canonical_case(case)
+        # equal to roundoff: bisection over a longer index range ends a few
+        # units of roundoff elsewhere, which turns an eigenvector by about
+        # that much over the gap to its neighbour
+        few, more = spectrum(f, m), spectrum(f, m + 3)
+        np.testing.assert_allclose(few.eigenvalues, more.eigenvalues[:m], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(active_columns(few), active_columns(more)[:, :m],
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("case", sorted(CANONICAL_CASES))
+    def test_columns_are_the_canonical_dense_columns(self, case):
+        f, (_, m) = canonical_case(case)
+        vals, vecs = canonicalize(f, *dense_spectrum(f, m + 3))
+        dec = spectrum(f, m)
+        np.testing.assert_allclose(dec.eigenvalues, vals[:m], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(active_columns(dec), vecs[:, :m], rtol=0, atol=1e-9)
+
+    def test_basis_and_signs_do_not_depend_on_the_input_basis(self):
+        f, (m, _) = canonical_case("flat_circle_64")
+        vals, vecs = dense_spectrum(f, m + 1)
+        turn = np.eye(m + 1)
+        c, s = np.cos(0.7), np.sin(0.7)
+        turn[1:3, 1:3] = [[c, -s], [s, c]]  # inside the first pair
+        turn[:, 3] *= -1.0
+        np.testing.assert_allclose(canonicalize(f, vals, vecs @ turn)[1],
+                                   canonicalize(f, vals, vecs)[1], rtol=0, atol=1e-12)
+
+
+class TestInverseIteration:
+    def test_bisection_value_on_a_zero_pivot_still_solves(self):
+        # bisection stops at the 15th eigenvalue of this matrix where the
+        # elimination of the band shifted by it meets an exact zero pivot,
+        # so inverse iteration must shift a little off the bisection value
+        g = build_grid("interval", 1.0, 64)
+        f = ScalarField(g, np.cos(2 * np.pi * g.x))
+        vals, _ = dense_spectrum(f, 15)
+        np.testing.assert_allclose(spectrum(f, 15).eigenvalues, vals, rtol=1e-12)
+
+    def test_singular_shifted_band_surfaces_as_convergence_failure(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+        with pytest.raises(ConvergenceFailure, match="inverse iteration"):
+            spectrum(ScalarField(circle(64), np.zeros(64)), 3)
+
+
+class TestValidation:
+    def test_corrupted_eigenpair_is_rejected(self):
+        f = ScalarField(circle(64), np.cos(circle(64).x))
+        dec = spectrum(f, 4)
+        vals = dec.eigenvalues.copy()
+        vals[2] += 1e-3
+        with pytest.raises(ConvergenceFailure, match="eigenpair residual .* too large"):
+            _validate_decomposition(f, SpectralDecomposition(vals, dec.eigenfunctions))
+
+    def test_non_orthogonal_pair_is_rejected(self):
+        # e1 and e2 share one eigenvalue on a flat circle, so e1 twice
+        # passes the residual check
+        f = ScalarField(circle(64), np.zeros(64))
+        dec = spectrum(f, 3)
+        funcs = (dec.eigenfunctions[0], dec.eigenfunctions[1], dec.eigenfunctions[1])
+        with pytest.raises(ConvergenceFailure, match="not orthonormal"):
+            _validate_decomposition(f, SpectralDecomposition(dec.eigenvalues, funcs))
 
 
 class TestCountingAsymptotics:
