@@ -23,8 +23,7 @@ from .artifacts import (
     write_summary,
     write_trajectory,
 )
-from .config import (FIELD_KEYS, RunConfig, check_seed, config_to_dict, parse_config,
-                     realize_field, realize_grid)
+from .config import RunConfig, check_seed, config_to_dict, parse_config
 from .errors import FolflowError, ParseError, ValidationError
 from .fiber import grad_log  # noqa: F401  perfbench's traced-run test checks this binding
 from .scenarios import COMMON_KEYS, SCENARIOS
@@ -47,7 +46,7 @@ def list_scenarios() -> str:
 
 
 def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
-    """Run one configuration and write its artifacts into out_dir.
+    """Run one parsed configuration on its grid and fields, writing its artifacts into out_dir.
 
     On a numerical failure the exception propagates after a summary.json
     with status 'failed' has been flushed.  Overflow and division by zero
@@ -59,11 +58,8 @@ def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
     scenario = SCENARIOS[cfg.scenario]
     started = time.perf_counter()
     try:
-        grid = realize_grid(cfg)
-        fields = {which: realize_field(cfg, which) for which in FIELD_KEYS
-                  if which in scenario.keys}
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            traj, summary = scenario.run(cfg, grid, fields)
+            traj, summary = scenario.run(cfg, cfg.grid, cfg.fields)
     except FolflowError as err:
         write_summary(out_dir / "summary.json", {
             "status": "failed",
@@ -74,7 +70,7 @@ def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
         raise
     write_trajectory(out_dir / "trajectory.csv", scenario.columns, traj.series)
     for t, values in traj.snapshots.items():
-        write_fields(out_dir / snapshot_name(t), grid.x, values)
+        write_fields(out_dir / snapshot_name(t), cfg.grid.x, values)
     write_summary(out_dir / "summary.json", {
         "status": "ok",
         "config": config_to_dict(cfg),

@@ -5,11 +5,13 @@ once and reported together in a single ValidationError.  The scenario names,
 the top-level keys each scenario reads and its own constraints come from the
 declarations in scenarios.SCENARIOS: a key that only other scenarios read is
 one of the collected errors, and the config echo holds only the keys read.
+A parsed RunConfig carries the grid and fields the run uses, built and checked once.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, field, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +26,6 @@ from .scenarios import COMMON_KEYS, SCENARIOS
 _FIELD_DEFAULTS = {"initial": {"family": "constant", "value": 1.0},
                    "potential": {"family": "constant", "value": 0.0},
                    "t2_initial": {"family": "constant", "value": 1.0}}
-FIELD_KEYS = tuple(_FIELD_DEFAULTS)
-
-
-@dataclass
-class GridSpec:
-    topology: str
-    length: float
-    n_points: int
 
 
 @dataclass
@@ -65,7 +59,7 @@ class ToleranceSpec:
 @dataclass
 class RunConfig:
     scenario: str
-    grid: GridSpec
+    grid: FiberGrid
     time: TimeSpec
     boundary: BoundarySpec
     initial: FieldSpec
@@ -79,6 +73,9 @@ class RunConfig:
     output_dir: str
     emit_plots: bool
     tolerances: ToleranceSpec
+    # the ScalarFields the scenario reads by key, built on grid from the specs
+    # above and checked; equality and the echo go by the specs
+    fields: dict = field(compare=False, repr=False)
 
 
 _TOP_KEYS = {*COMMON_KEYS, *(key for s in SCENARIOS.values() for key in s.keys)}
@@ -127,7 +124,7 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
         raise ParseError(f"unknown key(s) {unknown} in {where}")
 
 
-def _field_spec(mapping, where: str) -> FieldSpec:
+def _field_spec(mapping, where: str, base_dir=None) -> FieldSpec:
     mapping = _require_mapping(mapping, where)
     if "family" not in mapping:
         raise ParseError(f"{where} needs a 'family' key")
@@ -141,6 +138,8 @@ def _field_spec(mapping, where: str) -> FieldSpec:
     missing = sorted(set(FAMILY_PARAMS[family]) - set(params))
     if missing:
         raise ValidationError(f"{where}: family {family!r} is missing parameter(s) {missing}")
+    if family == "from_csv" and base_dir is not None:
+        params = {"path": str((Path(base_dir) / str(params["path"])).resolve())}
     return FieldSpec(family=family, params=params)
 
 
@@ -154,13 +153,17 @@ def _as_number(value, where: str, errs: list, need: str | None = None) -> float:
     return float(value)
 
 
-def _as_int(value, where: str, errs: list, least: int | None = None) -> int:
-    """value as an int, or 0; one error if it is not an integer or is below least."""
+def _as_int(value, where: str, errs: list, least: int | None = None,
+            bounded: bool = True) -> int:
+    """value as an int, or 0; one error if it is not an integer, is below least
+    or, if bounded, is above 2**53, past which a float of it is inexact."""
     if isinstance(value, bool) or not isinstance(value, int):
         errs.append(f"{where} must be an integer, got {value!r}")
         return 0
     if least is not None and value < least:
         errs.append(f"{where} must be at least {least}, got {value}")
+    if bounded and value > 2 ** 53:
+        errs.append(f"{where} must be at most 2**53, got {value}")
     return value
 
 
@@ -181,7 +184,8 @@ def parse_config(path) -> RunConfig:
 def parse_config_text(text: str, base_dir=None) -> RunConfig:
     try:
         raw = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, ValueError) as err:
+        # ValueError: an integer of more digits than int() converts
         mark = getattr(err, "problem_mark", None)
         loc = f" (line {mark.line + 1})" if mark is not None else ""
         raise ParseError(f"invalid YAML{loc}: {err}") from err
@@ -208,10 +212,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     length = _as_number(grid_map.get("length", float("nan")), "grid.length", errs,
                         "positive and finite")
     n_points = _as_int(grid_map.get("n_points", 0), "grid.n_points", errs, 8)
-    grid_spec = GridSpec(topology=topology, length=length, n_points=n_points)
-    grid = None
-    if not errs:
-        grid = build_grid(topology, length, n_points)
+    grid = build_grid(topology, length, n_points) if not errs else None
 
     if "time" not in raw:
         raise ParseError("configuration needs a 'time' section")
@@ -219,12 +220,9 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     _reject_unknown(time_map, _TIME_KEYS, "time")
     t_end = _as_number(time_map.get("t_end", float("nan")), "time.t_end", errs,
                        "nonnegative and finite")
+    dt = min(1e-3, 0.25 * grid.spacing ** 2) if grid is not None else 1e-3
     if "dt" in time_map:
         dt = _as_number(time_map["dt"], "time.dt", errs, "positive and finite")
-    elif grid is not None:
-        dt = min(1e-3, 0.25 * grid.spacing ** 2)
-    else:
-        dt = 1e-3
     if _RANGES["positive and finite"](dt) and _RANGES["positive and finite"](t_end):
         steps = round(t_end / dt)
         if steps < 1 or abs(steps * dt - t_end) > 1e-9 * max(dt, t_end):
@@ -247,7 +245,8 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     n_rank = _as_int(raw.get("n_rank", 1), "n_rank", errs, 1)
     modes = _as_int(raw.get("modes", 12), "modes", errs)
     n_random = _as_int(raw.get("n_random", 25), "n_random", errs, 0)
-    seed = _as_int(raw.get("seed", 0), "seed", errs, 0)
+    # numpy seeds from any nonnegative integer
+    seed = _as_int(raw.get("seed", 0), "seed", errs, 0, bounded=False)
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         errs.append(f"output_dir must be a nonempty string, got {output_dir!r}")
@@ -258,17 +257,12 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     tol_map = _require_mapping(raw.get("tolerances", {}), "tolerances")
     _reject_unknown(tol_map, _TOL_KEYS, "tolerances")
     tol = ToleranceSpec()
-    for key in _TOL_KEYS:
-        if key in tol_map:
-            val = _as_number(tol_map[key], f"tolerances.{key}", errs, "positive and finite")
-            setattr(tol, key, val)
+    for key, value in tol_map.items():
+        setattr(tol, key, _as_number(value, f"tolerances.{key}", errs, "positive and finite"))
 
-    specs = {which: _field_spec(raw.get(which, default), which)
+    specs = {which: _field_spec(raw.get(which, default), which, base_dir)
              for which, default in _FIELD_DEFAULTS.items()}
-    for spec in specs.values():
-        if spec.family == "from_csv" and base_dir is not None:
-            spec.params = {"path": str((Path(base_dir) / str(spec.params["path"])).resolve())}
-    # each field the scenario reads is realized once, on the grid built above
+    # each field the scenario reads is built once, on the grid built above
     fields, field_errs = {}, []
     if grid is not None and scenario in SCENARIOS:
         for which, spec in specs.items():
@@ -289,11 +283,11 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
         if any(not (v > 0.0) for v in base_values if np.isfinite(v)):
             errs.append("base_values must all be positive")
 
-    boundary = _boundary_spec(raw, grid_spec, fields.get("initial"), errs)
+    boundary = _boundary_spec(raw, topology, fields.get("initial"), errs)
 
     cfg = RunConfig(
         scenario=scenario,
-        grid=grid_spec,
+        grid=grid,
         time=time_spec,
         boundary=boundary,
         **specs,
@@ -305,6 +299,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
         output_dir=output_dir,
         emit_plots=emit_plots,
         tolerances=tol,
+        fields=fields,
     )
     if grid is not None and scenario in SCENARIOS:
         errs += field_errs + SCENARIOS[scenario].check(cfg, grid, fields)
@@ -314,7 +309,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     return cfg
 
 
-def _boundary_spec(raw, grid_spec, initial: ScalarField | None, errs) -> BoundarySpec:
+def _boundary_spec(raw, topology: str, initial: ScalarField | None, errs) -> BoundarySpec:
     if "boundary" in raw:
         bmap = _require_mapping(raw["boundary"], "boundary")
         _reject_unknown(bmap, _BOUNDARY_KEYS, "boundary")
@@ -323,17 +318,17 @@ def _boundary_spec(raw, grid_spec, initial: ScalarField | None, errs) -> Boundar
             errs.append(f"boundary.kind must be 'periodic' or 'dirichlet', got {kind!r}")
             return BoundarySpec(kind="periodic")
         if kind == "periodic":
-            if grid_spec.topology != "circle":
+            if topology != "circle":
                 errs.append("periodic boundary needs circle topology")
             if "left" in bmap or "right" in bmap:
                 errs.append("periodic boundary takes no left/right values")
             return BoundarySpec(kind="periodic")
-        if grid_spec.topology != "interval":
+        if topology != "interval":
             errs.append("dirichlet boundary needs interval topology")
         left = _as_number(bmap.get("left", float("nan")), "boundary.left", errs, "finite")
         right = _as_number(bmap.get("right", float("nan")), "boundary.right", errs, "finite")
         return BoundarySpec(kind="dirichlet", left=left, right=right)
-    if grid_spec.topology == "circle":
+    if topology == "circle":
         return BoundarySpec(kind="periodic")
     if initial is not None:
         vals = initial.values
@@ -344,30 +339,37 @@ def _boundary_spec(raw, grid_spec, initial: ScalarField | None, errs) -> Boundar
 def check_seed(seed) -> int:
     """seed, checked as parsing checks a config's seed: an integer of at least 0."""
     errs: list[str] = []
-    _as_int(seed, "seed", errs, 0)
+    _as_int(seed, "seed", errs, 0, bounded=False)
     if errs:
         raise ValidationError(errs[0])
     return seed
 
 
+# the benchmark's set-up probe and tracer bind these two names
 def realize_grid(cfg: RunConfig) -> FiberGrid:
-    return build_grid(cfg.grid.topology, cfg.grid.length, cfg.grid.n_points)
+    return cfg.grid
 
 
 def realize_field(cfg: RunConfig, which: str) -> ScalarField:
+    """The parsed field for a key the scenario reads; any other built from its spec."""
+    if which in cfg.fields:
+        return cfg.fields[which]
     spec = getattr(cfg, which)
-    return build_field(realize_grid(cfg), spec.family, spec.params)
+    return build_field(cfg.grid, spec.family, spec.params)
+
+
+def _echo(value):
+    """A config value as the echo writes it: specs as mappings, tuples as lists."""
+    if isinstance(value, FieldSpec):
+        return {"family": value.family, **value.params}
+    if is_dataclass(value):
+        # a periodic boundary's left and right are None and not echoed
+        return {key: _echo(v) for key, v in vars(value).items() if v is not None}
+    if isinstance(value, Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """The config echo: the common keys and the keys cfg's scenario reads."""
-    d = asdict(cfg)
-    d["time"]["snapshots"] = list(cfg.time.snapshots)
-    d["base_values"] = list(cfg.base_values)
-    for which in FIELD_KEYS:
-        spec = getattr(cfg, which)
-        d[which] = {"family": spec.family, **spec.params}
-    if cfg.boundary.kind == "periodic":
-        d["boundary"] = {"kind": "periodic"}
-    reads = COMMON_KEYS + SCENARIOS[cfg.scenario].keys
-    return {key: value for key, value in d.items() if key in reads}
+    return {key: _echo(getattr(cfg, key)) for key in COMMON_KEYS + SCENARIOS[cfg.scenario].keys}

@@ -431,8 +431,6 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
             # overflowed or underflowed norm makes this row non-finite
             "rayleigh": (grid.spacing * np.sum(u * hu, axis=-1))
             / (grid.spacing * np.sum(u * u, axis=-1)),
-            "lambda0": np.full(len(u), gs.lambda0),
-            "gap": np.full(len(u), gs.gap),
             "min_u": np.min(u, axis=-1),
             "betaD_drift": np.zeros(len(u)),
             # the sup over the points inside both masks, 0 where there are none
@@ -827,8 +825,8 @@ SCENARIOS = {s.name: s for s in (
                    "Sc_mix - |T|^2 = -n*(u_yy + betaD*u)/u -> n*lambda0",
                    "d(|T|^2)/dt = 4*(Sc_mix - |T|^2 - Phi)*|T|^2, Phi = n*lambda0"),
         keys=("initial", "potential", "t2_initial", "n_rank", "tolerances"),
-        columns=("t", "sup_dev_scmix", "rayleigh", "lambda0", "gap", "min_u",
-                 "betaD_drift", "conservation_drift", "h_dev"),
+        columns=("t", "sup_dev_scmix", "rayleigh", "min_u", "betaD_drift",
+                 "conservation_drift", "h_dev"),
         fields=("u", "H", "betaD", "T2", "scmixT2"),
         plot_column="sup_dev_scmix",
         run=_run_normalized,

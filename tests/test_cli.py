@@ -76,8 +76,9 @@ SHORT_RUNS = {
 
 
 def run_cli(*args):
+    # a run that hangs (say, n_random: 10**400 random potentials) fails here
     return subprocess.run([sys.executable, "-m", "folflow.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=120)
 
 
 def _reject_constant(name):
@@ -368,6 +369,44 @@ class TestRunCommand:
             "type": "ParseError", "message": f"duplicate key '{key}' (line {line})"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, old, key", [
+        ("twisted", "n_points: 64", "grid.n_points"),
+        ("twisted", "record_every: 10", "time.record_every"),
+        ("twisted", "n_rank: 1", "n_rank"),
+        ("spectral_report", "modes: 4", "modes"),
+        ("spectral_report", "n_random: 2", "n_random"),
+    ])
+    def test_integer_past_2_to_the_53_exits_2_with_json(self, tmp_path, scenario, old, key):
+        # past 2**53 a float of the integer is inexact; 10**400 has no float
+        # at all, and parsing, stepping or recording would raise OverflowError
+        cfg, out = tmp_path / "run.yaml", tmp_path / "out"
+        cfg.write_text(SHORT_RUNS[scenario].replace(old, f"{old.split(':')[0]}: {10**400}"))
+        proc = run_cli("run", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == "ValidationError"
+        # spectral_report's own check of modes follows
+        assert err["message"].startswith(f"{key} must be at most 2**53, got {10**400}")
+        assert not out.exists()
+
+    def test_any_seed_runs(self, tmp_path):
+        # numpy seeds from any nonnegative integer, so seed takes no upper bound
+        cfg, out = tmp_path / "run.yaml", tmp_path / "out"
+        cfg.write_text(SHORT_RUNS["spectral_report"] + f"seed: {10**400}\n")
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert summary_sans_meta(out)["config"]["seed"] == 10**400
+
+    def test_integer_too_long_to_read_exits_2_with_json(self, tmp_path):
+        cfg, out = tmp_path / "run.yaml", tmp_path / "out"
+        # int() reads at most 4300 digits
+        cfg.write_text(SHORT_RUNS["spectral_report"] + "seed: 1" + "0" * 5000 + "\n")
+        proc = run_cli("run", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == "ParseError"
+        assert err["message"].startswith("invalid YAML: Exceeds the limit")
+        assert not out.exists()
+
     def test_emit_plots_writes_script_not_image(self, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(FAST_RUN + "emit_plots: true\n")
@@ -424,6 +463,50 @@ class TestDeterminism:
         write_trajectory(tmp_path / "t.csv", ("t", "a"), series)
         assert (tmp_path / "t.csv").read_text() == (
             "t,a\n0.0,-0.0\n0.30000000000000004,5e-324\n1e+16,1.0\n")
+
+
+class TestParseOnce:
+    """A run uses the grid and fields its config was parsed and checked with."""
+
+    @pytest.mark.parametrize("scenario", sorted(SHORT_RUNS))
+    def test_execute_config_builds_no_input(self, monkeypatch, tmp_path, scenario):
+        # every module's binding of the two builders is counted; only
+        # cole_hopf_check's refinement run builds, on its own finer grid
+        cfg = parse_config_text(SHORT_RUNS[scenario])
+        calls = {"build_field": 0, "build_grid": 0}
+        for name, module in list(sys.modules.items()):
+            for builder in calls:
+                original = getattr(module, builder, None) if name.startswith("folflow") else None
+                if callable(original):
+                    def counted(*args, _builder=builder, _original=original, **kwargs):
+                        calls[_builder] += 1
+                        return _original(*args, **kwargs)
+                    monkeypatch.setattr(module, builder, counted)
+        execute_config(cfg, tmp_path, quiet=True)
+        refined = scenario == "cole_hopf_check"
+        assert calls == {"build_field": 2 if refined else 0, "build_grid": 1 if refined else 0}
+
+    @pytest.mark.parametrize("value", [-1.0, 3.0])
+    def test_csv_rewritten_after_parsing_leaves_the_run_unchanged(self, tmp_path, value):
+        x = build_grid("circle", 2 * np.pi, 64).x.tolist()
+        csv_path = tmp_path / "field.csv"
+        csv_path.write_text(
+            "x,value\n" + "".join(f"{xi!r},{2.0 + math.cos(xi)!r}\n" for xi in x))
+        cfg_path = tmp_path / "run.yaml"
+        cfg_path.write_text(SHORT_RUNS["twisted"].replace(
+            "initial: {family: cosine_perturbed, base: 2.0, amplitude: 1.0, mode: 1}",
+            "initial: {family: from_csv, path: field.csv}"))
+        written = []
+        for name in ("kept", "rewritten"):
+            cfg = parse_config(cfg_path)
+            if name == "rewritten":
+                # a profile the parser would reject (-1) or another valid one (3)
+                csv_path.write_text("x,value\n" + "".join(f"{xi!r},{value!r}\n" for xi in x))
+            out = tmp_path / name
+            execute_config(cfg, out, quiet=True)
+            written.append({**{p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))},
+                            "summary": summary_sans_meta(out)})
+        assert written[0] == written[1]
 
 
 def _run_artifacts(cfg, out: Path) -> dict:
@@ -859,3 +942,90 @@ class TestSpectralProperty:
             summary = summary_sans_meta(Path(tmp))
         assert summary["status"] == "ok"
         assert summary["results"]["route_agreement"] <= 1e-8
+
+
+@st.composite
+def twisted_configs(draw) -> dict:
+    """A valid twisted config: a positive profile on a circle of 8 to 128
+    points, 1 to 50 steps of a dt with n_rank * dt / h**2 <= 0.9, where the
+    Crank-Nicolson step keeps every slice positive, and snapshot times that
+    include 0."""
+    n = draw(st.integers(8, 128))
+    length = draw(st.sampled_from([1.0, 2 * math.pi, 7.5]))
+    n_rank = draw(st.integers(1, 3))
+    dt = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9])) * (length / n) ** 2 / n_rank
+    steps = draw(st.integers(1, 50))
+    family = draw(st.sampled_from(["constant", "cosine_perturbed", "gaussian_bump",
+                                   "linear_sine_bump"]))
+    # |amplitude| < base, or below both ends, and a bump at least length/8
+    # wide, whose smallest value exp(-32) * height is still normal
+    share = st.floats(-0.9, 0.9)
+    if family == "constant":
+        initial = {"value": draw(st.floats(0.1, 10.0))}
+    elif family == "cosine_perturbed":
+        base = draw(st.floats(0.5, 4.0))
+        initial = {"base": base, "amplitude": draw(share) * base, "mode": draw(st.integers(0, 4))}
+    elif family == "gaussian_bump":
+        initial = {"center": draw(st.floats(0.0, length)),
+                   "width": draw(st.floats(length / 8, length)),
+                   "height": draw(st.floats(0.1, 5.0))}
+    else:
+        left, right = draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0))
+        initial = {"left": left, "right": right, "amplitude": draw(share) * min(left, right),
+                   "mode": draw(st.integers(0, 4))}
+    return {
+        "scenario": "twisted",
+        "grid": {"topology": "circle", "length": length, "n_points": n},
+        "time": {"dt": dt, "t_end": steps * dt, "record_every": draw(st.integers(1, 25)),
+                 "snapshots": sorted({0.0, draw(st.integers(0, steps)) * dt, steps * dt})},
+        "n_rank": n_rank,
+        "initial": {"family": family, **initial},
+        "base_values": draw(st.lists(st.floats(0.1, 4.0), min_size=1, max_size=4)),
+    }
+
+
+def _csv_columns(path: Path) -> dict[str, np.ndarray]:
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), np.array([row.split(",") for row in rows], dtype=float).T))
+
+
+class TestTwistedProperty:
+    """Valid twisted runs exit 0, and scaling base_values by a power of two c
+    scales each slice f_<i> by c bit for bit; H = -(log f)_y moves only by the
+    roundoff of log(c*f) against log c + log f."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(raw=twisted_configs(), c=st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+    def test_valid_configs_run_and_scale_with_the_slices(self, raw, c):
+        runs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, scale in (("base", 1.0), ("scaled", c)):
+                cfg, out = Path(tmp) / f"{name}.yaml", Path(tmp) / name
+                cfg.write_text(json.dumps({**raw, "base_values": [scale * b for b in
+                                                                   raw["base_values"]]}))
+                assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+                runs.append({p.name: _csv_columns(p) for p in sorted(out.glob("*.csv"))})
+        base, scaled = runs
+        assert base.keys() == scaled.keys()
+        eps, h = np.finfo(float).eps, raw["grid"]["length"] / raw["grid"]["n_points"]
+        # H differences logs of size up to log_size over 2h; the slices stay
+        # within the range of their initial values
+        log_size = sum(np.max(np.abs(np.log(np.array([run["fields_0.000000.csv"][key]
+                                                       for key in run["fields_0.000000.csv"]
+                                                       if key.startswith("f_")]))))
+                       for run in runs)
+        for name, columns in base.items():
+            for key, values in columns.items():
+                if key.startswith("f_") or key in ("sup_dist_to_mean", "mass_drift"):
+                    assert np.array_equal(scaled[name][key], c * values), (name, key)
+                elif key.startswith("H_") or key == "sup_H":
+                    bound = 4 * eps * (log_size / h + np.max(np.abs(values)))
+                    assert np.max(np.abs(scaled[name][key] - values)) <= bound, (name, key)
+                else:
+                    assert np.array_equal(scaled[name][key], values), (name, key)
+        # each slice keeps its fiber mass to roundoff
+        masses = h * np.sum([base["fields_0.000000.csv"][key]
+                             for key in base["fields_0.000000.csv"] if key.startswith("f_")],
+                            axis=-1)
+        steps = round(raw["time"]["t_end"] / raw["time"]["dt"])
+        assert np.max(base["trajectory.csv"]["mass_drift"]) <= 4 * eps * (steps + 1) * max(masses)

@@ -1,4 +1,5 @@
 """Run-configuration parsing: fail-closed validation and round-trip fidelity."""
+import dataclasses
 import json
 import textwrap
 
@@ -111,6 +112,15 @@ class TestParsing:
             parse_config_text(bad)
         msg = str(exc.value)
         assert "topology" in msg and "dt" in msg
+
+    def test_bad_tolerances_reported_in_file_order(self):
+        # in the order written, not in an order that varies with string hashing
+        bad = GOOD + "tolerances: {converged_dev: -1.0, gap_min: 0.0, eps_t: .nan}\n"
+        with pytest.raises(ValidationError) as exc:
+            parse_config_text(bad)
+        assert str(exc.value) == "; ".join(f"tolerances.{key} must be positive and finite, got {v}"
+                                           for key, v in (("converged_dev", -1.0),
+                                                          ("gap_min", 0.0), ("eps_t", "nan")))
 
     def test_horizon_must_be_whole_steps(self):
         bad = GOOD.replace("t_end: 1.0", "t_end: 1.0005")
@@ -244,9 +254,25 @@ class TestRealization:
     def test_realize_grid_and_fields(self):
         cfg = parse_config_text(GOOD)
         grid = realize_grid(cfg)
-        assert grid.n_points == 128 and grid.periodic
+        assert grid is cfg.grid and grid.n_points == 128 and grid.periodic
         pot = realize_field(cfg, "potential")
+        assert pot is cfg.fields["potential"]
         np.testing.assert_allclose(pot.values, 0.2 * (1.0 + np.cos(grid.x)), atol=1e-12)
+
+    def test_config_carries_the_fields_its_scenario_reads(self):
+        cfg = parse_config_text(GOOD)
+        assert sorted(cfg.fields) == ["initial", "potential", "t2_initial"]
+        assert all(f.grid == cfg.grid for f in cfg.fields.values())
+        # a seed override keeps them, and equality goes by the specs alone
+        again = dataclasses.replace(cfg, seed=5)
+        assert again.fields is cfg.fields and again.grid is cfg.grid
+        assert dataclasses.replace(again, seed=0, fields={}) == cfg
+        spectral = parse_config_text(GOOD.replace("scenario: normalized",
+                                                  "scenario: spectral_report").replace(
+            "t_end: 1.0", "t_end: 0.0").replace("n_rank: 2\n", "").replace(
+            "t2_initial:\n  family: constant\n  value: 16.0\n", "").replace(
+            "initial:\n  family: constant\n  value: 1.0\n", ""))
+        assert list(spectral.fields) == ["potential"]
 
     def test_parse_config_reads_files(self, tmp_path):
         path = tmp_path / "run.yaml"

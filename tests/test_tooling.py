@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from folflow import parabolic
-from folflow.config import parse_config_text
+from folflow.config import parse_config, parse_config_text, realize_field
 from folflow.fiber import ScalarField, build_grid
 from folflow.parabolic import BurgersStepper, HeatStepper
 from folflow.scenarios import (SCENARIOS, cole_hopf_rows, run_normalized_flow,
@@ -76,6 +76,25 @@ def test_every_benchmark_config_parses(workloads):
             for item in workloads.build(name, 1, tiny):
                 cfg = parse_config_text(item.text, base_dir=item.base_dir)
                 assert cfg.scenario == item.scenario, (name, tiny, item.name)
+
+
+def test_setup_probe_path_realizes_the_parsed_fields(workloads, tmp_path):
+    # perfbench/setup_probe.py parses each config file, then realizes all
+    # three field keys: a key the scenario reads is the field parsing built
+    # and checked, and any other is built from its default spec
+    paths = sorted((ROOT / "configs").glob("*.yaml"))
+    for name in workloads.WORKLOADS:
+        item = workloads.build(name, 1)[0]
+        paths.append(tmp_path / f"{name}.yaml")
+        paths[-1].write_text(item.text)
+    for path in paths:
+        cfg = parse_config(path)
+        for which in ("initial", "potential", "t2_initial"):
+            field = realize_field(cfg, which)
+            if which in SCENARIOS[cfg.scenario].keys:
+                assert field is cfg.fields[which], (path.name, which)
+            else:
+                assert which not in cfg.fields and field.grid == cfg.grid, (path.name, which)
 
 
 def test_every_artifact_tree_run_parses(monkeypatch):
