@@ -1,11 +1,12 @@
 """Discrete Schrodinger operator Hf = -u_xx - f*u and its low spectrum.
 
 The ground state and the first excited value come from shift-invert
-Lanczos on the sparse matrix.  The partial spectra come from an
-independent banded route: bisection on the band for the eigenvalues,
-inverse iteration for the eigenvectors, and one canonical basis per
-eigenspace.  A dense symmetric eigensolve of the same matrix stays as the
-reference that route is compared against.
+Lanczos on the sparse matrix, the lowest eigenvalue alone in O(n) from a
+bordered tridiagonal (spectral_report's bound).  The partial spectra come
+from an independent banded route: bisection on the band for the
+eigenvalues, inverse iteration for the eigenvectors, and one canonical basis
+per eigenspace.  A dense symmetric eigensolve of the same matrix stays as
+the reference that route is compared against.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import eigsh
 
 from .errors import ConvergenceFailure
@@ -76,16 +78,8 @@ def _band(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     return order, band
 
 
-def _embed(grid: FiberGrid, active: np.ndarray) -> np.ndarray:
-    if grid.periodic:
-        return active
-    full = np.zeros(grid.n_points)
-    full[1:-1] = active
-    return full
-
-
 def _to_field(grid: FiberGrid, active: np.ndarray) -> ScalarField:
-    vec = ScalarField(grid, _embed(grid, active))
+    vec = ScalarField(grid, active if grid.periodic else np.pad(active, 1))
     norm = np.sqrt(integrate(vec * vec))
     return ScalarField(grid, vec.values / norm)
 
@@ -137,6 +131,51 @@ def ground_state(f: ScalarField) -> GroundState:
     if np.min(v0) <= 0.0:
         raise ConvergenceFailure("computed ground state is not strictly positive")
     return GroundState(lam0, _to_field(g, v0), lam1)
+
+
+def _bordered(f: ScalarField):
+    """sigma -> (ok, s, s') for A = [[a0, b^T], [b, T]] bordered by its node of
+    largest f, where the ground state is large, so that T's lowest eigenvalue mu0
+    is well above A's.  T is the rest in cyclic order (off[i] couples i and i + 1),
+    split in two on an interval.  ok: sigma < mu0; s = a0 - sigma - b^T y with
+    y = (T - sigma)^-1 b, and s' = -1 - |y|^2."""
+    diag, inv = _diagonal(f)
+    off = np.append(np.full(diag.size - 1, -inv), -inv if f.grid.periodic else 0.0)
+    k = int(np.argmin(diag))
+    diag, off = np.roll(diag, -k), np.roll(off, -k)
+    b = np.r_[off[0], np.zeros(diag.size - 3), off[-1]]
+
+    def schur(sigma: float):
+        d, e, info = dpttrf(diag[1:] - sigma, off[1:-1])
+        if info != 0:
+            return False, np.nan, np.nan
+        y = dpttrs(d, e, b)[0]
+        # no BLAS reduction, so no dependence on the thread count
+        return True, diag[0] - sigma - (b[0] * y[0] + b[-1] * y[-1]), -1.0 - np.sum(y * y)
+    return schur
+
+
+def lowest_eigenvalue(f: ScalarField) -> float:
+    """Lowest eigenvalue of -d2/dx2 - f in O(n): the one root of _bordered's s
+    below mu0, where s decreases and is concave (Haynsworth: A - sigma has the
+    negative eigenvalues of T - sigma and of s).  Newton steps, bisecting when
+    one leaves the bracket from -max f (Gershgorin) to the least sigma with
+    s <= 0 or past mu0, down to 8 eps of the matrix's scale."""
+    g, schur, hi = f.grid, _bordered(f), np.inf
+    sigma = lo = -float(np.max(f.values if g.periodic else f.values[1:-1]))
+    tol = 8.0 * np.finfo(float).eps * (1.0 / g.spacing ** 2 + float(np.max(np.abs(f.values))))
+    for _ in range(128):  # bisection alone takes about 50
+        ok, s, ds = schur(sigma)
+        if ok and not np.isfinite(s / ds):
+            raise ConvergenceFailure(f"Schur complement not finite at {sigma:g}")
+        lo, hi = (sigma, hi) if ok and s > 0.0 else (lo, sigma)
+        step = -s / ds if ok else np.inf
+        if abs(step) <= tol:
+            return float(min(max(sigma + step, lo), hi))
+        if hi - lo <= tol:
+            return float(0.5 * (lo + hi))
+        sigma = sigma + step if lo < sigma + step < hi else 0.5 * (lo + hi)
+    raise ConvergenceFailure("lowest eigenvalue not found in 128 iterations")
 
 
 def dense_spectrum(f: ScalarField, m: int):

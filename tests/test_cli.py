@@ -27,7 +27,7 @@ from folflow.config import parse_config, parse_config_text
 from folflow.errors import FolflowError, ValidationError
 from folflow.families import FAMILY_PARAMS, build_field
 from folflow.fiber import build_grid
-from folflow.scenarios import COMMON_KEYS, SCENARIOS
+from folflow.scenarios import COMMON_KEYS, MAX_RANDOM, SCENARIOS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -389,6 +389,20 @@ class TestRunCommand:
         assert err["message"].startswith(f"{key} must be at most 2**53, got {10**400}")
         assert not out.exists()
 
+    def test_n_random_past_its_cap_exits_2_with_json(self, tmp_path):
+        # each random potential costs an eigensolve; the cap bounds the run
+        text = SHORT_RUNS["spectral_report"].replace("n_random: 2", f"n_random: {MAX_RANDOM}")
+        assert parse_config_text(text).n_random == MAX_RANDOM
+        cfg, out = tmp_path / "run.yaml", tmp_path / "out"
+        cfg.write_text(text.replace(f"n_random: {MAX_RANDOM}", f"n_random: {MAX_RANDOM + 1}"))
+        proc = run_cli("run", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "ValidationError",
+            "message": f"spectral_report: n_random must be at most {MAX_RANDOM}, "
+                       f"got {MAX_RANDOM + 1}"}
+        assert not out.exists()
+
     def test_any_seed_runs(self, tmp_path):
         # numpy seeds from any nonnegative integer, so seed takes no upper bound
         cfg, out = tmp_path / "run.yaml", tmp_path / "out"
@@ -439,7 +453,7 @@ class TestDeterminism:
         assert payloads[0] == payloads[1]
 
     def test_spectral_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
-        written = []
+        written, summaries = [], []
         for threads in ("1", "2"):
             out = tmp_path / threads
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
@@ -448,8 +462,12 @@ class TestDeterminism:
                                    "--quiet"], capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+            summaries.append(summary_sans_meta(out))
         assert {"trajectory.csv", "fields_0.000000.csv"} <= set(written[0])
         assert written[0] == written[1]
+        # min_bound_margin and lambda0_lanczos are in the summary alone
+        assert summaries[0]["results"]["min_bound_margin"] >= 0.0
+        assert summaries[0] == summaries[1]
 
     def test_field_columns_written_as_the_repr_of_their_values(self, tmp_path):
         x = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0])
@@ -913,7 +931,8 @@ class TestContractProperty:
 @st.composite
 def spectral_configs(draw) -> dict:
     """A valid spectral_report config: a flat or cosine potential, even and
-    odd modes, on a circle or an interval of 8 to 256 points."""
+    odd modes, on a circle or an interval of 8 to 256 points, and up to three
+    random potentials for the bound."""
     topology = draw(st.sampled_from(["circle", "interval"]))
     n = draw(st.integers(8, 256))
     size = n if topology == "circle" else n - 2
@@ -928,7 +947,8 @@ def spectral_configs(draw) -> dict:
                  "n_points": n},
         "time": {"dt": 0.001, "t_end": 0.0},
         "modes": draw(st.integers(1, min(size, 24))),
-        "n_random": 0,
+        "n_random": draw(st.integers(0, 3)),
+        "seed": draw(st.integers(0, 2**31 - 1)),
         "potential": potential,
     }
 
@@ -942,6 +962,8 @@ class TestSpectralProperty:
             summary = summary_sans_meta(Path(tmp))
         assert summary["status"] == "ok"
         assert summary["results"]["route_agreement"] <= 1e-8
+        margin = summary["results"]["min_bound_margin"]
+        assert margin is None if raw["n_random"] == 0 else margin >= 0.0
 
 
 @st.composite
@@ -955,33 +977,40 @@ def twisted_configs(draw) -> dict:
     n_rank = draw(st.integers(1, 3))
     dt = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9])) * (length / n) ** 2 / n_rank
     steps = draw(st.integers(1, 50))
-    family = draw(st.sampled_from(["constant", "cosine_perturbed", "gaussian_bump",
-                                   "linear_sine_bump"]))
-    # |amplitude| < base, or below both ends, and a bump at least length/8
-    # wide, whose smallest value exp(-32) * height is still normal
-    share = st.floats(-0.9, 0.9)
-    if family == "constant":
-        initial = {"value": draw(st.floats(0.1, 10.0))}
-    elif family == "cosine_perturbed":
-        base = draw(st.floats(0.5, 4.0))
-        initial = {"base": base, "amplitude": draw(share) * base, "mode": draw(st.integers(0, 4))}
-    elif family == "gaussian_bump":
-        initial = {"center": draw(st.floats(0.0, length)),
-                   "width": draw(st.floats(length / 8, length)),
-                   "height": draw(st.floats(0.1, 5.0))}
-    else:
-        left, right = draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0))
-        initial = {"left": left, "right": right, "amplitude": draw(share) * min(left, right),
-                   "mode": draw(st.integers(0, 4))}
+    initial = draw(positive_profiles(length))
     return {
         "scenario": "twisted",
         "grid": {"topology": "circle", "length": length, "n_points": n},
         "time": {"dt": dt, "t_end": steps * dt, "record_every": draw(st.integers(1, 25)),
                  "snapshots": sorted({0.0, draw(st.integers(0, steps)) * dt, steps * dt})},
         "n_rank": n_rank,
-        "initial": {"family": family, **initial},
+        "initial": initial,
         "base_values": draw(st.lists(st.floats(0.1, 4.0), min_size=1, max_size=4)),
     }
+
+
+@st.composite
+def positive_profiles(draw, length: float) -> dict:
+    """A positive field family: |amplitude| < base, or below both ends, and a
+    bump at least length/8 wide, whose smallest value exp(-32) * height is
+    still normal."""
+    family = draw(st.sampled_from(["constant", "cosine_perturbed", "gaussian_bump",
+                                   "linear_sine_bump"]))
+    share = st.floats(-0.9, 0.9)
+    if family == "constant":
+        params = {"value": draw(st.floats(0.1, 10.0))}
+    elif family == "cosine_perturbed":
+        base = draw(st.floats(0.5, 4.0))
+        params = {"base": base, "amplitude": draw(share) * base, "mode": draw(st.integers(0, 4))}
+    elif family == "gaussian_bump":
+        params = {"center": draw(st.floats(0.0, length)),
+                  "width": draw(st.floats(length / 8, length)),
+                  "height": draw(st.floats(0.1, 5.0))}
+    else:
+        left, right = draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0))
+        params = {"left": left, "right": right, "amplitude": draw(share) * min(left, right),
+                  "mode": draw(st.integers(0, 4))}
+    return {"family": family, **params}
 
 
 def _csv_columns(path: Path) -> dict[str, np.ndarray]:
@@ -1029,3 +1058,81 @@ class TestTwistedProperty:
                             axis=-1)
         steps = round(raw["time"]["t_end"] / raw["time"]["dt"])
         assert np.max(base["trajectory.csv"]["mass_drift"]) <= 4 * eps * (steps + 1) * max(masses)
+
+
+# the parameters each family's values are linear in, so that scaling them by
+# a power of two scales the values by it bit for bit
+_LINEAR_PARAMS = {"value", "base", "amplitude", "height", "left", "right"}
+
+
+@st.composite
+def normalized_configs(draw) -> dict:
+    """A valid normalized config: positive u0 and |T|^2 on a circle of 8 to 128
+    points, a betaD of at most 2 (base at most 1, |amplitude| < base) and 1 to
+    50 steps of a dt with n_rank * dt / h**2 <= 0.9, where the Crank-Nicolson
+    step keeps u positive and its matrix stays positive definite
+    (dt/2 * n_rank * max betaD <= 0.9 * h**2 < 1)."""
+    n = draw(st.integers(8, 128))
+    length = draw(st.sampled_from([1.0, 2 * math.pi, 7.5]))
+    n_rank = draw(st.integers(1, 3))
+    dt = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9])) * (length / n) ** 2 / n_rank
+    steps = draw(st.integers(1, 50))
+    base = draw(st.floats(0.0, 1.0))
+    return {
+        "scenario": "normalized",
+        "grid": {"topology": "circle", "length": length, "n_points": n},
+        "time": {"dt": dt, "t_end": steps * dt, "record_every": draw(st.integers(1, 25)),
+                 "snapshots": [0.0, steps * dt]},
+        "n_rank": n_rank,
+        "initial": draw(positive_profiles(length)),
+        "potential": {"family": "cosine_perturbed", "base": base,
+                      "amplitude": draw(st.floats(-0.9, 0.9)) * base,
+                      "mode": draw(st.integers(0, 4))},
+        "t2_initial": draw(positive_profiles(length)),
+    }
+
+
+class TestNormalizedProperty:
+    """Valid normalized runs exit 0, and scaling initial by a power of two c
+    scales u by c bit for bit: sup_dev_scmix, rayleigh, |T|^2 and every other
+    value not taken through a logarithm of u is bit-identical, while
+    H = -n (log u)_y, and with it h_dev and conservation_drift, moves only by
+    the roundoff of log(c*u) against log c + log u."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(raw=normalized_configs(), c=st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+    def test_valid_configs_run_and_scale_with_the_initial_field(self, raw, c):
+        runs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, scale in (("base", 1.0), ("scaled", c)):
+                cfg, out = Path(tmp) / f"{name}.yaml", Path(tmp) / name
+                initial = {key: scale * value if key in _LINEAR_PARAMS else value
+                           for key, value in raw["initial"].items()}
+                cfg.write_text(json.dumps({**raw, "initial": initial}))
+                assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+                runs.append({p.name: _csv_columns(p) for p in sorted(out.glob("*.csv"))})
+        base, scaled = runs
+        assert base.keys() == scaled.keys()
+        rows, first = base["trajectory.csv"], base["fields_0.000000.csv"]
+        n, h = raw["n_rank"], raw["grid"]["length"] / raw["grid"]["n_points"]
+        # sizes of the logarithms: u lies between its least initial value
+        # (betaD >= 0) and its largest grown by exp(n * max betaD * t), and
+        # log |T|^2 moves by at most 4 * t * max|Sc_mix - |T|^2 - Phi|
+        t_end, beta = raw["time"]["t_end"], 2.0 * raw["potential"]["base"]
+        log_u = max(np.max(np.abs(np.log(run["fields_0.000000.csv"]["u"]))) for run in runs)
+        log_u += n * beta * t_end
+        log_t2 = np.max(np.abs(np.log(first["T2"]))) + 4 * t_end * np.max(rows["sup_dev_scmix"])
+        eps = np.finfo(float).eps
+        bound_h = 4 * eps * n * log_u / h
+        bounds = {"h_dev": bound_h, "conservation_drift": 4 * bound_h + 8 * eps * n * (
+            2 * log_u + log_t2) / h}
+        for name, columns in base.items():
+            for key, values in columns.items():
+                if key in ("u", "min_u"):
+                    assert np.array_equal(scaled[name][key], c * values), (name, key)
+                elif key == "H":
+                    assert np.max(np.abs(scaled[name][key] - values)) <= bound_h, name
+                elif key in bounds:
+                    assert np.max(np.abs(scaled[name][key] - values)) <= bounds[key], key
+                else:
+                    assert np.array_equal(scaled[name][key], values), (name, key)

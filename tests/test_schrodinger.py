@@ -5,12 +5,16 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import folflow.scenarios
+from folflow.config import parse_config_text
 from folflow.errors import ConvergenceFailure
 from folflow.fiber import ScalarField, build_grid, integrate
 from folflow.parabolic import PERIODIC, HeatStepper, StepperConfig
+from folflow.scenarios import SCENARIOS, _random_trig_potential
 from folflow.schrodinger import (
     SpectralDecomposition,
     _band,
+    _bordered,
     _validate_decomposition,
     assemble_operator,
     canonicalize,
@@ -18,6 +22,7 @@ from folflow.schrodinger import (
     eigencount,
     expand,
     ground_state,
+    lowest_eigenvalue,
     spectrum,
     weyl_theta,
 )
@@ -138,6 +143,85 @@ class TestLanczosRoute:
         g = circle(64)
         with pytest.raises(ConvergenceFailure):
             ground_state(ScalarField(g, np.cos(g.x)))
+
+
+def bound_loop_potentials(g):
+    """Flat, even, odd, random trigonometric (the bound loop's kind) and a
+    ramp, whose largest interior value sits next to an interval's end."""
+    rng = np.random.default_rng(11)
+    return {"flat": np.zeros(g.n_points), "even": 0.3 * np.cos(2 * g.x), "odd": np.sin(g.x),
+            **{f"random{i}": _random_trig_potential(g, rng).values for i in range(3)},
+            "ramp": g.x / g.length}
+
+
+class TestLowestEigenvalue:
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    @pytest.mark.parametrize("n", [8, 9, 64, 256, 1024])
+    def test_matches_dense_reference(self, topology, n):
+        g = build_grid(topology, 2 * np.pi, n)
+        for name, vals in bound_loop_potentials(g).items():
+            f = ScalarField(g, vals)
+            bound = 4 * np.finfo(float).eps * (4 / g.spacing ** 2 + np.max(np.abs(vals)))
+            assert abs(lowest_eigenvalue(f) - dense_spectrum(f, 1)[0][0]) <= bound, name
+
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    def test_sylvester_inertia_certificate(self, topology):
+        # A - sigma has as many negative eigenvalues as T - sigma and the
+        # Schur complement s together: none below lambda0, one just above
+        g = build_grid(topology, 2 * np.pi, 128)
+        for name, vals in bound_loop_potentials(g).items():
+            f = ScalarField(g, vals)
+            lam, schur = lowest_eigenvalue(f), _bordered(f)
+            gap = float(np.diff(dense_spectrum(f, 2)[0])[0])
+            for delta in (1e-6 * gap, 0.5 * gap):
+                ok, s, _ = schur(lam - delta)
+                assert ok and s > 0.0, (name, delta)
+                ok, s, _ = schur(lam + delta)
+                assert not (ok and s > 0.0), (name, delta)
+
+    def test_flat_circle_is_exact_in_one_step(self, monkeypatch):
+        calls = []
+        bordered = _bordered
+
+        def counted(f):
+            schur = bordered(f)
+            return lambda sigma: calls.append(sigma) or schur(sigma)
+
+        monkeypatch.setattr("folflow.schrodinger._bordered", counted)
+        assert lowest_eigenvalue(ScalarField(circle(1024), np.zeros(1024))) == 0.0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["non_finite", "iterations"])
+    def test_failure_surfaces_as_convergence_failure(self, monkeypatch, case):
+        if case == "non_finite":
+            monkeypatch.setattr("folflow.schrodinger.dpttrs",
+                                lambda d, e, b: (np.full_like(b, np.nan), 0))
+        else:  # s > 0 everywhere: no root, so Newton walks off without end
+            monkeypatch.setattr("folflow.schrodinger._bordered",
+                                lambda f: lambda sigma: (True, 1.0, -1.0))
+        g = circle(64)
+        with pytest.raises(ConvergenceFailure):
+            lowest_eigenvalue(ScalarField(g, np.cos(g.x)))
+
+    def test_spectral_report_calls_arpack_once(self, monkeypatch):
+        calls = {"ground_state": 0, "lowest_eigenvalue": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(f"folflow.scenarios.{name}",
+                                counted(name, getattr(folflow.scenarios, name)))
+        cfg = parse_config_text(
+            "scenario: spectral_report\n"
+            "grid: {topology: circle, length: 6.283185307179586, n_points: 64}\n"
+            "time: {dt: 0.001, t_end: 0.0}\nmodes: 4\nn_random: 7\n")
+        _, summary = SCENARIOS["spectral_report"].run(cfg, cfg.grid, cfg.fields)
+        assert calls == {"ground_state": 1, "lowest_eigenvalue": 7}
+        assert summary["min_bound_margin"] >= 0.0
 
 
 class TestSpectralDecomposition:
