@@ -10,6 +10,7 @@ A parsed RunConfig carries the grid and fields the run uses, built and checked o
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -143,10 +144,20 @@ def _field_spec(mapping, where: str, base_dir=None) -> FieldSpec:
     return FieldSpec(family=family, params=params)
 
 
+def _show_int(value: int) -> str:
+    """An integer for a message: its digits, or past 30 of them their count."""
+    digits = str(abs(value))  # YAML and int() parse at most 4,300 digits, as str prints
+    return (str(value) if len(digits) <= 30 else
+            f"a {'negative ' if value < 0 else ''}{len(digits)}-digit integer")
+
+
 def _as_number(value, where: str, errs: list, need: str | None = None) -> float:
     """value as a float, or nan; one error if it is not a number or outside _RANGES[need]."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errs.append(f"{where} must be a number, got {value!r}")
+        return float("nan")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:  # no float holds it
+        errs.append(f"{where} must be within the float range, got {_show_int(value)}")
         return float("nan")
     if need is not None and not _RANGES[need](float(value)):
         errs.append(f"{where} must be {need}, got {float(value)}")
@@ -154,16 +165,19 @@ def _as_number(value, where: str, errs: list, need: str | None = None) -> float:
 
 
 def _as_int(value, where: str, errs: list, least: int | None = None,
-            bounded: bool = True) -> int:
-    """value as an int, or 0; one error if it is not an integer, is below least
-    or, if bounded, is above 2**53, past which a float of it is inexact."""
+            bounded: bool = True) -> int | None:
+    """value as an int, or None with one error if it is not an integer, is
+    below least or, if bounded, is above 2**53, past which a float of it is
+    inexact; a refused value is checked no further."""
     if isinstance(value, bool) or not isinstance(value, int):
         errs.append(f"{where} must be an integer, got {value!r}")
-        return 0
+        return None
     if least is not None and value < least:
-        errs.append(f"{where} must be at least {least}, got {value}")
+        errs.append(f"{where} must be at least {least}, got {_show_int(value)}")
+        return None
     if bounded and value > 2 ** 53:
-        errs.append(f"{where} must be at most 2**53, got {value}")
+        errs.append(f"{where} must be at most 2**53, got {_show_int(value)}")
+        return None
     return value
 
 
@@ -243,7 +257,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
                          snapshots=tuple(sorted(set(snapshots))))
 
     n_rank = _as_int(raw.get("n_rank", 1), "n_rank", errs, 1)
-    modes = _as_int(raw.get("modes", 12), "modes", errs)
+    modes = _as_int(raw.get("modes", 12), "modes", errs, 1)
     n_random = _as_int(raw.get("n_random", 25), "n_random", errs, 0)
     # numpy seeds from any nonnegative integer
     seed = _as_int(raw.get("seed", 0), "seed", errs, 0, bounded=False)
@@ -269,7 +283,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
             if which in SCENARIOS[scenario].keys:
                 try:
                     fields[which] = build_field(grid, spec.family, spec.params)
-                except (ValueError, OSError) as err:
+                except (ValueError, OverflowError, OSError) as err:
                     field_errs.append(f"{which}: {err}")
 
     base_values_raw = raw.get("base_values", [0.4, 0.45, 0.5])

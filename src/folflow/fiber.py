@@ -91,32 +91,36 @@ class VectorAlongFiber(_GridFunction):
     """Tangent vector field along the fiber, stored by its single component."""
 
 
-# the stencils act along the last axis: a block holds one field per row
+# the stencils act along the last axis: a block holds one field per row.  Each
+# differences the whole block flattened, then writes the end columns over the
+# seams between rows and divides once, with no temporary the size of vals.
 def _diff1(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    out = np.empty_like(vals)
-    out[..., 1:-1] = (vals[..., 2:] - vals[..., :-2]) / (2.0 * h)
+    out = np.empty(vals.shape)
+    flat = vals.reshape(-1)
+    np.subtract(flat[2:], flat[:-2], out.reshape(-1)[1:-1])
     if periodic:
-        out[..., 0] = (vals[..., 1] - vals[..., -1]) / (2.0 * h)
-        out[..., -1] = (vals[..., 0] - vals[..., -2]) / (2.0 * h)
-        return out
-    out[..., 0] = (-3.0 * vals[..., 0] + 4.0 * vals[..., 1] - vals[..., 2]) / (2.0 * h)
-    out[..., -1] = (3.0 * vals[..., -1] - 4.0 * vals[..., -2] + vals[..., -3]) / (2.0 * h)
-    return out
+        np.subtract(vals[..., 1], vals[..., -1], out[..., 0])
+        np.subtract(vals[..., 0], vals[..., -2], out[..., -1])
+    else:
+        out[..., 0] = -3.0 * vals[..., 0] + 4.0 * vals[..., 1] - vals[..., 2]
+        out[..., -1] = 3.0 * vals[..., -1] - 4.0 * vals[..., -2] + vals[..., -3]
+    return np.divide(out, 2.0 * h, out)
 
 
 def _diff2(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    h2 = h * h
-    out = np.empty_like(vals)
-    out[..., 1:-1] = (vals[..., 2:] - 2.0 * vals[..., 1:-1] + vals[..., :-2]) / h2
+    out = np.empty(vals.shape)
+    flat, mid = vals.reshape(-1), out.reshape(-1)[1:-1]
+    np.multiply(flat[1:-1], 2.0, mid)
+    np.subtract(flat[2:], mid, mid)
+    np.add(mid, flat[:-2], mid)
     if periodic:
-        out[..., 0] = (vals[..., 1] - 2.0 * vals[..., 0] + vals[..., -1]) / h2
-        out[..., -1] = (vals[..., 0] - 2.0 * vals[..., -1] + vals[..., -2]) / h2
-        return out
-    out[..., 0] = (2.0 * vals[..., 0] - 5.0 * vals[..., 1] + 4.0 * vals[..., 2]
-                   - vals[..., 3]) / h2
-    out[..., -1] = (2.0 * vals[..., -1] - 5.0 * vals[..., -2] + 4.0 * vals[..., -3]
-                    - vals[..., -4]) / h2
-    return out
+        out[..., 0] = vals[..., 1] - 2.0 * vals[..., 0] + vals[..., -1]
+        out[..., -1] = vals[..., 0] - 2.0 * vals[..., -1] + vals[..., -2]
+    else:
+        out[..., 0] = 2.0 * vals[..., 0] - 5.0 * vals[..., 1] + 4.0 * vals[..., 2] - vals[..., 3]
+        out[..., -1] = (2.0 * vals[..., -1] - 5.0 * vals[..., -2] + 4.0 * vals[..., -3]
+                        - vals[..., -4])
+    return np.divide(out, h * h, out)
 
 
 def derivative(field: ScalarField) -> ScalarField:

@@ -6,8 +6,10 @@ Forced Burgers:  dH/dt = nu * H_xx - (H^2)_x - nu^2 * (forcing)_x
 Both are Crank-Nicolson, Burgers with an explicit midpoint stage for advection
 and forcing (IMEX).  Each implicit matrix I - c*(nu*Lap + V) is symmetric
 tridiagonal and must be positive definite, c*max(V) < 1: LAPACK dpttrf factors
-it once and dpttrs solves for the increment d of each step u + d, with
-Sherman-Morrison for a circle's corners.  Fields run along the last axis:
+it once, prescaled so that a step multiplies by no scalar (heat divides it by
+2c*nu/h^2 and solves against the bare stencil, Burgers by 2c), and dpttrs
+solves for the increment d of each step u + d, zero at an interval's held
+ends, with Sherman-Morrison for a circle's corners.  Fields run along the last axis:
 values are (n,), or (m, n) with a field per row.  A step maps a field to a
 field of the same type and values to new values, checked finite; or it writes
 values into a given out array, allocating no state-sized array and checking
@@ -63,56 +65,79 @@ class StepperConfig:
 
 
 _NOT_DEFINITE = "implicit step matrix is not positive definite: dt is too large for the potential"
+_OUT_OF_RANGE = "implicit step matrix is out of floating-point range"
 _NON_FINITE = "implicit step produced non-finite values"
 # numpy scales an array by a 0-d array faster than by a Python float
 _MINUS_TWO = np.array(-2.0)
 
 
 class _Tridiagonal:
-    """A = nu*Lap + diag(V) on the nodes that move, and I - c*A factored once by
-    LAPACK dpttrf.  advance() steps in delta form, u + d with (I - c*A) d = rhs
-    solved by dpttrs, d zero at an interval's held ends.  On a circle,
-    Sherman-Morrison (Numerical Recipes 2.7, gamma = -diag[0]) takes out the
-    corners: I - c*A = T + w*w^T/gamma, T tridiagonal, w nonzero at the ends.
-    Fields run along the last axis, (n,) or (m, n) with each row solved alone,
-    in the work array rhs that resize() sizes for one state: C-contiguous, so
-    dpttrs solves its transpose in place."""
+    """A = nu*Lap + diag(V) on the nodes that move in units of `unit`, nu/h^2
+    if bare, else 1, and M = (I - c*A)/(2c*unit) factored once by LAPACK
+    dpttrf.  apply() puts A u/unit in rhs, and advance() steps u + d with
+    M d = rhs solved by dpttrs: d = (I - c*A)^-1 2c A u, with no multiply by
+    unit or 2c in a step.  Arrays span all n nodes: an interval's held ends
+    are decoupled rows of M where rhs stays zero, so u + d holds them bit for
+    bit.  On a circle, Sherman-Morrison (Numerical Recipes 2.7, gamma =
+    -diag[0]) takes out the corners: M = T + w*w^T/gamma, T tridiagonal, w
+    nonzero at the ends.  Fields run along the last axis, (n,) or (m, n) with
+    each row solved alone, in the work array rhs that resize() sizes for one
+    state: C-contiguous, so dpttrs solves its transpose in place."""
 
-    def __init__(self, grid: FiberGrid, nu: float, V: ScalarField | None, c: float):
+    def __init__(self, grid: FiberGrid, nu: float, V: ScalarField | None, c: float, bare: bool):
         self.periodic = grid.periodic
-        inv = nu / (grid.spacing * grid.spacing)
-        self._V = None if V is None else V.values if self.periodic else V.values[1:-1]
-        diag = np.full(grid.n_points - 2 * (not self.periodic), 1.0 + 2.0 * c * inv)
-        diag -= 0.0 if self._V is None else c * self._V
-        off = -c * inv
+        moving = slice(None) if self.periodic else slice(1, -1)
+        with np.errstate(all="ignore"):
+            inv = np.float64(nu) / (grid.spacing * grid.spacing)
+            unit = inv if bare else np.float64(1.0)
+            scale = 2.0 * c * unit
+            diag = np.full(grid.n_points, 1.0 + 2.0 * c * inv)
+            diag -= 0.0 if V is None else c * V.values
+            diag /= scale
+            off, c_inv = -c * inv / scale, c * inv
+            self._V = None if V is None else V.values[moving] / unit
+        if not self.periodic:
+            diag[[0, -1]] = 1.0
+        if not (np.isfinite(diag).all() and np.isfinite(off)
+                and (self._V is None or np.isfinite(self._V).all())):
+            raise SolverSingular(f"{_OUT_OF_RANGE} (c*nu/h^2 = {c_inv:.3g})")
+        e = np.full(grid.n_points - 1, off)
         if self.periodic:
             if diag[0] <= 0.0:
-                raise SolverSingular(f"{_NOT_DEFINITE} (diagonal {diag[0]:.3g})")
+                raise SolverSingular(f"{_NOT_DEFINITE} (diagonal {diag[0] * scale:.3g})")
             gamma = -diag[0]
             diag[0], diag[-1] = diag[0] - gamma, diag[-1] - off * off / gamma
-        self._d, self._e, info = dpttrf(diag, np.full(len(diag) - 1, off))
-        if info != 0 or np.min(self._d) <= 1e-12 * np.max(self._d):
-            raise SolverSingular(f"{_NOT_DEFINITE} (smallest pivot {np.min(self._d):.3g}, "
-                                 f"largest {np.max(self._d):.3g})")
+        else:
+            e[[0, -1]] = 0.0
+        self._d, self._e, info = dpttrf(diag, e)
+        # the pivots of I - c*A at the moving nodes
+        pivots = self._d[moving] * scale
+        if info != 0 or np.min(pivots) <= 1e-12 * np.max(pivots):
+            raise SolverSingular(f"{_NOT_DEFINITE} (smallest pivot {np.min(pivots):.3g}, "
+                                 f"largest {np.max(pivots):.3g})")
         if self.periodic:
             self._z = dpttrs(self._d, self._e, np.r_[gamma, np.zeros(len(diag) - 2), off])[0]
             dot = self._z[0] + (off / gamma) * self._z[-1]
             if not 1.0 + dot > 1e-12 * abs(dot):
                 raise SolverSingular(f"{_NOT_DEFINITE} (Sherman-Morrison denominator {1 + dot:.3g})")
             self._w0, self._w1 = np.array(1.0 / (1.0 + dot)), np.array((off / gamma) / (1.0 + dot))
-        self._inv, self._ends = np.array(inv), (..., slice(None, None, grid.n_points - 1))
+        self._inv = None if bare else np.array(inv)
+        self._moving = moving
         self.shape = None
 
     def resize(self, shape: tuple):
         """Work arrays for states of this shape."""
         self.shape = shape
-        self.rhs = r = np.empty((*shape[:-1], len(self._d)))
-        self._tmp = np.empty_like(r)
+        self.rhs = r = np.zeros(shape)
+        self.moving = r[..., self._moving]
+        self._tmp = np.empty_like(self.moving)
         self._views = r.T, r[..., :-1], r[..., 1:], r[..., :1], r[..., -1:]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """rhs = A u at the moving nodes, a circle closed by u's other end."""
-        out, _, head, tail, first, last = self.rhs, *self._views
+        """rhs = A u/unit at the moving nodes, a circle closed by u's other end:
+        the stencil (-2u_i + u_{i+1}) + u_{i-1}, times nu/h^2 unless bare, plus
+        V/unit * u."""
+        out, _, head, tail, first, last = self.moving, *self._views
         if self.periodic:
             np.multiply(u, _MINUS_TWO, out)
             np.add(head, u[..., 1:], head)
@@ -123,24 +148,22 @@ class _Tridiagonal:
             np.multiply(u[..., 1:-1], _MINUS_TWO, out)
             np.add(out, u[..., 2:], out)
             np.add(out, u[..., :-2], out)
-        np.multiply(out, self._inv, out)
+        if self._inv is not None:
+            np.multiply(out, self._inv, out)
         if self._V is not None:
-            np.add(out, np.multiply(self._V, u if self.periodic else u[..., 1:-1], self._tmp), out)
-        return out
+            np.add(out, np.multiply(self._V, u[..., self._moving], self._tmp), out)
+        return self.rhs
 
     def advance(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = u + d, where (I - c*A) d = rhs at the moving nodes; the solve
-        overwrites rhs, and out may be u itself."""
+        """out = u + d, where M d = rhs; the solve overwrites rhs, and out may
+        be u itself."""
         d, d_t, _, _, first, last = self.rhs, *self._views
         dpttrs(self._d, self._e, d_t, 1)
         if self.periodic:
             # reduce by w's two entries, not a dot product along the row, so a
             # block solves exactly as its rows do
             np.subtract(d, np.multiply(self._w0 * first + self._w1 * last, self._z, self._tmp), d)
-            return np.add(u, d, out)
-        out[self._ends] = u[self._ends]
-        np.add(u[..., 1:-1], d, out[..., 1:-1])
-        return out
+        return np.add(u, d, out)
 
 
 class _Stepper:
@@ -153,7 +176,7 @@ class _Stepper:
             raise ValueError("interval fiber needs Dirichlet boundary data")
         if coefficient is not None and coefficient.grid != grid:
             raise ValueError(f"{name} lives on a different grid")
-        self.grid, self.cfg, self._dt = grid, cfg, np.array(cfg.dt)
+        self.grid, self.cfg = grid, cfg
 
     def _check(self, vals: np.ndarray):
         """Raise if values may not be stepped."""
@@ -178,7 +201,7 @@ class HeatStepper(_Stepper):
 
     def __init__(self, grid: FiberGrid, V: ScalarField | None, cfg: StepperConfig):
         super().__init__(grid, cfg, V, "reaction coefficient")
-        self._op = _Tridiagonal(grid, cfg.diffusivity, V, 0.5 * cfg.dt)
+        self._op = _Tridiagonal(grid, cfg.diffusivity, V, 0.5 * cfg.dt, bare=True)
 
     def _check(self, vals: np.ndarray):
         bnd = self.cfg.boundary
@@ -200,7 +223,7 @@ class HeatStepper(_Stepper):
         op = self._op
         if u.shape != op.shape:
             op.resize(u.shape)
-        np.multiply(op.apply(u), self._dt, op.rhs)
+        op.apply(u)
         return op.advance(u, out)
 
 
@@ -213,17 +236,19 @@ class BurgersStepper(_Stepper):
     def __init__(self, grid: FiberGrid, forcing: ScalarField, cfg: StepperConfig):
         super().__init__(grid, cfg, forcing, "forcing")
         nu = cfg.diffusivity
+        # each solve's matrix carries its 2c, dt/2 and dt; they refuse an
+        # out-of-range nu before nu^2 is formed
+        self._half = _Tridiagonal(grid, nu, None, 0.25 * cfg.dt, bare=False)
+        self._full = _Tridiagonal(grid, nu, None, 0.50 * cfg.dt, bare=False)
         force_x = nu * nu * _diff1(forcing.values, grid.spacing, grid.periodic)
         self._force_x = force_x if grid.periodic else force_x[1:-1]
-        self._half = _Tridiagonal(grid, nu, None, 0.25 * cfg.dt)
-        self._full = _Tridiagonal(grid, nu, None, 0.50 * cfg.dt)
         # dividing by -2h negates _diff1's quotient by 2h exactly
-        self._half_dt, self._minus_2h = np.array(0.5 * cfg.dt), np.array(-2.0 * grid.spacing)
+        self._minus_2h = np.array(-2.0 * grid.spacing)
 
     def _advect(self, h: np.ndarray) -> np.ndarray:
         """The half solve's rhs = -(h^2)_x - nu^2*forcing_x at the moving nodes,
         by _diff1's stencil; mid (which may be h) receives h^2."""
-        sq, out = self._mid, self._half.rhs
+        sq, out = self._mid, self._half.moving
         np.multiply(h, h, sq)
         if self.grid.periodic:
             np.subtract(sq[..., 2:], sq[..., :-2], out[..., 1:-1])
@@ -232,7 +257,8 @@ class BurgersStepper(_Stepper):
         else:
             np.subtract(sq[..., 2:], sq[..., :-2], out)
         np.divide(out, self._minus_2h, out)
-        return np.subtract(out, self._force_x, out)
+        np.subtract(out, self._force_x, out)
+        return self._half.rhs
 
     def step(self, H, out: np.ndarray | None = None):
         """One step of H, as HeatStepper.step, without an end check."""
@@ -250,10 +276,8 @@ class BurgersStepper(_Stepper):
         dif = full.apply(H)
         rhs = self._advect(H)
         np.add(rhs, dif, rhs)
-        np.multiply(rhs, self._half_dt, rhs)
         half.advance(H, self._mid)
         np.add(dif, self._advect(self._mid), dif)
-        np.multiply(dif, self._dt, dif)
         return full.advance(H, out)
 
 

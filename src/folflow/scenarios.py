@@ -119,12 +119,22 @@ def _shared_grid(*fields: ScalarField) -> FiberGrid:
     return grids.pop()
 
 
-def _running_integral(total: np.ndarray, prev: np.ndarray, new: np.ndarray, term) -> np.ndarray:
-    """total[-1] plus the running sum, in step order, of term(before, new) over
-    the rows of new, before[i] being the row preceding new[i] (prev for the first)."""
-    terms = term(np.vstack([prev, new[:-1]]), new)
+def _running_integral(total: np.ndarray, prev: np.ndarray, new: np.ndarray, finish) -> np.ndarray:
+    """total[-1] plus the running sum, in step order, of the terms over the rows
+    of new: finish(terms) turns the sums before + new[i], before being the row
+    preceding new[i] (prev for the first), into the terms in place."""
+    terms = np.empty_like(new)
+    np.add(prev, new[0], terms[0])
+    np.add(new[:-1], new[1:], terms[1:])
+    finish(terms)
     terms[0] += total[-1]
-    return np.add.accumulate(terms, axis=0)
+    # both sum in step order: accumulate down axis 0 runs a strided loop per
+    # column, which is slow on long rows, and row adds cost a call per row
+    if terms.shape[-1] < 8 * len(terms):
+        return np.add.accumulate(terms, axis=0, out=terms)
+    for i in range(1, len(terms)):
+        np.add(terms[i - 1], terms[i], terms[i])
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +150,14 @@ def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
 def _profile_failure(rho: np.ndarray, slope: np.ndarray):
     """The profile guard on a block of profiles, one per row: (row, error) for
     the first that pinched off or is too steep, or None."""
-    low, worst = np.min(rho, axis=-1), np.max(np.abs(slope), axis=-1)
-    bad = np.flatnonzero((low <= 0.0) | (worst > 1.0 + SLOPE_TOL))
+    low, high, least = np.min(rho, axis=-1), np.max(slope, axis=-1), np.min(slope, axis=-1)
+    bad = np.flatnonzero((low <= 0.0) | (high > 1.0 + SLOPE_TOL) | (least < -1.0 - SLOPE_TOL))
     if bad.size == 0:
         return None
     j = int(bad[0])
     return j, ProfileDegenerate(
         f"profile pinched off (min rho = {low[j]:g})" if low[j] <= 0.0 else
-        f"profile slope |rho_x| = {worst[j]:g} exceeds 1; "
+        f"profile slope |rho_x| = {max(high[j], -least[j]):g} exceeds 1; "
         "the surface is no longer a graph over arclength")
 
 
@@ -185,9 +195,10 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
         bad = _profile_failure(block, _diff1(block, h, periodic))
         good = block[:len(block) if bad is None else bad[0]]
         if len(good):
-            gauss = -_diff2(good, h, periodic) / good
+            gauss = _diff2(good, h, periodic)
+            np.negative(np.divide(gauss, good, gauss), gauss)
             int_k_gauss = _running_integral(int_k_gauss, gauss_prev, gauss,
-                                            lambda before, now: 0.5 * dt * (before + now))
+                                            lambda terms: np.multiply(terms, 0.5 * dt, terms))
             gauss_prev = gauss[-1]
         return bad
 
@@ -349,7 +360,10 @@ def normalized_scmix(u: np.ndarray, betaD: ScalarField, n: int) -> np.ndarray:
     Its fixed points are exactly the discrete eigenfunctions, so the
     long-time value is exactly n * lambda0."""
     g = betaD.grid
-    return -n * (_diff2(u, g.spacing, g.periodic) + betaD.values * u) / u
+    out = _diff2(u, g.spacing, g.periodic)
+    np.add(out, np.multiply(betaD.values, u), out)
+    np.multiply(out, -n, out)
+    return np.divide(out, u, out)
 
 
 def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, n: int,
@@ -405,8 +419,9 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
         finite = np.isfinite(new).all(axis=1)
         new = new[:len(new) if finite.all() else int(np.argmin(finite))]
         if len(new):
-            exponent = _running_integral(exponent, scmix[-1], new, lambda before, now:
-                                         4.0 * dt * (0.5 * (before + now) - phi))
+            # 4 dt (0.5 (before + now) - phi)
+            exponent = _running_integral(exponent, scmix[-1], new, lambda terms: np.multiply(
+                np.subtract(np.multiply(terms, 0.5, terms), phi, terms), 4.0 * dt, terms))
             scmix = new
         if len(new) < len(finite):
             return len(new), NonFiniteValue("field values must be finite")
@@ -754,10 +769,11 @@ def _check_spectral(cfg, grid, fields) -> list[str]:
     if cfg.time.t_end != 0.0:
         errs.append(f"time: spectral_report does no time stepping; t_end must be 0, "
                     f"got {cfg.time.t_end}")
+    # None is a value the parser refused already
     size = grid.n_points if grid.periodic else grid.n_points - 2
-    if not 1 <= cfg.modes <= size:
+    if cfg.modes is not None and not 1 <= cfg.modes <= size:
         errs.append(f"spectral_report: modes must be between 1 and {size}, got {cfg.modes}")
-    if cfg.n_random > MAX_RANDOM:
+    if cfg.n_random is not None and cfg.n_random > MAX_RANDOM:
         errs.append(f"spectral_report: n_random must be at most {MAX_RANDOM}, got {cfg.n_random}")
     return errs
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.sparse.linalg import eigsh
 
 from .errors import ConvergenceFailure
@@ -255,27 +255,40 @@ def canonicalize(f: ScalarField, vals: np.ndarray, vecs: np.ndarray):
     return vals, vecs
 
 
+def _shifted_solver(band: np.ndarray, shift: float):
+    """x -> (A - shift*I)^-1 x for A in band storage, factored once with
+    partial pivoting (dgttrf for an interval's tridiagonal, dgbtrf for a
+    circle's band: solve_banded's gtsv and gbsv split into factor and
+    solve), or None when the shifted matrix is singular."""
+    u = len(band) // 2
+    if u == 1:
+        dl, d, du, du2, ipiv, info = dgttrf(band[2, :-1], band[1] - shift, band[0, 1:])
+        return None if info else lambda x: dgttrs(dl, d, du, du2, ipiv, x)[0]
+    ab = np.zeros((3 * u + 1, band.shape[1]))  # u rows of room for the fill-in
+    ab[u:] = band
+    ab[2 * u] -= shift
+    lu, ipiv, info = dgbtrf(ab, u, u, overwrite_ab=1)
+    return None if info else lambda x: dgbtrs(lu, u, u, x, ipiv)[0]
+
+
 def _inverse_iteration(order: np.ndarray, band: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Orthonormal columns over the active nodes, one per eigenvalue of
-    vals: two banded solves with the band shifted by the eigenvalue, from
-    the probe of its index, each result orthogonalized against every
-    earlier column, so that columns of eigenvalues closer together than
-    bisection resolves stay orthogonal in or out of one eigenspace."""
-    u = len(band) // 2
+    vals: two solves with the band shifted by the eigenvalue and factored
+    once, from the probe of its index, each result orthogonalized against
+    every earlier column, so that columns of eigenvalues closer together
+    than bisection resolves stay orthogonal in or out of one eigenspace."""
     # bisection ends where a pivot of the elimination changes sign, so it
     # can be exactly zero there: shift a few units of roundoff of A below
     nudge = 4.0 * np.finfo(float).eps * np.max(np.sum(np.abs(band), axis=0))
     probes = _probes(band.shape[1], len(vals))[order]
     vecs = np.empty_like(probes)
     for j, lam in enumerate(vals):
-        shifted = band.copy()
-        shifted[u] -= lam - nudge
+        solve = _shifted_solver(band, lam - nudge)
+        if solve is None:
+            raise ConvergenceFailure(f"inverse iteration at {lam:g} failed: singular matrix")
         x = probes[:, j]
         for _ in range(2):
-            try:
-                x = scipy.linalg.solve_banded((u, u), shifted, x, check_finite=False)
-            except np.linalg.LinAlgError as err:
-                raise ConvergenceFailure(f"inverse iteration at {lam:g} failed: {err}") from err
+            x = solve(x)
             x -= vecs[:, :j] @ (vecs[:, :j].T @ x)
             x /= np.linalg.norm(x)
         vecs[:, j] = x

@@ -11,8 +11,13 @@ state columns (rho, u, f_<i>, H_direct) must stay within BOUND.  Every
 other column is derived from the state through 1/h or 1/h^2 stencils or is
 itself a roundoff monitor, so where it differs it is reported without a
 bound, parent value next to change value where the scaled difference is
-largest; so is every number in summary.json's results.  Exit status 0 when
-every state column holds the bound and the trees match in structure, else 1.
+largest; so is every number in summary.json's results.  Last come one
+line per drift result (the roundoff monitors max_mass_drift,
+max_conservation_drift, max_arc_residual and evolution_crosscheck.*) with
+its largest change/parent ratio over all runs and the run where it occurs:
+a run-wide rise shows there, where the per-run lines scatter it.  They
+report only.  Exit status 0 when every state column holds the bound and the
+trees match in structure, else 1.
 """
 from __future__ import annotations
 
@@ -27,6 +32,8 @@ import numpy as np
 
 STATE = re.compile(r"rho|u|f_\d+|H_direct")
 BOUND = 1e-9
+DRIFT = re.compile(r"results\.(max_mass_drift|max_conservation_drift|max_arc_residual"
+                   r"|evolution_crosscheck\..+)")
 
 
 def _columns(run: Path) -> tuple[dict, dict]:
@@ -103,6 +110,23 @@ def compare_runs(parent: Path, change: Path) -> tuple[list, list]:
     return rows, problems
 
 
+def drift_lines(rows: list) -> list[str]:
+    """One line per drift result of compare_runs' rows: the largest
+    change/parent ratio over the runs holding it, where it occurs, and over
+    how many runs (a ratio of 0/0 counts as 1, of x/0 as inf)."""
+    worst, runs = {}, {}
+    for run, name, _, old, new, _ in rows:
+        if not (DRIFT.fullmatch(name) and isinstance(old, float) and isinstance(new, float)):
+            continue
+        ratio = new / old if old else (1.0 if new == old else float("inf"))
+        runs[name] = runs.get(name, 0) + 1
+        if name not in worst or ratio > worst[name][0]:
+            worst[name] = (ratio, run, old, new)
+    return [f"drift {name.removeprefix('results.')}: largest change/parent {ratio:.3g} in "
+            f"{run} (parent {old:.3g}, change {new:.3g}) over {runs[name]} runs"
+            for name, (ratio, run, old, new) in sorted(worst.items())]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -117,6 +141,8 @@ def main(argv=None) -> int:
             print(f"{run}  {name}  {scaled:.3g}  parent {old!r}  change {new!r}")
     for problem in problems:
         print(problem)
+    for line in drift_lines(rows):
+        print(line)
     state = [row for row in rows if row[5]]
     worst = max(state, key=lambda row: row[2], default=("-", "-", 0.0))
     failed = problems or worst[2] > BOUND

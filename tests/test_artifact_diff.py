@@ -1,5 +1,6 @@
 """The equivalence gate of tests/artifact_diff.py on a real artifact tree."""
 import csv
+import json
 import shutil
 
 import pytest
@@ -64,3 +65,22 @@ def test_a_missing_file_fails(trees, capsys):
     (trees[1] / "surface" / "fields_0.020000.csv").unlink()
     assert artifact_diff.main([str(trees[0]), str(trees[1])]) == 1
     assert "surface: files differ" in capsys.readouterr().out
+
+
+def test_drift_results_end_the_report_with_their_largest_ratio(trees, capsys):
+    # a drift that triples is one line before the verdict, and reports only
+    path = trees[1] / "surface" / "summary.json"
+    summary = json.loads(path.read_text())
+    summary["results"]["max_arc_residual"] *= 3.0
+    summary["results"]["evolution_crosscheck"]["K_residual"] = 0.0
+    path.write_text(json.dumps(summary))
+    assert artifact_diff.main([str(trees[0]), str(trees[1])]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:-1] == [
+        "drift evolution_crosscheck.K_residual: largest change/parent 0 in surface "
+        "(parent 0.0158, change 0) over 1 runs",
+        "drift evolution_crosscheck.k_residual: largest change/parent 1 in surface "
+        "(parent 0.00226, change 0.00226) over 1 runs",
+        "drift max_arc_residual: largest change/parent 3 in surface "
+        "(parent 2.22e-16, change 6.66e-16) over 1 runs"]
+    assert out[-1].endswith("bound 1e-09: PASS")

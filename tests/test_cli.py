@@ -385,9 +385,58 @@ class TestRunCommand:
         assert proc.returncode == 2
         err = json.loads(proc.stderr)["error"]
         assert err["type"] == "ValidationError"
-        # spectral_report's own check of modes follows
-        assert err["message"].startswith(f"{key} must be at most 2**53, got {10**400}")
+        # an integer past 30 digits is shown by its digit count
+        assert err["message"].startswith(f"{key} must be at most 2**53, got a 401-digit integer")
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_random", 10**400, "n_random must be at most 2**53, got a 401-digit integer"),
+        ("modes", 10**400, "modes must be at most 2**53, got a 401-digit integer"),
+        ("modes", -10**40, "modes must be at least 1, got a negative 41-digit integer"),
+        ("n_random", -10**40, "n_random must be at least 0, got a negative 41-digit integer"),
+        ("modes", "many", "modes must be an integer, got 'many'"),
+    ])
+    def test_a_refused_integer_key_is_reported_once_and_briefly(self, tmp_path, key, value,
+                                                                 message):
+        # the parser refuses it, and spectral_report's checks of modes and
+        # n_random do not see it again
+        old = {"modes": "modes: 4", "n_random": "n_random: 2"}[key]
+        cfg, out = tmp_path / "run.yaml", tmp_path / "out"
+        cfg.write_text(SHORT_RUNS["spectral_report"].replace(old, f"{key}: {value}"))
+        proc = run_cli("run", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr) == {"error": {"type": "ValidationError",
+                                                     "message": message}}
+        assert len(proc.stderr) < 200
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("dt: 0.0001", f"dt: {10**400}",
+         "time.dt must be within the float range, got a 401-digit integer"),
+        ("b: 1.2", f"b: {-10**400}", "initial: int too large to convert to float"),
+    ])
+    def test_a_number_past_the_float_range_exits_2_with_json(self, tmp_path, old, new,
+                                                              message):
+        # float() of such an integer raises OverflowError, which escaped as a traceback
+        cfg, out = tmp_path / "run.yaml", tmp_path / "out"
+        cfg.write_text(DEGENERATE_RUN.replace(old, new))
+        proc = run_cli("run", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr) == {"error": {"type": "ValidationError",
+                                                     "message": message}}
+
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    def test_step_matrix_past_the_float_range_exits_3_with_json(self, tmp_path, topology):
+        # dt * nu / h^2 overflows: the stepper refuses its matrix, typed
+        cfg, out = tmp_path / "run.yaml", tmp_path / "out"
+        cfg.write_text(f"scenario: surface\ngrid: {{topology: {topology}, length: 1.0e-160, "
+                       "n_points: 16}\ntime: {dt: 1.0e+300, t_end: 1.0e+300}\n")
+        proc = run_cli("run", str(cfg), "--out", str(out))
+        assert proc.returncode == 3
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == "SolverSingular"
+        assert err["message"].startswith("implicit step matrix is out of floating-point range")
+        assert summary_sans_meta(out)["status"] == "failed"
 
     def test_n_random_past_its_cap_exits_2_with_json(self, tmp_path):
         # each random potential costs an eigensolve; the cap bounds the run
@@ -1136,3 +1185,151 @@ class TestNormalizedProperty:
                     assert np.max(np.abs(scaled[name][key] - values)) <= bounds[key], key
                 else:
                     assert np.array_equal(scaled[name][key], values), (name, key)
+
+
+def _scaled_run(tmp: str, raw: dict, key: str, c: float) -> tuple[int, Path]:
+    """Run raw with the linear parameters of its field family `key` times c,
+    into tmp/<c>: the exit code and the output directory."""
+    cfg, out = Path(tmp) / f"{c}.yaml", Path(tmp) / f"out_{c}"
+    family = {name: c * value if name in _LINEAR_PARAMS else value
+              for name, value in raw[key].items()}
+    cfg.write_text(json.dumps({**raw, key: family}))
+    return main(["run", str(cfg), "--out", str(out), "--quiet"]), out
+
+
+@st.composite
+def surface_configs(draw) -> dict:
+    """A valid surface config: a positive profile on a circle or an interval
+    of 8 to 128 points (an interval holds the profile's own ends), and 1 to 50
+    steps of a dt with dt / h**2 <= 0.9."""
+    topology = draw(st.sampled_from(["circle", "interval"]))
+    n = draw(st.integers(8, 128))
+    length = draw(st.sampled_from([1.0, 2 * math.pi, 7.5]))
+    h = length / (n if topology == "circle" else n - 1)
+    dt = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9])) * h ** 2
+    steps = draw(st.integers(1, 50))
+    return {
+        "scenario": "surface",
+        "grid": {"topology": topology, "length": length, "n_points": n},
+        "time": {"dt": dt, "t_end": steps * dt, "record_every": draw(st.integers(1, 25)),
+                 "snapshots": sorted({0.0, draw(st.integers(0, steps)) * dt, steps * dt})},
+        "initial": draw(positive_profiles(length)),
+    }
+
+
+class TestSurfaceProperty:
+    """Valid surface runs exit 0, or 3 where the profile guard rejects a
+    slope above 1; and scaling the initial profile by a power of two c <= 1,
+    which scales an interval's held ends with it and keeps every slope the
+    guard passed below 1, scales rho by c bit for bit.  k = -rho_x/rho,
+    K = -rho_xx/rho, the conformal factor and every row column but min_rho
+    (which scales by c) and arc_residual are then bit-identical.
+    arc_residual measures the roundoff of rho_x^2 + (1 - rho_x^2) - 1 at the
+    slope, which c changes, so it is bounded by that roundoff in both runs."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(raw=surface_configs(), c=st.sampled_from([0.25, 0.5]))
+    def test_valid_configs_run_and_scale_with_the_profile(self, raw, c):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out = _scaled_run(tmp, raw, "initial", 1.0)
+            summary = summary_sans_meta(out)
+            if code == 3:
+                # the guard names the slope it rejected
+                assert summary["status"] == "failed"
+                assert summary["error"]["type"] == "ProfileDegenerate"
+                slope = re.match(r"profile slope \|rho_x\| = (\S+) exceeds 1",
+                                 summary["error"]["message"])
+                assert slope and float(slope[1]) > 1.0
+                return
+            assert code == 0 and summary["status"] == "ok"
+            base = {p.name: _csv_columns(p) for p in sorted(out.glob("*.csv"))}
+            code, out = _scaled_run(tmp, raw, "initial", c)
+            assert code == 0
+            scaled = {p.name: _csv_columns(p) for p in sorted(out.glob("*.csv"))}
+            results = summary_sans_meta(out)["results"]
+        assert base.keys() == scaled.keys()
+        eps = np.finfo(float).eps
+        for name, columns in base.items():
+            for key, values in columns.items():
+                if key in ("rho", "min_rho"):
+                    assert np.array_equal(scaled[name][key], c * values), (name, key)
+                elif key == "arc_residual":
+                    assert max(np.max(values), np.max(scaled[name][key])) <= 4 * eps
+                elif key != "h":  # the arclength of sqrt(1 - rho_x^2) has no scale
+                    assert np.array_equal(scaled[name][key], values), (name, key)
+        assert results.keys() == summary["results"].keys()
+        for key, value in summary["results"].items():
+            if key in ("min_rho_final", "limit_profile_dev"):
+                assert results[key] == c * value, key
+            elif key != "max_arc_residual":
+                assert results[key] == value, key
+
+
+@st.composite
+def cole_hopf_configs(draw) -> dict:
+    """A valid cole_hopf_check config: a smooth positive u0 (a constant, or a
+    cosine of mode at most n/8 whose |amplitude| is at most half its base) on
+    a circle of 8 to 128 points, a forcing of at most 2 in size and 1 to 50
+    steps of a dt with nu * dt / h**2 <= 0.9, nu = n_rank.  The heat step's
+    matrix stays positive definite (dt/2 * nu * max forcing <= 0.9 * h**2 < 1),
+    and the explicit advection of H = -nu (log u)_y within its CFL limit
+    (dt * max|H| / h <= 0.9 * h * 2 pi mode / length < 1)."""
+    n = draw(st.integers(8, 128))
+    length = draw(st.sampled_from([1.0, 2 * math.pi, 7.5]))
+    n_rank = draw(st.integers(1, 3))
+    dt = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9])) * (length / n) ** 2 / n_rank
+    steps = draw(st.integers(1, 50))
+    base = draw(st.floats(0.1, 10.0))
+    initial = ({"family": "constant", "value": base} if draw(st.booleans()) else
+               {"family": "cosine_perturbed", "base": base,
+                "amplitude": draw(st.floats(-0.5, 0.5)) * base,
+                "mode": draw(st.integers(0, min(4, n // 8)))})
+    return {
+        "scenario": "cole_hopf_check",
+        "grid": {"topology": "circle", "length": length, "n_points": n},
+        "time": {"dt": dt, "t_end": steps * dt, "record_every": draw(st.integers(1, 25)),
+                 "snapshots": [0.0, steps * dt]},
+        "n_rank": n_rank,
+        "initial": initial,
+        "potential": {"family": "cosine_perturbed", "base": draw(st.floats(-1.0, 1.0)),
+                      "amplitude": draw(st.floats(-1.0, 1.0)), "mode": draw(st.integers(0, 4))},
+    }
+
+
+class TestColeHopfProperty:
+    """Valid cole_hopf_check runs exit 0, and scaling u0 by a power of two c
+    scales the heat solution u by c bit for bit, while H = -nu (log u0)_y,
+    the Burgers solution H_direct stepped from it, the transform
+    H_transformed and their distance sup_diff move only by roundoff: of
+    log(c*u) against log c + log u, over 2h, and of each step's arithmetic
+    on an H that differs in its last bits."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(raw=cole_hopf_configs(), c=st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+    def test_valid_configs_run_and_scale_with_the_initial_field(self, raw, c):
+        runs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for scale in (1.0, c):
+                code, out = _scaled_run(tmp, raw, "initial", scale)
+                assert code == 0
+                runs.append(({p.name: _csv_columns(p) for p in sorted(out.glob("*.csv"))},
+                             summary_sans_meta(out)["results"]))
+        (base, results), (scaled, scaled_results) = runs
+        assert base.keys() == scaled.keys()
+        eps, nu = np.finfo(float).eps, raw["n_rank"]
+        h = raw["grid"]["length"] / raw["grid"]["n_points"]
+        steps = round(raw["time"]["t_end"] / raw["time"]["dt"])
+        first = [run[0]["fields_0.000000.csv"] for run in runs]
+        log_size = max(np.max(np.abs(np.log(fields["u"]))) for fields in first)
+        h_size = max(np.max(np.abs(fields["H_direct"])) for fields in first)
+        bound = 4 * eps * (nu * log_size / h + steps * h_size)
+        for name, columns in base.items():
+            for key, values in columns.items():
+                if key == "u":
+                    assert np.array_equal(scaled[name][key], c * values), (name, key)
+                elif key != "t":
+                    assert np.max(np.abs(scaled[name][key] - values)) <= bound, (name, key)
+        for key in ("max_sup_diff", "max_sup_diff_refined"):
+            # the refined run steps twice as many steps on half the spacing
+            assert abs(scaled_results[key] - results[key]) <= 4 * bound, key
+        assert scaled_results["nu"] == results["nu"]

@@ -9,6 +9,8 @@ from folflow.fiber import (
     ScalarField,
     Topology,
     VectorAlongFiber,
+    _diff1,
+    _diff2,
     build_grid,
     derivative,
     divergence,
@@ -130,6 +132,39 @@ class TestDifferenceOperators:
             divergence(VectorAlongFiber(g, vals)).values,
             derivative(ScalarField(g, vals)).values,
         )
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("shape", [(8,), (5, 33), (64, 201), (2, 3, 16), "strided"])
+    def test_block_stencils_equal_the_textbook_stencils_row_by_row(self, periodic, shape):
+        # the block stencils difference the flattened block; the seams
+        # between rows must come out as each row's own end stencils
+        def one_sided(v, h, order):
+            if order == 1:
+                return ((-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h),
+                        (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))
+            return ((2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h),
+                    (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h))
+
+        def textbook(v, h, order):
+            if periodic:
+                ahead, behind = np.roll(v, -1), np.roll(v, 1)
+            else:
+                ahead, behind = np.r_[v[1:], 0.0], np.r_[0.0, v[:-1]]
+            out = ((ahead - behind) / (2.0 * h) if order == 1 else
+                   (ahead - 2.0 * v + behind) / (h * h))
+            if not periodic:
+                out[0], out[-1] = one_sided(v, h, order)
+            return out
+
+        rng = np.random.default_rng(3)
+        vals = (rng.standard_normal((40, 30)).T if shape == "strided"
+                else rng.standard_normal(shape))
+        h = 0.037
+        rows = vals.reshape(-1, vals.shape[-1])
+        for order, stencil in ((1, _diff1), (2, _diff2)):
+            got = stencil(vals, h, periodic)
+            want = np.array([textbook(row, h, order) for row in rows]).reshape(vals.shape)
+            assert np.array_equal(got, want), order
 
     def test_fourier_derivative_spectrally_exact(self):
         g = circle(64)

@@ -186,6 +186,23 @@ class TestPositiveDefinite:
         with pytest.raises(SolverSingular, match=r"\(smallest pivot \S+e-1[45], largest 1\)"):
             HeatStepper(g, V, StepperConfig(dt, 1e-20, boundary=Dirichlet(0.0, 0.0)))
 
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    @pytest.mark.parametrize("kind, dt, nu", [("heat", 1e300, 1e300), ("heat", 1e-300, 1e-300),
+                                              ("burgers", 1e300, 1e300),
+                                              ("burgers", 1e-320, 1e-10)])
+    def test_matrix_out_of_float_range_refused_without_a_warning(self, topology, kind, dt, nu):
+        # the factored matrix is (I - c*A)/(2c*nu/h^2) for heat and /(2c) for
+        # Burgers; past the float range its entries are inf or nan, which
+        # must be refused before any arithmetic warns (an error here)
+        g = build_grid(topology, 1.0, 16)
+        cfg = StepperConfig(dt, nu, boundary=PERIODIC if topology == "circle"
+                            else Dirichlet(1.0, 1.0))
+        with pytest.raises(SolverSingular, match="out of floating-point range"):
+            if kind == "heat":
+                HeatStepper(g, None, cfg)
+            else:
+                BurgersStepper(g, ScalarField(g, np.zeros(16)), cfg)
+
     def test_one_negative_eigenvalue_on_a_circle_refused(self):
         # c*V = 1 + 1e-4 lifts only the constant mode above 1: the tridiagonal
         # part stays positive definite and Sherman-Morrison's denominator is

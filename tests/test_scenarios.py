@@ -91,6 +91,13 @@ class TestSurfaceRun:
         with pytest.raises(ProfileDegenerate):
             run_surface_of_revolution(rho0, dt=1e-4, t_end=0.1)
 
+    def test_steep_falling_slope_rejected(self):
+        # the guard takes a row's largest and least slope, not |slope|
+        g = build_grid("interval", 1.0, 101)
+        rho0 = ScalarField(g, 2.5 - 1.2 * g.x)
+        with pytest.raises(ProfileDegenerate, match=r"slope \|rho_x\| = 1.2 exceeds 1"):
+            run_surface_of_revolution(rho0, dt=1e-4, t_end=0.1)
+
 
 class TestSurfaceCrosscheck:
     def test_curvature_evolution_identities(self):
@@ -384,6 +391,24 @@ class TestSharedGrid:
     def test_input_on_another_grid_rejected(self, run):
         with pytest.raises(ValueError, match="^input fields live on different grids$"):
             run(_ones(circle(64)), _ones(circle(64, 1.0)))
+
+
+class TestRunningIntegral:
+    @pytest.mark.parametrize("shape", [(1, 201), (64, 201), (64, 256), (8, 4096), (3, 2, 5)])
+    def test_sums_in_step_order_as_a_loop_does(self, shape):
+        # a tall block accumulates down axis 0, a wide one adds row by row:
+        # both must give the loop's bits
+        rng = np.random.default_rng(11)
+        total = rng.standard_normal((2, *shape[1:]))
+        prev, new = rng.standard_normal(shape[1:]), rng.standard_normal(shape) * 1e3
+        got = scenarios._running_integral(total, prev, new.copy(),
+                                          lambda terms: np.multiply(terms, 0.25, terms))
+        want, before, running = [], prev, total[-1]
+        for row in new:
+            running = running + 0.25 * (before + row)
+            want.append(running)
+            before = row
+        assert np.array_equal(got, np.array(want))
 
 
 class TestFitDecayRate:

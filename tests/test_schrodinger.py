@@ -15,6 +15,7 @@ from folflow.schrodinger import (
     SpectralDecomposition,
     _band,
     _bordered,
+    _shifted_solver,
     _validate_decomposition,
     assemble_operator,
     canonicalize,
@@ -383,12 +384,40 @@ class TestInverseIteration:
         np.testing.assert_allclose(spectrum(f, 15).eigenvalues, vals, rtol=1e-12)
 
     def test_singular_shifted_band_surfaces_as_convergence_failure(self, monkeypatch):
+        # dgbtrf factors a circle's shifted band; info > 0 is an exactly zero pivot
         def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular matrix")
+            lu, ipiv, _ = scipy.linalg.lapack.dgbtrf(*args, **kwargs)
+            return lu, ipiv, 1
 
-        monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+        monkeypatch.setattr("folflow.schrodinger.dgbtrf", singular)
         with pytest.raises(ConvergenceFailure, match="inverse iteration"):
             spectrum(ScalarField(circle(64), np.zeros(64)), 3)
+
+    def test_singular_shifted_tridiagonal_surfaces_as_convergence_failure(self, monkeypatch):
+        # dgttrf factors an interval's shifted tridiagonal
+        def singular(*args, **kwargs):
+            return (*scipy.linalg.lapack.dgttrf(*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr("folflow.schrodinger.dgttrf", singular)
+        with pytest.raises(ConvergenceFailure, match="inverse iteration at .* singular matrix"):
+            spectrum(ScalarField(build_grid("interval", 1.0, 64), np.zeros(64)), 3)
+
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    def test_one_factorization_solves_as_solve_banded(self, topology):
+        # factor once, solve twice: the same bits as two solve_banded calls
+        # (gbsv on a circle's band, gtsv on an interval's tridiagonal)
+        g = build_grid(topology, 2.0, 257)
+        f = ScalarField(g, np.random.default_rng(7).standard_normal(257))
+        _, band = _band(f)
+        u = len(band) // 2
+        shifted = band.copy()
+        shifted[u] -= 0.37
+        x = np.random.default_rng(8).standard_normal(band.shape[1])
+        solve = _shifted_solver(band, 0.37)
+        for _ in range(2):
+            want = scipy.linalg.solve_banded((u, u), shifted, x, check_finite=False)
+            x = solve(x)
+            assert np.array_equal(x, want)
 
 
 class TestValidation:
