@@ -281,9 +281,17 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     if grid is not None and scenario in SCENARIOS:
         for which, spec in specs.items():
             if which in SCENARIOS[scenario].keys:
+                # an integer parameter no float holds is named, as any key is
+                unfit = []
+                for key, value in spec.params.items():
+                    if isinstance(value, int) and not isinstance(value, bool):
+                        _as_number(value, f"{which}.{key}", unfit)
+                if unfit:
+                    field_errs += unfit
+                    continue
                 try:
                     fields[which] = build_field(grid, spec.family, spec.params)
-                except (ValueError, OverflowError, OSError) as err:
+                except (ValueError, OSError) as err:
                     field_errs.append(f"{which}: {err}")
 
     base_values_raw = raw.get("base_values", [0.4, 0.45, 0.5])

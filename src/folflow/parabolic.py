@@ -15,7 +15,9 @@ field of the same type and values to new values, checked finite; or it writes
 values into a given out array, allocating no state-sized array and checking
 nothing, which is how march steps them: march checks each block of steps
 finite at once.  A stepper keeps work arrays the size of one state, so it
-takes one step at a time.
+takes one step at a time.  Without a reaction on a circle the heat step is
+circulant: heat_symbol is its Fourier symbol, and evaluate_records gives
+march's records from it in closed form, without stepping.
 """
 from __future__ import annotations
 
@@ -281,6 +283,23 @@ class BurgersStepper(_Stepper):
         return full.advance(H, out)
 
 
+def heat_symbol(grid: FiberGrid, cfg: StepperConfig) -> np.ndarray:
+    """HeatStepper's step without a reaction, circulant on a circle, on the
+    rfft bins j: g_j = (1 - c*lam_j)/(1 + c*lam_j), c = dt/2, lam_j =
+    (4nu/h^2) sin^2(pi j/n), prescaled by 1/(2c*nu/h^2) as HeatStepper's
+    matrix is, so g_0 is exactly 1.  A c*nu/h^2 out of float range, or zero,
+    is refused as HeatStepper refuses it, before anything overflows."""
+    if not (grid.periodic and isinstance(cfg.boundary, Periodic)):
+        raise ValueError("the heat symbol needs a circle fiber")
+    with np.errstate(all="ignore"):
+        inv = np.float64(cfg.diffusivity) / (grid.spacing * grid.spacing)
+        c_inv, unit = 0.5 * cfg.dt * inv, 1.0 / (cfg.dt * inv)
+    if not 0.0 < unit < np.inf:
+        raise SolverSingular(f"{_OUT_OF_RANGE} (c*nu/h^2 = {c_inv:.3g})")
+    half = 2.0 * np.sin(np.pi / grid.n_points * np.arange(grid.n_points // 2 + 1)) ** 2
+    return (unit - half) / (unit + half)
+
+
 def record_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
     """The steps after which march records: 0, every record_every steps, the last."""
     if t_end < 0.0:
@@ -296,6 +315,14 @@ def record_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
 # march's block buffer holds at most _BLOCK_ROWS states and _BLOCK_DOUBLES values
 _BLOCK_ROWS = 64
 _BLOCK_DOUBLES = 2 ** 15
+
+
+def _block_rows(size: int) -> int:
+    return max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // size))
+
+
+def _failed_at(err: FolflowError, t: float) -> FolflowError:
+    return type(err)(f"{err} (failure at t = {t:.6g})")
 
 
 def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 1,
@@ -320,7 +347,7 @@ def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 
     n_steps = steps[-1]
     state = np.asarray(state, dtype=float)
     size = state.size
-    buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // size)), *state.shape))
+    buf = np.empty((_block_rows(size), *state.shape))
     buf_rows = list(buf)
     k, t = 0, 0.0
     try:
@@ -360,5 +387,41 @@ def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 
             k += rows
             t = k * dt
     except FolflowError as err:
-        raise type(err)(f"{err} (failure at t = {t:.6g})") from err
+        raise _failed_at(err, t) from err
     return state
+
+
+def evaluate_records(symbol: np.ndarray, state: np.ndarray, dt: float, t_end: float,
+                     record_every: int, on_record):
+    """march's records of a circulant step in closed form: step k of state is
+    irfft(symbol**k * rfft(state)) along the last axis (heat_symbol), evaluated
+    at the record steps only, in blocks of march's size, each checked finite,
+    and handed to on_record as march hands them over, the initial state first
+    and itself; the first failure is raised with its time as march raises it."""
+    steps = record_steps(dt, t_end, record_every)
+    state = np.asarray(state, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.fft.rfft(state)
+    per, t = _block_rows(state.size), 0.0
+    try:
+        failure = on_record(np.zeros(1), state[None], np.zeros(1, dtype=int))
+        if failure:
+            raise failure[1]
+        for lo in range(1, len(steps), per):
+            ks = steps[lo:lo + per]
+            with np.errstate(over="ignore", invalid="ignore"):
+                # an exponent per element, so that a record's powers take one
+                # path whatever else its block holds
+                powers = np.power(symbol, np.multiply.outer(ks, np.ones_like(symbol)))
+                block = np.fft.irfft(np.expand_dims(powers, tuple(range(1, state.ndim))) * coef,
+                                     state.shape[-1])
+            finite = np.isfinite(block.reshape(len(ks), -1)).all(axis=1)
+            rows = len(ks) if finite.all() else int(np.argmin(finite))
+            failure = None if rows == len(ks) else (rows, SolverSingular(_NON_FINITE))
+            if rows:
+                failure = on_record(ks[:rows] * dt, block[:rows], np.arange(rows)) or failure
+            if failure:
+                t = ks[failure[0]] * dt
+                raise failure[1]
+    except FolflowError as err:
+        raise _failed_at(err, t) from err

@@ -1,6 +1,7 @@
 """The scenarios: flow drivers, and one declaration per runnable scenario.
 
-The drivers are all stepped by parabolic.march:
+The drivers are stepped by parabolic.march, but for the twisted product,
+whose records parabolic.evaluate_records gives in closed form:
 
 * run_surface_of_revolution: the profile radius obeys d(rho)/dt = rho_xx,
   and the induced curvatures k = -(log rho)_x, K = -rho_xx/rho are tracked
@@ -38,8 +39,8 @@ from .errors import GapTooSmall, NonFiniteValue, NotConverged, ProfileDegenerate
 from .families import build_field
 from .fiber import (FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, _grad_log,
                     build_grid, grad_log, integrate, laplacian)
-from .parabolic import (PERIODIC, BurgersStepper, Dirichlet, HeatStepper, StepperConfig, march,
-                        record_steps)
+from .parabolic import (PERIODIC, BurgersStepper, Dirichlet, HeatStepper, StepperConfig,
+                        evaluate_records, heat_symbol, march, record_steps)
 from .schrodinger import (GroundState, eigencount, ground_state, lowest_eigenvalue, spectrum,
                           weyl_theta)
 
@@ -119,22 +120,38 @@ def _shared_grid(*fields: ScalarField) -> FiberGrid:
     return grids.pop()
 
 
-def _running_integral(total: np.ndarray, prev: np.ndarray, new: np.ndarray, finish) -> np.ndarray:
-    """total[-1] plus the running sum, in step order, of the terms over the rows
-    of new: finish(terms) turns the sums before + new[i], before being the row
-    preceding new[i] (prev for the first), into the terms in place."""
-    terms = np.empty_like(new)
-    np.add(prev, new[0], terms[0])
-    np.add(new[:-1], new[1:], terms[1:])
-    finish(terms)
-    terms[0] += total[-1]
-    # both sum in step order: accumulate down axis 0 runs a strided loop per
-    # column, which is slow on long rows, and row adds cost a call per row
-    if terms.shape[-1] < 8 * len(terms):
-        return np.add.accumulate(terms, axis=0, out=terms)
-    for i in range(1, len(terms)):
-        np.add(terms[i - 1], terms[i], terms[i])
-    return terms
+class _RunningIntegral:
+    """The trapezoid integral along a march of a quantity known at each row:
+    a row adds finish(before + now), before being the quantity a row earlier.
+    _sums holds the total before the last block, then its rows' terms; the
+    total after a row is summed only when read, and put in place of its term,
+    by np.add.reduce down axis 0 from the last total read, which adds row
+    after row in step order.  The initial state is a block of one adding 0."""
+
+    def __init__(self, first: np.ndarray, finish):
+        self._before, self._finish = first, finish
+        self._sums, self._read = np.zeros((2, *first.shape)), 0
+
+    def add(self, now: np.ndarray):
+        """The quantity at the rows of the next block."""
+        sums = np.empty((len(now) + 1, *now.shape[1:]))
+        sums[0] = self.last()
+        np.add(self._before, now[0], sums[1])
+        np.add(now[:-1], now[1:], sums[2:])
+        self._finish(sums[1:])
+        self._sums, self._read, self._before = sums, 0, now[-1]
+
+    def at(self, rows: np.ndarray) -> np.ndarray:
+        """The totals after the given increasing rows of the last block."""
+        for r in (rows + 1).tolist():
+            if r > self._read:
+                self._sums[r] = np.add.reduce(self._sums[self._read:r + 1], axis=0)
+                self._read = r
+        return self._sums[rows + 1]
+
+    def last(self) -> np.ndarray:
+        """The total after the last row added."""
+        return self.at(np.array([len(self._sums) - 2]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,24 +199,19 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
     boundary = PERIODIC if grid.periodic else Dirichlet(float(rho0.values[0]), float(rho0.values[-1]))
     stepper = HeatStepper(grid, None, StepperConfig(dt, 1.0, boundary=boundary))
     h, periodic = grid.spacing, grid.periodic
-    # int_0^t K after each row of the last block, the initial state a block of one
-    int_k_gauss = np.zeros((1, grid.n_points))
-    gauss_prev = -laplacian(rho0).values / rho0.values
+    # int_0^t K along the run
+    int_k_gauss = _RunningIntegral(-laplacian(rho0).values / rho0.values,
+                                   lambda terms: np.multiply(terms, 0.5 * dt, terms))
     traj = SurfaceTrajectory(grid, dt, t_end, record_every, snapshots)
 
     def advance(ts, block):
         # the profile guard on every row before K = -rho_xx/rho is formed,
-        # then the trapezoid integral of K, accumulated in step order up to
-        # the first rejected row
-        nonlocal int_k_gauss, gauss_prev
+        # then K up to the first rejected row, for the integral of K
         bad = _profile_failure(block, _diff1(block, h, periodic))
         good = block[:len(block) if bad is None else bad[0]]
         if len(good):
             gauss = _diff2(good, h, periodic)
-            np.negative(np.divide(gauss, good, gauss), gauss)
-            int_k_gauss = _running_integral(int_k_gauss, gauss_prev, gauss,
-                                            lambda terms: np.multiply(terms, 0.5 * dt, terms))
-            gauss_prev = gauss[-1]
+            int_k_gauss.add(np.negative(np.divide(gauss, good, gauss), gauss))
         return bad
 
     def record(ts, block, rows):
@@ -222,7 +234,7 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
             "min_rho": np.min(rho, axis=-1),
             "arc_residual": np.max(np.abs(slope ** 2 + h_slope ** 2 - 1.0), axis=-1),
             "riccati_res": _riccati_residual(k, kk, h, periodic),
-            "conformal_dev": np.max(np.abs(np.exp(-2.0 * int_k_gauss[rows[good]]) - conf),
+            "conformal_dev": np.max(np.abs(np.exp(-2.0 * int_k_gauss.at(rows[good])) - conf),
                                     axis=-1),
         }, {"rho": rho, "h": _cumtrapz(h_slope, h), "k": k, "K": kk, "conformal_factor": conf},
             failure)
@@ -304,7 +316,9 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
     """Evolve each base slice of the warping function by d(f)/dt = n * f_yy.
 
     The fiber is closed; every slice keeps its fiber mass and relaxes to its
-    own fiber mean, which is reported as the limit value per slice.
+    own fiber mean, which is reported as the limit value per slice.  The
+    equation is linear with constant coefficients, so the Crank-Nicolson
+    solution is evaluated in closed form at the record steps, not marched.
     """
     slices = list(f0_slices)
     if not slices:
@@ -316,7 +330,7 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
         raise ValueError("distribution rank must be at least 1")
     if any(np.min(f.values) <= 0.0 for f in slices):
         raise ValueError("warping slices must be strictly positive")
-    stepper = HeatStepper(grid, None, StepperConfig(dt, float(n), boundary=PERIODIC))
+    symbol = heat_symbol(grid, StepperConfig(dt, float(n), boundary=PERIODIC))
     means = np.array([integrate(f) / grid.length for f in slices])
     masses0 = np.array([integrate(f) for f in slices])
     traj = TwistedTrajectory(grid, dt, t_end, record_every, snapshots, means)
@@ -333,9 +347,9 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
         }, {f"{name}_{i}": vals[:, i] for i in range(len(slices))
             for name, vals in (("f", good), ("H", H))}, failure)
 
-    # one row per slice, all stepped by one multi-row solve
-    march(stepper.step, np.array([f.values for f in slices]), dt, t_end, record_every,
-          on_record=record)
+    # one row per slice, each record in closed form
+    evaluate_records(symbol, np.array([f.values for f in slices]), dt, t_end, record_every,
+                     record)
     return traj
 
 
@@ -404,24 +418,22 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
         ScalarField(grid, n * betaD.values),
         StepperConfig(dt, float(n), boundary=PERIODIC),
     )
-    # Sc_mix - |T|^2 and the |T|^2 exponent after each row of the last block,
-    # the initial state a block of one
+    # Sc_mix - |T|^2 at each row of the last block, the initial state a block
+    # of one, and the |T|^2 exponent along the run: 4 dt (0.5 (before + now) - phi)
     scmix = normalized_scmix(u0.values, betaD, n)[None]
-    exponent = np.zeros((1, grid.n_points))
+    exponent = _RunningIntegral(scmix[0], lambda terms: np.multiply(
+        np.subtract(np.multiply(terms, 0.5, terms), phi, terms), 4.0 * dt, terms))
     traj = NormalizedTrajectory(grid, dt, t_end, record_every, snapshots, gs, phi, n, betaD, None)
     q0 = mask0 = None
 
     def advance(ts, block):
-        # the |T|^2 exponent: trapezoid averages over the steps, accumulated
-        # in step order up to the first rejected row
-        nonlocal scmix, exponent
+        # Sc_mix - |T|^2 up to the first rejected row, for the |T|^2 exponent
+        nonlocal scmix
         new = normalized_scmix(block, betaD, n)
         finite = np.isfinite(new).all(axis=1)
         new = new[:len(new) if finite.all() else int(np.argmin(finite))]
         if len(new):
-            # 4 dt (0.5 (before + now) - phi)
-            exponent = _running_integral(exponent, scmix[-1], new, lambda terms: np.multiply(
-                np.subtract(np.multiply(terms, 0.5, terms), phi, terms), 4.0 * dt, terms))
+            exponent.add(new)
             scmix = new
         if len(new) < len(finite):
             return len(new), NonFiniteValue("field values must be finite")
@@ -430,7 +442,7 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
     def record(ts, block, rows):
         nonlocal q0, mask0
         u = block[rows]
-        t2 = T2_0.values * np.exp(exponent[rows])
+        t2 = T2_0.values * np.exp(exponent.at(rows))
         H, failure = _grad_log(u, -float(n), grid.spacing, grid.periodic)
         # a record's non-finite |T|^2 is checked before its grad_log
         finite = np.isfinite(t2[:len(H) + 1]).all(axis=-1)
@@ -457,7 +469,7 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
             "scmixT2": sc}, failure)
 
     march(stepper.step, u0.values, dt, t_end, record_every, advance, record)
-    traj.growth_exponent = ScalarField(grid, exponent[-1])
+    traj.growth_exponent = ScalarField(grid, exponent.last())
     return traj
 
 

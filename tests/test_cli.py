@@ -413,7 +413,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("old, new, message", [
         ("dt: 0.0001", f"dt: {10**400}",
          "time.dt must be within the float range, got a 401-digit integer"),
-        ("b: 1.2", f"b: {-10**400}", "initial: int too large to convert to float"),
+        ("b: 1.2", f"b: {-10**400}",
+         "initial.b must be within the float range, got a negative 401-digit integer"),
     ])
     def test_a_number_past_the_float_range_exits_2_with_json(self, tmp_path, old, new,
                                                               message):
@@ -425,11 +426,16 @@ class TestRunCommand:
         assert json.loads(proc.stderr) == {"error": {"type": "ValidationError",
                                                      "message": message}}
 
-    @pytest.mark.parametrize("topology", ["circle", "interval"])
-    def test_step_matrix_past_the_float_range_exits_3_with_json(self, tmp_path, topology):
-        # dt * nu / h^2 overflows: the stepper refuses its matrix, typed
+    @pytest.mark.parametrize("scenario, topology", [("surface", "circle"),
+                                                    ("surface", "interval"),
+                                                    ("twisted", "circle")],
+                             ids=["circle", "interval", "twisted"])
+    def test_step_matrix_past_the_float_range_exits_3_with_json(self, tmp_path, scenario,
+                                                                topology):
+        # dt * nu / h^2 overflows: the stepper refuses its matrix, typed, and
+        # the twisted product, evaluated in closed form, refuses it alike
         cfg, out = tmp_path / "run.yaml", tmp_path / "out"
-        cfg.write_text(f"scenario: surface\ngrid: {{topology: {topology}, length: 1.0e-160, "
+        cfg.write_text(f"scenario: {scenario}\ngrid: {{topology: {topology}, length: 1.0e-160, "
                        "n_points: 16}\ntime: {dt: 1.0e+300, t_end: 1.0e+300}\n")
         proc = run_cli("run", str(cfg), "--out", str(out))
         assert proc.returncode == 3

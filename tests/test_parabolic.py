@@ -20,6 +20,8 @@ from folflow.parabolic import (
     HeatStepper,
     Scheme,
     StepperConfig,
+    evaluate_records,
+    heat_symbol,
     march,
 )
 
@@ -453,6 +455,90 @@ class TestEvolveDriver:
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
         with pytest.raises(ValueError):
             march(stepper.step, np.ones(64), 1e-3, -1.0)
+
+
+class TestHeatSymbol:
+    """heat_symbol and evaluate_records: HeatStepper's records in closed form."""
+
+    @staticmethod
+    def _records(march_or_evaluate, *args):
+        records = []
+
+        def keep(ts, block, rows):
+            records.extend(zip(ts[rows], block[rows]))
+
+        march_or_evaluate(*args, keep)
+        return records
+
+    @pytest.mark.parametrize("n", [8, 64, 4096])
+    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 600.0])
+    def test_records_agree_with_heat_steps(self, n, ratio):
+        # dt*nu/h^2 from far below 1 to fine_grid's twisted run, on noise,
+        # which holds every mode the stencil has
+        g, nu = circle(n), 2.0
+        cfg = StepperConfig(ratio * g.spacing ** 2 / nu, nu, boundary=PERIODIC)
+        u0 = 1.0 + np.random.default_rng(n).standard_normal((2, n))
+        stepped = self._records(march, HeatStepper(g, None, cfg).step, u0, cfg.dt,
+                                40 * cfg.dt, 10, None)
+        symbol = heat_symbol(g, cfg)
+        closed = self._records(evaluate_records, symbol, u0, cfg.dt, 40 * cfg.dt, 10)
+        assert symbol[0] == 1.0 and np.all(np.abs(symbol) <= 1.0)
+        assert [t for t, _ in closed] == [t for t, _ in stepped]
+        assert closed[0][1] is not u0 and np.array_equal(closed[0][1], u0)
+        scale = np.max(np.abs(u0))
+        for (_, want), (_, got) in zip(stepped, closed):
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("shape", [(3, 256), (2, 32), (40,)])
+    def test_records_are_the_same_bits_whatever_the_block_holds(self, monkeypatch, shape):
+        g = circle(shape[-1])
+        u0 = 1.0 + 0.3 * np.cos(g.x) + 0.01 * np.random.default_rng(1).standard_normal(shape)
+        symbol = heat_symbol(g, StepperConfig(1e-3, 2.0, boundary=PERIODIC))
+        runs = []
+        for rows in (1, 64):
+            monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+            runs.append(self._records(evaluate_records, symbol, u0, 1e-3, 0.13, 1))
+        assert len(runs[0]) == len(runs[1]) == 131
+        for (t, one), (t64, block) in zip(*runs):
+            assert t == t64 and np.array_equal(one, block)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_failures_keep_the_records_before_and_carry_their_time(self, monkeypatch, rows):
+        # a symbol of 1e10 overflows at step 31; a record hook that rejects
+        # the record of step 20 wins, being earlier
+        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        symbol, u0 = np.full(5, 1e10), np.ones(8)
+        kept = []
+        with pytest.raises(SolverSingular) as exc:
+            evaluate_records(symbol, u0, 0.5, 50.0, 1, lambda ts, block, rows:
+                             kept.extend(ts[rows]))
+        assert str(exc.value) == "implicit step produced non-finite values (failure at t = 15.5)"
+        assert kept == pytest.approx(0.5 * np.arange(31))
+
+        def reject(ts, block, rows):
+            bad = np.flatnonzero(ts[rows] == 10.0)
+            return (int(bad[0]), NonFiniteValue("record rejected")) if bad.size else None
+
+        with pytest.raises(NonFiniteValue, match=r"^record rejected \(failure at t = 10\)$"):
+            evaluate_records(symbol, u0, 0.5, 50.0, 1, reject)
+
+    @pytest.mark.parametrize("length, dt", [(1e-160, 1e300), (1e160, 1e-300)],
+                             ids=["overflow", "zero"])
+    def test_refuses_what_heat_stepper_refuses(self, length, dt):
+        # c*nu/h^2 out of float range or zero, refused before it overflows:
+        # a RuntimeWarning would fail this test
+        g, cfg = build_grid("circle", length, 16), StepperConfig(dt, 2.0, boundary=PERIODIC)
+        with pytest.raises(SolverSingular) as stepper:
+            HeatStepper(g, None, cfg)
+        with pytest.raises(SolverSingular) as symbol:
+            heat_symbol(g, cfg)
+        assert str(symbol.value) == str(stepper.value)
+        assert str(symbol.value).startswith("implicit step matrix is out of floating-point range")
+
+    def test_needs_a_circle(self):
+        g = build_grid("interval", 1.0, 16)
+        with pytest.raises(ValueError):
+            heat_symbol(g, StepperConfig(1e-3, 1.0, boundary=Dirichlet(0.0, 0.0)))
 
 
 class TestBurgersStepper:

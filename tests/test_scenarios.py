@@ -191,6 +191,16 @@ class TestTwistedRun:
         np.testing.assert_allclose(traj.fiber_means, amps, atol=1e-12)
         assert np.max(traj.series["mass_drift"]) <= 1e-12
 
+    def test_mass_holds_to_roundoff_after_6000_steps(self):
+        # each record is one transform of the initial slices, whose mean
+        # coefficient the symbol keeps exactly: no drift builds up per step
+        g = circle(256)
+        slices = tuple(ScalarField(g, b + 0.3 * np.cos(g.x)) for b in (0.4, 0.45, 0.5))
+        traj = run_twisted_product(slices, 2, dt=1e-3, t_end=6.0, record_every=500)
+        mass = max(integrate(f) for f in slices)
+        assert len(traj.series["t"]) == 13
+        assert np.max(traj.series["mass_drift"]) <= 4 * np.finfo(float).eps * mass
+
     def test_velocity_supremum_decays(self):
         g = circle(128)
         f0 = ScalarField(g, 1.0 + 0.4 * np.sin(g.x))
@@ -319,22 +329,27 @@ class TestRecords:
     @pytest.mark.parametrize("rows", [1, 64])
     @pytest.mark.parametrize("flow", ["surface", "twisted", "normalized", "cole_hopf"])
     def test_recorded_arrays_are_read_only_and_own_their_memory(self, monkeypatch, flow, rows):
-        # no view of the march state or block buffer, and none shared between
+        # no view of the march state or block buffer, or of a block the
+        # twisted product evaluates in closed form, and none shared between
         # records, whatever the block length
         monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
-        finals = []
+        buffers = []
 
-        def march(*args, **kwargs):
-            finals.append(parabolic.march(*args, **kwargs))
-            return finals[-1]
+        def keep(run):
+            def kept(*args, **kwargs):
+                buffers.append(run(*args, **kwargs))
+                return buffers[-1]
+            return kept
 
-        monkeypatch.setattr(scenarios, "march", march)
+        monkeypatch.setattr(scenarios, "march", keep(parabolic.march))
+        monkeypatch.setattr(np.fft, "irfft", keep(np.fft.irfft))
         traj = _short_run(flow)
         arrays = [values for record in traj.fields for values in record.values()]
         assert len(traj.fields) == len(traj.series["t"]) == 5
         assert not any(values.flags.writeable for values in arrays)
+        assert buffers and all(buf is not None for buf in buffers)
         for i, values in enumerate(arrays):
-            assert not np.shares_memory(values, finals[0])
+            assert not any(np.shares_memory(values, buf) for buf in buffers)
             assert not any(np.shares_memory(values, other) for other in arrays[i + 1:])
 
 
@@ -396,19 +411,29 @@ class TestSharedGrid:
 class TestRunningIntegral:
     @pytest.mark.parametrize("shape", [(1, 201), (64, 201), (64, 256), (8, 4096), (3, 2, 5)])
     def test_sums_in_step_order_as_a_loop_does(self, shape):
-        # a tall block accumulates down axis 0, a wide one adds row by row:
-        # both must give the loop's bits
+        # totals read at some rows of each block, and the block's last, must
+        # give a loop's bits; the first block starts the total off at random
         rng = np.random.default_rng(11)
-        total = rng.standard_normal((2, *shape[1:]))
-        prev, new = rng.standard_normal(shape[1:]), rng.standard_normal(shape) * 1e3
-        got = scenarios._running_integral(total, prev, new.copy(),
-                                          lambda terms: np.multiply(terms, 0.25, terms))
-        want, before, running = [], prev, total[-1]
-        for row in new:
-            running = running + 0.25 * (before + row)
-            want.append(running)
-            before = row
-        assert np.array_equal(got, np.array(want))
+        first = rng.standard_normal(shape[1:])
+        integral = scenarios._RunningIntegral(first, lambda terms: np.multiply(terms, 0.25, terms))
+        want, before, running = [], first, np.zeros(shape[1:])
+        for block in (rng.standard_normal((5, *shape[1:])), rng.standard_normal(shape) * 1e3,
+                      rng.standard_normal(shape)):
+            integral.add(block.copy())
+            for row in block:
+                running = running + 0.25 * (before + row)
+                want.append(running)
+                before = row
+            rows = np.unique(rng.integers(0, len(block), 3))
+            assert np.array_equal(integral.at(rows), np.array(want[-len(block):])[rows])
+            assert np.array_equal(integral.at(rows[-1:]), want[-len(block) + rows[-1]][None])
+        assert np.array_equal(integral.last(), want[-1])
+
+    def test_the_initial_record_reads_zero(self):
+        integral = scenarios._RunningIntegral(np.ones(4), lambda terms: terms)
+        assert np.array_equal(integral.at(np.array([0])), np.zeros((1, 4)))
+        integral.add(np.full((2, 4), 2.0))
+        assert np.array_equal(integral.last(), np.full(4, 7.0))
 
 
 class TestFitDecayRate:

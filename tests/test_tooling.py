@@ -131,13 +131,17 @@ def test_parabolic_probes_run(monkeypatch):
 def test_each_step_of_a_run_is_one_stepper_step_call(monkeypatch, flow):
     # perfbench counts parabolic.heat_steps and burgers_steps by wrapping the
     # two step methods in their class bodies, as done here, so a march that
-    # stepped past them would read 0 steps there
-    calls = collections.Counter()
+    # stepped past them would read 0 steps there; the twisted product steps
+    # none, and evaluates each record but the initial one once instead
+    calls, evaluated = collections.Counter(), []
     for cls in (HeatStepper, BurgersStepper):
         def counted(self, *args, _step=cls.__dict__["step"], _name=cls.__name__, **kwargs):
             calls[_name] += 1
             return _step(self, *args, **kwargs)
         monkeypatch.setattr(cls, "step", counted)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda coef, *args, **kwargs: evaluated.append(
+        len(coef)) or irfft(coef, *args, **kwargs))
     monkeypatch.setattr(parabolic, "_BLOCK_ROWS", 7)
     g = build_grid("interval" if flow == "surface" else "circle", 2 * np.pi, 32)
     bump = ScalarField(g, 1.5 + 0.3 * np.sin(g.x))
@@ -152,8 +156,12 @@ def test_each_step_of_a_run_is_one_stepper_step_call(monkeypatch, flow):
     else:
         cole_hopf_rows(bump, ScalarField(g, 0.2 * bump.values), 1.0, dt, t_end, 3)
     steps = round(t_end / dt)
-    expected = {"HeatStepper": steps, "BurgersStepper": steps if flow == "cole_hopf" else 0}
+    expected = {"HeatStepper": 0 if flow == "twisted" else steps,
+                "BurgersStepper": steps if flow == "cole_hopf" else 0}
     assert {name: calls[name] for name in expected} == expected
+    if flow == "twisted":
+        assert evaluated == [7, 7, 3]  # records after steps 3, 6, ..., 48 and the last, 50
+        assert sum(evaluated) == len(parabolic.record_steps(dt, t_end, 3)) - 1
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
