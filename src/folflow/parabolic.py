@@ -15,9 +15,9 @@ field of the same type and values to new values, checked finite; or it writes
 values into a given out array, allocating no state-sized array and checking
 nothing, which is how march steps them: march checks each block of steps
 finite at once.  A stepper keeps work arrays the size of one state, so it
-takes one step at a time.  Without a reaction on a circle the heat step is
-circulant: heat_symbol is its Fourier symbol, and evaluate_records gives
-march's records from it in closed form, without stepping.
+takes one step at a time.  Without a reaction the heat step is diagonal in
+a Fourier basis, rfft on a circle and DST-I on an interval: heat_symbol is
+its symbol, and a HeatSeries fills march's blocks from it in closed form.
 """
 from __future__ import annotations
 
@@ -172,10 +172,9 @@ class _Stepper:
     """What both steppers share: the checks on their inputs, and a step without out."""
 
     def __init__(self, grid: FiberGrid, cfg: StepperConfig, coefficient, name: str):
-        if grid.periodic and isinstance(cfg.boundary, Dirichlet):
-            raise ValueError("Dirichlet boundary on a circle fiber")
-        if not grid.periodic and isinstance(cfg.boundary, Periodic):
-            raise ValueError("interval fiber needs Dirichlet boundary data")
+        if grid.periodic != isinstance(cfg.boundary, Periodic):
+            raise ValueError("Dirichlet boundary on a circle fiber" if grid.periodic else
+                             "interval fiber needs Dirichlet boundary data")
         if coefficient is not None and coefficient.grid != grid:
             raise ValueError(f"{name} lives on a different grid")
         self.grid, self.cfg = grid, cfg
@@ -284,20 +283,74 @@ class BurgersStepper(_Stepper):
 
 
 def heat_symbol(grid: FiberGrid, cfg: StepperConfig) -> np.ndarray:
-    """HeatStepper's step without a reaction, circulant on a circle, on the
-    rfft bins j: g_j = (1 - c*lam_j)/(1 + c*lam_j), c = dt/2, lam_j =
-    (4nu/h^2) sin^2(pi j/n), prescaled by 1/(2c*nu/h^2) as HeatStepper's
-    matrix is, so g_0 is exactly 1.  A c*nu/h^2 out of float range, or zero,
-    is refused as HeatStepper refuses it, before anything overflows."""
-    if not (grid.periodic and isinstance(cfg.boundary, Periodic)):
-        raise ValueError("the heat symbol needs a circle fiber")
+    """HeatStepper's step without a reaction on HeatSeries' bins j: g_j =
+    (1 - c*lam_j)/(1 + c*lam_j), c = dt/2, lam_j = (4nu/h^2) sin^2(pi j/N),
+    prescaled by 1/(2c*nu/h^2) as HeatStepper's matrix is; on a circle the
+    rfft bins 0..n/2, N = n, so g_0 is exactly 1, on an interval the sine
+    bins 1..n-2, N = 2(n-1).  It refuses what HeatStepper refuses, before
+    anything overflows: a boundary of the other topology, and a c*nu/h^2
+    out of float range, or zero."""
+    _Stepper(grid, cfg, None, "")
     with np.errstate(all="ignore"):
         inv = np.float64(cfg.diffusivity) / (grid.spacing * grid.spacing)
         c_inv, unit = 0.5 * cfg.dt * inv, 1.0 / (cfg.dt * inv)
     if not 0.0 < unit < np.inf:
         raise SolverSingular(f"{_OUT_OF_RANGE} (c*nu/h^2 = {c_inv:.3g})")
-    half = 2.0 * np.sin(np.pi / grid.n_points * np.arange(grid.n_points // 2 + 1)) ** 2
+    n = grid.n_points
+    bins, N = (np.arange(n // 2 + 1), n) if grid.periodic else (np.arange(1, n - 1), 2 * (n - 1))
+    half = 2.0 * np.sin(np.pi / N * bins) ** 2
     return (unit - half) / (unit + half)
+
+
+class HeatSeries(_Stepper):
+    """HeatStepper's steps without a reaction in closed form, from one state:
+    step k is the inverse transform of symbol**k (heat_symbol) times the
+    state's transform along the last axis: rfft on a circle, on an interval
+    DST-I of the interior less the line through the ends, which stay as the
+    state has them, checked against the Dirichlet data as HeatStepper checks
+    them.  symbol**(S*q + r) is symbol**r, a row of products built once,
+    times symbol**(S*q), built into the transform once per quotient q by
+    np.power with an exponent per element: no step depends on the others."""
+
+    S = 64
+    _check = HeatStepper._check
+
+    def __init__(self, grid: FiberGrid, cfg: StepperConfig):
+        super().__init__(grid, cfg, None, "")
+        self.symbol = symbol = heat_symbol(grid, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._table = np.cumprod([np.ones_like(symbol), *[symbol] * (self.S - 1)], axis=0)
+
+    def start(self, state: np.ndarray):
+        """Take state, (n,) or (m, n), as step 0."""
+        self._check(state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.grid.periodic:
+                self._coef = np.fft.rfft(state)
+            else:
+                from scipy import fft  # imported by the runs that need it, not at start-up
+                self._fft, self._ends = fft, state[..., [0, -1]]
+                self._line = np.linspace(state[..., 0], state[..., -1], state.shape[-1],
+                                         axis=-1)[..., 1:-1]
+                self._coef = fft.dst(state[..., 1:-1] - self._line, type=1)
+        self._rows, self._lead = self._table.reshape(self.S, *(1,) * (state.ndim - 1), -1), {}
+
+    def fill(self, ks: np.ndarray, out: np.ndarray):
+        """out[i] = step ks[i] of the state, ks increasing."""
+        quot, rem = np.divmod(ks, self.S)
+        coef, lead, lo = np.empty((len(ks), *self._coef.shape), self._coef.dtype), {}, 0
+        quotients = list(dict.fromkeys(quot.tolist()))
+        for q, hi in zip(quotients, np.searchsorted(quot, quotients, "right").tolist()):
+            lead[q] = (self._lead[q] if q in self._lead else
+                       np.power(self.symbol, np.full_like(self.symbol, self.S * q)) * self._coef)
+            np.multiply(self._rows[rem[lo:hi]], lead[q], coef[lo:hi])
+            lo = hi
+        self._lead = lead
+        if self.grid.periodic:
+            out[...] = np.fft.irfft(coef, out.shape[-1])
+        else:
+            np.add(self._fft.idst(coef, type=1, overwrite_x=True), self._line, out[..., 1:-1])
+            out[..., [0, -1]] = self._ends
 
 
 def record_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
@@ -317,14 +370,6 @@ _BLOCK_ROWS = 64
 _BLOCK_DOUBLES = 2 ** 15
 
 
-def _block_rows(size: int) -> int:
-    return max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // size))
-
-
-def _failed_at(err: FolflowError, t: float) -> FolflowError:
-    return type(err)(f"{err} (failure at t = {t:.6g})")
-
-
 def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 1,
           on_block=None, on_record=None):
     """The one time-marching loop: step state, (n,) or (m, n) with a field per
@@ -332,96 +377,69 @@ def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 
     stepper's checks of its input; step(u, out) writes it into out, which may
     be u itself, and checks nothing.  The first step is step(u), the rest
     step into a block buffer, one state per row, until it is full or the run
-    ends.  The block's rows are then checked finite at once: the first
-    non-finite one fails as a step that raises does (numpy's overflow and
-    invalid warnings are off while a block steps).  on_block(ts, block) sees
-    the block's times and states before a failed row and returns None, or
-    (row, error) for the first row its monitors reject.
-    on_record(ts, block, rows) sees the same block and the rows to record
-    (record_steps) before the first rejected row; the initial state comes as
-    a block of one row, which on_block does not see.  It returns None, or
-    (i, error) for the first of those records it rejects.  The first failure
-    in step order is raised with its time.  Returns the final state.
+    ends.  Or step is a HeatSeries, which fills the block in closed form, at
+    every step with on_block, else at the record steps only.  The block's
+    rows are then checked finite at once: the first non-finite one fails as
+    a step that raises does (numpy's overflow and invalid warnings are off
+    while a block fills).  on_block(ts, block) sees the block's times and
+    states before a failed row and returns None, or (row, error) for the
+    first row its monitors reject.  on_record(ts, block, rows) sees the same
+    block and the rows to record (record_steps) before the first rejected
+    row; the initial state comes as a block of one row, which on_block does
+    not see.  It returns None, or (i, error) for the first of those records
+    it rejects.  The first failure in step order is raised with its time.
+    Returns the final state.
     """
-    steps = record_steps(dt, t_end, record_every).tolist()
-    n_steps = steps[-1]
+    steps = record_steps(dt, t_end, record_every)
     state = np.asarray(state, dtype=float)
-    size = state.size
-    buf = np.empty((_block_rows(size), *state.shape))
+    buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // state.size)), *state.shape))
     buf_rows = list(buf)
-    k, t = 0, 0.0
+    if series := isinstance(step, HeatSeries):
+        step.start(state)
+    # the steps to fill: every one, or with a series and no on_block the records
+    only_records = series and on_block is None
+    total = len(steps) - 1 if only_records else int(steps[-1])
+    marks, done, t = steps.tolist(), 0, 0.0
     try:
         failure = on_record and on_record(np.zeros(1), state[None], np.zeros(1, dtype=int))
         if failure:
             raise failure[1]
-        while k < n_steps:
-            rows = min(len(buf), n_steps - k)
+        while done < total:
+            stop = min(done + len(buf), total)
+            ks = steps[done + 1:stop + 1] if only_records else np.arange(done + 1, stop + 1)
+            rows = len(ks)
             failure = None  # (row of the block, error)
             with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(rows):
-                    try:
-                        if k or j:
-                            step(state, buf_rows[j])
-                        else:
-                            buf[0] = step(state)
-                    except FolflowError as err:
-                        failure, rows = (j, err), j
-                        break
-                    state = buf_rows[j]
-            finite = np.isfinite(buf[:rows].reshape(rows, size)).all(axis=1)
+                if series:
+                    step.fill(ks, buf[:rows])
+                else:
+                    for j in range(rows):
+                        try:
+                            if done or j:
+                                step(state, buf_rows[j])
+                            else:
+                                buf[0] = step(state)
+                        except FolflowError as err:
+                            failure, rows = (j, err), j
+                            break
+                        state = buf_rows[j]
+            finite = np.isfinite(buf[:rows].reshape(rows, state.size)).all(axis=1)
             if not finite.all():
                 rows = int(np.argmin(finite))
                 failure = rows, SolverSingular(_NON_FINITE)
-            ts = np.arange(k + 1, k + rows + 1) * dt
+            ts = ks[:rows] * dt
             if on_block is not None and rows:
                 failure = on_block(ts, buf[:rows]) or failure
-            end = k + 1 + (rows if failure is None else failure[0])
-            recorded = steps[bisect_left(steps, k + 1):bisect_left(steps, end)]
+            end = ks[rows - 1] + 1 if failure is None else ks[failure[0]]
+            recorded = marks[bisect_left(marks, ks[0]):bisect_left(marks, end)]
             if on_record is not None and recorded:
-                recorded = np.subtract(recorded, k + 1)
+                recorded = np.searchsorted(ks, recorded)
                 bad = on_record(ts, buf[:rows], recorded)
                 failure = (int(recorded[bad[0]]), bad[1]) if bad else failure
             if failure is not None:
-                t = (k + 1 + failure[0]) * dt
-                raise failure[1]
-            k += rows
-            t = k * dt
-    except FolflowError as err:
-        raise _failed_at(err, t) from err
-    return state
-
-
-def evaluate_records(symbol: np.ndarray, state: np.ndarray, dt: float, t_end: float,
-                     record_every: int, on_record):
-    """march's records of a circulant step in closed form: step k of state is
-    irfft(symbol**k * rfft(state)) along the last axis (heat_symbol), evaluated
-    at the record steps only, in blocks of march's size, each checked finite,
-    and handed to on_record as march hands them over, the initial state first
-    and itself; the first failure is raised with its time as march raises it."""
-    steps = record_steps(dt, t_end, record_every)
-    state = np.asarray(state, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coef = np.fft.rfft(state)
-    per, t = _block_rows(state.size), 0.0
-    try:
-        failure = on_record(np.zeros(1), state[None], np.zeros(1, dtype=int))
-        if failure:
-            raise failure[1]
-        for lo in range(1, len(steps), per):
-            ks = steps[lo:lo + per]
-            with np.errstate(over="ignore", invalid="ignore"):
-                # an exponent per element, so that a record's powers take one
-                # path whatever else its block holds
-                powers = np.power(symbol, np.multiply.outer(ks, np.ones_like(symbol)))
-                block = np.fft.irfft(np.expand_dims(powers, tuple(range(1, state.ndim))) * coef,
-                                     state.shape[-1])
-            finite = np.isfinite(block.reshape(len(ks), -1)).all(axis=1)
-            rows = len(ks) if finite.all() else int(np.argmin(finite))
-            failure = None if rows == len(ks) else (rows, SolverSingular(_NON_FINITE))
-            if rows:
-                failure = on_record(ks[:rows] * dt, block[:rows], np.arange(rows)) or failure
-            if failure:
                 t = ks[failure[0]] * dt
                 raise failure[1]
+            done, t, state = stop, ks[-1] * dt, buf_rows[rows - 1]
     except FolflowError as err:
-        raise _failed_at(err, t) from err
+        raise type(err)(f"{err} (failure at t = {t:.6g})") from err
+    return state

@@ -1,7 +1,7 @@
 """The scenarios: flow drivers, and one declaration per runnable scenario.
 
-The drivers are stepped by parabolic.march, but for the twisted product,
-whose records parabolic.evaluate_records gives in closed form:
+The drivers run on parabolic.march, which steps them, but for the twisted
+product and a small surface, which it evaluates in closed form (HeatSeries):
 
 * run_surface_of_revolution: the profile radius obeys d(rho)/dt = rho_xx,
   and the induced curvatures k = -(log rho)_x, K = -rho_xx/rho are tracked
@@ -39,12 +39,16 @@ from .errors import GapTooSmall, NonFiniteValue, NotConverged, ProfileDegenerate
 from .families import build_field
 from .fiber import (FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, _grad_log,
                     build_grid, grad_log, integrate, laplacian)
-from .parabolic import (PERIODIC, BurgersStepper, Dirichlet, HeatStepper, StepperConfig,
-                        evaluate_records, heat_symbol, march, record_steps)
+from .parabolic import (PERIODIC, BurgersStepper, Dirichlet, HeatSeries, HeatStepper,
+                        StepperConfig, march, record_steps)
 from .schrodinger import (GroundState, eigencount, ground_state, lowest_eigenvalue, spectrum,
                           weyl_theta)
 
 SLOPE_TOL = 1e-8
+# from this many nodes on, a surface marches: a step then costs about what
+# HeatSeries' costs or less (timed per step at n = 201 to 4097 on both
+# topologies, BLAS on one thread; a circle's march pays Sherman-Morrison)
+SERIES_POINTS = {"interval": 641, "circle": 3584}
 MAX_RANDOM = 10_000  # spectral_report's random potentials: about 4.5 s at n = 1024
 
 
@@ -124,9 +128,11 @@ class _RunningIntegral:
     """The trapezoid integral along a march of a quantity known at each row:
     a row adds finish(before + now), before being the quantity a row earlier.
     _sums holds the total before the last block, then its rows' terms; the
-    total after a row is summed only when read, and put in place of its term,
-    by np.add.reduce down axis 0 from the last total read, which adds row
-    after row in step order.  The initial state is a block of one adding 0."""
+    totals after the rows read are summed only then, down axis 0 from the
+    last total read, in step order: by np.add.reduce into each row read, or
+    for dense reads by one np.add.accumulate in place up to the last (one
+    reduce costs about what accumulating 500 values does, on 64 x 201 to
+    8 x 4096 blocks).  The initial state is a block of one adding 0."""
 
     def __init__(self, first: np.ndarray, finish):
         self._before, self._finish = first, finish
@@ -143,7 +149,12 @@ class _RunningIntegral:
 
     def at(self, rows: np.ndarray) -> np.ndarray:
         """The totals after the given increasing rows of the last block."""
-        for r in (rows + 1).tolist():
+        reads = (rows + 1).tolist()
+        span = self._sums[self._read:reads[-1] + 1] if reads else self._sums[:0]
+        if len(reads) * 500 >= span.size and len(span) > 1:
+            np.add.accumulate(span, axis=0, out=span)
+            self._read = reads[-1]
+        for r in reads:
             if r > self._read:
                 self._sums[r] = np.add.reduce(self._sums[self._read:r + 1], axis=0)
                 self._read = r
@@ -187,6 +198,17 @@ class SurfaceTrajectory(Trajectory):
     evolution_crosscheck: dict | None = None
 
 
+def _series_pays(grid: FiberGrid) -> bool:
+    """Below SERIES_POINTS, on an FFT length (n on a circle, 2(n-1) on an
+    interval) with no prime factor above 13: one with a larger one, as
+    2 * 199 for 200 nodes, can take several march steps' time."""
+    size = grid.n_points if grid.periodic else 2 * (grid.n_points - 1)
+    for p in (2, 3, 5, 7, 11, 13):
+        while size % p == 0:
+            size //= p
+    return size == 1 and grid.n_points < SERIES_POINTS[grid.topology.value]
+
+
 def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
                               record_every: int = 10, snapshots=None) -> SurfaceTrajectory:
     """Evolve a revolution profile by d(rho)/dt = rho_xx and track curvatures.
@@ -197,7 +219,8 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
     """
     grid = rho0.grid
     boundary = PERIODIC if grid.periodic else Dirichlet(float(rho0.values[0]), float(rho0.values[-1]))
-    stepper = HeatStepper(grid, None, StepperConfig(dt, 1.0, boundary=boundary))
+    cfg = StepperConfig(dt, 1.0, boundary=boundary)
+    step = HeatSeries(grid, cfg) if _series_pays(grid) else HeatStepper(grid, None, cfg).step
     h, periodic = grid.spacing, grid.periodic
     # int_0^t K along the run
     int_k_gauss = _RunningIntegral(-laplacian(rho0).values / rho0.values,
@@ -245,7 +268,7 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
 
     on_grid = int(np.count_nonzero(record_steps(dt, t_end, record_every) % record_every == 0))
     residuals = _EvolutionResiduals(grid, record_every * dt)
-    march(stepper.step, rho0.values, dt, t_end, record_every, advance, record)
+    march(step, rho0.values, dt, t_end, record_every, advance, record)
     traj.evolution_crosscheck = residuals.result()
     return traj
 
@@ -330,7 +353,7 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
         raise ValueError("distribution rank must be at least 1")
     if any(np.min(f.values) <= 0.0 for f in slices):
         raise ValueError("warping slices must be strictly positive")
-    symbol = heat_symbol(grid, StepperConfig(dt, float(n), boundary=PERIODIC))
+    series = HeatSeries(grid, StepperConfig(dt, float(n), boundary=PERIODIC))
     means = np.array([integrate(f) / grid.length for f in slices])
     masses0 = np.array([integrate(f) for f in slices])
     traj = TwistedTrajectory(grid, dt, t_end, record_every, snapshots, means)
@@ -348,8 +371,7 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
             for name, vals in (("f", good), ("H", H))}, failure)
 
     # one row per slice, each record in closed form
-    evaluate_records(symbol, np.array([f.values for f in slices]), dt, t_end, record_every,
-                     record)
+    march(series, np.array([f.values for f in slices]), dt, t_end, record_every, on_record=record)
     return traj
 
 

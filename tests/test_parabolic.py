@@ -19,8 +19,8 @@ from folflow.parabolic import (
     Dirichlet,
     HeatStepper,
     Scheme,
+    HeatSeries,
     StepperConfig,
-    evaluate_records,
     heat_symbol,
     march,
 )
@@ -458,17 +458,29 @@ class TestEvolveDriver:
 
 
 class TestHeatSymbol:
-    """heat_symbol and evaluate_records: HeatStepper's records in closed form."""
+    """heat_symbol and HeatSeries: HeatStepper's records in closed form."""
 
     @staticmethod
-    def _records(march_or_evaluate, *args):
+    def _records(step, u0, dt, t_end, every, on_block=None):
         records = []
 
         def keep(ts, block, rows):
             records.extend(zip(ts[rows], block[rows]))
 
-        march_or_evaluate(*args, keep)
+        march(step, u0, dt, t_end, every, on_block, keep)
         return records
+
+    def _agree(self, g, cfg, u0):
+        stepped = self._records(HeatStepper(g, None, cfg).step, u0, cfg.dt, 40 * cfg.dt, 10)
+        symbol = heat_symbol(g, cfg)
+        closed = self._records(HeatSeries(g, cfg), u0, cfg.dt, 40 * cfg.dt, 10)
+        assert np.all(np.abs(symbol) <= 1.0)
+        assert [t for t, _ in closed] == [t for t, _ in stepped]
+        assert closed[0][1] is not u0 and np.array_equal(closed[0][1], u0)
+        scale = np.max(np.abs(u0))
+        for (_, want), (_, got) in zip(stepped, closed):
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        return symbol, closed
 
     @pytest.mark.parametrize("n", [8, 64, 4096])
     @pytest.mark.parametrize("ratio", [1e-3, 1.0, 600.0])
@@ -477,41 +489,59 @@ class TestHeatSymbol:
         # which holds every mode the stencil has
         g, nu = circle(n), 2.0
         cfg = StepperConfig(ratio * g.spacing ** 2 / nu, nu, boundary=PERIODIC)
-        u0 = 1.0 + np.random.default_rng(n).standard_normal((2, n))
-        stepped = self._records(march, HeatStepper(g, None, cfg).step, u0, cfg.dt,
-                                40 * cfg.dt, 10, None)
-        symbol = heat_symbol(g, cfg)
-        closed = self._records(evaluate_records, symbol, u0, cfg.dt, 40 * cfg.dt, 10)
-        assert symbol[0] == 1.0 and np.all(np.abs(symbol) <= 1.0)
-        assert [t for t, _ in closed] == [t for t, _ in stepped]
-        assert closed[0][1] is not u0 and np.array_equal(closed[0][1], u0)
-        scale = np.max(np.abs(u0))
-        for (_, want), (_, got) in zip(stepped, closed):
-            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        symbol, _ = self._agree(g, cfg, 1.0 + np.random.default_rng(n).standard_normal((2, n)))
+        assert symbol[0] == 1.0
 
-    @pytest.mark.parametrize("shape", [(3, 256), (2, 32), (40,)])
-    def test_records_are_the_same_bits_whatever_the_block_holds(self, monkeypatch, shape):
-        g = circle(shape[-1])
+    @pytest.mark.parametrize("n", [8, 201, 1025])
+    @pytest.mark.parametrize("ratio", [1e-3, 4.0, 600.0])
+    def test_interval_records_agree_with_heat_steps(self, n, ratio):
+        # noise between held ends of two sizes, dt*nu/h^2 = 4 as surface_bump's
+        g, nu = build_grid("interval", 1.0, n), 2.0
+        u0 = 1.0 + np.random.default_rng(n).standard_normal((2, n))
+        u0[:, 0], u0[:, -1] = 0.3, 7.0
+        cfg = StepperConfig(ratio * g.spacing ** 2 / nu, nu, boundary=Dirichlet(0.3, 7.0))
+        symbol, closed = self._agree(g, cfg, u0)
+        assert len(symbol) == n - 2 and np.all(symbol < 1.0)
+        for _, u in closed:
+            assert np.all(u[:, 0] == 0.3) and np.all(u[:, -1] == 7.0)
+
+    @pytest.mark.parametrize("shape, topology", [
+        ((3, 256), "circle"), ((2, 32), "circle"), ((40,), "circle"),
+        ((201,), "interval"), ((2, 33), "interval")])
+    def test_records_are_the_same_bits_whatever_the_block_holds(self, monkeypatch, shape,
+                                                                 topology):
+        # 130 steps, every one recorded, so powers 0..63 and quotients 0, 1
+        # and 2 meet in blocks of every length; with a block hook, every
+        # step fills a row, without one only the records do
+        g = build_grid(topology, 2 * np.pi, shape[-1])
         u0 = 1.0 + 0.3 * np.cos(g.x) + 0.01 * np.random.default_rng(1).standard_normal(shape)
-        symbol = heat_symbol(g, StepperConfig(1e-3, 2.0, boundary=PERIODIC))
+        bnd = PERIODIC if g.periodic else Dirichlet(0.0, 0.0)
+        if not g.periodic:
+            u0[..., [0, -1]] = 0.0
+        series = HeatSeries(g, StepperConfig(1e-3, 2.0, boundary=bnd))
         runs = []
-        for rows in (1, 64):
+        for rows in (1, 7, 64):
             monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
-            runs.append(self._records(evaluate_records, symbol, u0, 1e-3, 0.13, 1))
-        assert len(runs[0]) == len(runs[1]) == 131
-        for (t, one), (t64, block) in zip(*runs):
-            assert t == t64 and np.array_equal(one, block)
+            for on_block in (None, lambda ts, block: None):
+                runs.append(self._records(series, u0, 1e-3, 0.13, 1, on_block))
+        assert len(runs[0]) == 131
+        for run in runs[1:]:
+            assert len(run) == 131
+            for (t, one), (t_other, other) in zip(runs[0], run):
+                assert t == t_other and np.array_equal(one, other)
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     def test_failures_keep_the_records_before_and_carry_their_time(self, monkeypatch, rows):
         # a symbol of 1e10 overflows at step 31; a record hook that rejects
         # the record of step 20 wins, being earlier
         monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
-        symbol, u0 = np.full(5, 1e10), np.ones(8)
+        monkeypatch.setattr(parabolic, "heat_symbol", lambda grid, cfg: np.full(5, 1e10))
+        series = HeatSeries(circle(8), StepperConfig(0.5, 1.0, boundary=PERIODIC))
+        u0 = np.ones(8)
         kept = []
         with pytest.raises(SolverSingular) as exc:
-            evaluate_records(symbol, u0, 0.5, 50.0, 1, lambda ts, block, rows:
-                             kept.extend(ts[rows]))
+            march(series, u0, 0.5, 50.0, 1, on_record=lambda ts, block, rows:
+                  kept.extend(ts[rows]))
         assert str(exc.value) == "implicit step produced non-finite values (failure at t = 15.5)"
         assert kept == pytest.approx(0.5 * np.arange(31))
 
@@ -520,25 +550,50 @@ class TestHeatSymbol:
             return (int(bad[0]), NonFiniteValue("record rejected")) if bad.size else None
 
         with pytest.raises(NonFiniteValue, match=r"^record rejected \(failure at t = 10\)$"):
-            evaluate_records(symbol, u0, 0.5, 50.0, 1, reject)
+            march(series, u0, 0.5, 50.0, 1, on_record=reject)
 
     @pytest.mark.parametrize("length, dt", [(1e-160, 1e300), (1e160, 1e-300)],
                              ids=["overflow", "zero"])
     def test_refuses_what_heat_stepper_refuses(self, length, dt):
         # c*nu/h^2 out of float range or zero, refused before it overflows:
         # a RuntimeWarning would fail this test
-        g, cfg = build_grid("circle", length, 16), StepperConfig(dt, 2.0, boundary=PERIODIC)
-        with pytest.raises(SolverSingular) as stepper:
-            HeatStepper(g, None, cfg)
-        with pytest.raises(SolverSingular) as symbol:
-            heat_symbol(g, cfg)
-        assert str(symbol.value) == str(stepper.value)
-        assert str(symbol.value).startswith("implicit step matrix is out of floating-point range")
+        for topology, bnd in (("circle", PERIODIC), ("interval", Dirichlet(1.0, 2.0))):
+            g, cfg = build_grid(topology, length, 16), StepperConfig(dt, 2.0, boundary=bnd)
+            with pytest.raises(SolverSingular) as stepper:
+                HeatStepper(g, None, cfg)
+            with pytest.raises(SolverSingular) as symbol:
+                heat_symbol(g, cfg)
+            assert str(symbol.value) == str(stepper.value)
+            assert str(symbol.value).startswith(
+                "implicit step matrix is out of floating-point range")
 
-    def test_needs_a_circle(self):
+    def test_refuses_a_boundary_of_the_other_topology(self):
+        # with HeatStepper's message
+        circ, line = circle(16), build_grid("interval", 1.0, 16)
+        for g, bnd in ((line, PERIODIC), (circ, Dirichlet(0.0, 0.0))):
+            cfg = StepperConfig(1e-3, 1.0, boundary=bnd)
+            with pytest.raises(ValueError) as stepper:
+                HeatStepper(g, None, cfg)
+            for make in (heat_symbol, HeatSeries):
+                with pytest.raises(ValueError) as closed:
+                    make(g, cfg)
+                assert str(closed.value) == str(stepper.value)
+
+    def test_refuses_ends_off_the_boundary_as_heat_stepper_does(self):
+        # the ends march holds are the state's, checked against the Dirichlet
+        # data on the first step; within 1e-9 of scale they pass and are held
         g = build_grid("interval", 1.0, 16)
-        with pytest.raises(ValueError):
-            heat_symbol(g, StepperConfig(1e-3, 1.0, boundary=Dirichlet(0.0, 0.0)))
+        cfg = StepperConfig(1e-3, 1.0, boundary=Dirichlet(1.0, 2.0))
+        u0 = np.linspace(1.0, 2.0, 16) + 0.1 * np.sin(np.pi * g.x)
+        for off, held in ((1e-3, None), (1e-10, True)):
+            u0[-1] = 2.0 + off
+            for step in (HeatStepper(g, None, cfg).step, HeatSeries(g, cfg)):
+                if held is None:
+                    with pytest.raises(ValueError, match="^field does not match the Dirichlet "
+                                                         "boundary values$"):
+                        march(step, u0, 1e-3, 5e-3)
+                else:
+                    assert march(step, u0, 1e-3, 5e-3)[-1] == u0[-1]
 
 
 class TestBurgersStepper:

@@ -1,6 +1,7 @@
 """Scenario drivers: revolution surfaces, twisted products, and the normalized flow."""
 import numpy as np
 import pytest
+import scipy.fft
 
 from folflow import parabolic, scenarios
 from folflow.errors import GapTooSmall, NotConverged, ProfileDegenerate
@@ -343,6 +344,7 @@ class TestRecords:
 
         monkeypatch.setattr(scenarios, "march", keep(parabolic.march))
         monkeypatch.setattr(np.fft, "irfft", keep(np.fft.irfft))
+        monkeypatch.setattr(scipy.fft, "idst", keep(scipy.fft.idst))
         traj = _short_run(flow)
         arrays = [values for record in traj.fields for values in record.values()]
         assert len(traj.fields) == len(traj.series["t"]) == 5
@@ -408,26 +410,43 @@ class TestSharedGrid:
             run(_ones(circle(64)), _ones(circle(64, 1.0)))
 
 
+@pytest.mark.parametrize("topology, n, pays", [
+    ("interval", 201, True), ("interval", 225, True), ("interval", 200, False),
+    ("interval", 640, False), ("interval", 577, True), ("interval", 641, False),
+    ("circle", 199, False), ("circle", 448, True), ("circle", 3072, True),
+    ("circle", 3584, False)])
+def test_a_surface_runs_in_closed_form_below_the_cut_on_a_fast_length(topology, n, pays):
+    # FFT lengths 2(n - 1) on an interval: 448 = 2^6 * 7 is fast, 398 = 2 *
+    # 199 and 1278 = 2 * 3^2 * 71 are not; 1152 is below the interval's
+    # cut and 1280 at it; a circle's length is n, cut at 3584
+    assert scenarios._series_pays(build_grid(topology, 1.0, n)) is pays
+
+
 class TestRunningIntegral:
     @pytest.mark.parametrize("shape", [(1, 201), (64, 201), (64, 256), (8, 4096), (3, 2, 5)])
     def test_sums_in_step_order_as_a_loop_does(self, shape):
-        # totals read at some rows of each block, and the block's last, must
-        # give a loop's bits; the first block starts the total off at random
-        rng = np.random.default_rng(11)
-        first = rng.standard_normal(shape[1:])
-        integral = scenarios._RunningIntegral(first, lambda terms: np.multiply(terms, 0.25, terms))
-        want, before, running = [], first, np.zeros(shape[1:])
-        for block in (rng.standard_normal((5, *shape[1:])), rng.standard_normal(shape) * 1e3,
-                      rng.standard_normal(shape)):
-            integral.add(block.copy())
-            for row in block:
-                running = running + 0.25 * (before + row)
-                want.append(running)
-                before = row
-            rows = np.unique(rng.integers(0, len(block), 3))
-            assert np.array_equal(integral.at(rows), np.array(want[-len(block):])[rows])
-            assert np.array_equal(integral.at(rows[-1:]), want[-len(block) + rows[-1]][None])
-        assert np.array_equal(integral.last(), want[-1])
+        # totals read at a few rows of each block, or at every row as when
+        # every step is recorded, and the block's last, must give a loop's
+        # bits; the first block starts the total off at random
+        for every_row in (False, True):
+            rng = np.random.default_rng(11)
+            first = rng.standard_normal(shape[1:])
+            integral = scenarios._RunningIntegral(first, lambda terms: np.multiply(terms, 0.25,
+                                                                                   terms))
+            want, before, running = [], first, np.zeros(shape[1:])
+            for block in (rng.standard_normal((5, *shape[1:])), rng.standard_normal(shape) * 1e3,
+                          rng.standard_normal(shape)):
+                integral.add(block.copy())
+                for row in block:
+                    running = running + 0.25 * (before + row)
+                    want.append(running)
+                    before = row
+                rows = (np.arange(len(block)) if every_row else
+                        np.unique(rng.integers(0, len(block), 3)))
+                assert np.array_equal(integral.at(rows), np.array(want[-len(block):])[rows])
+                assert np.array_equal(integral.at(rows[-1:]),
+                                      want[-len(block) + rows[-1]][None])
+            assert np.array_equal(integral.last(), want[-1])
 
     def test_the_initial_record_reads_zero(self):
         integral = scenarios._RunningIntegral(np.ones(4), lambda terms: terms)

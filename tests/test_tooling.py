@@ -24,12 +24,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from folflow import parabolic
 from folflow.config import parse_config, parse_config_text, realize_field
 from folflow.fiber import ScalarField, build_grid
 from folflow.parabolic import BurgersStepper, HeatStepper
-from folflow.scenarios import (SCENARIOS, cole_hopf_rows, run_normalized_flow,
+from folflow.scenarios import (SCENARIOS, SERIES_POINTS, cole_hopf_rows, run_normalized_flow,
                                run_surface_of_revolution, run_twisted_product)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,26 +128,35 @@ def test_parabolic_probes_run(monkeypatch):
     assert all(math.isfinite(got[name][0]) for name in declared)
 
 
-@pytest.mark.parametrize("flow", ["surface", "twisted", "normalized", "cole_hopf"])
+@pytest.mark.parametrize("flow", ["surface_series", "surface_large", "surface_slow_fft", "torus",
+                                  "torus_large", "twisted", "normalized", "cole_hopf"])
 def test_each_step_of_a_run_is_one_stepper_step_call(monkeypatch, flow):
     # perfbench counts parabolic.heat_steps and burgers_steps by wrapping the
     # two step methods in their class bodies, as done here, so a march that
-    # stepped past them would read 0 steps there; the twisted product steps
-    # none, and evaluates each record but the initial one once instead
+    # stepped past them would read 0 steps there; a surface below the size
+    # cut and the twisted product step none, and evaluate one inverse
+    # transform row per step (the surface's block hook sees every step) or
+    # per record but the initial one
     calls, evaluated = collections.Counter(), []
     for cls in (HeatStepper, BurgersStepper):
         def counted(self, *args, _step=cls.__dict__["step"], _name=cls.__name__, **kwargs):
             calls[_name] += 1
             return _step(self, *args, **kwargs)
         monkeypatch.setattr(cls, "step", counted)
-    irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda coef, *args, **kwargs: evaluated.append(
-        len(coef)) or irfft(coef, *args, **kwargs))
+    for module, name in ((np.fft, "irfft"), (scipy.fft, "idst")):
+        monkeypatch.setattr(module, name, lambda coef, *args, _inverse=getattr(module, name),
+                            **kwargs: evaluated.append(len(coef)) or _inverse(coef, *args, **kwargs))
     monkeypatch.setattr(parabolic, "_BLOCK_ROWS", 7)
-    g = build_grid("interval" if flow == "surface" else "circle", 2 * np.pi, 32)
+    # an interval of 33 nodes runs a sine series of FFT length 64, one of 32
+    # (2 * 31) or of SERIES_POINTS nodes marches; a torus of 32 is a series,
+    # one of SERIES_POINTS nodes marches; both cuts are FFT lengths (1280,
+    # 3584) without a prime factor above 13, so only the size makes them march
+    n = {"surface_series": 33, "surface_large": SERIES_POINTS["interval"],
+         "torus_large": SERIES_POINTS["circle"]}.get(flow, 32)
+    g = build_grid("interval" if flow.startswith("surface") else "circle", 2 * np.pi, n)
     bump = ScalarField(g, 1.5 + 0.3 * np.sin(g.x))
     dt, t_end = 1e-3, 0.05
-    if flow == "surface":
+    if flow.startswith(("surface", "torus")):
         run_surface_of_revolution(bump, dt, t_end, record_every=3)
     elif flow == "twisted":
         run_twisted_product((bump, bump * 0.5, bump * 0.7), 2, dt, t_end, record_every=3)
@@ -156,12 +166,18 @@ def test_each_step_of_a_run_is_one_stepper_step_call(monkeypatch, flow):
     else:
         cole_hopf_rows(bump, ScalarField(g, 0.2 * bump.values), 1.0, dt, t_end, 3)
     steps = round(t_end / dt)
-    expected = {"HeatStepper": 0 if flow == "twisted" else steps,
+    marched = flow in ("surface_large", "surface_slow_fft", "torus_large", "normalized",
+                       "cole_hopf")
+    expected = {"HeatStepper": steps if marched else 0,
                 "BurgersStepper": steps if flow == "cole_hopf" else 0}
     assert {name: calls[name] for name in expected} == expected
     if flow == "twisted":
         assert evaluated == [7, 7, 3]  # records after steps 3, 6, ..., 48 and the last, 50
         assert sum(evaluated) == len(parabolic.record_steps(dt, t_end, 3)) - 1
+    elif not marched:
+        assert evaluated == [7] * 7 + [1]  # steps 1..49 in blocks of 7, then 50
+    else:
+        assert evaluated == []
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
