@@ -146,7 +146,8 @@ def integrate(field) -> float:
     g = field.grid
     if g.periodic:
         return float(g.spacing * np.sum(field.values))
-    return float(np.trapezoid(field.values, dx=g.spacing))
+    # np.trapezoid's sum, written out: NumPy 1.x has no np.trapezoid
+    return float((g.spacing * (field.values[1:] + field.values[:-1]) / 2.0).sum())
 
 
 def grad_log(u: ScalarField, scale: float = 1.0) -> VectorAlongFiber:

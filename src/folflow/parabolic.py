@@ -8,16 +8,17 @@ and forcing (IMEX).  Each implicit matrix I - c*(nu*Lap + V) is symmetric
 tridiagonal and must be positive definite, c*max(V) < 1: LAPACK dpttrf factors
 it once, prescaled so that a step multiplies by no scalar (heat divides it by
 2c*nu/h^2 and solves against the bare stencil, Burgers by 2c), and dpttrs
-solves for the increment d of each step u + d, zero at an interval's held
-ends, with Sherman-Morrison for a circle's corners.  Fields run along the last axis:
+solves for the increment d of each step u + d, zero at an interval's held ends,
+with Sherman-Morrison for a circle's corners.  Fields run along the last axis:
 values are (n,), or (m, n) with a field per row.  A step maps a field to a
 field of the same type and values to new values, checked finite; or it writes
 values into a given out array, allocating no state-sized array and checking
-nothing, which is how march steps them: march checks each block of steps
-finite at once.  A stepper keeps work arrays the size of one state, so it
-takes one step at a time.  Without a reaction the heat step is diagonal in
-a Fourier basis, rfft on a circle and DST-I on an interval: heat_symbol is
-its symbol, and a HeatSeries fills march's blocks from it in closed form.
+nothing.  march drives every stepper by one protocol: start(state) checks the
+initial state once, and fill(ks, out) writes steps ks into a block's rows,
+which march checks finite at once.  A stepper fills by stepping from its last
+row, with work arrays the size of one state.  Without a reaction the heat step
+is diagonal in a Fourier basis, rfft on a circle and DST-I on an interval:
+heat_symbol is its symbol, and a HeatSeries fills from it in closed form.
 """
 from __future__ import annotations
 
@@ -169,7 +170,10 @@ class _Tridiagonal:
 
 
 class _Stepper:
-    """What both steppers share: the checks on their inputs, and a step without out."""
+    """What every stepper shares: the checks on its inputs, a step without
+    out, and march's start and fill, which fills by stepping."""
+
+    skips = False  # whether fill may be given the record steps alone
 
     def __init__(self, grid: FiberGrid, cfg: StepperConfig, coefficient, name: str):
         if grid.periodic != isinstance(cfg.boundary, Periodic):
@@ -181,6 +185,18 @@ class _Stepper:
 
     def _check(self, vals: np.ndarray):
         """Raise if values may not be stepped."""
+
+    def start(self, state: np.ndarray):
+        """Take state, (n,) or (m, n), as step 0, checked once."""
+        self._check(state)
+        self._last = state
+
+    def fill(self, ks: np.ndarray, out: np.ndarray):
+        """out[i] = step ks[i], the steps after the last filled, one by one."""
+        u = self._last
+        for row in out:
+            u = self.step(u, row)
+        self._last = u
 
     def _fresh(self, u):
         """A step of u into a new array, checked finite, or into a new field of u's type."""
@@ -214,7 +230,7 @@ class HeatStepper(_Stepper):
 
     def step(self, u, out: np.ndarray | None = None):
         """One step of u: values, (n,) or (m, n) with a field per row, or a field.
-        With out, the values step into out (which may be u) unchecked, as march
+        With out, the values step into out (which may be u) unchecked, as fill
         steps them.  Without, a new array or field is returned, u's ends checked
         against Dirichlet data and the result checked finite."""
         return self._fresh(u) if out is None else self._step(u, out)
@@ -313,6 +329,7 @@ class HeatSeries(_Stepper):
     np.power with an exponent per element: no step depends on the others."""
 
     S = 64
+    skips = True
     _check = HeatStepper._check
 
     def __init__(self, grid: FiberGrid, cfg: StepperConfig):
@@ -322,7 +339,7 @@ class HeatSeries(_Stepper):
             self._table = np.cumprod([np.ones_like(symbol), *[symbol] * (self.S - 1)], axis=0)
 
     def start(self, state: np.ndarray):
-        """Take state, (n,) or (m, n), as step 0."""
+        """Take state, (n,) or (m, n), as step 0, checked once."""
         self._check(state)
         with np.errstate(over="ignore", invalid="ignore"):
             if self.grid.periodic:
@@ -370,34 +387,30 @@ _BLOCK_ROWS = 64
 _BLOCK_DOUBLES = 2 ** 15
 
 
-def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 1,
+def march(stepper, state: np.ndarray, dt: float, t_end: float, record_every: int = 1,
           on_block=None, on_record=None):
     """The one time-marching loop: step state, (n,) or (m, n) with a field per
-    row, until t_end.  step(u) returns the state a step after u and makes the
-    stepper's checks of its input; step(u, out) writes it into out, which may
-    be u itself, and checks nothing.  The first step is step(u), the rest
-    step into a block buffer, one state per row, until it is full or the run
-    ends.  Or step is a HeatSeries, which fills the block in closed form, at
-    every step with on_block, else at the record steps only.  The block's
-    rows are then checked finite at once: the first non-finite one fails as
-    a step that raises does (numpy's overflow and invalid warnings are off
-    while a block fills).  on_block(ts, block) sees the block's times and
-    states before a failed row and returns None, or (row, error) for the
-    first row its monitors reject.  on_record(ts, block, rows) sees the same
-    block and the rows to record (record_steps) before the first rejected
-    row; the initial state comes as a block of one row, which on_block does
-    not see.  It returns None, or (i, error) for the first of those records
-    it rejects.  The first failure in step order is raised with its time.
-    Returns the final state.
+    row, until t_end.  stepper.start(state) checks the initial state, and
+    stepper.fill(ks, out) writes the states after steps ks into out's
+    rows, a block buffer of one state per row, until it is full or the run ends.
+    A stepper that skips fills the record steps alone if there is no on_block.
+    The block's rows are then checked finite at once: the first non-finite one
+    fails the run at its step (numpy's overflow and invalid warnings are off
+    while a block fills).  on_block(ts, block) sees the block's times and states
+    before a failed row and returns None, or (row, error) for the first row its
+    monitors reject.  on_record(ts, block, rows) sees the same block and the
+    rows to record (record_steps) before the first rejected row; the initial
+    state comes as a block of one row, which on_block does not see.  It returns
+    None, or (i, error) for the first of those records it rejects.  The first
+    failure in step order is raised with its time.  Returns the final state.
     """
     steps = record_steps(dt, t_end, record_every)
     state = np.asarray(state, dtype=float)
     buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // state.size)), *state.shape))
-    buf_rows = list(buf)
-    if series := isinstance(step, HeatSeries):
-        step.start(state)
-    # the steps to fill: every one, or with a series and no on_block the records
-    only_records = series and on_block is None
+    stepper.start(state)
+    # the steps to fill: every one, or the records if the stepper may skip
+    # and no on_block needs the others
+    only_records = stepper.skips and on_block is None
     total = len(steps) - 1 if only_records else int(steps[-1])
     marks, done, t = steps.tolist(), 0, 0.0
     try:
@@ -410,19 +423,7 @@ def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 
             rows = len(ks)
             failure = None  # (row of the block, error)
             with np.errstate(over="ignore", invalid="ignore"):
-                if series:
-                    step.fill(ks, buf[:rows])
-                else:
-                    for j in range(rows):
-                        try:
-                            if done or j:
-                                step(state, buf_rows[j])
-                            else:
-                                buf[0] = step(state)
-                        except FolflowError as err:
-                            failure, rows = (j, err), j
-                            break
-                        state = buf_rows[j]
+                stepper.fill(ks, buf[:rows])
             finite = np.isfinite(buf[:rows].reshape(rows, state.size)).all(axis=1)
             if not finite.all():
                 rows = int(np.argmin(finite))
@@ -439,7 +440,7 @@ def march(step, state: np.ndarray, dt: float, t_end: float, record_every: int = 
             if failure is not None:
                 t = ks[failure[0]] * dt
                 raise failure[1]
-            done, t, state = stop, ks[-1] * dt, buf_rows[rows - 1]
+            done, t, state = stop, ks[-1] * dt, buf[rows - 1]
     except FolflowError as err:
         raise type(err)(f"{err} (failure at t = {t:.6g})") from err
     return state

@@ -1,7 +1,7 @@
 """The scenarios: flow drivers, and one declaration per runnable scenario.
 
-The drivers run on parabolic.march, which steps them, but for the twisted
-product and a small surface, which it evaluates in closed form (HeatSeries):
+The drivers hand parabolic.march a stepper, which steps, or for the twisted
+product and a small surface fills its blocks in closed form (HeatSeries):
 
 * run_surface_of_revolution: the profile radius obeys d(rho)/dt = rho_xx,
   and the induced curvatures k = -(log rho)_x, K = -rho_xx/rho are tracked
@@ -40,7 +40,7 @@ from .families import build_field
 from .fiber import (FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, _grad_log,
                     build_grid, grad_log, integrate, laplacian)
 from .parabolic import (PERIODIC, BurgersStepper, Dirichlet, HeatSeries, HeatStepper,
-                        StepperConfig, march, record_steps)
+                        StepperConfig, _Stepper, march, record_steps)
 from .schrodinger import (GroundState, eigencount, ground_state, lowest_eigenvalue, spectrum,
                           weyl_theta)
 
@@ -220,7 +220,7 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
     grid = rho0.grid
     boundary = PERIODIC if grid.periodic else Dirichlet(float(rho0.values[0]), float(rho0.values[-1]))
     cfg = StepperConfig(dt, 1.0, boundary=boundary)
-    step = HeatSeries(grid, cfg) if _series_pays(grid) else HeatStepper(grid, None, cfg).step
+    stepper = HeatSeries(grid, cfg) if _series_pays(grid) else HeatStepper(grid, None, cfg)
     h, periodic = grid.spacing, grid.periodic
     # int_0^t K along the run
     int_k_gauss = _RunningIntegral(-laplacian(rho0).values / rho0.values,
@@ -268,7 +268,7 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
 
     on_grid = int(np.count_nonzero(record_steps(dt, t_end, record_every) % record_every == 0))
     residuals = _EvolutionResiduals(grid, record_every * dt)
-    march(step, rho0.values, dt, t_end, record_every, advance, record)
+    march(stepper, rho0.values, dt, t_end, record_every, advance, record)
     traj.evolution_crosscheck = residuals.result()
     return traj
 
@@ -490,7 +490,7 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
         }, {"u": u, "H": H, "betaD": np.broadcast_to(betaD.values, u.shape), "T2": t2,
             "scmixT2": sc}, failure)
 
-    march(stepper.step, u0.values, dt, t_end, record_every, advance, record)
+    march(stepper, u0.values, dt, t_end, record_every, advance, record)
     traj.growth_exponent = ScalarField(grid, exponent.last())
     return traj
 
@@ -573,15 +573,29 @@ def fit_decay_rate(
 # velocity against transformed density
 
 
+class _ColeHopfPair(_Stepper):
+    """The state (u, H), one row each: heat with reaction nu*forcing steps u,
+    Burgers with forcing steps H.  march drives it by start and fill alone,
+    so its step always takes out."""
+
+    def __init__(self, grid: FiberGrid, forcing: ScalarField, cfg: StepperConfig):
+        super().__init__(grid, cfg, forcing, "forcing")
+        self.heat = HeatStepper(grid, ScalarField(grid, cfg.diffusivity * forcing.values), cfg)
+        self.burgers = BurgersStepper(grid, forcing, cfg)
+
+    def step(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self.heat.step(s[0], out[0])
+        self.burgers.step(s[1], out[1])
+        return out
+
+
 def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, t_end: float,
                    record_every: int, snapshots=None) -> Trajectory:
     """Step dH/dt + (H^2)_y = nu*H_yy - nu^2*forcing_y and d(u)/dt = nu*(u_yy + forcing*u)
     side by side from H = -nu*(log u0)_y; rows hold the sup distance between H
     and the transform -nu*(log u)_y."""
     grid = _shared_grid(u0, forcing)
-    ucfg = StepperConfig(dt, float(nu), boundary=PERIODIC)
-    heat = HeatStepper(grid, ScalarField(grid, nu * forcing.values), ucfg)
-    burg = BurgersStepper(grid, forcing, ucfg)
+    pair = _ColeHopfPair(grid, forcing, StepperConfig(dt, float(nu), boundary=PERIODIC))
     traj = Trajectory(grid, dt, t_end, record_every, snapshots)
 
     def record(ts, block, rows):
@@ -591,14 +605,7 @@ def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, 
             {"sup_diff": np.max(np.abs(H[:len(transformed)] - transformed), axis=-1)},
             {"H_direct": H, "H_transformed": transformed, "u": u}, failure)
 
-    def step(s, out=None):
-        # the state is the pair (u, H), one row each
-        out = np.empty_like(s) if out is None else out
-        heat.step(s[0], out[0])
-        burg.step(s[1], out[1])
-        return out
-
-    march(step, np.array((u0.values, grad_log(u0, -float(nu)).values)), dt, t_end,
+    march(pair, np.array((u0.values, grad_log(u0, -float(nu)).values)), dt, t_end,
           record_every, on_record=record)
     return traj
 
@@ -842,7 +849,8 @@ SCENARIOS = {s.name: s for s in (
         name="surface",
         about=("profile radius of a surface of revolution relaxing under its own curvature;",
                "initial = rho0 (> 0, |slope| <= 1) on an interval or a circle, and an",
-               "interval profile keeps its end radii, which a dirichlet boundary must repeat"),
+               "interval profile keeps its end radii, which a dirichlet boundary must repeat;",
+               "arc_residual is the slope guard's margin, rounding while |slope| <= 1"),
         equations=("d(rho)/dt = rho_xx ; k = -(log rho)_x ; K = -rho_xx/rho",
                    "metric factor shrinks as d(g)/dt = -2*K*g_hat, i.e. (rho/rho0)^2"),
         keys=("initial", "boundary"),
@@ -871,7 +879,8 @@ SCENARIOS = {s.name: s for s in (
         name="normalized",
         about=("normalized flow of a bundle-like foliated metric, conformal on the",
                "orthogonal distribution; circle fiber, initial = u0 (> 0),",
-               "potential = betaD (>= 0), t2_initial = |T|^2 (>= 0), n_rank = n"),
+               "potential = betaD (>= 0), t2_initial = |T|^2 (>= 0), n_rank = n;",
+               "betaD_drift is betaD's change, an input held fixed: 0.0 by construction"),
         equations=("d(u)/dt = n*(u_yy + betaD*u) ; H = -n*(grad u)/u",
                    "Sc_mix - |T|^2 = -n*(u_yy + betaD*u)/u -> n*lambda0",
                    "d(|T|^2)/dt = 4*(Sc_mix - |T|^2 - Phi)*|T|^2, Phi = n*lambda0"),

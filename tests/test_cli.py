@@ -27,7 +27,7 @@ from folflow.config import parse_config, parse_config_text
 from folflow.errors import FolflowError, ValidationError
 from folflow.families import FAMILY_PARAMS, build_field
 from folflow.fiber import build_grid
-from folflow.scenarios import COMMON_KEYS, MAX_RANDOM, SCENARIOS
+from folflow.scenarios import COMMON_KEYS, MAX_RANDOM, SCENARIOS, _series_pays
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -507,22 +507,26 @@ class TestDeterminism:
             payloads.append(summary_sans_meta(out))
         assert payloads[0] == payloads[1]
 
-    def test_spectral_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path, config):
         written, summaries = [], []
         for threads in ("1", "2"):
             out = tmp_path / threads
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-            proc = subprocess.run([sys.executable, "-m", "folflow.cli", "run",
-                                   str(CONFIGS / "spectral_cosine.yaml"), "--out", str(out),
-                                   "--quiet"], capture_output=True, text=True, env=env)
+            proc = subprocess.run([sys.executable, "-m", "folflow.cli", "run", str(config),
+                                   "--out", str(out), "--quiet"],
+                                  capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
             summaries.append(summary_sans_meta(out))
-        assert {"trajectory.csv", "fields_0.000000.csv"} <= set(written[0])
+        # a fields file at each snapshot time of the config, all on records, and no other
+        snapshots = parse_config(config).time.snapshots
+        assert set(written[0]) == {"trajectory.csv", *map(snapshot_name, snapshots)}
         assert written[0] == written[1]
-        # min_bound_margin and lambda0_lanczos are in the summary alone
-        assert summaries[0]["results"]["min_bound_margin"] >= 0.0
-        assert summaries[0] == summaries[1]
+        # min_bound_margin and lambda0_lanczos are in spectral_report's summary alone
+        if summaries[0]["config"]["scenario"] == "spectral_report":
+            assert summaries[0]["results"]["min_bound_margin"] >= 0.0
+        assert summaries[0]["status"] == "ok" and summaries[0] == summaries[1]
 
     def test_field_columns_written_as_the_repr_of_their_values(self, tmp_path):
         x = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0])
@@ -589,12 +593,21 @@ def _run_artifacts(cfg, out: Path) -> dict:
     return {**written, "results": summary_sans_meta(out)["results"]}
 
 
+# SHORT_RUNS' surface, 101 interval nodes, runs as a sine series; one of 200
+# nodes, whose FFT length 2 * 199 has a prime factor above 13, marches
+BLOCK_RUNS = {**SHORT_RUNS,
+              "surface_marched": SHORT_RUNS["surface"].replace("n_points: 101", "n_points: 200")}
+
+
 class TestBlockEdges:
     """march evaluates steps in blocks; the block length must not show in any artifact."""
 
-    @pytest.mark.parametrize("scenario", sorted(SHORT_RUNS))
+    @pytest.mark.parametrize("scenario", sorted(BLOCK_RUNS))
     def test_block_length_leaves_artifacts_unchanged(self, tmp_path, monkeypatch, scenario):
-        raw = yaml.safe_load(SHORT_RUNS[scenario])
+        raw = yaml.safe_load(BLOCK_RUNS[scenario])
+        if scenario.startswith("surface"):
+            assert _series_pays(parse_config_text(BLOCK_RUNS[scenario]).grid) == (
+                scenario == "surface")
         runs = {}
         # 50 or 100 steps (spectral_report: none); 3 and 9 divide neither
         # the step counts nor the block lengths 7 and 64

@@ -187,6 +187,15 @@ class TestIntegrate:
         g = interval(101)
         assert integrate(ScalarField(g, g.x)) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [8, 9, 101, 1001, 4097])
+    def test_interval_sum_is_np_trapezoid_bit_for_bit(self, n):
+        # integrate writes out NumPy 2's np.trapezoid, which NumPy 1.x names trapz
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        rng = np.random.default_rng(n)
+        g = interval(n, length=rng.uniform(0.1, 10.0))
+        for vals in (rng.standard_normal(n), np.exp(rng.uniform(-30, 30, n))):
+            assert integrate(ScalarField(g, vals)) == trapezoid(vals, dx=g.spacing)
+
 
 class TestGradLog:
     def test_matches_analytic_log_derivative(self):

@@ -139,9 +139,12 @@ class TestStepperErrors:
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=Dirichlet(0.0, 0.0)))
         with pytest.raises(ValueError):
             stepper.step(ScalarField(g, np.ones(64)))
-        # march checks the initial state's ends once, by its first step
+        # march checks the initial state's ends once, by the stepper's start,
+        # before the initial record
+        recorded = []
         with pytest.raises(ValueError, match="Dirichlet"):
-            march(stepper.step, np.ones(64), 1e-3, 0.01)
+            march(stepper, np.ones(64), 1e-3, 0.01, on_record=lambda *args: recorded.append(args))
+        assert recorded == []
 
     def test_singular_implicit_matrix_detected(self):
         # V = 2/dt makes (I - dt/2 (nu*Lap + V)) singular on the constants
@@ -337,6 +340,18 @@ class TestIntervalEndsAndPivots:
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+class _Count(parabolic._Stepper):
+    """A fake stepper whose state k is k after step k, filled by _Stepper's
+    stepping; the step from fails_after writes inf, as a step that fails does."""
+
+    def __init__(self, fails_after=None):
+        self.fails_after = fails_after
+
+    def step(self, u, out):
+        # out may be u itself
+        return np.add(u, np.inf if u[0] == self.fails_after else 1.0, out)
+
+
 class TestEvolveDriver:
     """march, the one time-marching loop, driving a heat stepper."""
 
@@ -345,7 +360,7 @@ class TestEvolveDriver:
         u0 = ScalarField(g, np.ones(64))
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
         recs = []
-        march(stepper.step, u0.values, 1e-3, 0.0,
+        march(stepper, u0.values, 1e-3, 0.0,
               on_record=lambda ts, block, rows: recs.extend(zip(ts[rows], block[rows])))
         assert len(recs) == 1 and recs[0][0] == 0.0
 
@@ -358,7 +373,7 @@ class TestEvolveDriver:
         def span(ts, block, rows):
             recs.extend((t, float(np.max(u) - np.min(u))) for t, u in zip(ts[rows], block[rows]))
 
-        march(stepper.step, u0.values, 1e-3, 0.1, record_every=20, on_record=span)
+        march(stepper, u0.values, 1e-3, 0.1, record_every=20, on_record=span)
         assert [t for t, _ in recs] == pytest.approx([0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
         spans = [s for _, s in recs]
         assert all(a > b for a, b in zip(spans, spans[1:]))
@@ -371,21 +386,16 @@ class TestEvolveDriver:
         monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
         seen, records = [], []
 
-        def step(u, out=None):
-            if u[0] == 11.0:
-                raise SolverSingular("step failed")
-            return np.add(u, 1.0, out=out)
-
         def on_block(ts, block):
             seen.extend(ts)
             bad = np.flatnonzero(block[:, 0] == reject)
             return (int(bad[0]), NonFiniteValue("state rejected")) if bad.size else None
 
         with pytest.raises(FolflowError) as exc:
-            march(step, np.zeros(3), 0.5, 10.0, 4, on_block,
+            march(_Count(fails_after=11.0), np.zeros(3), 0.5, 10.0, 4, on_block,
                   lambda ts, block, rows: records.extend(zip(ts[rows], block[rows, 0])))
         if reject is None:
-            assert str(exc.value) == "step failed (failure at t = 6)"
+            assert str(exc.value) == "implicit step produced non-finite values (failure at t = 6)"
             assert seen == pytest.approx(0.5 * np.arange(1, 12))
         else:
             assert str(exc.value) == "state rejected (failure at t = 5)"
@@ -419,8 +429,7 @@ class TestEvolveDriver:
                 records.append(u)
 
         with pytest.raises(FolflowError) as exc:
-            march(lambda u, out=None: np.add(u, 1.0, out=out), np.zeros(3), 0.5, 10.0, 2,
-                  on_block, on_record)
+            march(_Count(), np.zeros(3), 0.5, 10.0, 2, on_block, on_record)
         assert str(exc.value) == error
         assert records == kept
         assert reject not in seen
@@ -443,7 +452,7 @@ class TestEvolveDriver:
             with pytest.raises(SolverSingular, match="^implicit step produced non-finite values$"):
                 stepper.step(alone[-1])
             with pytest.raises(SolverSingular) as exc:
-                march(stepper.step, u0, dt, 30.0, 10, on_record=lambda ts, block, rows:
+                march(stepper, u0, dt, 30.0, 10, on_record=lambda ts, block, rows:
                       records.extend(zip(ts[rows], block[rows])))
         assert str(exc.value) == "implicit step produced non-finite values (failure at t = 19.4)"
         assert [t for t, _ in records] == pytest.approx(dt * np.arange(0, 194, 10))
@@ -454,7 +463,7 @@ class TestEvolveDriver:
         g = circle(64)
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
         with pytest.raises(ValueError):
-            march(stepper.step, np.ones(64), 1e-3, -1.0)
+            march(stepper, np.ones(64), 1e-3, -1.0)
 
 
 class TestHeatSymbol:
@@ -471,7 +480,7 @@ class TestHeatSymbol:
         return records
 
     def _agree(self, g, cfg, u0):
-        stepped = self._records(HeatStepper(g, None, cfg).step, u0, cfg.dt, 40 * cfg.dt, 10)
+        stepped = self._records(HeatStepper(g, None, cfg), u0, cfg.dt, 40 * cfg.dt, 10)
         symbol = heat_symbol(g, cfg)
         closed = self._records(HeatSeries(g, cfg), u0, cfg.dt, 40 * cfg.dt, 10)
         assert np.all(np.abs(symbol) <= 1.0)
@@ -581,13 +590,13 @@ class TestHeatSymbol:
 
     def test_refuses_ends_off_the_boundary_as_heat_stepper_does(self):
         # the ends march holds are the state's, checked against the Dirichlet
-        # data on the first step; within 1e-9 of scale they pass and are held
+        # data by start; within 1e-9 of scale they pass and are held
         g = build_grid("interval", 1.0, 16)
         cfg = StepperConfig(1e-3, 1.0, boundary=Dirichlet(1.0, 2.0))
         u0 = np.linspace(1.0, 2.0, 16) + 0.1 * np.sin(np.pi * g.x)
         for off, held in ((1e-3, None), (1e-10, True)):
             u0[-1] = 2.0 + off
-            for step in (HeatStepper(g, None, cfg).step, HeatSeries(g, cfg)):
+            for step in (HeatStepper(g, None, cfg), HeatSeries(g, cfg)):
                 if held is None:
                     with pytest.raises(ValueError, match="^field does not match the Dirichlet "
                                                          "boundary values$"):
