@@ -21,6 +21,7 @@ import yaml
 from .errors import ParseError, ValidationError
 from .families import FAMILY_PARAMS, build_field
 from .fiber import FiberGrid, ScalarField, build_grid
+from .parabolic import Dirichlet, record_steps
 from .scenarios import COMMON_KEYS, SCENARIOS
 
 # the field keys and the field each takes when the config leaves it out
@@ -227,6 +228,11 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
                         "positive and finite")
     n_points = _as_int(grid_map.get("n_points", 0), "grid.n_points", errs, 8)
     grid = build_grid(topology, length, n_points) if not errs else None
+    # the stencils divide by h*h, and the default dt is a quarter of h**2
+    if grid is not None and not 0.0 < grid.spacing * grid.spacing < np.inf:
+        errs.append(f"grid: spacing {grid.spacing:g} squares to {grid.spacing * grid.spacing:g}, "
+                    "out of the float range")
+        grid = None
 
     if "time" not in raw:
         raise ParseError("configuration needs a 'time' section")
@@ -235,13 +241,18 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     t_end = _as_number(time_map.get("t_end", float("nan")), "time.t_end", errs,
                        "nonnegative and finite")
     dt = min(1e-3, 0.25 * grid.spacing ** 2) if grid is not None else 1e-3
-    if "dt" in time_map:
-        dt = _as_number(time_map["dt"], "time.dt", errs, "positive and finite")
-    if _RANGES["positive and finite"](dt) and _RANGES["positive and finite"](t_end):
-        steps = round(t_end / dt)
-        if steps < 1 or abs(steps * dt - t_end) > 1e-9 * max(dt, t_end):
-            errs.append(f"time.t_end = {t_end} is not a whole number of dt = {dt} steps")
+    # a default that underflows to 0 is refused as a given 0 is
+    dt = _as_number(time_map.get("dt", dt), "time.dt", errs, "positive and finite")
     record_every = _as_int(time_map.get("record_every", 10), "time.record_every", errs, 1)
+    if (_RANGES["positive and finite"](dt) and _RANGES["nonnegative and finite"](t_end)
+            and record_every is not None):
+        try:  # the schedule the run records on
+            record_steps(dt, t_end, record_every)
+        except ValueError as err:
+            errs.append(f"time.{err}")
+        except MemoryError as err:
+            errs.append(f"time: the records of t_end = {t_end} in steps of dt = {dt} "
+                        f"do not fit in memory ({err})")
     snaps_raw = time_map.get("snapshots", [0.0, t_end])
     if not isinstance(snaps_raw, list):
         errs.append("time.snapshots must be a list of times")
@@ -291,7 +302,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
                     continue
                 try:
                     fields[which] = build_field(grid, spec.family, spec.params)
-                except (ValueError, OSError) as err:
+                except (ValueError, OSError, MemoryError) as err:
                     field_errs.append(f"{which}: {err}")
 
     base_values_raw = raw.get("base_values", [0.4, 0.45, 0.5])
@@ -332,30 +343,32 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
 
 
 def _boundary_spec(raw, topology: str, initial: ScalarField | None, errs) -> BoundarySpec:
+    """The boundary that runs: periodic on a circle, else the initial field's
+    ends, which a given boundary's kind and ends are checked against."""
+    ends = (0.0, 0.0) if initial is None else (float(initial.values[0]), float(initial.values[-1]))
     if "boundary" in raw:
         bmap = _require_mapping(raw["boundary"], "boundary")
         _reject_unknown(bmap, _BOUNDARY_KEYS, "boundary")
         kind = bmap.get("kind")
         if kind not in ("periodic", "dirichlet"):
             errs.append(f"boundary.kind must be 'periodic' or 'dirichlet', got {kind!r}")
-            return BoundarySpec(kind="periodic")
-        if kind == "periodic":
+        elif kind == "periodic":
             if topology != "circle":
                 errs.append("periodic boundary needs circle topology")
             if "left" in bmap or "right" in bmap:
                 errs.append("periodic boundary takes no left/right values")
-            return BoundarySpec(kind="periodic")
-        if topology != "interval":
-            errs.append("dirichlet boundary needs interval topology")
-        left = _as_number(bmap.get("left", float("nan")), "boundary.left", errs, "finite")
-        right = _as_number(bmap.get("right", float("nan")), "boundary.right", errs, "finite")
-        return BoundarySpec(kind="dirichlet", left=left, right=right)
+        else:
+            if topology != "interval":
+                errs.append("dirichlet boundary needs interval topology")
+            left = _as_number(bmap.get("left", float("nan")), "boundary.left", errs, "finite")
+            right = _as_number(bmap.get("right", float("nan")), "boundary.right", errs, "finite")
+            if (initial is not None and np.isfinite((left, right)).all()
+                    and Dirichlet(left, right).misses(initial.values)):
+                errs.append(f"boundary: surface holds the initial profile's ends {ends} fixed, "
+                            f"got left = {left}, right = {right}")
     if topology == "circle":
         return BoundarySpec(kind="periodic")
-    if initial is not None:
-        vals = initial.values
-        return BoundarySpec(kind="dirichlet", left=float(vals[0]), right=float(vals[-1]))
-    return BoundarySpec(kind="dirichlet", left=0.0, right=0.0)
+    return BoundarySpec(kind="dirichlet", left=ends[0], right=ends[1])
 
 
 def check_seed(seed) -> int:

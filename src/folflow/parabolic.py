@@ -49,6 +49,12 @@ class Dirichlet:
     left: float
     right: float
 
+    def misses(self, vals: np.ndarray) -> bool:
+        """Whether an end of vals, (n,) or (m, n) by row, is off by over 1e-9 * (1 + max|row|)."""
+        tol = 1e-9 * (1.0 + np.max(np.abs(vals), axis=-1))
+        return bool(np.any(np.abs(vals[..., 0] - self.left) > tol)
+                    or np.any(np.abs(vals[..., -1] - self.right) > tol))
+
 
 PERIODIC = Periodic()
 
@@ -222,11 +228,8 @@ class HeatStepper(_Stepper):
 
     def _check(self, vals: np.ndarray):
         bnd = self.cfg.boundary
-        if isinstance(bnd, Dirichlet):
-            tol = 1e-9 * (1.0 + np.max(np.abs(vals), axis=-1))
-            if (np.any(np.abs(vals[..., 0] - bnd.left) > tol)
-                    or np.any(np.abs(vals[..., -1] - bnd.right) > tol)):
-                raise ValueError("field does not match the Dirichlet boundary values")
+        if isinstance(bnd, Dirichlet) and bnd.misses(vals):
+            raise ValueError("field does not match the Dirichlet boundary values")
 
     def step(self, u, out: np.ndarray | None = None):
         """One step of u: values, (n,) or (m, n) with a field per row, or a field.
@@ -371,13 +374,16 @@ class HeatSeries(_Stepper):
 
 
 def record_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
-    """The steps after which march records: 0, every record_every steps, the last."""
+    """The steps after which march records: 0, every record_every steps, the
+    last; t_end is 0 or 1 to 2**53 whole steps, the counts a float holds exactly."""
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
+    if not t_end / dt <= 2 ** 53:
+        raise ValueError(f"t_end = {t_end} is more than 2**53 steps of dt = {dt}")
     n = int(round(t_end / dt))
-    if abs(n * dt - t_end) > 1e-9 * max(dt, t_end):
+    if n == 0 < t_end or abs(n * dt - t_end) > 1e-9 * max(dt, t_end):
         raise ValueError(f"t_end = {t_end} is not a whole number of dt = {dt} steps")
     return np.r_[np.arange(0, n, record_every), n]
 

@@ -125,8 +125,9 @@ def _shared_grid(*fields: ScalarField) -> FiberGrid:
 
 
 class _RunningIntegral:
-    """The trapezoid integral along a march of a quantity known at each row:
-    a row adds finish(before + now), before being the quantity a row earlier.
+    """The trapezoid integral along a march of a quantity known at each row,
+    now at the last block's rows (the initial state's, a block of one): a row
+    adds finish(before + its own), before being the quantity a row earlier.
     _sums holds the total before the last block, then its rows' terms; the
     totals after the rows read are summed only then, down axis 0 from the
     last total read, in step order: by np.add.reduce into each row read, or
@@ -135,17 +136,17 @@ class _RunningIntegral:
     8 x 4096 blocks).  The initial state is a block of one adding 0."""
 
     def __init__(self, first: np.ndarray, finish):
-        self._before, self._finish = first, finish
+        self.now, self._finish = first[None], finish
         self._sums, self._read = np.zeros((2, *first.shape)), 0
 
     def add(self, now: np.ndarray):
         """The quantity at the rows of the next block."""
         sums = np.empty((len(now) + 1, *now.shape[1:]))
         sums[0] = self.last()
-        np.add(self._before, now[0], sums[1])
+        np.add(self.now[-1], now[0], sums[1])
         np.add(now[:-1], now[1:], sums[2:])
         self._finish(sums[1:])
-        self._sums, self._read, self._before = sums, 0, now[-1]
+        self._sums, self._read, self.now = sums, 0, now
 
     def at(self, rows: np.ndarray) -> np.ndarray:
         """The totals after the given increasing rows of the last block."""
@@ -222,7 +223,7 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
     cfg = StepperConfig(dt, 1.0, boundary=boundary)
     stepper = HeatSeries(grid, cfg) if _series_pays(grid) else HeatStepper(grid, None, cfg)
     h, periodic = grid.spacing, grid.periodic
-    # int_0^t K along the run
+    # int_0^t K along the run, whose now the record reads K from
     int_k_gauss = _RunningIntegral(-laplacian(rho0).values / rho0.values,
                                    lambda terms: np.multiply(terms, 0.5 * dt, terms))
     traj = SurfaceTrajectory(grid, dt, t_end, record_every, snapshots)
@@ -248,7 +249,7 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
         rho, slope = rho[good], slope[good]
         h_slope = np.sqrt(np.maximum(1.0 - slope * slope, 0.0))
         k = -slope / rho
-        kk = -_diff2(rho, h, periodic) / rho
+        kk = int_k_gauss.now[rows[good]]
         conf = (rho / rho0.values) ** 2
         first = len(traj.fields)
         failure = traj.extend({
@@ -440,23 +441,20 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
         ScalarField(grid, n * betaD.values),
         StepperConfig(dt, float(n), boundary=PERIODIC),
     )
-    # Sc_mix - |T|^2 at each row of the last block, the initial state a block
-    # of one, and the |T|^2 exponent along the run: 4 dt (0.5 (before + now) - phi)
-    scmix = normalized_scmix(u0.values, betaD, n)[None]
-    exponent = _RunningIntegral(scmix[0], lambda terms: np.multiply(
+    # the |T|^2 exponent along the run, 4 dt (0.5 (before + now) - phi), of
+    # Sc_mix - |T|^2 at each row, which the record reads from its now
+    exponent = _RunningIntegral(normalized_scmix(u0.values, betaD, n), lambda terms: np.multiply(
         np.subtract(np.multiply(terms, 0.5, terms), phi, terms), 4.0 * dt, terms))
     traj = NormalizedTrajectory(grid, dt, t_end, record_every, snapshots, gs, phi, n, betaD, None)
     q0 = mask0 = None
 
     def advance(ts, block):
         # Sc_mix - |T|^2 up to the first rejected row, for the |T|^2 exponent
-        nonlocal scmix
         new = normalized_scmix(block, betaD, n)
         finite = np.isfinite(new).all(axis=1)
         new = new[:len(new) if finite.all() else int(np.argmin(finite))]
         if len(new):
             exponent.add(new)
-            scmix = new
         if len(new) < len(finite):
             return len(new), NonFiniteValue("field values must be finite")
         return None
@@ -471,7 +469,7 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
         if not finite.all():
             failure = int(np.argmin(finite)), NonFiniteValue("field values must be finite")
         good = slice(len(u) if failure is None else failure[0])
-        u, t2, sc, H = u[good], t2[good], scmix[rows[good]], H[good]
+        u, t2, sc, H = u[good], t2[good], exponent.now[rows[good]], H[good]
         q, mask = _conserved_quantity(H, t2, n, eps_T, grid.spacing, grid.periodic)
         if q0 is None and len(q):
             q0, mask0 = q[0], mask[0]
@@ -752,7 +750,7 @@ def _run_spectral_report(cfg, grid, fields):
     return traj, summary
 
 
-def _positive_initial(cfg, fields: dict) -> list[str]:
+def _positive_initial(cfg, grid: FiberGrid, fields: dict) -> list[str]:
     init = fields.get("initial")
     if init is not None and float(np.min(init.values)) <= 0.0:
         return [f"{cfg.scenario}: initial field must be strictly positive on the grid"]
@@ -761,7 +759,7 @@ def _positive_initial(cfg, fields: dict) -> list[str]:
 
 def _check_closed_flow(cfg, grid: FiberGrid, fields: dict) -> list[str]:
     circle = [] if grid.periodic else [f"{cfg.scenario}: needs circle topology"]
-    return _positive_initial(cfg, fields) + circle
+    return _positive_initial(cfg, grid, fields) + circle
 
 
 def _check_twisted(cfg, grid, fields) -> list[str]:
@@ -771,20 +769,6 @@ def _check_twisted(cfg, grid, fields) -> list[str]:
     # min(base_values) * min(initial), can underflow to 0
     if not errs and init is not None and min(cfg.base_values) * float(np.min(init.values)) <= 0.0:
         errs.append("twisted: every slice base_value * initial must be strictly positive")
-    return errs
-
-
-def _check_surface(cfg, grid, fields) -> list[str]:
-    # an interval profile steps with its own end values held fixed
-    errs = _positive_initial(cfg, fields)
-    init = fields.get("initial")
-    bnd = cfg.boundary
-    if init is not None and bnd.kind == "dirichlet":
-        ends = (float(init.values[0]), float(init.values[-1]))
-        scale = 1.0 + float(np.max(np.abs(init.values)))
-        if any(abs(b - e) > 1e-9 * scale for b, e in zip((bnd.left, bnd.right), ends)):
-            errs.append(f"boundary: surface holds the initial profile's ends {ends} fixed, "
-                        f"got left = {bnd.left}, right = {bnd.right}")
     return errs
 
 
@@ -859,7 +843,7 @@ SCENARIOS = {s.name: s for s in (
         fields=("rho", "h", "k", "K", "conformal_factor"),
         plot_column="sup_K",
         run=_run_surface,
-        check=_check_surface,
+        check=_positive_initial,
     ),
     Scenario(
         name="twisted",

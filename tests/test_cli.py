@@ -75,6 +75,44 @@ SHORT_RUNS = {
 }
 
 
+# inputs the run cannot take, each refused by the parser with one error that
+# starts as given; their sizes fail before anything is allocated: 1e14
+# records (1e15 steps), 2**53 nodes
+UNRUNNABLE = {
+    "schedule": ("scenario: normalized\n"
+                 "grid: {topology: circle, length: 6.283185307179586, n_points: 16}\n"
+                 "time: {dt: 1.0e-12, t_end: 1000.0, record_every: 10}\n",
+                 "time: the records of t_end = 1000.0 in steps of dt = 1e-12 do not fit in memory"),
+    "steps_past_2_to_the_53": ("scenario: normalized\n"
+                               "grid: {topology: circle, length: 6.283185307179586, n_points: 16}\n"
+                               "time: {dt: 1.0e-300, t_end: 1.0e+300}\n",
+                               "time.t_end = 1e+300 is more than 2**53 steps of dt = 1e-300"),
+    # h*h underflows to 0, with and without a dt of its own
+    **{f"spacing_{scenario}{'_dt' if dt else ''}": (
+        f"scenario: {scenario}\ngrid: {{topology: circle, length: 1.0e-200, n_points: 16}}\n"
+        f"time: {{{dt}t_end: {0.0 if scenario == 'spectral_report' else 1.0}}}\n",
+        "grid: spacing 6.25e-202 squares to 0, out of the float range")
+       for scenario in SCENARIOS for dt in ("", "dt: 0.1, ")},
+    "spacing_overflows": ("scenario: surface\n"
+                          "grid: {topology: circle, length: 1.0e+200, n_points: 16}\n"
+                          "time: {t_end: 1.0}\n",
+                          "grid: spacing 6.25e+198 squares to inf, out of the float range"),
+    # h*h is 5e-324, so the default dt, a quarter of it, is 0
+    "default_dt_underflows": ("scenario: surface\n"
+                              "grid: {topology: circle, length: 3.55e-161, n_points: 16}\n"
+                              "time: {t_end: 1.0}\n",
+                              "time.dt must be positive and finite, got 0.0"),
+    "nodes_surface": ("scenario: surface\n"
+                      f"grid: {{topology: interval, length: 1.0, n_points: {2**53}}}\n"
+                      "time: {dt: 0.1, t_end: 1.0}\n",
+                      "initial: Unable to allocate"),
+    "nodes_spectral_report": ("scenario: spectral_report\n"
+                              f"grid: {{topology: circle, length: 1.0, n_points: {2**53}}}\n"
+                              "time: {t_end: 0.0}\n",
+                              "potential: Unable to allocate"),
+}
+
+
 def run_cli(*args):
     # a run that hangs (say, n_random: 10**400 random potentials) fails here
     return subprocess.run([sys.executable, "-m", "folflow.cli", *args],
@@ -238,6 +276,41 @@ class TestRunCommand:
         assert err["error"]["type"] == "ValidationError"
         assert err["error"]["message"].startswith(f"{key}: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", list(UNRUNNABLE))
+    def test_inputs_the_run_cannot_take_exit_2_with_json(self, tmp_path, capsys, case):
+        text, message = UNRUNNABLE[case]
+        cfg, out = tmp_path / "run.yaml", tmp_path / "out"
+        cfg.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError"
+        assert err["message"].startswith(message) and "; " not in err["message"]
+        assert not out.exists()
+
+    def test_a_given_boundary_is_echoed_as_the_ends_that_ran(self, tmp_path):
+        # 4e-10 off the profile's end, within what a stepper takes: the run
+        # holds the profile's own end, and the echo says so
+        cfg, out = tmp_path / "run.yaml", tmp_path / "out"
+        cfg.write_text(textwrap.dedent("""\
+            scenario: surface
+            grid: {topology: interval, length: 1.0, n_points: 41}
+            time: {dt: 1.0e-4, t_end: 1.0e-2, record_every: 10}
+            boundary: {kind: dirichlet, left: 0.5000000004, right: 0.8}
+            initial: {family: linear_sine_bump, left: 0.5, right: 0.8, amplitude: 0.05, mode: 1}
+        """))
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        echo = summary_sans_meta(out)["config"]
+        assert echo["boundary"] == {"kind": "dirichlet", "left": 0.5, "right": 0.8}
+        written = sorted(out.glob("fields_*.csv"))
+        assert len(written) == 2
+        for path in written:
+            rho = _csv_columns(path)["rho"]
+            assert (rho[0], rho[-1]) == (echo["boundary"]["left"], echo["boundary"]["right"])
+        assert parse_config_text(json.dumps(echo)) == parse_config(cfg)
 
     @pytest.mark.parametrize("defect, line, words", [
         ("short_row", 4, "expected the 2 columns x,value, got 1"),
@@ -825,6 +898,21 @@ class TestSweepCommand:
         assert json.loads(proc.stderr)["error"] == {
             "type": "ValidationError", "message": "seed must be at least 0, got -1"}
         assert not out.exists()
+
+    def test_sweep_refuses_the_inputs_the_run_cannot_take(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FOLFLOW_THREADS", "1")
+        for case, (text, _) in UNRUNNABLE.items():
+            (tmp_path / f"{case}.yaml").write_text(text)
+        out = tmp_path / "out"
+        proc = run_cli("sweep", str(tmp_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        reported = dict(line.split(": failed (exit 2): ", 1) for line in proc.stdout.splitlines())
+        assert reported.keys() == {f"{case}.yaml" for case in UNRUNNABLE}
+        for case, (_, message) in UNRUNNABLE.items():
+            assert reported[f"{case}.yaml"].startswith(message)
+            assert "; " not in reported[f"{case}.yaml"]
+        assert list(out.iterdir()) == []
 
     def test_sweep_reports_worst_exit_code(self, tmp_path):
         (tmp_path / "good.yaml").write_text(FAST_RUN)

@@ -16,6 +16,7 @@ from folflow.config import (
 )
 from folflow.families import build_field
 from folflow.fiber import build_grid
+from folflow.parabolic import Dirichlet, HeatStepper, StepperConfig
 
 
 GOOD = textwrap.dedent("""\
@@ -178,6 +179,38 @@ class TestParsing:
         assert cfg.boundary.kind == "dirichlet"
         assert cfg.boundary.left == pytest.approx(0.5)
         assert cfg.boundary.right == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("share", [None, 0.0, 0.5, 2.0])
+    def test_given_ends_are_checked_as_a_stepper_checks_a_state(self, share):
+        # a left end off the profile's by share * 1e-9 * (1 + max|rho|), or
+        # none given: the parser accepts it exactly when HeatStepper takes the
+        # profile as its state, and the config holds the profile's own ends
+        params = {"left": 0.5, "right": 0.8, "amplitude": 0.1, "mode": 1}
+        grid = build_grid("interval", 1.0, 101)
+        rho = build_field(grid, "linear_sine_bump", params).values.tolist()
+        text = textwrap.dedent("""\
+            scenario: surface
+            grid: {topology: interval, length: 1.0, n_points: 101}
+            time: {dt: 0.0001, t_end: 0.01}
+            initial: {family: linear_sine_bump, left: 0.5, right: 0.8, amplitude: 0.1, mode: 1}
+        """)
+        if share is not None:
+            left = rho[0] + share * 1e-9 * (1.0 + max(map(abs, rho)))
+            text += f"boundary: {{kind: dirichlet, left: {left!r}, right: {rho[-1]!r}}}\n"
+            stepper = HeatStepper(grid, None, StepperConfig(1e-4, boundary=Dirichlet(left, rho[-1])))
+            try:
+                stepper.start(np.array(rho))
+            except ValueError:
+                with pytest.raises(ValidationError, match="^boundary: surface holds the initial "):
+                    parse_config_text(text)
+                assert share > 1.0
+                return
+            assert share <= 1.0
+        cfg = parse_config_text(text)
+        assert (cfg.boundary.kind, cfg.boundary.left, cfg.boundary.right) == (
+            "dirichlet", rho[0], rho[-1])
+        assert config_to_dict(cfg)["boundary"] == {"kind": "dirichlet", "left": rho[0],
+                                                   "right": rho[-1]}
 
     def test_periodic_boundary_on_interval_rejected(self):
         text = textwrap.dedent("""\

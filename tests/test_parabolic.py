@@ -1,4 +1,6 @@
 """Heat-reaction and forced-Burgers steppers: accuracy, invariants, failure modes."""
+import re
+
 import numpy as np
 import pytest
 
@@ -464,6 +466,18 @@ class TestEvolveDriver:
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
         with pytest.raises(ValueError):
             march(stepper, np.ones(64), 1e-3, -1.0)
+
+    @pytest.mark.parametrize("dt, t_end, message", [
+        # within 1e-9 * dt of 0 steps, but a positive horizon takes at least one
+        (1e-3, 1e-13, "t_end = 1e-13 is not a whole number of dt = 0.001 steps"),
+        (1e-3, 1.0005, "t_end = 1.0005 is not a whole number of dt = 0.001 steps"),
+        # refused before a step count or a record is formed
+        (1.0, 2.0 ** 54, "t_end = 1.8014398509481984e+16 is more than 2**53 steps of dt = 1.0"),
+        (1e-300, 1e300, "t_end = 1e+300 is more than 2**53 steps of dt = 1e-300"),
+    ])
+    def test_record_steps_refuses_a_schedule_march_cannot_keep(self, dt, t_end, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parabolic.record_steps(dt, t_end, 1)
 
 
 class TestHeatSymbol:

@@ -5,12 +5,13 @@ import scipy.fft
 
 from folflow import parabolic, scenarios
 from folflow.errors import GapTooSmall, NotConverged, ProfileDegenerate
-from folflow.fiber import ScalarField, _diff1, build_grid, derivative, integrate
+from folflow.fiber import ScalarField, _diff1, _diff2, build_grid, derivative, integrate
 from folflow.scenarios import (
     Trajectory,
     cole_hopf_rows,
     fit_decay_rate,
     linear_interpolant,
+    normalized_scmix,
     positivity_verdict,
     run_normalized_flow,
     run_surface_of_revolution,
@@ -354,6 +355,21 @@ class TestRecords:
             assert not any(np.shares_memory(values, buf) for buf in buffers)
             assert not any(np.shares_memory(values, other) for other in arrays[i + 1:])
 
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("flow", ["surface", "normalized"])
+    def test_recorded_curvatures_are_those_of_the_recorded_state(self, monkeypatch, flow, rows):
+        # K and Sc_mix - |T|^2 come from the running integral's block; they
+        # have the bits of the recorded state's own, formed alone
+        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        traj = _short_run(flow)
+        g = traj.grid
+        for fields in traj.fields:
+            if flow == "surface":
+                rho = fields["rho"]
+                assert np.array_equal(fields["K"], -_diff2(rho, g.spacing, g.periodic) / rho)
+            else:
+                assert np.array_equal(fields["scmixT2"],
+                                      normalized_scmix(fields["u"], traj.betaD, traj.n))
 
     def test_snapshot_records_are_the_nearest_in_time_order(self):
         # records after steps 0, 3, 6, 9 and the off-grid last step 10 of dt = 0.25,
@@ -451,8 +467,11 @@ class TestRunningIntegral:
     def test_the_initial_record_reads_zero(self):
         integral = scenarios._RunningIntegral(np.ones(4), lambda terms: terms)
         assert np.array_equal(integral.at(np.array([0])), np.zeros((1, 4)))
-        integral.add(np.full((2, 4), 2.0))
+        assert np.array_equal(integral.now, np.ones((1, 4)))
+        block = np.full((2, 4), 2.0)
+        integral.add(block)
         assert np.array_equal(integral.last(), np.full(4, 7.0))
+        assert integral.now is block
 
 
 class TestFitDecayRate:
