@@ -18,11 +18,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .artifacts import snapshot_name
 from .errors import ParseError, ValidationError
 from .families import FAMILY_PARAMS, build_field
 from .fiber import FiberGrid, ScalarField, build_grid
 from .parabolic import Dirichlet, record_steps
-from .scenarios import COMMON_KEYS, SCENARIOS
+from .scenarios import COMMON_KEYS, SCENARIOS, nearest_records
 
 # the field keys and the field each takes when the config leaves it out
 _FIELD_DEFAULTS = {"initial": {"family": "constant", "value": 1.0},
@@ -244,10 +245,11 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     # a default that underflows to 0 is refused as a given 0 is
     dt = _as_number(time_map.get("dt", dt), "time.dt", errs, "positive and finite")
     record_every = _as_int(time_map.get("record_every", 10), "time.record_every", errs, 1)
+    steps = None
     if (_RANGES["positive and finite"](dt) and _RANGES["nonnegative and finite"](t_end)
             and record_every is not None):
         try:  # the schedule the run records on
-            record_steps(dt, t_end, record_every)
+            steps = record_steps(dt, t_end, record_every)
         except ValueError as err:
             errs.append(f"time.{err}")
         except MemoryError as err:
@@ -266,6 +268,8 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
             snapshots.append(sv)
     time_spec = TimeSpec(dt=dt, t_end=t_end, record_every=record_every,
                          snapshots=tuple(sorted(set(snapshots))))
+    if steps is not None:
+        errs += _snapshot_clashes(steps * dt, time_spec.snapshots)
 
     n_rank = _as_int(raw.get("n_rank", 1), "n_rank", errs, 1)
     modes = _as_int(raw.get("modes", 12), "modes", errs, 1)
@@ -340,6 +344,16 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     if errs:
         raise ValidationError("; ".join(errs))
     return cfg
+
+
+def _snapshot_clashes(times: np.ndarray, wanted: tuple) -> list[str]:
+    """An error for each snapshot file that records of two times, picked as
+    the run picks them, would both write."""
+    files: dict[str, list[float]] = {}
+    for i in nearest_records(times, wanted):
+        files.setdefault(snapshot_name(times[i]), []).append(times[i].item())
+    return [f"time.snapshots: the records at t = {', '.join(map(repr, ts))} would all be "
+            f"written to {name}" for name, ts in files.items() if len(ts) > 1]
 
 
 def _boundary_spec(raw, topology: str, initial: ScalarField | None, errs) -> BoundarySpec:

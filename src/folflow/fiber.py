@@ -167,11 +167,13 @@ def grad_log(u: ScalarField, scale: float = 1.0) -> VectorAlongFiber:
 
 def _grad_log(u: np.ndarray, scale: float, spacing: float, periodic: bool):
     """grad_log of records of fields along the last axis, one record per row of u:
-    the values of the records before the first holding a field that is not
-    strictly positive, and (i, error) for that record i, or None."""
+    the values of every record, and (i, error) for the first record i holding
+    a field that is not strictly positive, or None; the log is taken of every
+    value, with no warning where one is not positive."""
     low = np.min(u, axis=-1).reshape(len(u), -1)
     bad = np.flatnonzero((low <= 0.0).any(axis=1))
-    values = scale * _diff1(np.log(u[:bad[0] if bad.size else len(u)]), spacing, periodic)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = scale * _diff1(np.log(u), spacing, periodic)
     if bad.size == 0:
         return values, None
     i = int(bad[0])

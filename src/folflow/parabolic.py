@@ -393,24 +393,24 @@ _BLOCK_ROWS = 64
 _BLOCK_DOUBLES = 2 ** 15
 
 
-def march(stepper, state: np.ndarray, dt: float, t_end: float, record_every: int = 1,
-          on_block=None, on_record=None):
+def march(stepper, state: np.ndarray, dt: float, steps: np.ndarray, on_block=None,
+          on_record=None):
     """The one time-marching loop: step state, (n,) or (m, n) with a field per
-    row, until t_end.  stepper.start(state) checks the initial state, and
-    stepper.fill(ks, out) writes the states after steps ks into out's
-    rows, a block buffer of one state per row, until it is full or the run ends.
-    A stepper that skips fills the record steps alone if there is no on_block.
-    The block's rows are then checked finite at once: the first non-finite one
-    fails the run at its step (numpy's overflow and invalid warnings are off
-    while a block fills).  on_block(ts, block) sees the block's times and states
-    before a failed row and returns None, or (row, error) for the first row its
-    monitors reject.  on_record(ts, block, rows) sees the same block and the
-    rows to record (record_steps) before the first rejected row; the initial
-    state comes as a block of one row, which on_block does not see.  It returns
-    None, or (i, error) for the first of those records it rejects.  The first
-    failure in step order is raised with its time.  Returns the final state.
+    row, through steps, the record schedule of record_steps.  The first block
+    is state itself, one row at step 0.  stepper.start(state) checks it, and
+    stepper.fill(ks, out) writes the states after steps ks into out's rows, a
+    block buffer of one state per row, until it is full or the run ends.  A
+    stepper that skips fills the record steps alone if there is no on_block.
+    A filled block's rows are checked finite at once: the first non-finite one
+    fails the run at its step.  on_block(ts, block) sees each block's times
+    and states before a failed row and returns None, or (row, error) for the
+    first row its monitors reject.  on_record(ts, block, rows) sees the same
+    block and the rows to record before the first rejected row.  It returns
+    None, or (i, error) for the first of those records it rejects.  numpy's
+    overflow, invalid and divide warnings are off while a block fills and
+    its hooks run.  The first failure in step order is raised with its time.
+    Returns the final state.
     """
-    steps = record_steps(dt, t_end, record_every)
     state = np.asarray(state, dtype=float)
     buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // state.size)), *state.shape))
     stepper.start(state)
@@ -419,34 +419,32 @@ def march(stepper, state: np.ndarray, dt: float, t_end: float, record_every: int
     only_records = stepper.skips and on_block is None
     total = len(steps) - 1 if only_records else int(steps[-1])
     marks, done, t = steps.tolist(), 0, 0.0
+    ks, block, failure = steps[:1], state[None], None
     try:
-        failure = on_record and on_record(np.zeros(1), state[None], np.zeros(1, dtype=int))
-        if failure:
-            raise failure[1]
-        while done < total:
-            stop = min(done + len(buf), total)
-            ks = steps[done + 1:stop + 1] if only_records else np.arange(done + 1, stop + 1)
-            rows = len(ks)
-            failure = None  # (row of the block, error)
-            with np.errstate(over="ignore", invalid="ignore"):
-                stepper.fill(ks, buf[:rows])
-            finite = np.isfinite(buf[:rows].reshape(rows, state.size)).all(axis=1)
-            if not finite.all():
-                rows = int(np.argmin(finite))
-                failure = rows, SolverSingular(_NON_FINITE)
-            ts = ks[:rows] * dt
-            if on_block is not None and rows:
-                failure = on_block(ts, buf[:rows]) or failure
-            end = ks[rows - 1] + 1 if failure is None else ks[failure[0]]
-            recorded = marks[bisect_left(marks, ks[0]):bisect_left(marks, end)]
-            if on_record is not None and recorded:
-                recorded = np.searchsorted(ks, recorded)
-                bad = on_record(ts, buf[:rows], recorded)
-                failure = (int(recorded[bad[0]]), bad[1]) if bad else failure
-            if failure is not None:
-                t = ks[failure[0]] * dt
-                raise failure[1]
-            done, t, state = stop, ks[-1] * dt, buf[rows - 1]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while True:
+                rows = len(block) if failure is None else failure[0]
+                ts = ks[:rows] * dt
+                if on_block is not None and rows:
+                    failure = on_block(ts, block[:rows]) or failure
+                end = ks[rows - 1] + 1 if failure is None else ks[failure[0]]
+                recorded = marks[bisect_left(marks, ks[0]):bisect_left(marks, end)]
+                if on_record is not None and recorded:
+                    recorded = np.searchsorted(ks, recorded)
+                    bad = on_record(ts, block[:rows], recorded)
+                    failure = (int(recorded[bad[0]]), bad[1]) if bad else failure
+                if failure is not None:
+                    t = ks[failure[0]] * dt
+                    raise failure[1]
+                t = ks[-1] * dt
+                if done == total:
+                    return block[-1]
+                stop = min(done + len(buf), total)
+                ks = steps[done + 1:stop + 1] if only_records else np.arange(done + 1, stop + 1)
+                block, done = buf[:len(ks)], stop
+                stepper.fill(ks, block)
+                finite = np.isfinite(block.reshape(len(ks), state.size)).all(axis=1)
+                if not finite.all():
+                    failure = int(np.argmin(finite)), SolverSingular(_NON_FINITE)
     except FolflowError as err:
         raise type(err)(f"{err} (failure at t = {t:.6g})") from err
-    return state

@@ -38,7 +38,7 @@ from .curvature import _conserved_quantity, _riccati_residual, sc_mix_minus_T2
 from .errors import GapTooSmall, NonFiniteValue, NotConverged, ProfileDegenerate
 from .families import build_field
 from .fiber import (FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, _grad_log,
-                    build_grid, grad_log, integrate, laplacian)
+                    build_grid, grad_log, integrate)
 from .parabolic import (PERIODIC, BurgersStepper, Dirichlet, HeatSeries, HeatStepper,
                         StepperConfig, _Stepper, march, record_steps)
 from .schrodinger import (GroundState, eigencount, ground_state, lowest_eigenvalue, spectrum,
@@ -52,28 +52,36 @@ SERIES_POINTS = {"interval": 641, "circle": 3584}
 MAX_RANDOM = 10_000  # spectral_report's random potentials: about 4.5 s at n = 1024
 
 
+def nearest_records(times: np.ndarray, wanted) -> list[int]:
+    """The records nearest the wanted times, by index into times, in order
+    and once each."""
+    return sorted({int(np.argmin(np.abs(times - t))) for t in wanted})
+
+
 @dataclass
 class Trajectory:
     """The records of a march of t_end in steps of dt, recording every
-    record_every: series[key][i] is record i's value in trajectory.csv column
-    key (its time for "t", set up front; nan until taken for the others), and
-    fields[i] its field arrays by fields_<t>.csv column, kept for the records
-    nearest the wanted snapshot times (snapshot_rows, all if wanted is None)
-    and the last, else None."""
+    record_every: steps is the record schedule (record_steps), series[key][i]
+    is record i's value in trajectory.csv column key (its time for "t", set up
+    front; nan until taken for the others), and fields[i] its field arrays by
+    fields_<t>.csv column, kept for the records nearest the wanted snapshot
+    times (snapshot_rows, all if wanted is None) and the last, else None."""
 
     grid: FiberGrid
     dt: InitVar[float]
     t_end: InitVar[float]
     record_every: InitVar[int]
     wanted: InitVar[tuple | None]
+    steps: np.ndarray = field(init=False)
     snapshot_rows: list[int] = field(init=False)
     series: dict[str, np.ndarray] = field(init=False)
     fields: list[dict[str, np.ndarray] | None] = field(init=False, default_factory=list)
 
     def __post_init__(self, dt, t_end, record_every, wanted):
-        times = record_steps(dt, t_end, record_every) * dt
+        self.steps = record_steps(dt, t_end, record_every)
+        times = self.steps * dt
         self.snapshot_rows = (list(range(len(times))) if wanted is None else
-                              sorted({int(np.argmin(np.abs(times - t))) for t in wanted}))
+                              nearest_records(times, wanted))
         self._kept = np.array(sorted({*self.snapshot_rows, len(times) - 1}))
         self.series = {"t": times}
 
@@ -87,10 +95,11 @@ class Trajectory:
         """Append the next records: columns[key][i] is record i's value in each
         column but "t", and fields[name][i] its field array.  Record failure[0],
         if given, fails with failure[1], and so does the first record with a
-        non-finite field or row value; only the records before the first failure
-        are appended, and (i, error) is returned for it, or None.  The fields the
-        run keeps are copied and frozen, so a record shares no memory with the
-        march or another."""
+        non-finite field or row value.  The first failure, (i, error), is
+        returned, and then nothing is appended, since the run ends at it; else
+        the records are, and None is returned.  The fields the run keeps are
+        copied and frozen, so a record shares no memory with the march or
+        another."""
         n = len(next(iter(columns.values()))) if failure is None else failure[0]
         fields_ok = np.ones(n, dtype=bool)
         for vals in fields.values():
@@ -101,11 +110,13 @@ class Trajectory:
             bad = [key for key, col in columns.items() if not np.isfinite(col[n])]
             failure = n, NonFiniteValue("field values must be finite" if not fields_ok[n] else
                                         f"recorded value(s) {bad} not finite")
+        if failure is not None:
+            return failure
         first = len(self.fields)
         for key, col in columns.items():
             if key not in self.series:
                 self.series[key] = np.full(len(self.series["t"]), np.nan)
-            self.series[key][first:first + n] = col[:n]
+            self.series[key][first:first + n] = col
         self.fields += [None] * n
         lo, hi = np.searchsorted(self._kept, (first, first + n))
         for i in self._kept[lo:hi].tolist():
@@ -113,7 +124,7 @@ class Trajectory:
                               for name, vals in fields.items()}
             for owned in self.fields[i].values():
                 owned.flags.writeable = False
-        return failure
+        return None
 
 
 def _shared_grid(*fields: ScalarField) -> FiberGrid:
@@ -126,26 +137,26 @@ def _shared_grid(*fields: ScalarField) -> FiberGrid:
 
 class _RunningIntegral:
     """The trapezoid integral along a march of a quantity known at each row,
-    now at the last block's rows (the initial state's, a block of one): a row
-    adds finish(before + its own), before being the quantity a row earlier.
-    _sums holds the total before the last block, then its rows' terms; the
-    totals after the rows read are summed only then, down axis 0 from the
-    last total read, in step order: by np.add.reduce into each row read, or
-    for dense reads by one np.add.accumulate in place up to the last (one
-    reduce costs about what accumulating 500 values does, on 64 x 201 to
-    8 x 4096 blocks).  The initial state is a block of one adding 0."""
+    now at the last block's rows.  The first block is the initial state's,
+    one row whose total is 0; a later row adds finish(before + its own),
+    before being the quantity a row earlier.  _sums holds the total before
+    the last block, then its rows' terms; the totals after the rows read are
+    summed only then, down axis 0 from the last total read, in step order:
+    by np.add.reduce into each row read, or for dense reads by one
+    np.add.accumulate in place up to the last (one reduce costs about what
+    accumulating 500 values does, on 64 x 201 to 8 x 4096 blocks)."""
 
-    def __init__(self, first: np.ndarray, finish):
-        self.now, self._finish = first[None], finish
-        self._sums, self._read = np.zeros((2, *first.shape)), 0
+    def __init__(self, finish):
+        self.now, self._finish = None, finish
 
     def add(self, now: np.ndarray):
         """The quantity at the rows of the next block."""
-        sums = np.empty((len(now) + 1, *now.shape[1:]))
-        sums[0] = self.last()
-        np.add(self.now[-1], now[0], sums[1])
-        np.add(now[:-1], now[1:], sums[2:])
-        self._finish(sums[1:])
+        sums = np.zeros((len(now) + 1, *now.shape[1:]))
+        if self.now is not None:
+            sums[0] = self.last()
+            np.add(self.now[-1], now[0], sums[1])
+            np.add(now[:-1], now[1:], sums[2:])
+            self._finish(sums[1:])
         self._sums, self._read, self.now = sums, 0, now
 
     def at(self, rows: np.ndarray) -> np.ndarray:
@@ -224,32 +235,24 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
     stepper = HeatSeries(grid, cfg) if _series_pays(grid) else HeatStepper(grid, None, cfg)
     h, periodic = grid.spacing, grid.periodic
     # int_0^t K along the run, whose now the record reads K from
-    int_k_gauss = _RunningIntegral(-laplacian(rho0).values / rho0.values,
-                                   lambda terms: np.multiply(terms, 0.5 * dt, terms))
+    int_k_gauss = _RunningIntegral(lambda terms: np.multiply(terms, 0.5 * dt, terms))
     traj = SurfaceTrajectory(grid, dt, t_end, record_every, snapshots)
 
     def advance(ts, block):
-        # the profile guard on every row before K = -rho_xx/rho is formed,
-        # then K up to the first rejected row, for the integral of K
-        bad = _profile_failure(block, _diff1(block, h, periodic))
-        good = block[:len(block) if bad is None else bad[0]]
-        if len(good):
-            gauss = _diff2(good, h, periodic)
-            int_k_gauss.add(np.negative(np.divide(gauss, good, gauss), gauss))
-        return bad
+        # the profile guard on every row, the initial one too, and K =
+        # -rho_xx/rho, for the integral of K
+        gauss = _diff2(block, h, periodic)
+        int_k_gauss.add(np.negative(np.divide(gauss, block, gauss), gauss))
+        return _profile_failure(block, _diff1(block, h, periodic))
 
     def record(ts, block, rows):
-        # advance guarded every stepped profile, so only the initial one is
-        # checked here; then h rebuilt from sqrt(1 - slope^2), with the
-        # arclength constraint measured against that slope
+        # advance guarded every profile; h rebuilt from sqrt(1 - slope^2),
+        # with the arclength constraint measured against that slope
         rho = block[rows]
         slope = _diff1(rho, h, periodic)
-        failure = None if traj.fields else _profile_failure(rho, slope)
-        good = slice(len(rho) if failure is None else failure[0])
-        rho, slope = rho[good], slope[good]
         h_slope = np.sqrt(np.maximum(1.0 - slope * slope, 0.0))
         k = -slope / rho
-        kk = int_k_gauss.now[rows[good]]
+        kk = int_k_gauss.now[rows]
         conf = (rho / rho0.values) ** 2
         first = len(traj.fields)
         failure = traj.extend({
@@ -258,18 +261,16 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
             "min_rho": np.min(rho, axis=-1),
             "arc_residual": np.max(np.abs(slope ** 2 + h_slope ** 2 - 1.0), axis=-1),
             "riccati_res": _riccati_residual(k, kk, h, periodic),
-            "conformal_dev": np.max(np.abs(np.exp(-2.0 * int_k_gauss.at(rows[good])) - conf),
-                                    axis=-1),
-        }, {"rho": rho, "h": _cumtrapz(h_slope, h), "k": k, "K": kk, "conformal_factor": conf},
-            failure)
+            "conformal_dev": np.max(np.abs(np.exp(-2.0 * int_k_gauss.at(rows)) - conf), axis=-1),
+        }, {"rho": rho, "h": _cumtrapz(h_slope, h), "k": k, "K": kk, "conformal_factor": conf})
         # the records taken every record_every steps, those before the off-grid last
         taken = slice(max(0, min(len(traj.fields), on_grid) - first))
         residuals.add(k[taken], kk[taken])
         return failure
 
-    on_grid = int(np.count_nonzero(record_steps(dt, t_end, record_every) % record_every == 0))
+    on_grid = int(np.count_nonzero(traj.steps % record_every == 0))
     residuals = _EvolutionResiduals(grid, record_every * dt)
-    march(stepper, rho0.values, dt, t_end, record_every, advance, record)
+    march(stepper, rho0.values, dt, traj.steps, advance, record)
     traj.evolution_crosscheck = residuals.result()
     return traj
 
@@ -362,17 +363,16 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
     def record(ts, block, rows):
         f = block[rows]
         H, failure = _grad_log(f, -1.0, grid.spacing, grid.periodic)
-        good = f[:len(H)]
-        masses = grid.spacing * np.sum(good, axis=-1)
+        masses = grid.spacing * np.sum(f, axis=-1)
         return traj.extend({
             "sup_H": np.max(np.abs(H), axis=(1, 2)),
             "mass_drift": np.max(np.abs(masses - masses0), axis=-1),
-            "sup_dist_to_mean": np.max(np.abs(good - means[:, None]), axis=(1, 2)),
+            "sup_dist_to_mean": np.max(np.abs(f - means[:, None]), axis=(1, 2)),
         }, {f"{name}_{i}": vals[:, i] for i in range(len(slices))
-            for name, vals in (("f", good), ("H", H))}, failure)
+            for name, vals in (("f", f), ("H", H))}, failure)
 
     # one row per slice, each record in closed form
-    march(series, np.array([f.values for f in slices]), dt, t_end, record_every, on_record=record)
+    march(series, np.array([f.values for f in slices]), dt, traj.steps, on_record=record)
     return traj
 
 
@@ -443,20 +443,19 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
     )
     # the |T|^2 exponent along the run, 4 dt (0.5 (before + now) - phi), of
     # Sc_mix - |T|^2 at each row, which the record reads from its now
-    exponent = _RunningIntegral(normalized_scmix(u0.values, betaD, n), lambda terms: np.multiply(
+    exponent = _RunningIntegral(lambda terms: np.multiply(
         np.subtract(np.multiply(terms, 0.5, terms), phi, terms), 4.0 * dt, terms))
     traj = NormalizedTrajectory(grid, dt, t_end, record_every, snapshots, gs, phi, n, betaD, None)
     q0 = mask0 = None
 
     def advance(ts, block):
-        # Sc_mix - |T|^2 up to the first rejected row, for the |T|^2 exponent
+        # Sc_mix - |T|^2 at every row, the initial one too, for the |T|^2
+        # exponent; the first non-finite row fails
         new = normalized_scmix(block, betaD, n)
+        exponent.add(new)
         finite = np.isfinite(new).all(axis=1)
-        new = new[:len(new) if finite.all() else int(np.argmin(finite))]
-        if len(new):
-            exponent.add(new)
-        if len(new) < len(finite):
-            return len(new), NonFiniteValue("field values must be finite")
+        if not finite.all():
+            return int(np.argmin(finite)), NonFiniteValue("field values must be finite")
         return None
 
     def record(ts, block, rows):
@@ -464,14 +463,13 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
         u = block[rows]
         t2 = T2_0.values * np.exp(exponent.at(rows))
         H, failure = _grad_log(u, -float(n), grid.spacing, grid.periodic)
-        # a record's non-finite |T|^2 is checked before its grad_log
-        finite = np.isfinite(t2[:len(H) + 1]).all(axis=-1)
+        # a record's non-finite |T|^2 is checked before its grad_log, through its row
+        finite = np.isfinite(t2[:len(u) if failure is None else failure[0] + 1]).all(axis=-1)
         if not finite.all():
             failure = int(np.argmin(finite)), NonFiniteValue("field values must be finite")
-        good = slice(len(u) if failure is None else failure[0])
-        u, t2, sc, H = u[good], t2[good], exponent.now[rows[good]], H[good]
+        sc = exponent.now[rows]
         q, mask = _conserved_quantity(H, t2, n, eps_T, grid.spacing, grid.periodic)
-        if q0 is None and len(q):
+        if q0 is None:
             q0, mask0 = q[0], mask[0]
         hu = -_diff2(u, grid.spacing, grid.periodic) - betaD.values * u
         return traj.extend({
@@ -488,7 +486,7 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
         }, {"u": u, "H": H, "betaD": np.broadcast_to(betaD.values, u.shape), "T2": t2,
             "scmixT2": sc}, failure)
 
-    march(stepper, u0.values, dt, t_end, record_every, advance, record)
+    march(stepper, u0.values, dt, traj.steps, advance, record)
     traj.growth_exponent = ScalarField(grid, exponent.last())
     return traj
 
@@ -497,7 +495,7 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
 class PositivityReport:
     positive_everywhere: bool
     min_value: float
-    threshold_ratio: float
+    threshold_ratio: float | None
 
 
 def positivity_verdict(traj: NormalizedTrajectory, converged_tol: float = 1e-5) -> PositivityReport:
@@ -507,7 +505,7 @@ def positivity_verdict(traj: NormalizedTrajectory, converged_tol: float = 1e-5) 
     normalized quantity from Phi below converged_tol).  threshold_ratio is
     the uniform initial |T|^2 that would exactly neutralize n*lambda0,
     divided by max betaD: an empirical stand-in for the non-effective
-    constant in front of max betaD.
+    constant in front of max betaD; None when it is past the float range.
     """
     final = traj.fields[-1]
     dev = float(np.max(np.abs(final["scmixT2"] - traj.Phi)))
@@ -524,7 +522,7 @@ def positivity_verdict(traj: NormalizedTrajectory, converged_tol: float = 1e-5) 
         ratio = needed / max_beta
     else:
         ratio = 0.0
-    return PositivityReport(bool(min_val > 0.0), min_val, ratio)
+    return PositivityReport(bool(min_val > 0.0), min_val, ratio if np.isfinite(ratio) else None)
 
 
 @dataclass(frozen=True)
@@ -599,12 +597,11 @@ def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, 
     def record(ts, block, rows):
         u, H = block[rows, 0], block[rows, 1]
         transformed, failure = _grad_log(u, -float(nu), grid.spacing, grid.periodic)
-        return traj.extend(
-            {"sup_diff": np.max(np.abs(H[:len(transformed)] - transformed), axis=-1)},
-            {"H_direct": H, "H_transformed": transformed, "u": u}, failure)
+        return traj.extend({"sup_diff": np.max(np.abs(H - transformed), axis=-1)},
+                           {"H_direct": H, "H_transformed": transformed, "u": u}, failure)
 
-    march(pair, np.array((u0.values, grad_log(u0, -float(nu)).values)), dt, t_end,
-          record_every, on_record=record)
+    march(pair, np.array((u0.values, grad_log(u0, -float(nu)).values)), dt, traj.steps,
+          on_record=record)
     return traj
 
 
@@ -772,8 +769,17 @@ def _check_twisted(cfg, grid, fields) -> list[str]:
     return errs
 
 
+def _check_operator_range(grid: FiberGrid) -> list[str]:
+    """The eigensolvers' fiber operator divides by h*h, which the parser
+    keeps nonzero but not its reciprocal finite."""
+    if 1.0 / (grid.spacing * grid.spacing) < np.inf:
+        return []
+    return [f"grid: spacing {grid.spacing:g} squares to {grid.spacing * grid.spacing:g}, "
+            "whose reciprocal is out of the float range"]
+
+
 def _check_normalized(cfg, grid, fields) -> list[str]:
-    errs = _check_closed_flow(cfg, grid, fields)
+    errs = _check_closed_flow(cfg, grid, fields) + _check_operator_range(grid)
     pot, t2 = fields.get("potential"), fields.get("t2_initial")
     if pot is not None and float(np.min(pot.values)) < -1e-12:
         errs.append("normalized: potential (betaD) must be nonnegative")
@@ -790,7 +796,7 @@ def _check_cole_hopf(cfg, grid, fields) -> list[str]:
 
 
 def _check_spectral(cfg, grid, fields) -> list[str]:
-    errs = []
+    errs = _check_operator_range(grid)
     if cfg.time.t_end != 0.0:
         errs.append(f"time: spectral_report does no time stepping; t_end must be 0, "
                     f"got {cfg.time.t_end}")

@@ -19,6 +19,7 @@ from folflow.parabolic import (
     HeatStepper,
     StepperConfig,
     march,
+    record_steps,
 )
 from folflow.schrodinger import dense_spectrum, ground_state
 from folflow.scenarios import (
@@ -158,7 +159,7 @@ def test_criterion_5_conservation_suite(normalized_run, acceptance_verdicts):
     g = build_grid("circle", 2 * np.pi, 128)
     heat = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
     masses = []
-    march(heat, 2.0 + np.sin(3 * g.x), 1e-3, 2.0, record_every=2000,
+    march(heat, 2.0 + np.sin(3 * g.x), 1e-3, record_steps(1e-3, 2.0, 2000),
           on_record=lambda ts, block, rows: masses.extend(
               integrate(ScalarField(g, u)) for u in block[rows]))
     heat_drift = abs(masses[-1] - masses[0]) / 2.0

@@ -20,14 +20,15 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from folflow import parabolic
+from folflow import config, parabolic, scenarios
 from folflow.artifacts import snapshot_name, write_fields, write_trajectory
 from folflow.cli import execute_config, main
 from folflow.config import parse_config, parse_config_text
-from folflow.errors import FolflowError, ValidationError
+from folflow.errors import FolflowError, NonFiniteValue, ValidationError
 from folflow.families import FAMILY_PARAMS, build_field
 from folflow.fiber import build_grid
-from folflow.scenarios import COMMON_KEYS, MAX_RANDOM, SCENARIOS, _series_pays
+from folflow.scenarios import (COMMON_KEYS, MAX_RANDOM, SCENARIOS, _series_pays,
+                               run_normalized_flow)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -110,6 +111,22 @@ UNRUNNABLE = {
                               f"grid: {{topology: circle, length: 1.0, n_points: {2**53}}}\n"
                               "time: {t_end: 0.0}\n",
                               "potential: Unable to allocate"),
+    # h*h is subnormal, so the eigensolvers' 1/h^2 overflows
+    **{f"operator_range_{scenario}": (
+        f"scenario: {scenario}\ngrid: {{topology: circle, length: 1.0e-155, n_points: 16}}\n"
+        f"time: {{dt: 1.0e-3, t_end: {t_end}}}\n",
+        "grid: spacing 6.25e-157 squares to 3.90625e-313, whose reciprocal is out of the "
+        "float range")
+       for scenario, t_end in (("spectral_report", 0.0), ("normalized", 1.0))},
+    # three records within 1e-6 of 0 would write one fields_0.000000.csv
+    "snapshot_files_clash": ("scenario: twisted\n"
+                             "grid: {topology: circle, length: 6.283185307179586, n_points: 16}\n"
+                             "initial: {family: cosine_perturbed, base: 1.0, amplitude: 0.3, "
+                             "mode: 1}\n"
+                             "time: {dt: 1.0e-7, t_end: 1.0e-6, record_every: 1, "
+                             "snapshots: [0.0, 1.0e-7, 2.0e-7, 1.0e-6]}\n",
+                             "time.snapshots: the records at t = 0.0, 1e-07, 2e-07 would all be "
+                             "written to fields_0.000000.csv"),
 }
 
 
@@ -373,6 +390,23 @@ class TestRunCommand:
         results = summary_sans_meta(out)["results"]
         assert results["max_sup_diff"] == 0.0
         assert results["observed_order"] is None
+
+    def test_a_threshold_past_the_float_range_writes_strict_json(self, tmp_path):
+        # u0 falls to about 1e-13 across the fiber, so the |T|^2 that would
+        # neutralize n*lambda0 grows like exp(-growth_exponent) past the float range
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(textwrap.dedent("""\
+            scenario: normalized
+            grid: {topology: circle, length: 10.0, n_points: 8}
+            time: {dt: 0.1, t_end: 0.6}
+            initial: {family: gaussian_bump, center: 1.25, width: 1.25, height: 1.0}
+            potential: {family: linear, a: 1.25, b: 1.09375}
+            n_rank: 2
+        """))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        positivity = summary_sans_meta(out)["results"]["positivity"]
+        assert positivity["converged"] and positivity["threshold_ratio"] is None
 
     def test_step_matrix_not_positive_definite_exits_3(self, tmp_path, capsys):
         # c*V = 0.05 * 30 = 1.5: the Crank-Nicolson matrix is indefinite, and the
@@ -728,6 +762,34 @@ class TestBlockEdges:
             execute_config(parse_config_text(text), tmp_path / "out", quiet=True)
         assert f"{type(exc.value).__name__}: {exc.value}" == error
 
+    def test_a_driver_called_directly_fails_without_a_warning(self):
+        # march's own errstate covers its hooks, so the overflowing Rayleigh
+        # quotient warns neither through execute_config nor without it
+        cfg = parse_config_text(OVERFLOW_RUN)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteValue) as exc:
+                run_normalized_flow(cfg.fields["initial"], cfg.fields["potential"],
+                                    cfg.fields["t2_initial"], cfg.n_rank, cfg.time.dt,
+                                    cfg.time.t_end, cfg.time.record_every,
+                                    snapshots=cfg.time.snapshots)
+        assert [str(w.message) for w in caught] == []
+        assert str(exc.value) == "recorded value(s) ['rayleigh'] not finite (failure at t = 0.87)"
+
+    def test_a_run_forms_its_record_schedule_once(self, tmp_path, monkeypatch):
+        # once to parse, once in the run's Trajectory, whose steps march and
+        # the surface's record hook read
+        calls, record_steps = [], parabolic.record_steps
+
+        def counted(*args):
+            calls.append(args)
+            return record_steps(*args)
+
+        for module in (parabolic, scenarios, config):
+            monkeypatch.setattr(module, "record_steps", counted)
+        execute_config(parse_config(CONFIGS / "surface_bump.yaml"), tmp_path / "out", quiet=True)
+        assert calls == [(1e-4, 3.0, 1000)] * 2
+
 
 class TestRecordMemory:
     """A run keeps the field arrays of the records it writes, not of every record."""
@@ -952,21 +1014,22 @@ def _params(draw, numbers, family: str) -> dict:
     return params
 
 
-def _family(draw, numbers, key: str, grid, csvs: dict) -> dict:
-    """A drawn field family.  One field in four is from_csv: another drawn
+def _family(draw, numbers, key: str, grid, csvs: dict, tame: bool, files: bool) -> dict:
+    """A drawn field family.  If files, one field in four is from_csv: another drawn
     family sampled on the drawn grid into csvs[<key>.csv] = (text, malformed),
     which goes beside the config; a sample that fails to evaluate is written
-    as NaN.  Four files in five carry one malformed row: a short row, a blank
-    line (trailing ones too), a non-number or a NaN sample point."""
+    as NaN.  Unless tame, four files in five carry one malformed row: a short
+    row, a blank line (trailing ones too), a non-number or a NaN sample point."""
     family = draw(st.sampled_from([name for name in FAMILY_PARAMS if name != "from_csv"]))
-    if draw(st.integers(0, 3)) != 0:
+    if not files or draw(st.integers(0, 3)) != 0:
         return {"family": family, **_params(draw, numbers, family)}
     try:
         values = build_field(grid, family, _params(draw, numbers, family)).values
     except ValueError:
         values = np.full(grid.n_points, np.nan)
     lines = [f"{x!r},{v!r}" for x, v in zip(grid.x.tolist(), values.tolist())]
-    defect = draw(st.sampled_from([None, "short_row", "blank_line", "non_number", "nan_x"]))
+    defect = None if tame else draw(st.sampled_from([None, "short_row", "blank_line",
+                                                     "non_number", "nan_x"]))
     if defect == "blank_line":
         lines.insert(draw(st.integers(0, grid.n_points)), "")
     elif defect is not None:
@@ -985,41 +1048,56 @@ _VALUES = {
     "n_random": st.integers(0, 2),
     "seed": st.integers(-2**31, 2**31 - 1),
     "tolerances": st.fixed_dictionaries({}, optional={
-        "gap_min": st.sampled_from([1e-6, 0.1, 1.0]),
+        "gap_min": st.sampled_from([1e-6, 0.1, 1.0, 100.0]),
         "converged_dev": st.sampled_from([1e-5, 1.0]),
     }),
 }
 
 
-def _value(draw, key: str, numbers, grid, csvs: dict):
-    """A drawn value for one of the keys a scenario declares."""
+def _value(draw, key: str, numbers, grid, csvs: dict, tame: bool = False, files: bool = True):
+    """A drawn value for one of the keys a scenario declares; a tame seed is
+    nonnegative, and tame modes are as many as a circle has."""
     if key in ("initial", "potential", "t2_initial"):
-        return _family(draw, numbers, key, grid, csvs)
+        return _family(draw, numbers, key, grid, csvs, tame, files)
     if key == "boundary":
         return draw(st.sampled_from([
             {"kind": "periodic"},
             {"kind": "dirichlet", "left": draw(numbers), "right": draw(numbers)},
         ]))
+    if key == "seed" and tame:
+        return draw(st.integers(0, 2**31 - 1))
+    if key == "modes" and tame:  # at most the n_points of a circle, unlike the default 12
+        return draw(st.integers(1, 8))
     return draw(_VALUES[key])
 
 
 @st.composite
-def run_configs(draw) -> tuple[dict, str | None, dict]:
-    """A config of one scenario over the keys it reads: small grids, at most 20
-    steps.  One draw in four also names a key that only other scenarios read,
-    which is returned beside the config, and so are the from_csv fields' CSV
-    files by name, each as (text, malformed)."""
-    scenario = draw(st.sampled_from(list(SCENARIOS)))
+def run_configs(draw, scenario: str) -> tuple[dict, str | None, dict]:
+    """A config of the scenario over the keys it reads: small grids, at most 20
+    steps.  Two draws in three are tame, so that most of them run: the circle
+    unless the scenario is the surface (whose fibers are then the long ones),
+    every key with tame numbers, no malformed file, a nonnegative seed, modes
+    that fit and a boundary only on a circle.  The others may take the
+    topology the scenario refuses, hostile numbers, malformed files and
+    defaults, and one in four of them also names a key that only other
+    scenarios read, which is returned beside the config; so are the from_csv
+    fields' CSV files by name, each as (text, malformed)."""
     keys = SCENARIOS[scenario].keys
+    tame = draw(st.integers(0, 2)) != 0
     # four of the five scenarios need a circle
     topology = draw(st.sampled_from(["circle", "circle", "interval"]))
+    if tame and scenario != "surface":
+        topology = "circle"
     dt = draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.1]))
     steps = 0 if scenario == "spectral_report" else draw(st.integers(0, 20))
-    numbers = draw(st.sampled_from([_TAME, _HOSTILE]))
+    numbers = _TAME if tame else draw(st.sampled_from([_TAME, _HOSTILE]))
+    lengths = [2 * math.pi, 1.0, 0.25, 10.0]
+    if tame and scenario == "surface":
+        # tame numbers make most surface profiles steeper than 1 on short fibers
+        lengths = [2 * math.pi, 10.0]
     raw = {
         "scenario": scenario,
-        "grid": {"topology": topology,
-                 "length": draw(st.sampled_from([2 * math.pi, 1.0, 0.25, 10.0])),
+        "grid": {"topology": topology, "length": draw(st.sampled_from(lengths)),
                  "n_points": draw(st.integers(8, 33))},
         "time": {"dt": dt, "t_end": steps * dt, "record_every": draw(st.integers(1, 25))},
     }
@@ -1030,10 +1108,15 @@ def run_configs(draw) -> tuple[dict, str | None, dict]:
     if draw(st.booleans()):
         raw["emit_plots"] = draw(st.booleans())
     for key in keys:
-        if key == "initial" or draw(st.booleans()):
-            raw[key] = _value(draw, key, numbers, grid, csvs)
+        if key == "boundary" and tame:
+            if topology == "circle" and draw(st.booleans()):
+                raw[key] = {"kind": "periodic"}
+        elif key == "initial" or tame or draw(st.booleans()):
+            # cole_hopf_check refuses from_csv fields
+            raw[key] = _value(draw, key, numbers, grid, csvs, tame,
+                              files=not (tame and scenario == "cole_hopf_check"))
     unread = None
-    if draw(st.integers(0, 3)) == 0:
+    if not tame and draw(st.integers(0, 3)) == 0:
         others = {key for s in SCENARIOS.values() for key in s.keys} - set(keys)
         unread = draw(st.sampled_from(sorted(others)))
         raw[unread] = _value(draw, unread, numbers, grid, csvs)
@@ -1041,10 +1124,12 @@ def run_configs(draw) -> tuple[dict, str | None, dict]:
 
 
 class TestContractProperty:
-    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-    @given(drawn=run_configs())
-    def test_exit_code_summary_and_stderr(self, drawn):
-        raw, unread, csvs = drawn
+    # the same number of draws, 50, for each scenario
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(data=st.data())
+    def test_exit_code_summary_and_stderr(self, scenario, data):
+        raw, unread, csvs = data.draw(run_configs(scenario))
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "run.yaml", Path(tmp) / "out"
             cfg.write_text(yaml.safe_dump(raw))

@@ -25,6 +25,7 @@ from folflow.parabolic import (
     StepperConfig,
     heat_symbol,
     march,
+    record_steps,
 )
 
 
@@ -145,7 +146,8 @@ class TestStepperErrors:
         # before the initial record
         recorded = []
         with pytest.raises(ValueError, match="Dirichlet"):
-            march(stepper, np.ones(64), 1e-3, 0.01, on_record=lambda *args: recorded.append(args))
+            march(stepper, np.ones(64), 1e-3, record_steps(1e-3, 0.01, 1),
+                  on_record=lambda *args: recorded.append(args))
         assert recorded == []
 
     def test_singular_implicit_matrix_detected(self):
@@ -362,7 +364,7 @@ class TestEvolveDriver:
         u0 = ScalarField(g, np.ones(64))
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
         recs = []
-        march(stepper, u0.values, 1e-3, 0.0,
+        march(stepper, u0.values, 1e-3, record_steps(1e-3, 0.0, 1),
               on_record=lambda ts, block, rows: recs.extend(zip(ts[rows], block[rows])))
         assert len(recs) == 1 and recs[0][0] == 0.0
 
@@ -375,7 +377,7 @@ class TestEvolveDriver:
         def span(ts, block, rows):
             recs.extend((t, float(np.max(u) - np.min(u))) for t, u in zip(ts[rows], block[rows]))
 
-        march(stepper, u0.values, 1e-3, 0.1, record_every=20, on_record=span)
+        march(stepper, u0.values, 1e-3, record_steps(1e-3, 0.1, 20), on_record=span)
         assert [t for t, _ in recs] == pytest.approx([0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
         spans = [s for _, s in recs]
         assert all(a > b for a, b in zip(spans, spans[1:]))
@@ -384,7 +386,8 @@ class TestEvolveDriver:
     @pytest.mark.parametrize("reject", [None, 10])
     def test_failures_surface_in_step_order(self, monkeypatch, rows, reject):
         # the 12th step fails; a block hook that rejects the state after
-        # step 10 wins, since the rows before a failing step are still checked
+        # step 10 wins, since the rows before a failing step are still checked;
+        # the block hook sees the initial state first, as a block of its own
         monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
         seen, records = [], []
 
@@ -394,11 +397,11 @@ class TestEvolveDriver:
             return (int(bad[0]), NonFiniteValue("state rejected")) if bad.size else None
 
         with pytest.raises(FolflowError) as exc:
-            march(_Count(fails_after=11.0), np.zeros(3), 0.5, 10.0, 4, on_block,
+            march(_Count(fails_after=11.0), np.zeros(3), 0.5, record_steps(0.5, 10.0, 4), on_block,
                   lambda ts, block, rows: records.extend(zip(ts[rows], block[rows, 0])))
         if reject is None:
             assert str(exc.value) == "implicit step produced non-finite values (failure at t = 6)"
-            assert seen == pytest.approx(0.5 * np.arange(1, 12))
+            assert seen == pytest.approx(0.5 * np.arange(0, 12))
         else:
             assert str(exc.value) == "state rejected (failure at t = 5)"
         assert records == [(0.0, 0.0), (2.0, 4.0), (4.0, 8.0)]
@@ -431,7 +434,7 @@ class TestEvolveDriver:
                 records.append(u)
 
         with pytest.raises(FolflowError) as exc:
-            march(_Count(), np.zeros(3), 0.5, 10.0, 2, on_block, on_record)
+            march(_Count(), np.zeros(3), 0.5, record_steps(0.5, 10.0, 2), on_block, on_record)
         assert str(exc.value) == error
         assert records == kept
         assert reject not in seen
@@ -454,20 +457,15 @@ class TestEvolveDriver:
             with pytest.raises(SolverSingular, match="^implicit step produced non-finite values$"):
                 stepper.step(alone[-1])
             with pytest.raises(SolverSingular) as exc:
-                march(stepper, u0, dt, 30.0, 10, on_record=lambda ts, block, rows:
+                march(stepper, u0, dt, record_steps(dt, 30.0, 10), on_record=lambda ts, block, rows:
                       records.extend(zip(ts[rows], block[rows])))
         assert str(exc.value) == "implicit step produced non-finite values (failure at t = 19.4)"
         assert [t for t, _ in records] == pytest.approx(dt * np.arange(0, 194, 10))
         for (_, u), step in zip(records, range(0, 194, 10)):
             assert np.array_equal(u, alone[step])
 
-    def test_rejects_negative_horizon(self):
-        g = circle(64)
-        stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
-        with pytest.raises(ValueError):
-            march(stepper, np.ones(64), 1e-3, -1.0)
-
     @pytest.mark.parametrize("dt, t_end, message", [
+        (1e-3, -1.0, "t_end must be nonnegative"),
         # within 1e-9 * dt of 0 steps, but a positive horizon takes at least one
         (1e-3, 1e-13, "t_end = 1e-13 is not a whole number of dt = 0.001 steps"),
         (1e-3, 1.0005, "t_end = 1.0005 is not a whole number of dt = 0.001 steps"),
@@ -490,7 +488,7 @@ class TestHeatSymbol:
         def keep(ts, block, rows):
             records.extend(zip(ts[rows], block[rows]))
 
-        march(step, u0, dt, t_end, every, on_block, keep)
+        march(step, u0, dt, record_steps(dt, t_end, every), on_block, keep)
         return records
 
     def _agree(self, g, cfg, u0):
@@ -563,7 +561,7 @@ class TestHeatSymbol:
         u0 = np.ones(8)
         kept = []
         with pytest.raises(SolverSingular) as exc:
-            march(series, u0, 0.5, 50.0, 1, on_record=lambda ts, block, rows:
+            march(series, u0, 0.5, record_steps(0.5, 50.0, 1), on_record=lambda ts, block, rows:
                   kept.extend(ts[rows]))
         assert str(exc.value) == "implicit step produced non-finite values (failure at t = 15.5)"
         assert kept == pytest.approx(0.5 * np.arange(31))
@@ -573,7 +571,7 @@ class TestHeatSymbol:
             return (int(bad[0]), NonFiniteValue("record rejected")) if bad.size else None
 
         with pytest.raises(NonFiniteValue, match=r"^record rejected \(failure at t = 10\)$"):
-            march(series, u0, 0.5, 50.0, 1, on_record=reject)
+            march(series, u0, 0.5, record_steps(0.5, 50.0, 1), on_record=reject)
 
     @pytest.mark.parametrize("length, dt", [(1e-160, 1e300), (1e160, 1e-300)],
                              ids=["overflow", "zero"])
@@ -614,9 +612,9 @@ class TestHeatSymbol:
                 if held is None:
                     with pytest.raises(ValueError, match="^field does not match the Dirichlet "
                                                          "boundary values$"):
-                        march(step, u0, 1e-3, 5e-3)
+                        march(step, u0, 1e-3, record_steps(1e-3, 5e-3, 1))
                 else:
-                    assert march(step, u0, 1e-3, 5e-3)[-1] == u0[-1]
+                    assert march(step, u0, 1e-3, record_steps(1e-3, 5e-3, 1))[-1] == u0[-1]
 
 
 class TestBurgersStepper:

@@ -447,8 +447,8 @@ class TestRunningIntegral:
         for every_row in (False, True):
             rng = np.random.default_rng(11)
             first = rng.standard_normal(shape[1:])
-            integral = scenarios._RunningIntegral(first, lambda terms: np.multiply(terms, 0.25,
-                                                                                   terms))
+            integral = scenarios._RunningIntegral(lambda terms: np.multiply(terms, 0.25, terms))
+            integral.add(first[None])
             want, before, running = [], first, np.zeros(shape[1:])
             for block in (rng.standard_normal((5, *shape[1:])), rng.standard_normal(shape) * 1e3,
                           rng.standard_normal(shape)):
@@ -465,7 +465,8 @@ class TestRunningIntegral:
             assert np.array_equal(integral.last(), want[-1])
 
     def test_the_initial_record_reads_zero(self):
-        integral = scenarios._RunningIntegral(np.ones(4), lambda terms: terms)
+        integral = scenarios._RunningIntegral(lambda terms: terms)
+        integral.add(np.ones((1, 4)))
         assert np.array_equal(integral.at(np.array([0])), np.zeros((1, 4)))
         assert np.array_equal(integral.now, np.ones((1, 4)))
         block = np.full((2, 4), 2.0)
