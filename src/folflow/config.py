@@ -338,8 +338,10 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
         tolerances=tol,
         fields=fields,
     )
-    if grid is not None and scenario in SCENARIOS:
-        errs += field_errs + SCENARIOS[scenario].check(cfg, grid, fields)
+    errs += field_errs
+    if grid is not None and scenario in SCENARIOS and not field_errs:
+        with np.errstate(over="ignore", invalid="ignore"):  # a rule on huge values is no warning
+            errs += SCENARIOS[scenario].check(cfg, grid, fields)
     errs = unread + errs
     if errs:
         raise ValidationError("; ".join(errs))

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a broken input rule is raised."""
+
+
+def refuse(broken: list[str]):
+    """Raise the messages of the broken rules, if any, as one ValueError."""
+    if broken:
+        raise ValueError("; ".join(broken))
 
 
 class FolflowError(Exception):

@@ -35,14 +35,14 @@ import numpy as np
 
 from . import colehopf
 from .curvature import _conserved_quantity, _riccati_residual, sc_mix_minus_T2
-from .errors import GapTooSmall, NonFiniteValue, NotConverged, ProfileDegenerate
+from .errors import GapTooSmall, NonFiniteValue, NotConverged, ProfileDegenerate, refuse
 from .families import build_field
 from .fiber import (FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, _grad_log,
                     build_grid, grad_log, integrate)
 from .parabolic import (PERIODIC, BurgersStepper, Dirichlet, HeatSeries, HeatStepper,
                         StepperConfig, _Stepper, march, record_steps)
-from .schrodinger import (GroundState, eigencount, ground_state, lowest_eigenvalue, spectrum,
-                          weyl_theta)
+from .schrodinger import (GroundState, eigencount, ground_state, lowest_eigenvalue,
+                          operator_rules, spectrum, weyl_theta)
 
 SLOPE_TOL = 1e-8
 # from this many nodes on, a surface marches: a step then costs about what
@@ -133,6 +133,17 @@ def _shared_grid(*fields: ScalarField) -> FiberGrid:
     if len(grids) != 1:
         raise ValueError("input fields live on different grids")
     return grids.pop()
+
+
+# The closed flows' input rules, each stated once: the *_rules function beside
+# a driver returns the rules its inputs break, which the driver raises as one
+# ValueError (refuse) and its scenario's check prefixes with the scenario name.
+def _circle(grid: FiberGrid) -> list[str]:
+    return [] if grid.periodic else ["needs circle topology"]
+
+
+def _positive(name: str, values) -> list[str]:
+    return [f"{name} must be strictly positive"] if np.min(values) <= 0.0 else []
 
 
 class _RunningIntegral:
@@ -336,6 +347,11 @@ class TwistedTrajectory(Trajectory):
     fiber_means: np.ndarray
 
 
+def twisted_rules(grid: FiberGrid, slices) -> list[str]:
+    """The rules run_twisted_product's slices on grid, given by their values, break."""
+    return _circle(grid) + _positive("every slice base_value * initial", slices)
+
+
 def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
                         record_every: int = 10, snapshots=None) -> TwistedTrajectory:
     """Evolve each base slice of the warping function by d(f)/dt = n * f_yy.
@@ -349,12 +365,7 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
     if not slices:
         raise ValueError("need at least one base slice")
     grid = _shared_grid(*slices)
-    if not grid.periodic:
-        raise ValueError("twisted-product fibers must be closed (circle topology)")
-    if n < 1:
-        raise ValueError("distribution rank must be at least 1")
-    if any(np.min(f.values) <= 0.0 for f in slices):
-        raise ValueError("warping slices must be strictly positive")
+    refuse(twisted_rules(grid, [f.values for f in slices]))
     series = HeatSeries(grid, StepperConfig(dt, float(n), boundary=PERIODIC))
     means = np.array([integrate(f) / grid.length for f in slices])
     masses0 = np.array([integrate(f) for f in slices])
@@ -403,6 +414,15 @@ def normalized_scmix(u: np.ndarray, betaD: ScalarField, n: int) -> np.ndarray:
     return np.divide(out, u, out)
 
 
+def normalized_rules(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField) -> list[str]:
+    """The rules run_normalized_flow's input fields break."""
+    beta_min = float(np.min(betaD.values))
+    return (_circle(u0.grid) + _positive("initial (u0)", u0.values)
+            + ([f"potential (betaD) must be nonnegative, min value {beta_min}"]
+               if beta_min < -1e-12 else [])
+            + (["t2_initial (|T|^2) must be nonnegative"] if np.min(T2_0.values) < 0.0 else []))
+
+
 def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, n: int,
                         dt: float, t_end: float, record_every: int = 10,
                         gap_min: float = 1e-6, eps_T: float = 1e-8,
@@ -414,19 +434,9 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
     exponent, so zeros of |T|^2 persist exactly and the sign never flips.
     """
     grid = _shared_grid(u0, betaD, T2_0)
-    if not grid.periodic:
-        raise ValueError("normalized flow runs on closed fibers (circle topology)")
-    if n < 1:
-        raise ValueError("distribution rank must be at least 1")
-    beta_min = float(np.min(betaD.values))
-    if beta_min < -1e-12:
-        raise ValueError(f"betaD must be nonnegative, min value {beta_min}")
+    refuse(normalized_rules(u0, betaD, T2_0))
     betaD = ScalarField(grid, np.maximum(betaD.values, 0.0))
-    if np.min(u0.values) <= 0.0:
-        raise ValueError("u0 must be strictly positive")
-    if np.min(T2_0.values) < 0.0:
-        raise ValueError("|T|^2 must be nonnegative")
-
+    stepping = StepperConfig(dt, float(n), boundary=PERIODIC)
     gs = ground_state(betaD)
     if gs.gap < gap_min:
         raise GapTooSmall(
@@ -436,11 +446,7 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
     phi = n * gs.lambda0
     h_limit = grad_log(gs.e0, -float(n))
 
-    stepper = HeatStepper(
-        grid,
-        ScalarField(grid, n * betaD.values),
-        StepperConfig(dt, float(n), boundary=PERIODIC),
-    )
+    stepper = HeatStepper(grid, ScalarField(grid, n * betaD.values), stepping)
     # the |T|^2 exponent along the run, 4 dt (0.5 (before + now) - phi), of
     # Sc_mix - |T|^2 at each row, which the record reads from its now
     exponent = _RunningIntegral(lambda terms: np.multiply(
@@ -532,37 +538,29 @@ class RateFit:
     n_points: int
 
 
-def fit_decay_rate(
-    ts,
-    values,
-    head_frac: float = 0.1,
-    floor_frac: float = 1e-8,
-    floor_abs: float = 1e-12,
-) -> RateFit:
+# fit_decay_rate's window, as shares of the first positive value and a floor
+HEAD_FRAC, FLOOR_FRAC, FLOOR_ABS = 0.1, 1e-8, 1e-12
+
+
+def fit_decay_rate(ts, values) -> RateFit:
     """Least-squares exponential rate of a decaying positive series.
 
-    The fit window drops the initial transient (values above head_frac of
-    the starting value) and the numerical floor (below floor_frac of the
-    start or floor_abs).
+    The fit window drops the initial transient (values above HEAD_FRAC of
+    the starting value) and the numerical floor (below FLOOR_FRAC of the
+    start or FLOOR_ABS).
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(values, dtype=float)
     if ts.shape != vals.shape or ts.ndim != 1:
         raise ValueError("ts and values must be matching 1-d arrays")
-    positive = vals > 0.0
-    if not np.any(positive):
-        raise ValueError("series has no positive values to fit")
-    ref = vals[np.argmax(positive)]
-    lo = max(floor_frac * ref, floor_abs)
-    mask = positive & (vals <= head_frac * ref) & (vals >= lo)
-    if np.sum(mask) < 5:
-        raise ValueError(
-            f"only {int(np.sum(mask))} points inside the fit window; "
-            "run longer or loosen the window"
-        )
-    slope, _ = np.polyfit(ts[mask], np.log(vals[mask]), 1)
-    window_ts = ts[mask]
-    return RateFit(rate=float(-slope), window=(float(window_ts[0]), float(window_ts[-1])), n_points=int(np.sum(mask)))
+    ref = vals[np.argmax(vals > 0.0)]
+    # the floor is positive: the window holds positive values alone
+    window = (vals <= HEAD_FRAC * ref) & (vals >= max(FLOOR_FRAC * ref, FLOOR_ABS))
+    count = int(np.sum(window))
+    if count < 5:
+        raise ValueError(f"only {count} points inside the fit window; run longer")
+    slope, _ = np.polyfit(ts[window], np.log(vals[window]), 1)
+    return RateFit(float(-slope), (float(ts[window][0]), float(ts[window][-1])), count)
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +583,18 @@ class _ColeHopfPair(_Stepper):
         return out
 
 
+def cole_hopf_rules(u0: ScalarField) -> list[str]:
+    """The rules cole_hopf_rows' initial field breaks."""
+    return _circle(u0.grid) + _positive("initial", u0.values)
+
+
 def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, t_end: float,
                    record_every: int, snapshots=None) -> Trajectory:
     """Step dH/dt + (H^2)_y = nu*H_yy - nu^2*forcing_y and d(u)/dt = nu*(u_yy + forcing*u)
     side by side from H = -nu*(log u0)_y; rows hold the sup distance between H
     and the transform -nu*(log u)_y."""
     grid = _shared_grid(u0, forcing)
+    refuse(cole_hopf_rules(u0))
     pair = _ColeHopfPair(grid, forcing, StepperConfig(dt, float(nu), boundary=PERIODIC))
     traj = Trajectory(grid, dt, t_end, record_every, snapshots)
 
@@ -631,11 +635,15 @@ def _run_surface(cfg, grid, fields):
     return traj, summary
 
 
+def _slices(cfg, fields) -> list[np.ndarray]:
+    """The values of the twisted product's slices, base_value * initial."""
+    return [a * fields["initial"].values for a in cfg.base_values]
+
+
 def _run_twisted(cfg, grid, fields):
-    profile = fields["initial"]
     traj = run_twisted_product(
-        tuple(ScalarField(grid, a * profile.values) for a in cfg.base_values), cfg.n_rank,
-        cfg.time.dt, cfg.time.t_end, cfg.time.record_every, cfg.time.snapshots)
+        tuple(ScalarField(grid, s) for s in _slices(cfg, fields)), cfg.n_rank, cfg.time.dt,
+        cfg.time.t_end, cfg.time.record_every, cfg.time.snapshots)
     summary = {
         "final_t": float(traj.series["t"][-1]),
         "fiber_means": list(traj.fiber_means),
@@ -682,15 +690,18 @@ def _run_normalized(cfg, grid, fields):
     return traj, summary
 
 
+def _refined(cfg, grid: FiberGrid) -> tuple[ScalarField, ScalarField]:
+    """cole_hopf_check's initial and potential on its refined grid, of 2 * n_points nodes."""
+    fine = build_grid(grid.topology, grid.length, 2 * grid.n_points)
+    return tuple(build_field(fine, s.family, s.params) for s in (cfg.initial, cfg.potential))
+
+
 def _run_cole_hopf_check(cfg, grid, fields):
     u0, nu = fields["initial"], cfg.n_rank
     traj = cole_hopf_rows(u0, fields["potential"], nu, cfg.time.dt, cfg.time.t_end,
                           cfg.time.record_every, cfg.time.snapshots)
-    fine = build_grid(grid.topology, grid.length, 2 * grid.n_points)
-    refined = cole_hopf_rows(
-        *(build_field(fine, spec.family, spec.params) for spec in (cfg.initial, cfg.potential)),
-        nu, 0.5 * cfg.time.dt, cfg.time.t_end, 2 * cfg.time.record_every, snapshots=(),
-    )
+    refined = cole_hopf_rows(*_refined(cfg, grid), nu, 0.5 * cfg.time.dt, cfg.time.t_end,
+                             2 * cfg.time.record_every, snapshots=())
     max_coarse, max_fine = (float(np.max(run.series["sup_diff"])) for run in (traj, refined))
     # no order to observe when either run matches its transform exactly
     order = float(np.log2(max_coarse / max_fine)) if min(max_coarse, max_fine) > 0.0 else None
@@ -747,56 +758,37 @@ def _run_spectral_report(cfg, grid, fields):
     return traj, summary
 
 
-def _positive_initial(cfg, grid: FiberGrid, fields: dict) -> list[str]:
-    init = fields.get("initial")
-    if init is not None and float(np.min(init.values)) <= 0.0:
-        return [f"{cfg.scenario}: initial field must be strictly positive on the grid"]
-    return []
-
-
-def _check_closed_flow(cfg, grid: FiberGrid, fields: dict) -> list[str]:
-    circle = [] if grid.periodic else [f"{cfg.scenario}: needs circle topology"]
-    return _positive_initial(cfg, grid, fields) + circle
+def _check_surface(cfg, grid, fields) -> list[str]:
+    return [f"surface: {message}" for message in _positive("initial", fields["initial"].values)]
 
 
 def _check_twisted(cfg, grid, fields) -> list[str]:
-    errs = _check_closed_flow(cfg, grid, fields)
-    init = fields.get("initial")
-    # the run steps the slices base_value * initial; the smallest value,
-    # min(base_values) * min(initial), can underflow to 0
-    if not errs and init is not None and min(cfg.base_values) * float(np.min(init.values)) <= 0.0:
-        errs.append("twisted: every slice base_value * initial must be strictly positive")
-    return errs
-
-
-def _check_operator_range(grid: FiberGrid) -> list[str]:
-    """The eigensolvers' fiber operator divides by h*h, which the parser
-    keeps nonzero but not its reciprocal finite."""
-    if 1.0 / (grid.spacing * grid.spacing) < np.inf:
-        return []
-    return [f"grid: spacing {grid.spacing:g} squares to {grid.spacing * grid.spacing:g}, "
-            "whose reciprocal is out of the float range"]
+    return [f"twisted: {message}" for message in twisted_rules(grid, _slices(cfg, fields))]
 
 
 def _check_normalized(cfg, grid, fields) -> list[str]:
-    errs = _check_closed_flow(cfg, grid, fields) + _check_operator_range(grid)
-    pot, t2 = fields.get("potential"), fields.get("t2_initial")
-    if pot is not None and float(np.min(pot.values)) < -1e-12:
-        errs.append("normalized: potential (betaD) must be nonnegative")
-    if t2 is not None and float(np.min(t2.values)) < 0.0:
-        errs.append("normalized: t2_initial must be nonnegative")
-    return errs
+    broken = normalized_rules(fields["initial"], fields["potential"], fields["t2_initial"])
+    return [f"normalized: {message}" for message in broken] + operator_rules(fields["potential"])
 
 
 def _check_cole_hopf(cfg, grid, fields) -> list[str]:
-    return _check_closed_flow(cfg, grid, fields) + [
-        f"{which}: cole_hopf_check evaluates it again on 2 * n_points nodes, "
-        "where from_csv has no values"
-        for which in ("initial", "potential") if getattr(cfg, which).family == "from_csv"]
+    csv = [f"{which}: cole_hopf_check evaluates it again on 2 * n_points nodes, "
+           "where from_csv has no values"
+           for which in ("initial", "potential") if getattr(cfg, which).family == "from_csv"]
+    if csv:
+        return csv
+    try:  # the refined run's initial is checked once the run's own holds
+        fine = _refined(cfg, grid)[0]
+    except (ValueError, MemoryError) as err:
+        return [f"cole_hopf_check: on the refined grid of {2 * grid.n_points} nodes: {err}"]
+    broken = cole_hopf_rules(fields["initial"]) or [
+        f"{message} on the refined grid of {fine.grid.n_points} nodes"
+        for message in cole_hopf_rules(fine)]
+    return [f"cole_hopf_check: {message}" for message in broken]
 
 
 def _check_spectral(cfg, grid, fields) -> list[str]:
-    errs = _check_operator_range(grid)
+    errs = operator_rules(fields["potential"])
     if cfg.time.t_end != 0.0:
         errs.append(f"time: spectral_report does no time stepping; t_end must be 0, "
                     f"got {cfg.time.t_end}")
@@ -830,7 +822,8 @@ class Scenario:
     plot_column: str
     # run(cfg, grid, realized fields) -> (Trajectory, summary)
     run: Callable
-    # check(cfg, grid, realized fields) -> list of constraint violations
+    # check(cfg, grid, realized fields) -> list of constraint violations, called
+    # once every field the scenario reads has built
     check: Callable
 
 
@@ -849,7 +842,7 @@ SCENARIOS = {s.name: s for s in (
         fields=("rho", "h", "k", "K", "conformal_factor"),
         plot_column="sup_K",
         run=_run_surface,
-        check=_positive_initial,
+        check=_check_surface,
     ),
     Scenario(
         name="twisted",

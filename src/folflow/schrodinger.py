@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.sparse.linalg import eigsh
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, refuse
 from .fiber import FiberGrid, ScalarField, integrate
 
 # fixed seed of the probe vectors that start inverse iteration and fix each
@@ -90,38 +90,54 @@ class GroundState:
     e0: ScalarField
     lambda1: float
 
-    def __post_init__(self):
-        vals = self.e0.values
-        interior = vals if self.e0.grid.periodic else vals[1:-1]
-        if np.min(interior) <= 0.0:
-            raise ValueError("ground state must be strictly positive")
-        if abs(integrate(self.e0 * self.e0) - 1.0) > 1e-10:
-            raise ValueError("ground state must have unit L2 norm")
-        if self.lambda1 < self.lambda0 - 1e-10 * (1.0 + abs(self.lambda0)):
-            raise ValueError("eigenvalues out of order")
-
     @property
     def gap(self) -> float:
         return self.lambda1 - self.lambda0
 
 
+def _lanczos_shift(f: ScalarField) -> float:
+    """ground_state's shift, below -max(f), which lies under the whole spectrum."""
+    return -float(np.max(f.values)) - 1.0
+
+
+def operator_rules(f: ScalarField) -> list[str]:
+    """The rules the operator A of potential f breaks, each message named by
+    its config key: 1/h^2 finite, and A - sigma*I strictly diagonally dominant
+    as computed for the Lanczos shift sigma, so that its factorization cannot
+    break down.  The shift's margin of 1 holds in exact arithmetic; rounding
+    swallows it next to a potential of 1e308, or to a 2/h^2 of 1e17."""
+    g = f.grid
+    if not 1.0 / (g.spacing * g.spacing) < np.inf:
+        return [f"grid: spacing {g.spacing:g} squares to {g.spacing * g.spacing:g}, "
+                "whose reciprocal is out of the float range"]
+    (diag, inv), sigma = _diagonal(f), _lanczos_shift(f)
+    off = np.full(diag.size, 2.0 * inv)
+    if not g.periodic:
+        off[[0, -1]] = inv  # an interval's end nodes have one neighbour
+    margin = float(np.min(diag - sigma - off))
+    return [] if margin > 0.0 else [
+        f"potential: rounding swallows the Lanczos shift's margin: A - sigma*I with sigma = "
+        f"-max(potential) - 1 = {sigma:g} is not strictly diagonally dominant (margin {margin:g})"]
+
+
 def ground_state(f: ScalarField) -> GroundState:
     """Lowest two eigenvalues and the positive unit ground state of -d2/dx2 - f.
 
-    Shift-invert Lanczos (ARPACK) about a shift below -max(f), which lies
-    under the whole spectrum.  The start vector is fixed, so repeats are
-    bit-identical, and has no reflection symmetry, so an odd first excited
-    state is reachable when the potential is even.
+    Shift-invert Lanczos (ARPACK) about _lanczos_shift; a potential that
+    breaks an operator rule is refused with its messages.  The start vector
+    is fixed, so repeats are bit-identical, and has no reflection symmetry,
+    so an odd first excited state is reachable when the potential is even.
     """
+    refuse(operator_rules(f))
     g = f.grid
     mat = assemble_operator(f)
     size = mat.shape[0]
     idx = 2.0 * np.pi * np.arange(size) / size
     start = 1.0 + 0.5 * np.sin(idx) + 0.25 * np.cos(3.0 * idx + 1.0)
     try:
-        vals, vecs = eigsh(mat, k=2, sigma=-float(np.max(f.values)) - 1.0, v0=start)
+        vals, vecs = eigsh(mat, k=2, sigma=_lanczos_shift(f), v0=start)
     except RuntimeError as err:
-        # ArpackError, or the shift-invert factorization found A - sigma*I singular
+        # ArpackError, or a singular factorization that operator_rules did not foresee
         raise ConvergenceFailure(f"shift-invert Lanczos failed: {err}") from err
     order = np.argsort(vals)
     lam0, lam1 = (float(v) for v in vals[order])

@@ -4,7 +4,9 @@ import pytest
 import scipy.fft
 
 from folflow import parabolic, scenarios
-from folflow.errors import GapTooSmall, NotConverged, ProfileDegenerate
+from folflow.config import _FIELD_DEFAULTS, parse_config_text
+from folflow.errors import GapTooSmall, NotConverged, ProfileDegenerate, ValidationError
+from folflow.families import build_field
 from folflow.fiber import ScalarField, _diff1, _diff2, build_grid, derivative, integrate
 from folflow.scenarios import (
     Trajectory,
@@ -503,3 +505,47 @@ class TestFitDecayRate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fit_decay_rate(np.zeros(4), np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# input rules, stated once for the driver and the parser
+
+_COSINE = {"family": "cosine_perturbed", "base": 0.1, "amplitude": 0.3, "mode": 1}
+
+# the driver a scenario runs, called on its input fields as the runner calls it
+_DRIVERS = {
+    "twisted": lambda f: run_twisted_product((f["initial"],), 1, dt=1e-3, t_end=0.1),
+    "normalized": lambda f: run_normalized_flow(f["initial"], f["potential"], f["t2_initial"],
+                                                1, dt=1e-3, t_end=0.1),
+    "cole_hopf_check": lambda f: cole_hopf_rows(f["initial"], f["potential"], 1.0, dt=1e-3,
+                                                t_end=0.1, record_every=10),
+}
+
+
+@pytest.mark.parametrize("scenario, topology, fields", [
+    ("twisted", "interval", {}),
+    ("twisted", "circle", {"initial": _COSINE}),
+    ("normalized", "circle", {"potential": {"family": "constant", "value": -1.0e-9}}),
+    ("normalized", "circle", {"t2_initial": {"family": "constant", "value": -1.0}}),
+    ("normalized", "circle", {"initial": _COSINE}),
+    ("cole_hopf_check", "circle", {"initial": _COSINE}),
+], ids=["twisted_on_an_interval", "non_positive_slice", "negative_betaD", "negative_T2",
+        "non_positive_u0", "non_positive_cole_hopf_initial"])
+def test_a_rule_the_driver_and_the_parser_share_has_one_message(scenario, topology, fields):
+    # the fields the scenario reads: the given ones, else the parser's defaults
+    specs = {key: fields.get(key, default) for key, default in _FIELD_DEFAULTS.items()
+             if key in scenarios.SCENARIOS[scenario].keys}
+    text = (f"scenario: {scenario}\ngrid: {{topology: {topology}, length: 6.283185307179586, "
+            f"n_points: 32}}\ntime: {{dt: 1.0e-3, t_end: 0.1}}\n"
+            + "".join(f"{key}: {spec}\n" for key, spec in specs.items())
+            # one slice, 1.0 * initial, the field the twisted driver is given
+            + ("base_values: [1.0]\n" if scenario == "twisted" else ""))
+    with pytest.raises(ValidationError) as parsed:
+        parse_config_text(text)
+    grid = build_grid(topology, 6.283185307179586, 32)
+    with pytest.raises(ValueError) as driven:
+        _DRIVERS[scenario]({key: build_field(grid, spec["family"],
+                                             {k: v for k, v in spec.items() if k != "family"})
+                            for key, spec in specs.items()})
+    assert str(parsed.value).startswith(f"{scenario}: ")
+    assert str(driven.value) == str(parsed.value)[len(f"{scenario}: "):]

@@ -145,6 +145,16 @@ class TestLanczosRoute:
         with pytest.raises(ConvergenceFailure):
             ground_state(ScalarField(g, np.cos(g.x)))
 
+    def test_a_potential_that_swallows_the_shift_is_refused_by_its_rule(self):
+        # -max(f) - 1 rounds to -max(f), so A - sigma*I has a zero diagonal:
+        # the rule's message, not splu's "Factor is exactly singular"
+        g = build_grid("interval", 0.25, 13)
+        f = ScalarField(g, 1.0e308 + 3.27 * np.cos(4.0 * np.pi * g.x / g.length))
+        with pytest.raises(ValueError) as exc:
+            ground_state(f)
+        assert str(exc.value).startswith("potential: rounding swallows the Lanczos shift's margin")
+        assert "singular" not in str(exc.value)
+
 
 def bound_loop_potentials(g):
     """Flat, even, odd, random trigonometric (the bound loop's kind) and a
