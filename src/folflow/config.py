@@ -21,7 +21,7 @@ import yaml
 from .artifacts import snapshot_name
 from .errors import ParseError, ValidationError
 from .families import FAMILY_PARAMS, build_field
-from .fiber import FiberGrid, ScalarField, build_grid
+from .fiber import MIN_POINTS, FiberGrid, ScalarField, build_grid
 from .parabolic import Dirichlet, record_steps
 from .scenarios import COMMON_KEYS, SCENARIOS, nearest_records
 
@@ -227,7 +227,7 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
         topology = "circle"
     length = _as_number(grid_map.get("length", float("nan")), "grid.length", errs,
                         "positive and finite")
-    n_points = _as_int(grid_map.get("n_points", 0), "grid.n_points", errs, 8)
+    n_points = _as_int(grid_map.get("n_points", 0), "grid.n_points", errs, MIN_POINTS)
     grid = build_grid(topology, length, n_points) if not errs else None
     # the stencils divide by h*h, and the default dt is a quarter of h**2
     if grid is not None and not 0.0 < grid.spacing * grid.spacing < np.inf:

@@ -388,8 +388,8 @@ def record_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
     return np.r_[np.arange(0, n, record_every), n]
 
 
-# march's block buffer holds at most _BLOCK_ROWS states and _BLOCK_DOUBLES values
-_BLOCK_ROWS = 64
+# march's block buffer holds as many states as fit in _BLOCK_DOUBLES values,
+# at least one and at most the run's steps to fill (163 states of 201 nodes)
 _BLOCK_DOUBLES = 2 ** 15
 
 
@@ -412,12 +412,12 @@ def march(stepper, state: np.ndarray, dt: float, steps: np.ndarray, on_block=Non
     Returns the final state.
     """
     state = np.asarray(state, dtype=float)
-    buf = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // state.size)), *state.shape))
-    stepper.start(state)
     # the steps to fill: every one, or the records if the stepper may skip
     # and no on_block needs the others
     only_records = stepper.skips and on_block is None
     total = len(steps) - 1 if only_records else int(steps[-1])
+    buf = np.empty((max(1, min(_BLOCK_DOUBLES // state.size, total)), *state.shape))
+    stepper.start(state)
     marks, done, t = steps.tolist(), 0, 0.0
     ks, block, failure = steps[:1], state[None], None
     try:

@@ -313,6 +313,13 @@ def _inverse_iteration(order: np.ndarray, band: np.ndarray, vals: np.ndarray) ->
     return natural
 
 
+def spectrum_rules(grid: FiberGrid, m: int) -> list[str]:
+    """The rule spectrum's count of eigenpairs m breaks, named by its config
+    key modes: 1 <= m <= the number of active nodes."""
+    size = grid.n_points if grid.periodic else grid.n_points - 2
+    return [] if 1 <= m <= size else [f"modes must be between 1 and {size}, got {m}"]
+
+
 def spectrum(f: ScalarField, m: int) -> SpectralDecomposition:
     """First m eigenpairs, eigenfunctions orthonormal in the discrete L2
     product, with one canonical basis per eigenspace (see canonicalize):
@@ -322,10 +329,9 @@ def spectrum(f: ScalarField, m: int) -> SpectralDecomposition:
     eigenspace that holds the m-th, inverse iteration their eigenvectors.
     """
     g = f.grid
-    size = g.n_points if g.periodic else g.n_points - 2
-    if not 1 <= m <= size:
-        raise ValueError(f"m must be between 1 and {size}, got {m}")
+    refuse(spectrum_rules(g, m))
     order, band = _band(f)
+    size = len(order)
     count = min(m + 2, size)  # a circle's eigenspaces come in pairs
     while True:
         vals = scipy.linalg.eig_banded(band[:len(band) // 2 + 1], eigvals_only=True,

@@ -732,26 +732,36 @@ BLOCK_RUNS = {**SHORT_RUNS,
               "surface_marched": SHORT_RUNS["surface"].replace("n_points: 101", "n_points: 200")}
 
 
+def _block_budgets(cfg) -> dict:
+    """march's value budgets that give a run its default blocks, blocks of one
+    state, and blocks of 7 states of its largest: cole_hopf_check's refined
+    pair, (u, H) on 2 * n_points nodes, whose coarse pair then takes 14."""
+    n = cfg.grid.n_points
+    largest = {"twisted": len(cfg.base_values) * n, "cole_hopf_check": 4 * n}.get(cfg.scenario, n)
+    return {"default": parabolic._BLOCK_DOUBLES, 1: 1, 7: 7 * largest}
+
+
 class TestBlockEdges:
     """march evaluates steps in blocks; the block length must not show in any artifact."""
 
     @pytest.mark.parametrize("scenario", sorted(BLOCK_RUNS))
     def test_block_length_leaves_artifacts_unchanged(self, tmp_path, monkeypatch, scenario):
         raw = yaml.safe_load(BLOCK_RUNS[scenario])
+        cfg = parse_config_text(BLOCK_RUNS[scenario])
         if scenario.startswith("surface"):
-            assert _series_pays(parse_config_text(BLOCK_RUNS[scenario]).grid) == (
-                scenario == "surface")
+            assert _series_pays(cfg.grid) == (scenario == "surface")
         runs = {}
         # 50 or 100 steps (spectral_report: none); 3 and 9 divide neither
-        # the step counts nor the block lengths 7 and 64
-        for rows in (parabolic._BLOCK_ROWS, 1, 7):
-            monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        # the step counts nor the block lengths 7 and 14, and the default
+        # block holds every step
+        for rows, budget in _block_budgets(cfg).items():
+            monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", budget)
             for every in (3, 9):
                 raw["time"]["record_every"] = every
                 out = tmp_path / f"{rows}_{every}"
                 runs[rows, every] = _run_artifacts(parse_config_text(json.dumps(raw)), out)
         for (rows, every), artifacts in runs.items():
-            assert artifacts == runs[parabolic._BLOCK_ROWS, every], (rows, every)
+            assert artifacts == runs["default", every], (rows, every)
 
     @pytest.mark.parametrize("scenario, every", [
         ("surface", 1), ("twisted", 1), ("normalized", 1), ("cole_hopf_check", 1),
@@ -759,19 +769,21 @@ class TestBlockEdges:
     ])
     def test_records_inside_blocks_leave_artifacts_unchanged(self, tmp_path, monkeypatch,
                                                             scenario, every):
-        # every step recorded, so blocks of 7 and 64 rows hold many records;
-        # 7 does not divide the surface's 100 steps, whose last record is off-grid
+        # every step recorded, so blocks of 7 rows and the default block,
+        # which holds the run, hold many records; 7 does not divide the
+        # surface's 100 steps, whose last record is off-grid
         raw = yaml.safe_load(SHORT_RUNS[scenario])
         t_end = raw["time"]["t_end"]
         raw["time"].update(record_every=every, snapshots=[0.0, t_end / 3, 0.5 * t_end, t_end])
+        cfg = parse_config_text(json.dumps(raw))
         runs = []
-        for rows in (1, 7, 64):
-            monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        for rows, budget in _block_budgets(cfg).items():
+            monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", budget)
             runs.append(_run_artifacts(parse_config_text(json.dumps(raw)), tmp_path / str(rows)))
         assert len([name for name in runs[0] if name.startswith("fields_")]) == 4
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
-    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("rows", [1, 7, "default"])
     @pytest.mark.parametrize("text, error", [
         (OVERFLOW_RUN, "NonFiniteValue: recorded value(s) ['rayleigh'] not finite "
                        "(failure at t = 0.87)"),
@@ -783,9 +795,10 @@ class TestBlockEdges:
     ], ids=["overflow", "degenerate", "overflow_every_step"])
     def test_failure_and_its_time_do_not_depend_on_blocks(self, tmp_path, monkeypatch,
                                                           rows, text, error):
-        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        cfg = parse_config_text(text)
+        monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", _block_budgets(cfg)[rows])
         with pytest.raises(FolflowError) as exc:
-            execute_config(parse_config_text(text), tmp_path / "out", quiet=True)
+            execute_config(cfg, tmp_path / "out", quiet=True)
         assert f"{type(exc.value).__name__}: {exc.value}" == error
 
     def test_a_driver_called_directly_fails_without_a_warning(self):

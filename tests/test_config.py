@@ -15,8 +15,9 @@ from folflow.config import (
     realize_grid,
 )
 from folflow.families import build_field
-from folflow.fiber import build_grid
+from folflow.fiber import MIN_POINTS, ScalarField, build_grid
 from folflow.parabolic import Dirichlet, HeatStepper, StepperConfig
+from folflow.schrodinger import spectrum
 
 
 GOOD = textwrap.dedent("""\
@@ -113,6 +114,19 @@ class TestParsing:
             parse_config_text(bad)
         msg = str(exc.value)
         assert "topology" in msg and "dt" in msg
+
+    def test_grid_and_modes_floors_are_the_solvers_own(self):
+        # the parser refuses n_points below fiber.MIN_POINTS and modes by
+        # schrodinger.spectrum_rules, the rule spectrum raises unprefixed
+        with pytest.raises(ValidationError) as exc:
+            parse_config_text(GOOD.replace("n_points: 128", f"n_points: {MIN_POINTS - 1}"))
+        assert str(exc.value) == f"grid.n_points must be at least 8, got {MIN_POINTS - 1}"
+        with pytest.raises(ValidationError) as exc:
+            parse_config_text("scenario: spectral_report\ntime: {t_end: 0.0}\nmodes: 9\n"
+                              "grid: {topology: interval, length: 1.0, n_points: 10}\n")
+        assert str(exc.value) == "spectral_report: modes must be between 1 and 8, got 9"
+        with pytest.raises(ValueError, match="^modes must be between 1 and 8, got 9$"):
+            spectrum(ScalarField(build_grid("interval", 1.0, 10), np.zeros(10)), 9)
 
     def test_bad_tolerances_reported_in_file_order(self):
         # in the order written, not in an order that varies with string hashing

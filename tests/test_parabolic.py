@@ -388,7 +388,8 @@ class TestEvolveDriver:
         # the 12th step fails; a block hook that rejects the state after
         # step 10 wins, since the rows before a failing step are still checked;
         # the block hook sees the initial state first, as a block of its own
-        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        # blocks of `rows` states of 3 values
+        monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 3 * rows)
         seen, records = [], []
 
         def on_block(ts, block):
@@ -419,7 +420,8 @@ class TestEvolveDriver:
                                                        reject, error, kept):
         # state k after step k, recorded every 2 steps; the record hook takes
         # the records before the one it rejects
-        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        # blocks of `rows` states of 3 values
+        monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 3 * rows)
         seen, records = [], []
 
         def on_block(ts, block):
@@ -445,7 +447,8 @@ class TestEvolveDriver:
         # c*V = 0.95 multiplies u by 39 a step, so step 194 overflows: only its
         # own overflow is let through, and the steps past it that a block runs
         # on inf and nan must raise no warning of their own
-        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        # blocks of `rows` states of 16 values
+        monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 16 * rows)
         g, dt = build_grid("circle", 1.0, 16), 0.1
         stepper = HeatStepper(g, ScalarField(g, np.full(16, 19.0)),
                               StepperConfig(dt, 1e-3, boundary=PERIODIC))
@@ -542,7 +545,7 @@ class TestHeatSymbol:
         series = HeatSeries(g, StepperConfig(1e-3, 2.0, boundary=bnd))
         runs = []
         for rows in (1, 7, 64):
-            monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", rows * u0.size)
             for on_block in (None, lambda ts, block: None):
                 runs.append(self._records(series, u0, 1e-3, 0.13, 1, on_block))
         assert len(runs[0]) == 131
@@ -555,7 +558,8 @@ class TestHeatSymbol:
     def test_failures_keep_the_records_before_and_carry_their_time(self, monkeypatch, rows):
         # a symbol of 1e10 overflows at step 31; a record hook that rejects
         # the record of step 20 wins, being earlier
-        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        # blocks of `rows` states of 8 values
+        monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 8 * rows)
         monkeypatch.setattr(parabolic, "heat_symbol", lambda grid, cfg: np.full(5, 1e10))
         series = HeatSeries(circle(8), StepperConfig(0.5, 1.0, boundary=PERIODIC))
         u0 = np.ones(8)

@@ -102,6 +102,22 @@ class TestSurfaceRun:
         with pytest.raises(ProfileDegenerate, match=r"slope \|rho_x\| = 1.2 exceeds 1"):
             run_surface_of_revolution(rho0, dt=1e-4, t_end=0.1)
 
+    @pytest.mark.parametrize("n, steps", [(201, 400), (4097, 20), (201, 10)])
+    def test_a_block_holds_the_states_that_fit_the_budget(self, monkeypatch, n, steps):
+        # 201 nodes run a sine series that fills every step for the block
+        # hook, 4097 nodes march; the buffer holds _BLOCK_DOUBLES // n
+        # states, 163 and 7, or the run's steps if fewer
+        filled = []
+        for cls in (parabolic.HeatSeries, parabolic._Stepper):
+            monkeypatch.setattr(cls, "fill", lambda self, ks, out, _fill=cls.fill:
+                                filled.append(len(out)) or _fill(self, ks, out))
+        g = build_grid("interval", 1.0, n)
+        rho0 = ScalarField(g, 0.5 + 0.3 * g.x + 0.1 * np.sin(np.pi * g.x))
+        run_surface_of_revolution(rho0, dt=1e-6, t_end=steps * 1e-6, record_every=50)
+        rows = {201: 163, 4097: 7}[n]
+        assert rows == parabolic._BLOCK_DOUBLES // n
+        assert filled == [rows] * (steps // rows) + [steps % rows] * (steps % rows > 0)
+
 
 class TestSurfaceCrosscheck:
     def test_curvature_evolution_identities(self):
@@ -120,12 +136,14 @@ class TestSurfaceCrosscheck:
         with pytest.raises(ValueError):
             surface_evolution_crosscheck(traj)
 
-    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("rows", [1, 7, "default"])
     def test_running_crosscheck_equals_the_crosscheck_of_every_record(self, monkeypatch,
                                                                       rows):
         # 100 steps recorded every 7: the records after step 98 and the
-        # off-grid step 100 fall in one block of 7 or 64 rows
-        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        # off-grid step 100 fall in one block of 7 rows, or of the default
+        # budget, which holds every step
+        if rows != "default":
+            monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", rows * 101)
         g = build_grid("interval", 1.0, 101)
         rho0 = ScalarField(g, 0.5 + 0.3 * g.x + 0.1 * np.sin(np.pi * g.x))
         full = run_surface_of_revolution(rho0, dt=1e-4, t_end=0.01, record_every=7)
@@ -330,13 +348,15 @@ def _short_run(flow: str, snapshots=None):
 
 
 class TestRecords:
-    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("rows", [1, "default"])
     @pytest.mark.parametrize("flow", ["surface", "twisted", "normalized", "cole_hopf"])
     def test_recorded_arrays_are_read_only_and_own_their_memory(self, monkeypatch, flow, rows):
         # no view of the march state or block buffer, or of a block the
         # twisted product evaluates in closed form, and none shared between
-        # records, whatever the block length
-        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        # records, whatever the block length: a budget of one value gives
+        # blocks of one state, the default one block for the run
+        if rows == 1:
+            monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 1)
         buffers = []
 
         def keep(run):
@@ -357,12 +377,13 @@ class TestRecords:
             assert not any(np.shares_memory(values, buf) for buf in buffers)
             assert not any(np.shares_memory(values, other) for other in arrays[i + 1:])
 
-    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("rows", [1, "default"])
     @pytest.mark.parametrize("flow", ["surface", "normalized"])
     def test_recorded_curvatures_are_those_of_the_recorded_state(self, monkeypatch, flow, rows):
         # K and Sc_mix - |T|^2 come from the running integral's block; they
         # have the bits of the recorded state's own, formed alone
-        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        if rows == 1:
+            monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 1)
         traj = _short_run(flow)
         g = traj.grid
         for fields in traj.fields:
@@ -384,11 +405,12 @@ class TestRecords:
         assert snapshot_rows([1.6, 1.4]) == [2]  # twice on one record
         assert snapshot_rows([2.45, 0.25]) == [0, 4]  # the off-grid last record
 
-    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("rows", [1, "default"])
     @pytest.mark.parametrize("flow", ["surface", "twisted", "normalized", "cole_hopf"])
     def test_runs_given_snapshots_keep_those_records_and_the_last(self, monkeypatch, flow,
                                                                    rows):
-        monkeypatch.setattr(parabolic, "_BLOCK_ROWS", rows)
+        if rows == 1:
+            monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 1)
         full = _short_run(flow)
         # records at t = 0, 0.003, 0.006, 0.009, 0.01: the first is nearest
         # 0.001, the third nearest both 0.0052 and 0.0058

@@ -146,7 +146,6 @@ def test_each_step_of_a_run_is_one_stepper_step_call(monkeypatch, flow):
     for module, name in ((np.fft, "irfft"), (scipy.fft, "idst")):
         monkeypatch.setattr(module, name, lambda coef, *args, _inverse=getattr(module, name),
                             **kwargs: evaluated.append(len(coef)) or _inverse(coef, *args, **kwargs))
-    monkeypatch.setattr(parabolic, "_BLOCK_ROWS", 7)
     # an interval of 33 nodes runs a sine series of FFT length 64, one of 32
     # (2 * 31) or of SERIES_POINTS nodes marches; a torus of 32 is a series,
     # one of SERIES_POINTS nodes marches; both cuts are FFT lengths (1280,
@@ -154,6 +153,9 @@ def test_each_step_of_a_run_is_one_stepper_step_call(monkeypatch, flow):
     n = {"surface_series": 33, "surface_large": SERIES_POINTS["interval"],
          "torus_large": SERIES_POINTS["circle"]}.get(flow, 32)
     g = build_grid("interval" if flow.startswith("surface") else "circle", 2 * np.pi, n)
+    # blocks of 7 states: three slices, a pair (u, H), or one profile or u
+    size = {"twisted": 3 * n, "cole_hopf": 2 * n}.get(flow, n)
+    monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 7 * size)
     bump = ScalarField(g, 1.5 + 0.3 * np.sin(g.x))
     dt, t_end = 1e-3, 0.05
     if flow.startswith(("surface", "torus")):
