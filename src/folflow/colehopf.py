@@ -18,14 +18,9 @@ from .fiber import FiberGrid, ScalarField, VectorAlongFiber, fourier_derivative,
 CIRCULATION_TOL = 1e-8
 
 
-def _require_circle(grid: FiberGrid):
-    if not grid.periodic:
-        raise ValueError("the velocity/potential maps are defined on circle fibers only")
-
-
 def velocity_from_potential_fn(u: ScalarField, n: float) -> VectorAlongFiber:
-    """H = -n * d/dx log(u) for strictly positive u on a circle."""
-    _require_circle(u.grid)
+    """H = -n * d/dx log(u) for strictly positive u on a circle, which
+    fourier_derivative requires."""
     m = float(np.min(u.values))
     if m <= 0.0:
         raise NonPositiveField(f"velocity map needs a positive field, min value {m}")
@@ -53,7 +48,8 @@ def potential_from_velocity(H: VectorAlongFiber, n: float) -> ScalarField:
     beyond CIRCULATION_TOL * length means no single-valued potential exists.
     """
     g = H.grid
-    _require_circle(g)
+    if not g.periodic:
+        raise ValueError("the velocity/potential maps are defined on circle fibers only")
     circ = integrate(H)
     if abs(circ) > CIRCULATION_TOL * g.length:
         raise NotConservative(

@@ -1,7 +1,8 @@
 """Run configurations: a small YAML schema parsed fail-closed into dataclasses.
 
-Unknown keys anywhere raise ParseError; value constraints are checked all at
-once and reported together in a single ValidationError.  The scenario names,
+Unknown keys anywhere raise ParseError, and a section's keys are the fields
+of the dataclass it fills; value constraints are checked all at once and
+reported together in a single ValidationError.  The scenario names,
 the top-level keys each scenario reads and its own constraints come from the
 declarations in scenarios.SCENARIOS: a key that only other scenarios read is
 one of the collected errors, and the config echo holds only the keys read.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields as spec_fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -20,10 +21,11 @@ import yaml
 
 from .artifacts import snapshot_name
 from .errors import ParseError, ValidationError
-from .families import FAMILY_PARAMS, build_field
+from .families import FAMILY_PARAMS, build_field, family_rules
 from .fiber import MIN_POINTS, FiberGrid, ScalarField, build_grid
 from .parabolic import Dirichlet, record_steps
-from .scenarios import COMMON_KEYS, SCENARIOS, nearest_records
+from .scenarios import (COMMON_KEYS, CONVERGED_DEV, EPS_T, GAP_MIN, RECORD_EVERY, SCENARIOS,
+                        nearest_records)
 
 # the field keys and the field each takes when the config leaves it out
 _FIELD_DEFAULTS = {"initial": {"family": "constant", "value": 1.0},
@@ -54,9 +56,9 @@ class FieldSpec:
 
 @dataclass
 class ToleranceSpec:
-    gap_min: float = 1e-6
-    eps_t: float = 1e-8
-    converged_dev: float = 1e-5
+    gap_min: float = GAP_MIN
+    eps_t: float = EPS_T
+    converged_dev: float = CONVERGED_DEV
 
 
 @dataclass
@@ -82,10 +84,6 @@ class RunConfig:
 
 
 _TOP_KEYS = {*COMMON_KEYS, *(key for s in SCENARIOS.values() for key in s.keys)}
-_GRID_KEYS = {"topology", "length", "n_points"}
-_TIME_KEYS = {"dt", "t_end", "record_every", "snapshots"}
-_BOUNDARY_KEYS = {"kind", "left", "right"}
-_TOL_KEYS = {"gap_min", "eps_t", "converged_dev"}
 
 
 class _Loader(yaml.SafeLoader):
@@ -121,10 +119,20 @@ def _require_mapping(obj, where: str):
     return obj
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str):
-    unknown = sorted(set(mapping) - allowed)
+def _reject_unknown(mapping: dict, allowed, where: str):
+    unknown = sorted(set(mapping) - set(allowed), key=repr)  # YAML keys of any type
     if unknown:
         raise ParseError(f"unknown key(s) {unknown} in {where}")
+
+
+def _section(raw: dict, name: str, spec, default=None) -> dict:
+    """raw's section name, whose keys are fields of the dataclass spec; default
+    when raw leaves it out, or with no default a ParseError."""
+    if name not in raw and default is None:
+        raise ParseError(f"configuration needs a '{name}' section")
+    section = _require_mapping(raw.get(name, default), name)
+    _reject_unknown(section, {f.name for f in spec_fields(spec)}, name)
+    return section
 
 
 def _field_spec(mapping, where: str, base_dir=None) -> FieldSpec:
@@ -132,17 +140,17 @@ def _field_spec(mapping, where: str, base_dir=None) -> FieldSpec:
     if "family" not in mapping:
         raise ParseError(f"{where} needs a 'family' key")
     family = mapping["family"]
-    if not isinstance(family, str) or family not in FAMILY_PARAMS:
-        raise ValidationError(
-            f"{where}: unknown family {family!r}; known families: {sorted(FAMILY_PARAMS)}"
-        )
-    _reject_unknown(mapping, {"family", *FAMILY_PARAMS[family]}, where)
     params = {k: v for k, v in mapping.items() if k != "family"}
-    missing = sorted(set(FAMILY_PARAMS[family]) - set(params))
-    if missing:
-        raise ValidationError(f"{where}: family {family!r} is missing parameter(s) {missing}")
+    broken = family_rules(family, params)
+    if broken:
+        if isinstance(family, str):  # a known family's other keys are unknown keys
+            _reject_unknown(params, FAMILY_PARAMS.get(family, params), where)
+        raise ValidationError(f"{where}: {broken[0]}")
     if family == "from_csv" and base_dir is not None:
-        params = {"path": str((Path(base_dir) / str(params["path"])).resolve())}
+        try:  # a NUL byte or a symlink loop is a path that names no file
+            params = {"path": str((Path(base_dir) / str(params["path"])).resolve())}
+        except (ValueError, OSError, RuntimeError) as err:
+            raise ValidationError(f"{where}.path: {err}") from None
     return FieldSpec(family=family, params=params)
 
 
@@ -192,7 +200,7 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError(f"cannot read {path}: {err}") from err
     return parse_config_text(text, base_dir=path.parent)
 
@@ -209,18 +217,16 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     _reject_unknown(raw, _TOP_KEYS, "configuration")
     errs: list[str] = []
     scenario = raw.get("scenario")
-    if scenario not in SCENARIOS:
+    declared = SCENARIOS.get(scenario) if isinstance(scenario, str) else None
+    if declared is None:
         errs.append(f"scenario must be one of {list(SCENARIOS)}, got {scenario!r}")
     # keys the scenario does not read are reported, not parsed: the run
     # takes their defaults, and the other checks still run
-    reads = COMMON_KEYS + SCENARIOS[scenario].keys if scenario in SCENARIOS else tuple(raw)
+    reads = tuple(raw) if declared is None else COMMON_KEYS + declared.keys
     unread = [f"{key}: {scenario} does not read this key" for key in raw if key not in reads]
     raw = {key: value for key, value in raw.items() if key in reads}
 
-    if "grid" not in raw:
-        raise ParseError("configuration needs a 'grid' section")
-    grid_map = _require_mapping(raw["grid"], "grid")
-    _reject_unknown(grid_map, _GRID_KEYS, "grid")
+    grid_map = _section(raw, "grid", FiberGrid)
     topology = grid_map.get("topology")
     if topology not in ("circle", "interval"):
         errs.append(f"grid.topology must be 'circle' or 'interval', got {topology!r}")
@@ -235,16 +241,14 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
                     "out of the float range")
         grid = None
 
-    if "time" not in raw:
-        raise ParseError("configuration needs a 'time' section")
-    time_map = _require_mapping(raw["time"], "time")
-    _reject_unknown(time_map, _TIME_KEYS, "time")
+    time_map = _section(raw, "time", TimeSpec)
     t_end = _as_number(time_map.get("t_end", float("nan")), "time.t_end", errs,
                        "nonnegative and finite")
     dt = min(1e-3, 0.25 * grid.spacing ** 2) if grid is not None else 1e-3
     # a default that underflows to 0 is refused as a given 0 is
     dt = _as_number(time_map.get("dt", dt), "time.dt", errs, "positive and finite")
-    record_every = _as_int(time_map.get("record_every", 10), "time.record_every", errs, 1)
+    record_every = _as_int(time_map.get("record_every", RECORD_EVERY), "time.record_every",
+                           errs, 1)
     steps = None
     if (_RANGES["positive and finite"](dt) and _RANGES["nonnegative and finite"](t_end)
             and record_every is not None):
@@ -277,25 +281,23 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
     # numpy seeds from any nonnegative integer
     seed = _as_int(raw.get("seed", 0), "seed", errs, 0, bounded=False)
     output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        errs.append(f"output_dir must be a nonempty string, got {output_dir!r}")
+    if not isinstance(output_dir, str) or not output_dir or "\0" in output_dir:
+        errs.append(f"output_dir must be a nonempty string with no NUL byte, got {output_dir!r}")
     emit_plots = raw.get("emit_plots", False)
     if not isinstance(emit_plots, bool):
         errs.append(f"emit_plots must be true or false, got {emit_plots!r}")
 
-    tol_map = _require_mapping(raw.get("tolerances", {}), "tolerances")
-    _reject_unknown(tol_map, _TOL_KEYS, "tolerances")
     tol = ToleranceSpec()
-    for key, value in tol_map.items():
+    for key, value in _section(raw, "tolerances", ToleranceSpec, {}).items():
         setattr(tol, key, _as_number(value, f"tolerances.{key}", errs, "positive and finite"))
 
     specs = {which: _field_spec(raw.get(which, default), which, base_dir)
              for which, default in _FIELD_DEFAULTS.items()}
     # each field the scenario reads is built once, on the grid built above
     fields, field_errs = {}, []
-    if grid is not None and scenario in SCENARIOS:
+    if grid is not None and declared is not None:
         for which, spec in specs.items():
-            if which in SCENARIOS[scenario].keys:
+            if which in declared.keys:
                 # an integer parameter no float holds is named, as any key is
                 unfit = []
                 for key, value in spec.params.items():
@@ -339,9 +341,9 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
         fields=fields,
     )
     errs += field_errs
-    if grid is not None and scenario in SCENARIOS and not field_errs:
+    if grid is not None and declared is not None and not field_errs:
         with np.errstate(over="ignore", invalid="ignore"):  # a rule on huge values is no warning
-            errs += SCENARIOS[scenario].check(cfg, grid, fields)
+            errs += declared.check(cfg, grid, fields)
     errs = unread + errs
     if errs:
         raise ValidationError("; ".join(errs))
@@ -363,8 +365,7 @@ def _boundary_spec(raw, topology: str, initial: ScalarField | None, errs) -> Bou
     ends, which a given boundary's kind and ends are checked against."""
     ends = (0.0, 0.0) if initial is None else (float(initial.values[0]), float(initial.values[-1]))
     if "boundary" in raw:
-        bmap = _require_mapping(raw["boundary"], "boundary")
-        _reject_unknown(bmap, _BOUNDARY_KEYS, "boundary")
+        bmap = _section(raw, "boundary", BoundarySpec)
         kind = bmap.get("kind")
         if kind not in ("periodic", "dirichlet"):
             errs.append(f"boundary.kind must be 'periodic' or 'dirichlet', got {kind!r}")

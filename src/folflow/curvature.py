@@ -54,20 +54,6 @@ class ExtrinsicData:
             k.flags.writeable = False
             object.__setattr__(self, "principal_curvatures", k)
 
-    @classmethod
-    def from_principal_curvatures(cls, grid, k: np.ndarray, T_norm_sq: ScalarField | None = None):
-        k = np.asarray(k, dtype=float)
-        n = k.shape[1]
-        if T_norm_sq is None:
-            T_norm_sq = ScalarField(grid, np.zeros(grid.n_points))
-        return cls(
-            n=n,
-            b_norm_sq=ScalarField(grid, np.sum(k * k, axis=1)),
-            H=VectorAlongFiber(grid, np.sum(k, axis=1)),
-            T_norm_sq=T_norm_sq,
-            principal_curvatures=k,
-        )
-
 
 def beta_D(data: ExtrinsicData) -> ScalarField:
     """Non-umbilicity function (n*|b|^2 - |H|^2)/n^2.
@@ -124,7 +110,7 @@ def _riccati_residual(k: np.ndarray, K: np.ndarray, spacing: float, periodic: bo
     return np.max(np.abs(res), axis=-1)
 
 
-def conserved_quantity(H: VectorAlongFiber, T2: ScalarField, n: int, eps_T: float = 1e-8):
+def conserved_quantity(H: VectorAlongFiber, T2: ScalarField, n: int, eps_T: float):
     """2H - n * grad log |T| where |T|^2 > eps_T, with the evaluation mask.
 
     The mask keeps points whose neighbors also carry |T|^2 > eps_T, so the

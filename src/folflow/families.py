@@ -5,6 +5,7 @@ import csv
 
 import numpy as np
 
+from .errors import refuse
 from .fiber import FiberGrid, ScalarField
 
 FAMILY_PARAMS = {
@@ -17,6 +18,18 @@ FAMILY_PARAMS = {
 }
 
 
+def family_rules(family, params) -> list[str]:
+    """The rules a field of family with params breaks: the family is one of
+    FAMILY_PARAMS, and params are its parameters, all of them and no other."""
+    expected = FAMILY_PARAMS.get(family) if isinstance(family, str) else None
+    if expected is None:
+        return [f"unknown family {family!r}; known families: {sorted(FAMILY_PARAMS)}"]
+    missing = sorted(set(expected) - set(params))
+    unexpected = sorted(set(params) - set(expected), key=repr)
+    return ([f"family {family!r} is missing parameter(s) {missing}"] if missing else []) + (
+        [f"family {family!r} takes no parameter(s) {unexpected}"] if unexpected else [])
+
+
 def build_field(grid: FiberGrid, family: str, params: dict) -> ScalarField:
     """Evaluate a named family on the grid.
 
@@ -26,14 +39,7 @@ def build_field(grid: FiberGrid, family: str, params: dict) -> ScalarField:
     evaluation are not warned about: ScalarField rejects the non-finite
     values with NonFiniteValue.
     """
-    if family not in FAMILY_PARAMS:
-        raise ValueError(f"unknown field family {family!r}")
-    expected = set(FAMILY_PARAMS[family])
-    got = set(params)
-    if got != expected:
-        raise ValueError(
-            f"family {family!r} takes parameters {sorted(expected)}, got {sorted(got)}"
-        )
+    refuse(family_rules(family, params))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = grid.x
         length = grid.length

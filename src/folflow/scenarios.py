@@ -45,6 +45,8 @@ from .schrodinger import (GroundState, eigencount, ground_state, lowest_eigenval
                           operator_rules, spectrum, spectrum_rules, weyl_theta)
 
 SLOPE_TOL = 1e-8
+# the defaults of time.record_every and the tolerances, for the parser and the drivers
+RECORD_EVERY, GAP_MIN, EPS_T, CONVERGED_DEV = 10, 1e-6, 1e-8, 1e-5
 # from this many nodes on, a surface marches: a step then costs about what
 # HeatSeries' costs or less (timed per step at n = 201 to 4097 on both
 # topologies, BLAS on one thread; a circle's march pays Sherman-Morrison)
@@ -234,7 +236,8 @@ def _series_pays(grid: FiberGrid) -> bool:
 
 
 def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
-                              record_every: int = 10, snapshots=None) -> SurfaceTrajectory:
+                              record_every: int = RECORD_EVERY,
+                              snapshots=None) -> SurfaceTrajectory:
     """Evolve a revolution profile by d(rho)/dt = rho_xx and track curvatures.
 
     Interval profiles keep their endpoint radii fixed; circle profiles are
@@ -354,7 +357,7 @@ def twisted_rules(grid: FiberGrid, slices) -> list[str]:
 
 
 def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
-                        record_every: int = 10, snapshots=None) -> TwistedTrajectory:
+                        record_every: int = RECORD_EVERY, snapshots=None) -> TwistedTrajectory:
     """Evolve each base slice of the warping function by d(f)/dt = n * f_yy.
 
     The fiber is closed; every slice keeps its fiber mass and relaxes to its
@@ -425,8 +428,8 @@ def normalized_rules(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField) -> 
 
 
 def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, n: int,
-                        dt: float, t_end: float, record_every: int = 10,
-                        gap_min: float = 1e-6, eps_T: float = 1e-8,
+                        dt: float, t_end: float, record_every: int = RECORD_EVERY,
+                        gap_min: float = GAP_MIN, eps_T: float = EPS_T,
                         snapshots=None) -> NormalizedTrajectory:
     """Drive du/dt = n*(u_xx + betaD*u) and transport |T|^2 alongside.
 
@@ -505,7 +508,8 @@ class PositivityReport:
     threshold_ratio: float | None
 
 
-def positivity_verdict(traj: NormalizedTrajectory, converged_tol: float = 1e-5) -> PositivityReport:
+def positivity_verdict(traj: NormalizedTrajectory,
+                       converged_tol: float = CONVERGED_DEV) -> PositivityReport:
     """Sign of the limiting mixed curvature Sc_mix = |T|^2 + (Sc_mix - |T|^2).
 
     Requires the run to have converged (final sup deviation of the

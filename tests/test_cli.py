@@ -147,6 +147,21 @@ UNRUNNABLE = {
            ("normalized", "normalized", "circle", 6.283185307179586, 16, 1.0,
             "potential: {family: cosine_perturbed, base: 1.0e+308, amplitude: 3.27, mode: 2}\n"),
            ("flat", "spectral_report", "circle", 1.0e-7, 16, 0.0, ""))},
+    # a scenario that is not a string, and NUL bytes in the two path keys
+    "scenario_unhashable": ("scenario: [normalized]\n"
+                            "grid: {topology: circle, length: 6.283185307179586, n_points: 16}\n"
+                            "time: {dt: 0.1, t_end: 1.0}\n",
+                            f"scenario must be one of {list(SCENARIOS)}, got ['normalized']"),
+    "output_dir_nul": ("scenario: normalized\n"
+                       "grid: {topology: circle, length: 6.283185307179586, n_points: 16}\n"
+                       "time: {dt: 0.1, t_end: 1.0}\n"
+                       'output_dir: "out\\0x"\n',
+                       "output_dir must be a nonempty string with no NUL byte, got 'out\\x00x'"),
+    "csv_path_nul": ("scenario: surface\n"
+                     "grid: {topology: interval, length: 1.0, n_points: 16}\n"
+                     "time: {dt: 0.1, t_end: 1.0}\n"
+                     'initial: {family: from_csv, path: "f\\0.csv"}\n',
+                     "initial.path: embedded null byte"),
     # three records within 1e-6 of 0 would write one fields_0.000000.csv
     "snapshot_files_clash": ("scenario: twisted\n"
                              "grid: {topology: circle, length: 6.283185307179586, n_points: 16}\n"

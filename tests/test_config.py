@@ -1,6 +1,7 @@
 """Run-configuration parsing: fail-closed validation and round-trip fidelity."""
 import dataclasses
 import json
+import re
 import textwrap
 
 import numpy as np
@@ -14,7 +15,7 @@ from folflow.config import (
     realize_field,
     realize_grid,
 )
-from folflow.families import build_field
+from folflow.families import build_field, family_rules
 from folflow.fiber import MIN_POINTS, ScalarField, build_grid
 from folflow.parabolic import Dirichlet, HeatStepper, StepperConfig
 from folflow.schrodinger import spectrum
@@ -66,6 +67,15 @@ class TestParsing:
         bad = GOOD.replace("  record_every: 20", "  record_every: 20\n  cadence: 5")
         with pytest.raises(ParseError, match="cadence"):
             parse_config_text(bad)
+
+    @pytest.mark.parametrize("where", ["configuration", "grid"])
+    def test_unknown_keys_of_mixed_types_rejected(self, where):
+        # YAML keys need not be strings, nor of one type: they are listed by repr
+        text = (GOOD + "1: a\nfoo: b\n" if where == "configuration" else
+                GOOD.replace("  n_points: 128", "  n_points: 128\n  1: a\n  foo: b"))
+        with pytest.raises(ParseError) as exc:
+            parse_config_text(text)
+        assert str(exc.value) == f"unknown key(s) ['foo', 1] in {where}"
 
     def test_repeated_top_level_key_rejected_with_its_line(self):
         # a second n_rank would otherwise silently replace the first
@@ -327,6 +337,12 @@ class TestRealization:
         cfg = parse_config(path)
         assert cfg.scenario == "normalized"
 
+    def test_a_file_that_is_not_text_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_bytes(b"scenario: normalized\n\xff\xfe: 1\n")
+        with pytest.raises(ParseError, match=f"^cannot read {re.escape(str(path))}: "):
+            parse_config(path)
+
     def test_csv_field_paths_resolve_relative_to_config(self, tmp_path):
         grid = build_grid("circle", 2 * np.pi, 16)
         rows = "\n".join(f"{float(x)!r},{float(2.0 + np.cos(x))!r}" for x in grid.x)
@@ -340,6 +356,17 @@ class TestRealization:
         cfg = parse_config(path)
         vals = realize_field(cfg, "initial").values
         np.testing.assert_allclose(vals, 2.0 + np.cos(grid.x), atol=1e-12)
+
+    def test_csv_path_in_a_symlink_loop_is_refused_naming_its_key(self, tmp_path):
+        # resolving the path, or else opening it, fails: either way the
+        # parser refuses it as a value of the initial key, not a traceback
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        path = tmp_path / "run.yaml"
+        path.write_text(GOOD.replace("initial:\n  family: constant\n  value: 1.0",
+                                     "initial:\n  family: from_csv\n  path: a"))
+        with pytest.raises(ValidationError, match=r"^initial(\.path)?: "):
+            parse_config(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_csv_non_finite_value_names_its_file_and_line(self, tmp_path, cell):
@@ -370,6 +397,28 @@ class TestFieldFamilies:
                         {"left": 0.5, "right": 0.8, "amplitude": 0.1, "mode": 1})
         assert f.values[0] == pytest.approx(0.5)
         assert f.values[-1] == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("family", ["parabola", ["constant"], "constant"])
+    def test_build_field_raises_the_family_rule_the_parser_prefixes(self, family):
+        # an unknown family, one that is not a string, and a missing parameter
+        g = build_grid("circle", 2 * np.pi, 32)
+        (message,) = family_rules(family, {})
+        with pytest.raises(ValueError) as exc:
+            build_field(g, family, {})
+        assert str(exc.value) == message
+        with pytest.raises(ValidationError) as exc:
+            parse_config_text(GOOD.replace("initial:\n  family: constant\n  value: 1.0\n",
+                                           f"initial: {{family: {family}}}\n"))
+        assert str(exc.value) == f"initial: {message}"
+
+    def test_build_field_names_parameters_of_any_key_type(self):
+        # the parser refuses such keys as unknown keys; build_field, called
+        # directly, names them with the missing ones
+        g = build_grid("circle", 2 * np.pi, 32)
+        with pytest.raises(ValueError) as exc:
+            build_field(g, "linear", {"a": 1.0, 2: "x", "c": 3.0})
+        assert str(exc.value) == ("family 'linear' is missing parameter(s) ['b']; "
+                                  "family 'linear' takes no parameter(s) ['c', 2]")
 
     def test_unknown_family_and_params_rejected(self):
         g = build_grid("circle", 2 * np.pi, 32)

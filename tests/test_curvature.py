@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from folflow.errors import InconsistentData
 from folflow.fiber import ScalarField, VectorAlongFiber, build_grid, grad_log
+from folflow.scenarios import EPS_T
 from folflow.curvature import (
     ExtrinsicData,
     beta_D,
@@ -19,15 +20,20 @@ def circle(n=128):
     return build_grid("circle", 2 * np.pi, n)
 
 
-class TestExtrinsicData:
-    def test_from_principal_curvatures_builds_traces(self):
-        g = circle(64)
-        k = np.stack([0.3 * np.cos(g.x), 0.1 * np.sin(g.x)], axis=1)
-        data = ExtrinsicData.from_principal_curvatures(g, k)
-        np.testing.assert_allclose(data.H.values, k.sum(axis=1))
-        np.testing.assert_allclose(data.b_norm_sq.values, (k ** 2).sum(axis=1))
-        assert data.n == 2
+def from_principal_curvatures(grid, k) -> ExtrinsicData:
+    """The extrinsic data of principal curvatures k, one row per node, with
+    |T|^2 = 0: H and |b|^2 are the sums of k and of k^2 along each row."""
+    k = np.asarray(k, dtype=float)
+    return ExtrinsicData(
+        n=k.shape[1],
+        b_norm_sq=ScalarField(grid, np.sum(k * k, axis=1)),
+        H=VectorAlongFiber(grid, np.sum(k, axis=1)),
+        T_norm_sq=ScalarField(grid, np.zeros(grid.n_points)),
+        principal_curvatures=k,
+    )
 
+
+class TestExtrinsicData:
     def test_cauchy_schwarz_violation_rejected(self):
         # |H|^2 > n |b|^2 cannot come from any set of shape operators
         g = circle(64)
@@ -55,13 +61,13 @@ class TestBetaD:
         # equal principal curvatures in every direction
         g = circle(64)
         k = np.stack([0.4 * np.cos(g.x)] * 3, axis=1)
-        data = ExtrinsicData.from_principal_curvatures(g, k)
+        data = from_principal_curvatures(g, k)
         assert np.max(np.abs(beta_D(data).values)) <= 1e-14
 
     def test_pairwise_difference_form(self):
         g = circle(64)
         k = np.stack([0.5 * np.cos(g.x), -0.2 * np.cos(g.x)], axis=1)
-        data = ExtrinsicData.from_principal_curvatures(g, k)
+        data = from_principal_curvatures(g, k)
         expected = (k[:, 0] - k[:, 1]) ** 2 / 4.0
         np.testing.assert_allclose(beta_D(data).values, expected, atol=1e-14)
 
@@ -84,7 +90,7 @@ class TestBetaD:
         rng = np.random.default_rng(3)
         for _ in range(20):
             k = rng.normal(size=(32, 3))
-            data = ExtrinsicData.from_principal_curvatures(g, k)
+            data = from_principal_curvatures(g, k)
             assert np.min(beta_D(data).values) >= -1e-13
 
 
@@ -161,7 +167,7 @@ class TestConservedQuantity:
         u = ScalarField(g, 2.0 + np.cos(g.x))
         H = grad_log(u, -2.0)
         T2 = ScalarField(g, 3.0 * u.values ** 4)
-        q, mask = conserved_quantity(VectorAlongFiber(g, -H.values), T2, 2)
+        q, mask = conserved_quantity(VectorAlongFiber(g, -H.values), T2, 2, EPS_T)
         assert np.all(mask)
         assert np.max(np.abs(q)) <= 1e-12
 
@@ -169,7 +175,7 @@ class TestConservedQuantity:
         g = build_grid("interval", 1.0, 101)
         t2 = np.where(np.abs(g.x - 0.5) < 0.2, 0.0, 1.0)
         H = VectorAlongFiber(g, np.zeros(101))
-        q, mask = conserved_quantity(H, ScalarField(g, t2), 1)
+        q, mask = conserved_quantity(H, ScalarField(g, t2), 1, EPS_T)
         assert not mask[0] and not mask[-1]
         # no point of the zero plateau or its adjacent nodes is evaluated
         dead = np.abs(g.x - 0.5) < 0.2 + 0.5 * g.spacing
@@ -201,8 +207,8 @@ def test_beta_D_invariant_under_umbilical_shift(a, b, c):
     g = build_grid("circle", 2 * np.pi, 64)
     k = np.stack([a * np.cos(g.x), b * np.sin(g.x)], axis=1)
     shift = c * np.cos(2 * g.x)
-    base = beta_D(ExtrinsicData.from_principal_curvatures(g, k)).values
+    base = beta_D(from_principal_curvatures(g, k)).values
     moved = beta_D(
-        ExtrinsicData.from_principal_curvatures(g, k + shift[:, None])
+        from_principal_curvatures(g, k + shift[:, None])
     ).values
     np.testing.assert_allclose(base, moved, atol=1e-12)

@@ -19,7 +19,10 @@ import importlib.util
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -214,3 +217,36 @@ def test_readme_key_table_is_the_declared_keys():
         name, keys = (cell.strip() for cell in line.strip("|").split("|"))
         table[name.strip("`")] = tuple(key.strip().strip("`") for key in keys.split(","))
     assert table == {name: s.keys for name, s in SCENARIOS.items()}
+
+
+# a derandomized strategy's draws, in a fresh interpreter that first imports
+# the modules named after the code
+_DRAWS = """
+import importlib, json, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+from hypothesis import given, settings, strategies as st
+drawn = []
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def draw(i):
+    drawn.append(i)
+draw()
+print(json.dumps(drawn))
+"""
+
+
+def test_derandomized_draws_do_not_move_with_local_literals(tmp_path):
+    # conftest pins hypothesis' local-literal hook; a local module of new
+    # literals then leaves the draws as they were, and without the pin it
+    # moves them, which shows the comparison can fail
+    (tmp_path / "literals.py").write_text("A, B, C = 271828, 314159, 0.5772156649\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(ROOT / "tests"), str(tmp_path)))}
+
+    def draws(*modules):
+        proc = subprocess.run([sys.executable, "-c", _DRAWS, *modules], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        return json.loads(proc.stdout)
+
+    assert draws("conftest") == draws("conftest", "literals")
+    assert draws() != draws("literals")
