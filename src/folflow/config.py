@@ -316,11 +316,8 @@ def parse_config_text(text: str, base_dir=None) -> RunConfig:
         errs.append("base_values must be a nonempty list of positive numbers")
         base_values = (1.0,)
     else:
-        base_values = tuple(
-            _as_number(v, f"base_values[{i}]", errs) for i, v in enumerate(base_values_raw)
-        )
-        if any(not (v > 0.0) for v in base_values if np.isfinite(v)):
-            errs.append("base_values must all be positive")
+        base_values = tuple(_as_number(v, f"base_values[{i}]", errs, "positive and finite")
+                            for i, v in enumerate(base_values_raw))
 
     boundary = _boundary_spec(raw, topology, fields.get("initial"), errs)
 

@@ -22,7 +22,6 @@ heat_symbol is its symbol, and a HeatSeries fills from it in closed form.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -418,7 +417,7 @@ def march(stepper, state: np.ndarray, dt: float, steps: np.ndarray, on_block=Non
     total = len(steps) - 1 if only_records else int(steps[-1])
     buf = np.empty((max(1, min(_BLOCK_DOUBLES // state.size, total)), *state.shape))
     stepper.start(state)
-    marks, done, t = steps.tolist(), 0, 0.0
+    done, t = 0, 0.0
     ks, block, failure = steps[:1], state[None], None
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -428,8 +427,8 @@ def march(stepper, state: np.ndarray, dt: float, steps: np.ndarray, on_block=Non
                 if on_block is not None and rows:
                     failure = on_block(ts, block[:rows]) or failure
                 end = ks[rows - 1] + 1 if failure is None else ks[failure[0]]
-                recorded = marks[bisect_left(marks, ks[0]):bisect_left(marks, end)]
-                if on_record is not None and recorded:
+                recorded = steps[steps.searchsorted(ks[0]):steps.searchsorted(end)]
+                if on_record is not None and len(recorded):
                     recorded = np.searchsorted(ks, recorded)
                     bad = on_record(ts, block[:rows], recorded)
                     failure = (int(recorded[bad[0]]), bad[1]) if bad else failure

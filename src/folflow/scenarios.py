@@ -153,12 +153,9 @@ class _RunningIntegral:
     now at the last block's rows.  The first block is the initial state's,
     one row whose total is 0; a later row adds finish(before + its own),
     before being the quantity a row earlier.  _sums holds the total before
-    the last block, then its rows' terms; the totals after the rows read are
-    summed only then, down axis 0 from the last total read, in step order:
-    by np.add.reduce into each row read, or for dense reads by one
-    np.add.accumulate in place up to the last (one reduce costs about what
-    accumulating 800 values does: the two break even at 680 to 1020 values
-    a read on 163 x 201 and 128 x 256 blocks, 800 to 1600 on 64 x 201)."""
+    the last block, then its rows' terms; a row's total is summed only when
+    it is read, by np.add.reduce down axis 0 from the last total read, in
+    step order."""
 
     def __init__(self, finish):
         self.now, self._finish = None, finish
@@ -175,12 +172,7 @@ class _RunningIntegral:
 
     def at(self, rows: np.ndarray) -> np.ndarray:
         """The totals after the given increasing rows of the last block."""
-        reads = (rows + 1).tolist()
-        span = self._sums[self._read:reads[-1] + 1] if reads else self._sums[:0]
-        if len(reads) * 800 >= span.size and len(span) > 1:
-            np.add.accumulate(span, axis=0, out=span)
-            self._read = reads[-1]
-        for r in reads:
+        for r in (rows + 1).tolist():
             if r > self._read:
                 self._sums[r] = np.add.reduce(self._sums[self._read:r + 1], axis=0)
                 self._read = r
@@ -640,15 +632,14 @@ def _run_surface(cfg, grid, fields):
     return traj, summary
 
 
-def _slices(cfg, fields) -> list[np.ndarray]:
-    """The values of the twisted product's slices, base_value * initial."""
-    return [a * fields["initial"].values for a in cfg.base_values]
+def _slices(cfg, fields) -> list[ScalarField]:
+    """The twisted product's slices, base_value * initial."""
+    return [fields["initial"] * a for a in cfg.base_values]
 
 
 def _run_twisted(cfg, grid, fields):
-    traj = run_twisted_product(
-        tuple(ScalarField(grid, s) for s in _slices(cfg, fields)), cfg.n_rank, cfg.time.dt,
-        cfg.time.t_end, cfg.time.record_every, cfg.time.snapshots)
+    traj = run_twisted_product(_slices(cfg, fields), cfg.n_rank, cfg.time.dt, cfg.time.t_end,
+                               cfg.time.record_every, cfg.time.snapshots)
     summary = {
         "final_t": float(traj.series["t"][-1]),
         "fiber_means": list(traj.fiber_means),
@@ -768,7 +759,13 @@ def _check_surface(cfg, grid, fields) -> list[str]:
 
 
 def _check_twisted(cfg, grid, fields) -> list[str]:
-    return [f"twisted: {message}" for message in twisted_rules(grid, _slices(cfg, fields))]
+    if not all(0.0 < a < np.inf for a in cfg.base_values):
+        return []  # the parser refused a base value already
+    try:
+        slices = [f.values for f in _slices(cfg, fields)]
+    except NonFiniteValue as err:
+        return [f"twisted: base_values * initial: {err}"]
+    return [f"twisted: {message}" for message in twisted_rules(grid, slices)]
 
 
 def _check_normalized(cfg, grid, fields) -> list[str]:

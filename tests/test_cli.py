@@ -147,6 +147,19 @@ UNRUNNABLE = {
            ("normalized", "normalized", "circle", 6.283185307179586, 16, 1.0,
             "potential: {family: cosine_perturbed, base: 1.0e+308, amplitude: 3.27, mode: 2}\n"),
            ("flat", "spectral_report", "circle", 1.0e-7, 16, 0.0, ""))},
+    # a slice base_value * initial past the float range, though both are in
+    # it, and a base value that is itself past it
+    "slice_overflows": ("scenario: twisted\n"
+                        "grid: {topology: circle, length: 6.283185307179586, n_points: 16}\n"
+                        "time: {dt: 1.0e-3, t_end: 1.0e-2}\n"
+                        "base_values: [1.0e+308, 0.5]\n"
+                        "initial: {family: constant, value: 10.0}\n",
+                        "twisted: base_values * initial: field values must be finite"),
+    "base_value_infinite": ("scenario: twisted\n"
+                            "grid: {topology: circle, length: 6.283185307179586, n_points: 16}\n"
+                            "time: {dt: 1.0e-3, t_end: 1.0e-2}\n"
+                            "base_values: [.inf]\n",
+                            "base_values[0] must be positive and finite, got inf"),
     # a scenario that is not a string, and NUL bytes in the two path keys
     "scenario_unhashable": ("scenario: [normalized]\n"
                             "grid: {topology: circle, length: 6.283185307179586, n_points: 16}\n"
@@ -1177,50 +1190,72 @@ def run_configs(draw, scenario: str) -> tuple[dict, str | None, dict]:
     return raw, unread, csvs
 
 
+def contract_breaches(raw: dict, unread: str | None, csvs: dict) -> tuple[int, dict, list[str]]:
+    """Run a config of run_configs, with its files, through `folflow run` in a
+    temporary directory: the exit code, the error printed on stderr ({} if
+    none) and one line for each way the run broke the CLI contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.yaml", Path(tmp) / "out"
+        cfg.write_text(yaml.safe_dump(raw))
+        for name, (text, _) in csvs.items():
+            (Path(tmp) / name).write_text(text)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(["run", str(cfg), "--out", str(out), "--quiet"])
+        breaches = [f"warning: {w.message}" for w in caught]
+        if code not in (0, 2, 3):
+            return code, {}, [*breaches, f"exit {code}"]
+        error = json.loads(stderr.getvalue())["error"] if code else {}
+        malformed = [name[:-len(".csv")] for name, (_, bad) in csvs.items() if bad]
+        negative_seed = raw.get("seed", 0) < 0 and "seed" in SCENARIOS[raw["scenario"]].keys
+        if code == 2:
+            message = error["message"]
+            if out.exists():
+                breaches.append("exit 2 wrote the output directory")
+            if unread is not None and not message.startswith(f"{unread}: "):
+                breaches.append(f"ignored key: {unread} is not the first error named")
+            if negative_seed and f"seed must be at least 0, got {raw['seed']}" not in message:
+                breaches.append(f"ignored key: the negative seed {raw['seed']} is not named")
+            # a malformed row of a file the run reads is named by its line
+            for key in sorted(set(malformed) - {unread}):
+                if not re.search(rf"(^|; ){key}: \S*{key}\.csv, line \d+: ", message):
+                    breaches.append(f"ignored key: the malformed row of {key}.csv is not named")
+            return code, error, breaches
+        if unread is not None:
+            breaches.append(f"ignored key: {unread} ran")
+        if negative_seed:
+            breaches.append(f"ignored key: the negative seed {raw['seed']} ran")
+        breaches += [f"ignored key: {key}.csv ran with a malformed row" for key in malformed]
+        try:
+            summary = summary_sans_meta(out)
+        except ValueError as err:
+            return code, error, [*breaches, f"summary.json is not strict JSON: {err}"]
+        if code == 3:
+            if summary["status"] != "failed":
+                breaches.append(f"exit 3 with status {summary['status']!r}")
+            return code, error, breaches
+        if stderr.getvalue():
+            breaches.append(f"exit 0 with stderr {stderr.getvalue()!r}")
+        # the echo holds exactly the keys the scenario reads, and it parses
+        # back to the configuration that ran
+        echo = summary["config"]
+        if set(echo) != {*COMMON_KEYS, *SCENARIOS[raw["scenario"]].keys}:
+            breaches.append(f"the echo holds the keys {sorted(echo)}")
+        elif parse_config_text(json.dumps(echo)) != parse_config(cfg):
+            breaches.append(f"the echo {echo} differs from what ran")
+        return code, error, breaches
+
+
 class TestContractProperty:
-    # the same number of draws, 50, for each scenario
+    # the same number of draws, 50, for each scenario; tests/fuzz_contract.py
+    # draws many more outside Tier-1
     @pytest.mark.parametrize("scenario", list(SCENARIOS))
     @settings(derandomize=True, max_examples=50, deadline=None, database=None)
     @given(data=st.data())
     def test_exit_code_summary_and_stderr(self, scenario, data):
         raw, unread, csvs = data.draw(run_configs(scenario))
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg, out = Path(tmp) / "run.yaml", Path(tmp) / "out"
-            cfg.write_text(yaml.safe_dump(raw))
-            for name, (text, _) in csvs.items():
-                (Path(tmp) / name).write_text(text)
-            stderr = io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
-                warnings.simplefilter("always")
-                code = main(["run", str(cfg), "--out", str(out), "--quiet"])
-            assert [str(w.message) for w in caught] == []
-            assert code in (0, 2, 3)
-            malformed = [name[:-len(".csv")] for name, (_, bad) in csvs.items() if bad]
-            negative_seed = raw.get("seed", 0) < 0 and "seed" in SCENARIOS[raw["scenario"]].keys
-            assert code == 2 or not (malformed or negative_seed)
-            if code == 2:
-                assert not out.exists()
-                message = json.loads(stderr.getvalue())["error"]["message"]
-                if unread is not None:
-                    assert message.startswith(f"{unread}: ")
-                if negative_seed:
-                    assert f"seed must be at least 0, got {raw['seed']}" in message
-                # a malformed row of a file the run reads is named by its line
-                for key in set(malformed) - {unread}:
-                    assert re.search(rf"(^|; ){key}: \S*{key}\.csv, line \d+: ", message)
-                return
-            assert unread is None
-            summary = summary_sans_meta(out)
-            if code == 3:
-                assert summary["status"] == "failed"
-                assert isinstance(json.loads(stderr.getvalue()), dict)
-                return
-            assert stderr.getvalue() == ""
-            # the echo holds exactly the keys the scenario reads, and it
-            # parses back to the configuration that ran
-            echo = summary["config"]
-            assert set(echo) == {*COMMON_KEYS, *SCENARIOS[raw["scenario"]].keys}
-            assert parse_config_text(json.dumps(echo)) == parse_config(cfg)
+        assert contract_breaches(raw, unread, csvs)[2] == []
 
 
 @st.composite

@@ -250,3 +250,17 @@ def test_derandomized_draws_do_not_move_with_local_literals(tmp_path):
 
     assert draws("conftest") == draws("conftest", "literals")
     assert draws() != draws("literals")
+
+
+def test_contract_fuzz_runs():
+    # tests/fuzz_contract.py runs outside Tier-1; two draws a scenario keep
+    # it in step with test_cli's strategies and contract
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "fuzz_contract.py"),
+                           "--examples", "2", "--seed", "1"], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout)
+    assert list(report["scenarios"]) == list(SCENARIOS)
+    for scenario in report["scenarios"].values():
+        assert sum(scenario["exits"].values()) == 2 and scenario["breaches"] == []
