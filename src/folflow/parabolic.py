@@ -388,8 +388,11 @@ def record_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
 
 
 # march's block buffer holds as many states as fit in _BLOCK_DOUBLES values,
-# at least one and at most the run's steps to fill (163 states of 201 nodes)
+# at least one and at most the run's steps to fill (163 states of 201 nodes);
+# on_record takes at most _RECORD_CHUNK of a block's records a call, so the
+# record hooks' temporaries do not grow with the block
 _BLOCK_DOUBLES = 2 ** 15
+_RECORD_CHUNK = 64
 
 
 def march(stepper, state: np.ndarray, dt: float, steps: np.ndarray, on_block=None,
@@ -404,8 +407,10 @@ def march(stepper, state: np.ndarray, dt: float, steps: np.ndarray, on_block=Non
     fails the run at its step.  on_block(ts, block) sees each block's times
     and states before a failed row and returns None, or (row, error) for the
     first row its monitors reject.  on_record(ts, block, rows) sees the same
-    block and the rows to record before the first rejected row.  It returns
-    None, or (i, error) for the first of those records it rejects.  numpy's
+    block and the rows to record before the first rejected row, at most
+    _RECORD_CHUNK of them a call, in increasing order across calls.  It
+    returns None, or (i, error) for the first of those rows it rejects,
+    which ends the block's records.  numpy's
     overflow, invalid and divide warnings are off while a block fills and
     its hooks run.  The first failure in step order is raised with its time.
     Returns the final state.
@@ -430,8 +435,12 @@ def march(stepper, state: np.ndarray, dt: float, steps: np.ndarray, on_block=Non
                 recorded = steps[steps.searchsorted(ks[0]):steps.searchsorted(end)]
                 if on_record is not None and len(recorded):
                     recorded = np.searchsorted(ks, recorded)
-                    bad = on_record(ts, block[:rows], recorded)
-                    failure = (int(recorded[bad[0]]), bad[1]) if bad else failure
+                    for lo in range(0, len(recorded), _RECORD_CHUNK):
+                        chunk = recorded[lo:lo + _RECORD_CHUNK]
+                        bad = on_record(ts, block[:rows], chunk)
+                        if bad:
+                            failure = int(chunk[bad[0]]), bad[1]
+                            break
                 if failure is not None:
                     t = ks[failure[0]] * dt
                     raise failure[1]

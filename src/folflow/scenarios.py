@@ -257,7 +257,10 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
         # with the arclength constraint measured against that slope
         rho = block[rows]
         slope = _diff1(rho, h, periodic)
-        h_slope = np.sqrt(np.maximum(1.0 - slope * slope, 0.0))
+        # slope^2, then the arclength residual |slope^2 + h_slope^2 - 1| in its place
+        arc = slope * slope
+        h_slope = np.sqrt(np.maximum(1.0 - arc, 0.0))
+        arc = np.max(np.abs(np.subtract(np.add(arc, h_slope ** 2, arc), 1.0, arc), arc), axis=-1)
         k = -slope / rho
         kk = int_k_gauss.now[rows]
         conf = (rho / rho0.values) ** 2
@@ -266,7 +269,7 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
             "sup_K": np.max(np.abs(kk), axis=-1),
             "sup_k": np.max(np.abs(k), axis=-1),
             "min_rho": np.min(rho, axis=-1),
-            "arc_residual": np.max(np.abs(slope ** 2 + h_slope ** 2 - 1.0), axis=-1),
+            "arc_residual": arc,
             "riccati_res": _riccati_residual(k, kk, h, periodic),
             "conformal_dev": np.max(np.abs(np.exp(-2.0 * int_k_gauss.at(rows)) - conf), axis=-1),
         }, {"rho": rho, "h": _cumtrapz(h_slope, h), "k": k, "K": kk, "conformal_factor": conf})
@@ -465,10 +468,10 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
         u = block[rows]
         t2 = T2_0.values * np.exp(exponent.at(rows))
         H, failure = _grad_log(u, -float(n), grid.spacing, grid.periodic)
-        # a record's non-finite |T|^2 is checked before its grad_log, through its row
-        finite = np.isfinite(t2[:len(u) if failure is None else failure[0] + 1]).all(axis=-1)
-        if not finite.all():
-            failure = int(np.argmin(finite)), NonFiniteValue("field values must be finite")
+        # a record's non-finite |T|^2 wins over its grad_log failure; extend
+        # checks the |T|^2 of the records before it
+        if failure is not None and not np.isfinite(t2[failure[0]]).all():
+            failure = failure[0], NonFiniteValue("field values must be finite")
         sc = exponent.now[rows]
         q, mask = _conserved_quantity(H, t2, n, eps_T, grid.spacing, grid.periodic)
         if q0 is None:
@@ -571,7 +574,7 @@ class _ColeHopfPair(_Stepper):
 
     def __init__(self, grid: FiberGrid, forcing: ScalarField, cfg: StepperConfig):
         super().__init__(grid, cfg, forcing, "forcing")
-        self.heat = HeatStepper(grid, ScalarField(grid, cfg.diffusivity * forcing.values), cfg)
+        self.heat = HeatStepper(grid, forcing * cfg.diffusivity, cfg)
         self.burgers = BurgersStepper(grid, forcing, cfg)
 
     def step(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -580,9 +583,14 @@ class _ColeHopfPair(_Stepper):
         return out
 
 
-def cole_hopf_rules(u0: ScalarField) -> list[str]:
-    """The rules cole_hopf_rows' initial field breaks."""
-    return _circle(u0.grid) + _positive("initial", u0.values)
+def cole_hopf_rules(u0: ScalarField, forcing: ScalarField, nu: float) -> list[str]:
+    """The rules cole_hopf_rows' initial field and its heat reaction nu * forcing break."""
+    broken = _circle(u0.grid) + _positive("initial", u0.values)
+    try:
+        forcing * nu
+    except NonFiniteValue as err:
+        broken.append(f"n_rank * potential: {err}")
+    return broken
 
 
 def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, t_end: float,
@@ -591,7 +599,7 @@ def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, 
     side by side from H = -nu*(log u0)_y; rows hold the sup distance between H
     and the transform -nu*(log u)_y."""
     grid = _shared_grid(u0, forcing)
-    refuse(cole_hopf_rules(u0))
+    refuse(cole_hopf_rules(u0, forcing, nu))
     pair = _ColeHopfPair(grid, forcing, StepperConfig(dt, float(nu), boundary=PERIODIC))
     traj = Trajectory(grid, dt, t_end, record_every, snapshots)
 
@@ -779,13 +787,13 @@ def _check_cole_hopf(cfg, grid, fields) -> list[str]:
            for which in ("initial", "potential") if getattr(cfg, which).family == "from_csv"]
     if csv:
         return csv
-    try:  # the refined run's initial is checked once the run's own holds
-        fine = _refined(cfg, grid)[0]
+    try:  # the refined run's fields are checked once the run's own hold
+        fine = _refined(cfg, grid)
     except (ValueError, MemoryError) as err:
         return [f"cole_hopf_check: on the refined grid of {2 * grid.n_points} nodes: {err}"]
-    broken = cole_hopf_rules(fields["initial"]) or [
-        f"{message} on the refined grid of {fine.grid.n_points} nodes"
-        for message in cole_hopf_rules(fine)]
+    broken = cole_hopf_rules(fields["initial"], fields["potential"], cfg.n_rank) or [
+        f"{message} on the refined grid of {2 * grid.n_points} nodes"
+        for message in cole_hopf_rules(*fine, cfg.n_rank)]
     return [f"cole_hopf_check: {message}" for message in broken]
 
 

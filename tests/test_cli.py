@@ -160,6 +160,15 @@ UNRUNNABLE = {
                             "time: {dt: 1.0e-3, t_end: 1.0e-2}\n"
                             "base_values: [.inf]\n",
                             "base_values[0] must be positive and finite, got inf"),
+    # the heat reaction n_rank * potential past the float range, though both are in it
+    "reaction_overflows": ("scenario: cole_hopf_check\n"
+                           "grid: {topology: circle, length: 1.0, n_points: 10}\n"
+                           "time: {dt: 1.0e-4, t_end: 9.0e-4, record_every: 8}\n"
+                           "initial: {family: cosine_perturbed, base: 1.0e+308, "
+                           "amplitude: -1.7178224343769095, mode: 1}\n"
+                           "potential: {family: constant, value: 1.0e+308}\n"
+                           "n_rank: 3\n",
+                           "cole_hopf_check: n_rank * potential: field values must be finite"),
     # a scenario that is not a string, and NUL bytes in the two path keys
     "scenario_unhashable": ("scenario: [normalized]\n"
                             "grid: {topology: circle, length: 6.283185307179586, n_points: 16}\n"

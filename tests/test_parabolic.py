@@ -441,6 +441,52 @@ class TestEvolveDriver:
         assert records == kept
         assert reject not in seen
 
+    def test_the_record_hook_takes_a_block_in_chunks_of_64(self, monkeypatch):
+        # 201 records, one a step: the initial state's block, then one block
+        # of 200 states of 3 values, whose records come 64 at a time
+        monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 3 * 200)
+        blocks, calls = [], []
+        march(_Count(), np.zeros(3), 0.5, record_steps(0.5, 100.0, 1),
+              lambda ts, block: blocks.append(len(block)),
+              lambda ts, block, rows: calls.append(block[rows, 0].tolist()))
+        assert blocks == [1, 200]
+        assert [len(call) for call in calls] == [1, 64, 64, 64, 8]
+        assert sum(calls, []) == list(range(201))
+
+    @pytest.mark.parametrize("bad_record, reject, error, last_seen", [
+        # a record rejected in the second chunk wins over a monitor failure
+        # in the third, which the record hook never sees
+        (200.0, 300.0, "record rejected (failure at t = 100)", 256.0),
+        # a monitor failure on a second-chunk record's row wins over that record
+        (200.0, 200.0, "state rejected (failure at t = 100)", 198.0),
+        # a monitor failure between second-chunk records keeps the records before it
+        (None, 201.0, "state rejected (failure at t = 100.5)", 200.0),
+    ], ids=["record_first", "monitor_on_record", "monitor_between"])
+    def test_records_fail_in_step_order_across_chunks(self, monkeypatch, bad_record, reject,
+                                                      error, last_seen):
+        # state k after step k, recorded every 2 steps; one block of 400
+        # states holds 200 records, in chunks of 64: the second chunk holds
+        # the records of steps 130 to 256
+        monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 3 * 400)
+        seen, records = [], []
+
+        def on_block(ts, block):
+            bad = np.flatnonzero(block[:, 0] == reject)
+            return (int(bad[0]), NonFiniteValue("state rejected")) if bad.size else None
+
+        def on_record(ts, block, rows):
+            seen.extend(block[rows, 0])
+            for i, u in enumerate(block[rows, 0]):
+                if u == bad_record:
+                    return i, NonFiniteValue("record rejected")
+                records.append(u)
+
+        with pytest.raises(FolflowError) as exc:
+            march(_Count(), np.zeros(3), 0.5, record_steps(0.5, 200.0, 2), on_block, on_record)
+        assert str(exc.value) == error
+        assert records == list(range(0, 200 if bad_record else 201, 2))
+        assert seen[-1] == last_seen
+
     @pytest.mark.parametrize("rows", [1, 7, 64])
     def test_overflowing_step_fails_at_its_time_and_keeps_the_records_before(self, monkeypatch,
                                                                              rows):
