@@ -1,8 +1,9 @@
 """Deterministic CSV/JSON artifact writers.
 
-Numbers are serialized with the shortest round-trip decimal (Python repr),
-so identical runs produce byte-identical files.  Wall-clock timing lives
-only under the summary 'meta' key, which golden comparisons drop.
+Numbers are serialized with the shortest round-trip decimal (Python repr), a
+column at a time, with rows joined by str.join, so identical runs produce
+byte-identical files.  Wall-clock timing lives only under the summary 'meta'
+key, which golden comparisons drop.
 """
 from __future__ import annotations
 
@@ -11,27 +12,57 @@ from pathlib import Path
 
 import numpy as np
 
+_CHUNK = 512  # rows a fields file formats at a time, so few Python strings are alive
+
+
+def _formatted(col):
+    return map(repr, np.asarray(col).tolist())  # Python floats (or ints), by repr
+
+
+class SharedColumn:
+    """A column that several fields files write: the first write_fields call
+    formats it, one newline-joined string per _CHUNK rows (about 20 bytes a
+    value), that each call splits back into values."""
+
+    def __init__(self, values: np.ndarray):
+        self.values, self.text = values, []
+
+    def __len__(self):
+        return len(self.values)
+
+    def chunk(self, lo: int) -> list[str]:
+        self.text = self.text or ["\n".join(_formatted(self.values[at:at + _CHUNK]))
+                                  for at in range(0, len(self), _CHUNK)]
+        return self.text[lo // _CHUNK].split("\n")
+
+
+def shared_columns(snapshots: list[dict[str, np.ndarray]]) -> dict[str, SharedColumn]:
+    """The columns with the same bits in each of two or more snapshots.  Bits,
+    not values: -0.0 == 0.0, but their repr differ."""
+    if len(snapshots) < 2:
+        return {}
+    first, *rest = snapshots
+    return {name: SharedColumn(col) for name, col in first.items() if all(
+        (other[name].dtype, other[name].tobytes()) == (col.dtype, col.tobytes()) for other in rest)}
+
 
 def write_trajectory(path: Path, columns, series: dict[str, np.ndarray]):
-    # a line per record of the columns; tolist() gives Python floats, written by repr
-    rows = zip(*(series[c].tolist() for c in columns))
-    lines = [",".join(columns), *(",".join(map(repr, row)) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = map(",".join, zip(*(_formatted(series[c]) for c in columns)))
+    Path(path).write_text("\n".join([",".join(columns), *rows]) + "\n")
 
 
 def snapshot_name(t: float) -> str:
     return f"fields_{t:.6f}.csv"
 
 
-def write_fields(path: Path, x: np.ndarray, fields: dict[str, np.ndarray]):
-    # tolist() gives Python floats (or ints), written by repr; 512 rows at a
-    # time keep few of them alive
-    cols = [np.asarray(col) for col in (x, *fields.values())]
+def write_fields(path: Path, x: np.ndarray | SharedColumn, fields: dict):
+    cols = [x, *fields.values()]
     with open(path, "w") as out:
         out.write(",".join(["x", *fields]) + "\n")
-        for lo in range(0, len(x), 512):
-            rows = zip(*(col[lo:lo + 512].tolist() for col in cols))
-            out.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        for lo in range(0, len(x), _CHUNK):
+            text = [col.chunk(lo) if isinstance(col, SharedColumn)
+                    else _formatted(col[lo:lo + _CHUNK]) for col in cols]
+            out.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def write_summary(path: Path, payload: dict):

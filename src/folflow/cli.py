@@ -11,12 +11,12 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .artifacts import (
+    shared_columns,
     snapshot_name,
     write_fields,
     write_plot_script,
@@ -69,8 +69,11 @@ def execute_config(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> Path:
         })
         raise
     write_trajectory(out_dir / "trajectory.csv", scenario.columns, traj.series)
-    for t, values in traj.snapshots.items():
-        write_fields(out_dir / snapshot_name(t), cfg.grid.x, values)
+    snapshots = {t: {"x": cfg.grid.x, **values} for t, values in traj.snapshots.items()}
+    shared = shared_columns(list(snapshots.values()))  # formatted once, for every file
+    for t, values in snapshots.items():
+        columns = {**values, **shared}
+        write_fields(out_dir / snapshot_name(t), columns.pop("x"), columns)
     write_summary(out_dir / "summary.json", {
         "status": "ok",
         "config": config_to_dict(cfg),
@@ -123,6 +126,7 @@ def _run_command(args) -> int:
 
 
 def _sweep_command(args) -> int:
+    from concurrent.futures import ProcessPoolExecutor  # only a sweep loads multiprocessing
     directory = Path(args.directory)
     files = sorted(directory.glob("*.yaml"))
     if not files:

@@ -99,13 +99,15 @@ class Trajectory:
         if given, fails with failure[1], and so does the first record with a
         non-finite field or row value.  The first failure, (i, error), is
         returned, and then nothing is appended, since the run ends at it; else
-        the records are, and None is returned.  The fields the run keeps are
-        copied and frozen, so a record shares no memory with the march or
-        another."""
+        the records are, and None is returned.  A field given as a ScalarField
+        is an input held fixed, checked finite when it was built: every kept
+        record shares its read-only values.  The other fields the run keeps
+        are copied and frozen, so a record shares no memory with the march."""
         n = len(next(iter(columns.values()))) if failure is None else failure[0]
         fields_ok = np.ones(n, dtype=bool)
         for vals in fields.values():
-            fields_ok &= np.isfinite(vals[:n]).all(axis=tuple(range(1, np.ndim(vals))))
+            if not isinstance(vals, ScalarField):
+                fields_ok &= np.isfinite(vals[:n]).all(axis=tuple(range(1, np.ndim(vals))))
         ok = fields_ok & np.logical_and.reduce([np.isfinite(col[:n]) for col in columns.values()])
         if not ok.all():
             n = int(np.argmin(ok))
@@ -122,7 +124,8 @@ class Trajectory:
         self.fields += [None] * n
         lo, hi = np.searchsorted(self._kept, (first, first + n))
         for i in self._kept[lo:hi].tolist():
-            self.fields[i] = {name: np.array(vals[i - first], dtype=float)
+            self.fields[i] = {name: vals.values if isinstance(vals, ScalarField)
+                              else np.array(vals[i - first], dtype=float)
                               for name, vals in fields.items()}
             for owned in self.fields[i].values():
                 owned.flags.writeable = False
@@ -488,8 +491,7 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
             # the sup over the points inside both masks, 0 where there are none
             "conservation_drift": np.max(np.where(mask & mask0, np.abs(q - q0), 0.0), axis=-1),
             "h_dev": np.max(np.abs(H - h_limit.values), axis=-1),
-        }, {"u": u, "H": H, "betaD": np.broadcast_to(betaD.values, u.shape), "T2": t2,
-            "scmixT2": sc}, failure)
+        }, {"u": u, "H": H, "betaD": betaD, "T2": t2, "scmixT2": sc}, failure)
 
     march(stepper, u0.values, dt, traj.steps, advance, record)
     traj.growth_exponent = ScalarField(grid, exponent.last())
@@ -719,13 +721,17 @@ def _run_cole_hopf_check(cfg, grid, fields):
     return traj, summary
 
 
-def _random_trig_potential(grid: FiberGrid, rng) -> ScalarField:
-    vals = np.zeros(grid.n_points)
+def _random_trig_potentials(grid: FiberGrid, rng, count: int):
+    """count potentials, each sum over modes 1-3 of a cos + b sin, a and b
+    drawn from rng as each is taken; the basis is built once."""
     theta = 2.0 * np.pi * grid.x / grid.length
-    for mode in range(1, 4):
-        a, b = rng.normal(size=2)
-        vals += a * np.cos(mode * theta) + b * np.sin(mode * theta)
-    return ScalarField(grid, vals)
+    basis = [(np.cos(mode * theta), np.sin(mode * theta)) for mode in range(1, 4)]
+    for _ in range(count):
+        vals = np.zeros(grid.n_points)
+        for cos, sin in basis:
+            a, b = rng.normal(size=2)
+            vals += a * cos + b * sin
+        yield ScalarField(grid, vals)
 
 
 def _run_spectral_report(cfg, grid, fields):
@@ -742,13 +748,13 @@ def _run_spectral_report(cfg, grid, fields):
     row = {"lambda0": gs.lambda0, "lambda1": gs.lambda1, "gap": gs.gap, "weyl_ratio": weyl}
     failure = traj.extend(
         {key: np.array([value]) for key, value in row.items()},
-        {"potential": f.values[None],
+        {"potential": f,
          **{f"e{j}": ef.values[None] for j, ef in enumerate(dec.eigenfunctions)}})
     if failure:
         raise failure[1]
     rng = np.random.default_rng(cfg.seed)
-    pots = (_random_trig_potential(grid, rng) for _ in range(cfg.n_random))
-    margins = [lowest_eigenvalue(pot) + float(np.max(pot.values)) for pot in pots]
+    margins = [lowest_eigenvalue(pot) + float(np.max(pot.values))
+               for pot in _random_trig_potentials(grid, rng, cfg.n_random)]
     summary = {
         "eigenvalues": list(dec.eigenvalues),
         "lambda0_lanczos": gs.lambda0,

@@ -20,8 +20,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from folflow import config, parabolic, scenarios
-from folflow.artifacts import snapshot_name, write_fields, write_trajectory
+from folflow import cli, config, parabolic, scenarios
+from folflow.artifacts import SharedColumn, snapshot_name, write_fields, write_trajectory
 from folflow.cli import execute_config, main
 from folflow.config import parse_config, parse_config_text
 from folflow.errors import FolflowError, NonFiniteValue, ValidationError
@@ -710,6 +710,56 @@ class TestDeterminism:
         write_trajectory(tmp_path / "t.csv", ("t", "a"), series)
         assert (tmp_path / "t.csv").read_text() == (
             "t,a\n0.0,-0.0\n0.30000000000000004,5e-324\n1e+16,1.0\n")
+
+    SIX_SNAPSHOTS = SHORT_RUNS["normalized"].replace(
+        "record_every: 10}", "record_every: 10, snapshots: [0.0, 0.01, 0.02, 0.03, 0.04, 0.05]}")
+
+    def test_shared_columns_written_as_the_repr_of_their_values_past_a_chunk(self, tmp_path):
+        # 513 rows: a second chunk of one row; x and the int column are
+        # formatted by the first file and reused by the second
+        x = np.linspace(-1.0, 1.0, 513)
+        fields = {"f": np.sin(x) * 1e16, "n": np.arange(513), "z": -0.0 * x}
+        rows = [",".join(repr(col[i].item()) for col in (x, *fields.values())) for i in range(513)]
+        shared = {"x": SharedColumn(x), "n": SharedColumn(fields["n"])}
+        for name in ("first", "second"):
+            write_fields(tmp_path / name, shared["x"], {**fields, "n": shared["n"]})
+            assert (tmp_path / name).read_text() == "\n".join(["x,f,n,z", *rows]) + "\n"
+
+    def test_a_column_differing_only_in_the_sign_of_a_zero_is_not_shared(self, tmp_path,
+                                                                           monkeypatch):
+        # betaD is 0.0 in the first snapshot and -0.0 in the others: equal
+        # values, but each file writes the repr of its own bits
+        scenario = SCENARIOS["normalized"]
+
+        def run(*args):
+            traj, summary = scenario.run(*args)
+            for i, row in enumerate(traj.snapshot_rows):
+                traj.fields[row]["betaD"] = np.full(len(args[1].x), -0.0 if i else 0.0)
+            return traj, summary
+
+        monkeypatch.setitem(SCENARIOS, "normalized", dataclasses.replace(scenario, run=run))
+        execute_config(parse_config_text(self.SIX_SNAPSHOTS), tmp_path, quiet=True)
+        written = [_csv_columns(path)["betaD"] for path in sorted(tmp_path.glob("fields_*.csv"))]
+        assert len(written) == 6
+        assert [np.signbit(col).tolist() for col in written] == [[False] * 64] + [[True] * 64] * 5
+
+    def test_execute_config_writes_each_snapshot_with_one_write_fields_call(self, tmp_path,
+                                                                            monkeypatch):
+        # the tracer times artifacts.write_fields as bound in cli; x and the
+        # held-fixed betaD reach every call formatted once, the state not
+        calls = []
+
+        def counted(path, x, fields):
+            calls.append((x, fields))
+            return write_fields(path, x, fields)
+
+        monkeypatch.setattr(cli, "write_fields", counted)
+        execute_config(parse_config_text(self.SIX_SNAPSHOTS), tmp_path, quiet=True)
+        assert len(calls) == len(list(tmp_path.glob("fields_*.csv"))) == 6
+        for x, fields in calls:
+            assert isinstance(x, SharedColumn) and x is calls[0][0]
+            shared = {name: col for name, col in fields.items() if isinstance(col, SharedColumn)}
+            assert shared == {"betaD": calls[0][1]["betaD"]}
 
 
 class TestParseOnce:

@@ -354,7 +354,9 @@ class TestRecords:
         # no view of the march state or block buffer, or of a block the
         # twisted product evaluates in closed form, and none shared between
         # records, whatever the block length: a budget of one value gives
-        # blocks of one state, the default one block for the run
+        # blocks of one state, the default one block for the run.  The
+        # normalized flow's betaD, an input held fixed, is the one read-only
+        # array of its input in every record
         if rows == 1:
             monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 1)
         buffers = []
@@ -369,6 +371,10 @@ class TestRecords:
         monkeypatch.setattr(np.fft, "irfft", keep(np.fft.irfft))
         monkeypatch.setattr(scipy.fft, "idst", keep(scipy.fft.idst))
         traj = _short_run(flow)
+        if flow == "normalized":
+            held = [record.pop("betaD") for record in traj.fields]
+            assert all(values is traj.betaD.values for values in held)
+            assert not traj.betaD.values.flags.writeable
         arrays = [values for record in traj.fields for values in record.values()]
         assert len(traj.fields) == len(traj.series["t"]) == 5
         assert not any(values.flags.writeable for values in arrays)

@@ -10,7 +10,7 @@ from folflow.config import parse_config_text
 from folflow.errors import ConvergenceFailure
 from folflow.fiber import ScalarField, build_grid, integrate
 from folflow.parabolic import PERIODIC, HeatStepper, StepperConfig
-from folflow.scenarios import SCENARIOS, _random_trig_potential
+from folflow.scenarios import SCENARIOS, _random_trig_potentials
 from folflow.schrodinger import (
     SpectralDecomposition,
     _band,
@@ -161,7 +161,8 @@ def bound_loop_potentials(g):
     ramp, whose largest interior value sits next to an interval's end."""
     rng = np.random.default_rng(11)
     return {"flat": np.zeros(g.n_points), "even": 0.3 * np.cos(2 * g.x), "odd": np.sin(g.x),
-            **{f"random{i}": _random_trig_potential(g, rng).values for i in range(3)},
+            **{f"random{i}": pot.values
+               for i, pot in enumerate(_random_trig_potentials(g, rng, 3))},
             "ramp": g.x / g.length}
 
 
