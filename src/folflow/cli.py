@@ -115,6 +115,8 @@ def _run_one(path, out, seed, quiet: bool):
         execute_config(cfg, out_dir, quiet=quiet)
     except FolflowError as err:
         return 3, err
+    except OSError as err:  # an artifact path that cannot be written, say a directory
+        return 2, ValidationError(f"cannot write {err.filename or out_dir}: {err.strerror}")
     return 0, None
 
 

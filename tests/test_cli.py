@@ -21,7 +21,8 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from folflow import cli, config, parabolic, scenarios
-from folflow.artifacts import SharedColumn, snapshot_name, write_fields, write_trajectory
+from folflow.artifacts import (SharedColumn, _formatted, snapshot_name, write_fields,
+                               write_trajectory)
 from folflow.cli import execute_config, main
 from folflow.config import parse_config, parse_config_text
 from folflow.errors import FolflowError, NonFiniteValue, ValidationError
@@ -435,6 +436,26 @@ class TestRunCommand:
         assert str(taken) in err["error"]["message"]
         assert taken.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("artifact", ["trajectory.csv", snapshot_name(0.0), "summary.json"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_an_artifact_path_that_cannot_be_written_exits_2(self, tmp_path, capsys,
+                                                              monkeypatch, command, artifact):
+        monkeypatch.setenv("FOLFLOW_THREADS", "1")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        taken = (out if command == "run" else out / "run") / artifact
+        taken.mkdir(parents=True)
+        message = f"cannot write {taken}: Is a directory"
+        if command == "run":
+            assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err == {"type": "ValidationError", "message": message}
+        else:
+            assert main(["sweep", str(tmp_path), "--out", str(out)]) == 2
+            assert capsys.readouterr().out == f"run.yaml: failed (exit 2): {message}\n"
+        assert taken.is_dir() and not list(taken.iterdir())
+
     @pytest.mark.parametrize("value", [4.859, 10.0])
     def test_cole_hopf_exact_match_writes_strict_json(self, tmp_path, value):
         # a constant u0 stays constant, so H and its transform are both 0 up
@@ -760,6 +781,51 @@ class TestDeterminism:
             assert isinstance(x, SharedColumn) and x is calls[0][0]
             shared = {name: col for name, col in fields.items() if isinstance(col, SharedColumn)}
             assert shared == {"betaD": calls[0][1]["betaD"]}
+
+
+def _repr_text(col) -> list[str]:
+    return [repr(value) for value in np.asarray(col).tolist()]
+
+
+class TestFormatted:
+    """_formatted writes repr's text of each value.  orjson writes a float64
+    column's values in 0 and 1e-4 <= |v| < 1e16, repr the rest; an orjson whose
+    digits or layout differ from repr's there fails these tests."""
+
+    def test_random_bit_patterns_over_every_exponent(self):
+        rng = np.random.default_rng(20261021)
+        n = 200_000
+        # each biased exponent 0..2047 ten times (subnormals, inf and nan
+        # included), and for the rest the exponents around orjson's range
+        exponent = rng.integers(1023 - 15, 1023 + 55, n, dtype=np.uint64)
+        exponent[:2048 * 10] = np.arange(2048 * 10) % 2048
+        sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+        mantissa = rng.integers(0, 2**52, n, dtype=np.uint64)
+        values = (sign | exponent << np.uint64(52) | mantissa).view(np.float64)
+        assert list(_formatted(values)) == _repr_text(values)
+
+    def test_short_decimals_across_the_range(self):
+        rng = np.random.default_rng(7)
+        values = rng.integers(-10**6, 10**6, 20_000) * 10.0 ** rng.integers(-12, 18, 20_000)
+        assert list(_formatted(values)) == _repr_text(values)
+
+    def test_zeros_non_finite_values_and_the_edges_of_the_range(self):
+        edges = [10.0 ** k for k in range(-4, 17)]
+        near = [np.nextafter(edge, to) for edge in edges for to in (0.0, np.inf)]
+        special = [0.0, 5e-324, np.nan, np.inf, 2.0 ** 53, 0.1 + 0.2]
+        values = np.array(special + edges + near)
+        values = np.concatenate([values, -values])
+        assert np.signbit(values).sum() == len(values) // 2  # -0.0 and -nan included
+        assert list(_formatted(values)) == _repr_text(values)
+
+    def test_a_strided_view_an_empty_column_and_an_int_column(self):
+        block = np.random.default_rng(3).normal(size=(600, 4)) * np.logspace(-6, 17, 4)
+        column = block[::3, 1]
+        assert not column.flags.c_contiguous
+        assert list(_formatted(column)) == _repr_text(column)
+        assert list(_formatted(block[:0, 0])) == []
+        ints = np.arange(-5, 600, 7)
+        assert list(_formatted(ints)) == _repr_text(ints)
 
 
 class TestParseOnce:

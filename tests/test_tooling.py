@@ -1,8 +1,9 @@
 """The benchmark's hooks into the package: every name it traces or imports
 resolves, every config it runs parses, and each step of a run is one call of
 a traced step method; every demo and the README's library quick start run,
-and the README's table of the keys each scenario reads is the scenario
-declarations.
+the README's table of the keys each scenario reads is the scenario
+declarations, and the package's third-party imports are the dependencies
+pyproject.toml declares.
 
 perfbench wraps the functions listed in perfbench.tracer.TRACED (methods are
 read from the class body), its probes import steppers and solvers by name,
@@ -20,6 +21,7 @@ import io
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -217,6 +219,27 @@ def test_readme_key_table_is_the_declared_keys():
         name, keys = (cell.strip() for cell in line.strip("|").split("|"))
         table[name.strip("`")] = tuple(key.strip().strip("`") for key in keys.split(","))
     assert table == {name: s.keys for name, s in SCENARIOS.items()}
+
+
+# a distribution whose import name is not its own name, lowercased
+_IMPORT_NAMES = {"PyYAML": "yaml"}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # an import nobody declared fails an install elsewhere, and a declared
+    # dependency nothing imports is installed for nothing
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in declared}
+    expected = {_IMPORT_NAMES.get(name, name.lower()) for name in names}
+    imported = set()
+    for path in sorted((ROOT / "src" / "folflow").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names - {"folflow"} == expected
 
 
 # a derandomized strategy's draws, in a fresh interpreter that first imports
