@@ -12,11 +12,12 @@ solves for the increment d of each step u + d, zero at an interval's held ends,
 with Sherman-Morrison for a circle's corners.  Fields run along the last axis:
 values are (n,), or (m, n) with a field per row.  A step maps a field to a
 field of the same type and values to new values, checked finite; or it writes
-values into a given out array, allocating no state-sized array and checking
-nothing.  march drives every stepper by one protocol: start(state) checks the
-initial state once, and fill(ks, out) writes steps ks into a block's rows,
-which march checks finite at once.  A stepper fills by stepping from its last
-row, with work arrays the size of one state.  Without a reaction the heat step
+values into a given out array, allocating nothing and checking nothing.  Each
+call steps one field of n values in work vectors allocated with the stepper;
+a block steps row by row through the same call.  march drives every stepper
+by one protocol: start(state) checks the initial state once, and fill(ks,
+out) writes steps ks into a block's rows, which march checks finite at once.
+A stepper fills by stepping from its last row.  Without a reaction the heat step
 is diagonal in a Fourier basis, rfft on a circle and DST-I on an interval:
 heat_symbol is its symbol, and a HeatSeries fills from it in closed form.
 """
@@ -82,15 +83,13 @@ _MINUS_TWO = np.array(-2.0)
 class _Tridiagonal:
     """A = nu*Lap + diag(V) on the nodes that move in units of `unit`, nu/h^2
     if bare, else 1, and M = (I - c*A)/(2c*unit) factored once by LAPACK
-    dpttrf.  apply() puts A u/unit in rhs, and advance() steps u + d with
-    M d = rhs solved by dpttrs: d = (I - c*A)^-1 2c A u, with no multiply by
-    unit or 2c in a step.  Arrays span all n nodes: an interval's held ends
-    are decoupled rows of M where rhs stays zero, so u + d holds them bit for
+    dpttrf.  A step solves M d = rhs by dpttrs in the work vector rhs, one
+    field of n values allocated here: d = (I - c*A)^-1 2c A u when rhs = A
+    u/unit, with no multiply by unit or 2c.  An interval's held ends are
+    decoupled rows of M where rhs stays zero, so u + d holds them bit for
     bit.  On a circle, Sherman-Morrison (Numerical Recipes 2.7, gamma =
     -diag[0]) takes out the corners: M = T + w*w^T/gamma, T tridiagonal, w
-    nonzero at the ends.  Fields run along the last axis, (n,) or (m, n) with
-    each row solved alone, in the work array rhs that resize() sizes for one
-    state: C-contiguous, so dpttrs solves its transpose in place."""
+    nonzero at the ends, so d = T^-1 rhs - (w0*d_0 + w1*d_{n-1})*z."""
 
     def __init__(self, grid: FiberGrid, nu: float, V: ScalarField | None, c: float, bare: bool):
         self.periodic = grid.periodic
@@ -103,11 +102,11 @@ class _Tridiagonal:
             diag -= 0.0 if V is None else c * V.values
             diag /= scale
             off, c_inv = -c * inv / scale, c * inv
-            self._V = None if V is None else V.values[moving] / unit
+            self.V = None if V is None else V.values[moving] / unit
         if not self.periodic:
             diag[[0, -1]] = 1.0
         if not (np.isfinite(diag).all() and np.isfinite(off)
-                and (self._V is None or np.isfinite(self._V).all())):
+                and (self.V is None or np.isfinite(self.V).all())):
             raise SolverSingular(f"{_OUT_OF_RANGE} (c*nu/h^2 = {c_inv:.3g})")
         e = np.full(grid.n_points - 1, off)
         if self.periodic:
@@ -117,66 +116,28 @@ class _Tridiagonal:
             diag[0], diag[-1] = diag[0] - gamma, diag[-1] - off * off / gamma
         else:
             e[[0, -1]] = 0.0
-        self._d, self._e, info = dpttrf(diag, e)
+        self.d, self.e, info = dpttrf(diag, e)
         # the pivots of I - c*A at the moving nodes
-        pivots = self._d[moving] * scale
+        pivots = self.d[moving] * scale
         if info != 0 or np.min(pivots) <= 1e-12 * np.max(pivots):
             raise SolverSingular(f"{_NOT_DEFINITE} (smallest pivot {np.min(pivots):.3g}, "
                                  f"largest {np.max(pivots):.3g})")
         if self.periodic:
-            self._z = dpttrs(self._d, self._e, np.r_[gamma, np.zeros(len(diag) - 2), off])[0]
-            dot = self._z[0] + (off / gamma) * self._z[-1]
+            self.z = dpttrs(self.d, self.e, np.r_[gamma, np.zeros(len(diag) - 2), off])[0]
+            dot = self.z[0] + (off / gamma) * self.z[-1]
             if not 1.0 + dot > 1e-12 * abs(dot):
                 raise SolverSingular(f"{_NOT_DEFINITE} (Sherman-Morrison denominator {1 + dot:.3g})")
-            self._w0, self._w1 = np.array(1.0 / (1.0 + dot)), np.array((off / gamma) / (1.0 + dot))
-        self._inv = None if bare else np.array(inv)
-        self._moving = moving
-        self.shape = None
-
-    def resize(self, shape: tuple):
-        """Work arrays for states of this shape."""
-        self.shape = shape
-        self.rhs = r = np.zeros(shape)
-        self.moving = r[..., self._moving]
-        self._tmp = np.empty_like(self.moving)
-        self._views = r.T, r[..., :-1], r[..., 1:], r[..., :1], r[..., -1:]
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """rhs = A u/unit at the moving nodes, a circle closed by u's other end:
-        the stencil (-2u_i + u_{i+1}) + u_{i-1}, times nu/h^2 unless bare, plus
-        V/unit * u."""
-        out, _, head, tail, first, last = self.moving, *self._views
-        if self.periodic:
-            np.multiply(u, _MINUS_TWO, out)
-            np.add(head, u[..., 1:], head)
-            np.add(last, u[..., :1], last)
-            np.add(tail, u[..., :-1], tail)
-            np.add(first, u[..., -1:], first)
-        else:
-            np.multiply(u[..., 1:-1], _MINUS_TWO, out)
-            np.add(out, u[..., 2:], out)
-            np.add(out, u[..., :-2], out)
-        if self._inv is not None:
-            np.multiply(out, self._inv, out)
-        if self._V is not None:
-            np.add(out, np.multiply(self._V, u[..., self._moving], self._tmp), out)
-        return self.rhs
-
-    def advance(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = u + d, where M d = rhs; the solve overwrites rhs, and out may
-        be u itself."""
-        d, d_t, _, _, first, last = self.rhs, *self._views
-        dpttrs(self._d, self._e, d_t, 1)
-        if self.periodic:
-            # reduce by w's two entries, not a dot product along the row, so a
-            # block solves exactly as its rows do
-            np.subtract(d, np.multiply(self._w0 * first + self._w1 * last, self._z, self._tmp), d)
-        return np.add(u, d, out)
+            self.w0, self.w1 = np.float64(1.0 / (1.0 + dot)), np.float64((off / gamma) / (1.0 + dot))
+        self.inv = None if bare else np.array(inv)
+        self.rhs = r = np.zeros(grid.n_points)
+        self.live, self.inner = r[moving], r[1:-1]
+        self.head, self.tail = r[:-1], r[1:]
+        self.tmp = np.empty_like(self.live)
 
 
 class _Stepper:
     """What every stepper shares: the checks on its inputs, a step without
-    out, and march's start and fill, which fills by stepping."""
+    out or of a block, and march's start and fill, which fills by stepping."""
 
     skips = False  # whether fill may be given the record steps alone
 
@@ -191,6 +152,13 @@ class _Stepper:
     def _check(self, vals: np.ndarray):
         """Raise if values may not be stepped."""
 
+    def _fits(self, vals: np.ndarray):
+        """Raise unless the last axis of vals is the grid's, before any solve."""
+        n = self.grid.n_points
+        if vals.shape[-1:] != (n,):
+            raise ValueError(f"values of shape {vals.shape} do not have the grid's {n} points "
+                             "along the last axis")
+
     def start(self, state: np.ndarray):
         """Take state, (n,) or (m, n), as step 0, checked once."""
         self._check(state)
@@ -203,15 +171,21 @@ class _Stepper:
             u = self.step(u, row)
         self._last = u
 
-    def _fresh(self, u):
-        """A step of u into a new array, checked finite, or into a new field of u's type."""
+    def _rows(self, u, out):
+        """A step of values, (m, n), into out row by row through step; or,
+        without out, a step of u into a new array, checked finite, or into a
+        new field of u's type."""
+        if out is not None:
+            for row, into in zip(u, out):
+                self.step(row, into)
+            return out
         if isinstance(u, _GridFunction):
             if u.grid != self.grid:
                 raise ValueError("field lives on a different grid")
-            return type(u)(self.grid, self._fresh(u.values))
+            return type(u)(self.grid, self._rows(u.values, None))
         u = np.asarray(u, dtype=float)
         self._check(u)
-        new = self._step(u, np.empty(u.shape))
+        new = self.step(u, np.empty(u.shape))
         if not np.isfinite(new).all():
             raise SolverSingular(_NON_FINITE)
         return new
@@ -226,24 +200,40 @@ class HeatStepper(_Stepper):
         self._op = _Tridiagonal(grid, cfg.diffusivity, V, 0.5 * cfg.dt, bare=True)
 
     def _check(self, vals: np.ndarray):
+        self._fits(vals)
         bnd = self.cfg.boundary
         if isinstance(bnd, Dirichlet) and bnd.misses(vals):
             raise ValueError("field does not match the Dirichlet boundary values")
 
     def step(self, u, out: np.ndarray | None = None):
-        """One step of u: values, (n,) or (m, n) with a field per row, or a field.
-        With out, the values step into out (which may be u) unchecked, as fill
-        steps them.  Without, a new array or field is returned, u's ends checked
-        against Dirichlet data and the result checked finite."""
-        return self._fresh(u) if out is None else self._step(u, out)
-
-    def _step(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One step of u: values, (n,) or (m, n) with a field per row stepped
+        row by row, or a field.  With out, the values step into out (which may
+        be u) unchecked, as fill steps them.  Without, a new array or field is
+        returned, u's length and ends checked and the result checked finite."""
+        if out is None or u.ndim != 1:
+            return self._rows(u, out)
         # u_new = (I - cA)^-1 (I + cA) u = u + d with (I - cA) d = 2c A u
         op = self._op
-        if u.shape != op.shape:
-            op.resize(u.shape)
-        op.apply(u)
-        return op.advance(u, out)
+        r = op.rhs
+        if op.periodic:
+            np.multiply(u, _MINUS_TWO, r)
+            np.add(op.head, u[1:], op.head)
+            r[-1] += u[0]
+            np.add(op.tail, u[:-1], op.tail)
+            r[0] += u[-1]
+            if op.V is not None:
+                np.add(r, np.multiply(op.V, u, op.tmp), r)
+            dpttrs(op.d, op.e, r, 1)
+            np.subtract(r, np.multiply(op.z, op.w0 * r[0] + op.w1 * r[-1], op.tmp), r)
+        else:
+            m = op.live
+            np.multiply(u[1:-1], _MINUS_TWO, m)
+            np.add(m, u[2:], m)
+            np.add(m, u[:-2], m)
+            if op.V is not None:
+                np.add(m, np.multiply(op.V, u[1:-1], op.tmp), m)
+            dpttrs(op.d, op.e, r, 1)
+        return np.add(u, r, out)
 
 
 class BurgersStepper(_Stepper):
@@ -251,6 +241,8 @@ class BurgersStepper(_Stepper):
 
     Diffusion is treated by Crank-Nicolson, advection and forcing by an explicit
     midpoint stage: second order without history.  Interval ends are held."""
+
+    _check = _Stepper._fits
 
     def __init__(self, grid: FiberGrid, forcing: ScalarField, cfg: StepperConfig):
         super().__init__(grid, cfg, forcing, "forcing")
@@ -263,41 +255,46 @@ class BurgersStepper(_Stepper):
         self._force_x = force_x if grid.periodic else force_x[1:-1]
         # dividing by -2h negates _diff1's quotient by 2h exactly
         self._minus_2h = np.array(-2.0 * grid.spacing)
-
-    def _advect(self, h: np.ndarray) -> np.ndarray:
-        """The half solve's rhs = -(h^2)_x - nu^2*forcing_x at the moving nodes,
-        by _diff1's stencil; mid (which may be h) receives h^2."""
-        sq, out = self._mid, self._half.moving
-        np.multiply(h, h, sq)
-        if self.grid.periodic:
-            np.subtract(sq[..., 2:], sq[..., :-2], out[..., 1:-1])
-            np.subtract(sq[..., 1:2], sq[..., -1:], out[..., :1])
-            np.subtract(sq[..., :1], sq[..., -2:-1], out[..., -1:])
-        else:
-            np.subtract(sq[..., 2:], sq[..., :-2], out)
-        np.divide(out, self._minus_2h, out)
-        np.subtract(out, self._force_x, out)
-        return self._half.rhs
+        self._mid = mid = np.empty(grid.n_points)
+        self._hi, self._lo = mid[2:], mid[:-2]
 
     def step(self, H, out: np.ndarray | None = None):
         """One step of H, as HeatStepper.step, without an end check."""
-        return self._fresh(H) if out is None else self._step(H, out)
-
-    def _step(self, H: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if out is None or H.ndim != 1:
+            return self._rows(H, out)
         # delta form of mid = M_half^-1 (H + dt/2 N(H) + dt/4 D H) and
-        # H_new = M_full^-1 (H + dt N(mid) + dt/2 D H), M = I - c*D; D H waits
-        # in the full solve's rhs
-        half, full = self._half, self._full
-        if H.shape != full.shape:
-            half.resize(H.shape)
-            full.resize(H.shape)
-            self._mid = np.empty(H.shape)
-        dif = full.apply(H)
-        rhs = self._advect(H)
-        np.add(rhs, dif, rhs)
-        half.advance(H, self._mid)
-        np.add(dif, self._advect(self._mid), dif)
-        return full.advance(H, out)
+        # H_new = M_full^-1 (H + dt N(mid) + dt/2 D H), M = I - c*D: D H waits
+        # in the full solve's rhs.  Each pass squares its state into mid and
+        # puts N = -(h^2)_x - nu^2*forcing_x, by _diff1's stencil, in the half
+        # solve's rhs
+        half, full, mid = self._half, self._full, self._mid
+        dif, adv = full.live, half.live
+        if full.periodic:
+            np.multiply(H, _MINUS_TWO, dif)
+            np.add(full.head, H[1:], full.head)
+            dif[-1] += H[0]
+            np.add(full.tail, H[:-1], full.tail)
+            dif[0] += H[-1]
+        else:
+            np.multiply(H[1:-1], _MINUS_TWO, dif)
+            np.add(dif, H[2:], dif)
+            np.add(dif, H[:-2], dif)
+        np.multiply(dif, full.inv, dif)
+        for op, h, into in ((half, H, mid), (full, mid, out)):
+            np.multiply(h, h, mid)
+            np.subtract(self._hi, self._lo, half.inner)
+            if op.periodic:
+                adv[0] = mid[1] - mid[-1]
+                adv[-1] = mid[0] - mid[-2]
+            np.divide(adv, self._minus_2h, adv)
+            np.subtract(adv, self._force_x, adv)
+            r = op.rhs
+            np.add(adv, dif, op.live)
+            dpttrs(op.d, op.e, r, 1)
+            if op.periodic:
+                np.subtract(r, np.multiply(op.z, op.w0 * r[0] + op.w1 * r[-1], op.tmp), r)
+            np.add(H, r, into)
+        return out
 
 
 def heat_symbol(grid: FiberGrid, cfg: StepperConfig) -> np.ndarray:

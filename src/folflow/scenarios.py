@@ -47,9 +47,10 @@ from .schrodinger import (GroundState, eigencount, ground_state, lowest_eigenval
 SLOPE_TOL = 1e-8
 # the defaults of time.record_every and the tolerances, for the parser and the drivers
 RECORD_EVERY, GAP_MIN, EPS_T, CONVERGED_DEV = 10, 1e-6, 1e-8, 1e-5
-# from this many nodes on, a surface marches: a step then costs about what
-# HeatSeries' costs or less (timed per step at n = 201 to 4097 on both
-# topologies, BLAS on one thread; a circle's march pays Sherman-Morrison)
+# from this many nodes on, a surface marches.  Timed per step at n = 201 to
+# 4097, BLAS on one thread, an interval's march is the cheaper side from
+# about 700-769 nodes on and a circle's not below 4097; the cuts stay as
+# first set, since moving one changes which arithmetic runs a surface
 SERIES_POINTS = {"interval": 641, "circle": 3584}
 MAX_RANDOM = 10_000  # spectral_report's random potentials: about 4.5 s at n = 1024
 

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from folflow import parabolic
 from folflow.errors import FolflowError, NonFiniteValue, SolverSingular
@@ -136,6 +137,29 @@ class TestStepperErrors:
         with pytest.raises(ValueError):
             HeatStepper(build_grid("interval", 1.0, 64), None,
                         StepperConfig(1e-3, 1.0, boundary=PERIODIC))
+
+    @pytest.mark.parametrize("kind", ["heat", "burgers", "series"])
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_values_of_another_length_refused_before_any_solve(self, capfd, kind, topology,
+                                                               rows):
+        # a last axis of 10 values on a 16-node grid: refused with both lengths
+        # by step's checks and by march's start, before dpttrs complains on
+        # stderr or numpy fails to broadcast
+        g = build_grid(topology, 1.0, 16)
+        cfg = StepperConfig(1e-3, 1.0, boundary=PERIODIC if g.periodic else Dirichlet(1.0, 1.0))
+        stepper = {"heat": lambda: HeatStepper(g, None, cfg),
+                   "burgers": lambda: BurgersStepper(g, ScalarField(g, np.zeros(16)), cfg),
+                   "series": lambda: HeatSeries(g, cfg)}[kind]()
+        vals = np.ones(10 if rows is None else (rows, 10))
+        tries = [lambda: march(stepper, vals, 1e-3, record_steps(1e-3, 0.01, 1))]
+        if kind != "series":
+            tries.append(lambda: stepper.step(vals))
+        for attempt in tries:
+            with pytest.raises(ValueError, match=r"shape \((3, )?10,?\) do not have the grid's 16 "
+                                                 "points along the last axis"):
+                attempt()
+        assert capfd.readouterr() == ("", "")
 
     def test_dirichlet_field_must_match_boundary(self):
         g = build_grid("interval", 1.0, 64)
@@ -278,6 +302,173 @@ class TestDeltaForm:
                 drift = abs(np.sum(u) - np.sum(u0)) / np.sum(u0)
                 worst[n] = max(worst.get(n, 0.0), drift)
         assert max(worst.values()) <= 1e-13, worst
+
+
+def _reference_solver(grid, nu, V, c, unit):
+    """M = (I - c*(nu*Lap + diag(V)))/(2c*unit) factored by dpttrf, as the
+    steppers document it, and its solve d = M^-1 r: an interval's end rows
+    decoupled, a circle's corners taken out by Sherman-Morrison, M = T +
+    w*w^T/gamma with w = (gamma, 0, ..., off), and d = T^-1 r - (w0*d_0 +
+    w1*d_{n-1})*z."""
+    n, inv = grid.n_points, np.float64(nu) / (grid.spacing * grid.spacing)
+    scale = 2.0 * c * unit
+    diag = np.full(n, 1.0 + 2.0 * c * inv)
+    if V is not None:
+        diag -= c * V
+    diag /= scale
+    off = -c * inv / scale
+    e = np.full(n - 1, off)
+    if grid.periodic:
+        gamma = -diag[0]
+        diag[0], diag[-1] = diag[0] - gamma, diag[-1] - off * off / gamma
+    else:
+        diag[[0, -1]], e[[0, -1]] = 1.0, 0.0
+    d, e, _ = dpttrf(diag, e)
+    if not grid.periodic:
+        return lambda r: dpttrs(d, e, r)[0]
+    z = dpttrs(d, e, np.r_[gamma, np.zeros(n - 2), off])[0]
+    dot = z[0] + (off / gamma) * z[-1]
+    w0, w1 = 1.0 / (1.0 + dot), (off / gamma) / (1.0 + dot)
+
+    def solve(r):
+        x = dpttrs(d, e, r)[0]
+        return x - (w0 * x[0] + w1 * x[-1]) * z
+    return solve
+
+
+def _reference_stencil(u, periodic):
+    """(-2u_i + u_{i+1}) + u_{i-1}, a circle closed by u's other end; zero at
+    an interval's ends."""
+    if periodic:
+        return -2.0 * u + np.roll(u, -1) + np.roll(u, 1)
+    return np.r_[0.0, -2.0 * u[1:-1] + u[2:] + u[:-2], 0.0]
+
+
+class TestStepBits:
+    """50 steps into a given out array equal, bit for bit, the documented
+    arithmetic written out here: the stencil's and the Sherman-Morrison
+    correction's order of operations included."""
+
+    STEPS = 50
+
+    @staticmethod
+    def _setup(topology, seed=11):
+        g = build_grid(topology, 2 * np.pi if topology == "circle" else 1.0, 48)
+        rng = np.random.default_rng(seed)
+        u0 = 1.0 + 0.3 * rng.normal(size=48)
+        # c*nu/h^2 about 2: an increment as large as the state, whose last bit
+        # each rounding of the rhs moves
+        cfg = StepperConfig(0.1, 0.7, boundary=PERIODIC if g.periodic
+                            else Dirichlet(float(u0[0]), float(u0[-1])))
+        return g, u0, cfg, 0.4 * rng.normal(size=48) / cfg.dt
+
+    @staticmethod
+    def _march(stepper, u0, steps):
+        out = np.empty((steps, len(u0)))
+        u = u0
+        for row in out:
+            u = stepper.step(u, row)
+        return out
+
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    @pytest.mark.parametrize("reaction", [True, False])
+    def test_heat(self, topology, reaction):
+        g, u0, cfg, V = self._setup(topology)
+        V = V if reaction else None
+        c, inv = 0.5 * cfg.dt, np.float64(cfg.diffusivity) / (g.spacing * g.spacing)
+        solve = _reference_solver(g, cfg.diffusivity, V, c, inv)
+        got = self._march(HeatStepper(g, None if V is None else ScalarField(g, V), cfg),
+                          u0, self.STEPS)
+        u = u0
+        for k in range(self.STEPS):
+            r = _reference_stencil(u, g.periodic)
+            if V is not None:
+                react = (V / inv) * u
+                if not g.periodic:
+                    react[[0, -1]] = 0.0
+                r += react
+            u = u + solve(r)
+            assert np.array_equal(got[k], u), k
+        assert np.isfinite(u).all() and not np.array_equal(got[-1], got[-2])
+
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    def test_burgers(self, topology):
+        g, H0, cfg, forcing = self._setup(topology, seed=12)
+        H0 = 0.1 * H0
+        forcing = forcing * cfg.dt
+        nu, h = cfg.diffusivity, g.spacing
+        inv = np.float64(nu) / (h * h)
+        half = _reference_solver(g, nu, None, 0.25 * cfg.dt, 1.0)
+        full = _reference_solver(g, nu, None, 0.5 * cfg.dt, 1.0)
+        force_x = nu * nu * _diff1(forcing, h, g.periodic)
+
+        def advect(v):
+            sq = v * v
+            adv = (np.roll(sq, -1) - np.roll(sq, 1)) / (-2.0 * h) - force_x
+            return adv if g.periodic else np.r_[0.0, adv[1:-1], 0.0]
+
+        got = self._march(BurgersStepper(g, ScalarField(g, forcing), cfg), H0, self.STEPS)
+        H = H0
+        for k in range(self.STEPS):
+            dif = _reference_stencil(H, g.periodic) * inv
+            mid = H + half(advect(H) + dif)
+            H = H + full(dif + advect(mid))
+            assert np.array_equal(got[k], H), k
+        assert np.isfinite(H).all() and not np.array_equal(got[-1], got[-2])
+
+
+class _CountingNumpy:
+    """parabolic's np, counting the calls made through it by name."""
+
+    def __init__(self, calls):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+class TestStepCalls:
+    """A step of one field makes few numpy calls around its solves: each call
+    costs about a microsecond at any size, as much as the arithmetic of a
+    256-node stencil, so a step written with per-corner or per-scalar ufuncs
+    shows here without any timing."""
+
+    BUDGETS = {"heat": (8, 1), "burgers": (20, 2)}
+
+    @pytest.mark.parametrize("topology", ["circle", "interval"])
+    @pytest.mark.parametrize("kind", ["heat", "burgers"])
+    def test_numpy_and_lapack_calls_a_step(self, monkeypatch, topology, kind):
+        from collections import Counter
+
+        g = build_grid(topology, 1.0, 64)
+        u = 1.0 + 0.1 * np.sin(2 * np.pi * g.x)
+        cfg = StepperConfig(1e-3, 1.0, boundary=PERIODIC if g.periodic
+                            else Dirichlet(float(u[0]), float(u[-1])))
+        field = ScalarField(g, np.cos(2 * np.pi * g.x))
+        stepper = HeatStepper(g, field, cfg) if kind == "heat" else BurgersStepper(g, field, cfg)
+        calls, solves = Counter(), Counter()
+        dpttrs = parabolic.dpttrs
+
+        def counted_dpttrs(*args):
+            solves["dpttrs"] += 1
+            return dpttrs(*args)
+
+        want = stepper.step(u, np.empty_like(u))
+        monkeypatch.setattr(parabolic, "np", _CountingNumpy(calls))
+        monkeypatch.setattr(parabolic, "dpttrs", counted_dpttrs)
+        got = stepper.step(u, np.empty_like(u))
+        monkeypatch.undo()
+        assert np.array_equal(got, want)
+        numpy_budget, solve_budget = self.BUDGETS[kind]
+        assert sum(calls.values()) <= numpy_budget, calls
+        assert solves["dpttrs"] == solve_budget
 
 
 class TestIntervalEndsAndPivots:
