@@ -93,8 +93,13 @@ class VectorAlongFiber(_GridFunction):
 
 # the stencils act along the last axis: a block holds one field per row.  Each
 # differences the whole block flattened, then writes the end columns over the
-# seams between rows and divides once, with no temporary the size of vals.
+# seams between rows and divides once, with no temporary the size of vals;
+# _differences is _diff1 before its division by 2h.
 def _diff1(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
+    return np.divide(out := _differences(vals, periodic), 2.0 * h, out)
+
+
+def _differences(vals: np.ndarray, periodic: bool) -> np.ndarray:
     out = np.empty(vals.shape)
     flat = vals.reshape(-1)
     np.subtract(flat[2:], flat[:-2], out.reshape(-1)[1:-1])
@@ -104,7 +109,7 @@ def _diff1(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     else:
         out[..., 0] = -3.0 * vals[..., 0] + 4.0 * vals[..., 1] - vals[..., 2]
         out[..., -1] = 3.0 * vals[..., -1] - 4.0 * vals[..., -2] + vals[..., -3]
-    return np.divide(out, 2.0 * h, out)
+    return out
 
 
 def _diff2(vals: np.ndarray, h: float, periodic: bool) -> np.ndarray:

@@ -386,8 +386,8 @@ def record_steps(dt: float, t_end: float, record_every: int) -> np.ndarray:
 
 # march's block buffer holds as many states as fit in _BLOCK_DOUBLES values,
 # at least one and at most the run's steps to fill (163 states of 201 nodes);
-# on_record takes at most _RECORD_CHUNK of a block's records a call, so the
-# record hooks' temporaries do not grow with the block
+# its record buffer at most _RECORD_CHUNK of those and the run's records, so
+# the record hooks' temporaries do not grow with the block
 _BLOCK_DOUBLES = 2 ** 15
 _RECORD_CHUNK = 64
 
@@ -400,44 +400,49 @@ def march(stepper, state: np.ndarray, dt: float, steps: np.ndarray, on_block=Non
     stepper.fill(ks, out) writes the states after steps ks into out's rows, a
     block buffer of one state per row, until it is full or the run ends.  A
     stepper that skips fills the record steps alone if there is no on_block.
-    A filled block's rows are checked finite at once: the first non-finite one
-    fails the run at its step.  on_block(ts, block) sees each block's times
-    and states before a failed row and returns None, or (row, error) for the
-    first row its monitors reject.  on_record(ts, block, rows) sees the same
-    block and the rows to record before the first rejected row, at most
-    _RECORD_CHUNK of them a call, in increasing order across calls.  It
-    returns None, or (i, error) for the first of those rows it rejects,
-    which ends the block's records.  numpy's
-    overflow, invalid and divide warnings are off while a block fills and
-    its hooks run.  The first failure in step order is raised with its time.
-    Returns the final state.
+    A filled block's first non-finite row fails the run at its step.
+    on_block(ts, block, rows) sees each block's times and states before a
+    failed row, rows indexing its records, and returns None, or (row, error)
+    for the first row its monitors reject.  The records before it join a
+    record buffer in step order, whose times and states (views, valid for the
+    call) go to on_record(ts, states) when it is full, at the run's end and
+    before a failure is raised; it returns None, or (i, error) for the first
+    it rejects, the earlier failure.  numpy's overflow, invalid and divide
+    warnings are off while a block fills and the hooks run.  The first
+    failure in step order is raised with its time.  Returns the final state.
     """
     state = np.asarray(state, dtype=float)
     # the steps to fill: every one, or the records if the stepper may skip
     # and no on_block needs the others
     only_records = stepper.skips and on_block is None
     total = len(steps) - 1 if only_records else int(steps[-1])
-    buf = np.empty((max(1, min(_BLOCK_DOUBLES // state.size, total)), *state.shape))
+    fits = _BLOCK_DOUBLES // state.size
+    buf = np.empty((max(1, min(fits, total)), *state.shape))
+    kept = np.empty((max(1, min(fits, _RECORD_CHUNK, len(steps))), *state.shape))
     stepper.start(state)
-    done, t = 0, 0.0
+    kept_ts, done, t, n = np.empty(len(kept)), 0, 0.0, 0
     ks, block, failure = steps[:1], state[None], None
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while True:
                 rows = len(block) if failure is None else failure[0]
-                ts = ks[:rows] * dt
+                end = ks[rows - 1] + 1 if failure is None else ks[rows]
+                recs = np.searchsorted(ks, steps[steps.searchsorted(ks[0]):steps.searchsorted(end)])
                 if on_block is not None and rows:
-                    failure = on_block(ts, block[:rows]) or failure
-                end = ks[rows - 1] + 1 if failure is None else ks[failure[0]]
-                recorded = steps[steps.searchsorted(ks[0]):steps.searchsorted(end)]
-                if on_record is not None and len(recorded):
-                    recorded = np.searchsorted(ks, recorded)
-                    for lo in range(0, len(recorded), _RECORD_CHUNK):
-                        chunk = recorded[lo:lo + _RECORD_CHUNK]
-                        bad = on_record(ts, block[:rows], chunk)
+                    failure = on_block(ks[:rows] * dt, block[:rows], recs) or failure
+                    recs = recs if failure is None else recs[:recs.searchsorted(failure[0])]
+                last = failure is not None or done == total
+                while on_record is not None and (len(recs) or last and n):
+                    into, recs = recs[:len(kept) - n], recs[len(kept) - n:]
+                    # the rows exist: clip spares take's buffered copy
+                    np.take(block, into, axis=0, out=kept[n:n + len(into)], mode="clip")
+                    np.multiply(ks[into], dt, kept_ts[n:n + len(into)])
+                    n += len(into)
+                    if n == len(kept) or last and not len(recs):
+                        bad, n = on_record(kept_ts[:n], kept[:n]), 0
                         if bad:
-                            failure = int(chunk[bad[0]]), bad[1]
-                            break
+                            t = kept_ts[bad[0]]
+                            raise bad[1]
                 if failure is not None:
                     t = ks[failure[0]] * dt
                     raise failure[1]

@@ -17,9 +17,9 @@ product and a small surface fills its blocks in closed form (HeatSeries):
 Each of them takes its input fields, runs on the one grid they share, and
 returns a Trajectory: per record, one row of monitors (a line of
 trajectory.csv, stored by column) and one dict of field arrays (the
-columns of a fields_<t>.csv), built by one record hook for all records of
-a march block at once.  Given snapshot times, a driver keeps every row but
-the field arrays of only the records nearest them and the last.
+columns of a fields_<t>.csv), built by one record hook for a batch of
+records from several march blocks.  Given snapshot times, a driver keeps
+every row but the field arrays of only the records nearest them and the last.
 
 SCENARIOS maps each scenario name to its Scenario declaration, which the
 config parser, `folflow list` and `folflow run` all read.  A declaration
@@ -35,10 +35,11 @@ import numpy as np
 
 from . import colehopf
 from .curvature import _conserved_quantity, _riccati_residual, sc_mix_minus_T2
-from .errors import GapTooSmall, NonFiniteValue, NotConverged, ProfileDegenerate, refuse
+from .errors import (GapTooSmall, NonFiniteValue, NotConverged, ProfileDegenerate,
+                     SolverSingular, refuse)
 from .families import build_field
-from .fiber import (FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, _grad_log,
-                    build_grid, grad_log, integrate)
+from .fiber import (FiberGrid, ScalarField, VectorAlongFiber, _diff1, _diff2, _differences,
+                    _grad_log, build_grid, grad_log, integrate)
 from .parabolic import (PERIODIC, BurgersStepper, Dirichlet, HeatSeries, HeatStepper,
                         StepperConfig, _Stepper, march, record_steps)
 from .schrodinger import (GroundState, eigencount, ground_state, lowest_eigenvalue,
@@ -153,38 +154,39 @@ def _positive(name: str, values) -> list[str]:
 
 
 class _RunningIntegral:
-    """The trapezoid integral along a march of a quantity known at each row,
-    now at the last block's rows.  The first block is the initial state's,
-    one row whose total is 0; a later row adds finish(before + its own),
-    before being the quantity a row earlier.  _sums holds the total before
-    the last block, then its rows' terms; a row's total is summed only when
-    it is read, by np.add.reduce down axis 0 from the last total read, in
-    step order."""
+    """The trapezoid integral along a march of a quantity known at each row.
+    The first block is the initial state's, one row whose total is 0; a later
+    row adds finish(before + its own), before being the quantity a row
+    earlier.  add sums a block's totals by np.add.reduce down axis 0 from the
+    last one summed, its record rows' in step order, then its last row's,
+    last; it keeps the record rows' quantities and totals for take."""
 
     def __init__(self, finish):
-        self.now, self._finish = None, finish
+        self._finish, self._kept, self.last = finish, [], None
 
-    def add(self, now: np.ndarray):
-        """The quantity at the rows of the next block."""
-        sums = np.zeros((len(now) + 1, *now.shape[1:]))
-        if self.now is not None:
-            sums[0] = self.last()
-            np.add(self.now[-1], now[0], sums[1])
+    def add(self, now: np.ndarray, rows: np.ndarray):
+        """The quantity at the rows of the next block, and its record rows."""
+        first = self.last is None
+        sums = (np.zeros if first else np.empty)((len(now) + 1, *now.shape[1:]))
+        if not first:
+            sums[0] = self.last
+            np.add(self._end, now[0], sums[1])
             np.add(now[:-1], now[1:], sums[2:])
             self._finish(sums[1:])
-        self._sums, self._read, self.now = sums, 0, now
+        read = 0
+        for r in [*(rows + 1).tolist(), len(now)]:
+            if r > read:
+                sums[r] = np.add.reduce(sums[read:r + 1], axis=0)
+                read = r
+        self._kept.append((now[rows], sums[rows + 1]))
+        self.last, self._end = sums[-1].copy(), now[-1].copy()
 
-    def at(self, rows: np.ndarray) -> np.ndarray:
-        """The totals after the given increasing rows of the last block."""
-        for r in (rows + 1).tolist():
-            if r > self._read:
-                self._sums[r] = np.add.reduce(self._sums[self._read:r + 1], axis=0)
-                self._read = r
-        return self._sums[rows + 1]
-
-    def last(self) -> np.ndarray:
-        """The total after the last row added."""
-        return self.at(np.array([len(self._sums) - 2]))[0]
+    def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The quantities and totals of the next count record rows kept."""
+        now, totals = (np.concatenate(kept) if len(kept) > 1 else kept[0]
+                       for kept in zip(*self._kept))
+        self._kept = [(now[count:], totals[count:])]
+        return now[:count], totals[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +199,12 @@ def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _profile_failure(rho: np.ndarray, slope: np.ndarray):
-    """The profile guard on a block of profiles, one per row: (row, error) for
-    the first that pinched off or is too steep, or None."""
-    low, high, least = np.min(rho, axis=-1), np.max(slope, axis=-1), np.min(slope, axis=-1)
+def _profile_failure(rho: np.ndarray, diffs: np.ndarray, two_h: float):
+    """The profile guard on profiles, one per row, and 2h times their slopes
+    (dividing keeps order): (row, error) for the first that pinched off or is
+    too steep, or None."""
+    low = np.min(rho, axis=-1)
+    high, least = np.max(diffs, axis=-1) / two_h, np.min(diffs, axis=-1) / two_h
     bad = np.flatnonzero((low <= 0.0) | (high > 1.0 + SLOPE_TOL) | (least < -1.0 - SLOPE_TOL))
     if bad.size == 0:
         return None
@@ -245,28 +249,27 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
     cfg = StepperConfig(dt, 1.0, boundary=boundary)
     stepper = HeatSeries(grid, cfg) if _series_pays(grid) else HeatStepper(grid, None, cfg)
     h, periodic = grid.spacing, grid.periodic
-    # int_0^t K along the run, whose now the record reads K from
+    # int_0^t K along the run, which keeps K at the records for the record hook
     int_k_gauss = _RunningIntegral(lambda terms: np.multiply(terms, 0.5 * dt, terms))
     traj = SurfaceTrajectory(grid, dt, t_end, record_every, snapshots)
 
-    def advance(ts, block):
+    def advance(ts, block, rows):
         # the profile guard on every row, the initial one too, and K =
         # -rho_xx/rho, for the integral of K
         gauss = _diff2(block, h, periodic)
-        int_k_gauss.add(np.negative(np.divide(gauss, block, gauss), gauss))
-        return _profile_failure(block, _diff1(block, h, periodic))
+        int_k_gauss.add(np.negative(np.divide(gauss, block, gauss), gauss), rows)
+        return _profile_failure(block, _differences(block, periodic), 2.0 * h)
 
-    def record(ts, block, rows):
+    def record(ts, rho):
         # advance guarded every profile; h rebuilt from sqrt(1 - slope^2),
         # with the arclength constraint measured against that slope
-        rho = block[rows]
+        kk, int_k = int_k_gauss.take(len(rho))
         slope = _diff1(rho, h, periodic)
         # slope^2, then the arclength residual |slope^2 + h_slope^2 - 1| in its place
         arc = slope * slope
         h_slope = np.sqrt(np.maximum(1.0 - arc, 0.0))
         arc = np.max(np.abs(np.subtract(np.add(arc, h_slope ** 2, arc), 1.0, arc), arc), axis=-1)
         k = -slope / rho
-        kk = int_k_gauss.now[rows]
         conf = (rho / rho0.values) ** 2
         first = len(traj.fields)
         failure = traj.extend({
@@ -275,7 +278,7 @@ def run_surface_of_revolution(rho0: ScalarField, dt: float, t_end: float,
             "min_rho": np.min(rho, axis=-1),
             "arc_residual": arc,
             "riccati_res": _riccati_residual(k, kk, h, periodic),
-            "conformal_dev": np.max(np.abs(np.exp(-2.0 * int_k_gauss.at(rows)) - conf), axis=-1),
+            "conformal_dev": np.max(np.abs(np.exp(-2.0 * int_k) - conf), axis=-1),
         }, {"rho": rho, "h": _cumtrapz(h_slope, h), "k": k, "K": kk, "conformal_factor": conf})
         # the records taken every record_every steps, those before the off-grid last
         taken = slice(max(0, min(len(traj.fields), on_grid) - first))
@@ -374,8 +377,7 @@ def run_twisted_product(f0_slices, n: int, dt: float, t_end: float,
     masses0 = np.array([integrate(f) for f in slices])
     traj = TwistedTrajectory(grid, dt, t_end, record_every, snapshots, means)
 
-    def record(ts, block, rows):
-        f = block[rows]
+    def record(ts, f):
         H, failure = _grad_log(f, -1.0, grid.spacing, grid.periodic)
         masses = grid.spacing * np.sum(f, axis=-1)
         return traj.extend({
@@ -426,6 +428,12 @@ def normalized_rules(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField) -> 
             + (["t2_initial (|T|^2) must be nonnegative"] if np.min(T2_0.values) < 0.0 else []))
 
 
+def _normalized_stepper(betaD: ScalarField, n: int, dt: float):
+    """run_normalized_flow's potential, betaD clipped at 0, and its stepper."""
+    betaD = ScalarField(betaD.grid, np.maximum(betaD.values, 0.0))
+    return betaD, HeatStepper(betaD.grid, betaD * n, StepperConfig(dt, float(n), boundary=PERIODIC))
+
+
 def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, n: int,
                         dt: float, t_end: float, record_every: int = RECORD_EVERY,
                         gap_min: float = GAP_MIN, eps_T: float = EPS_T,
@@ -438,8 +446,7 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
     """
     grid = _shared_grid(u0, betaD, T2_0)
     refuse(normalized_rules(u0, betaD, T2_0))
-    betaD = ScalarField(grid, np.maximum(betaD.values, 0.0))
-    stepping = StepperConfig(dt, float(n), boundary=PERIODIC)
+    betaD, stepper = _normalized_stepper(betaD, n, dt)
     gs = ground_state(betaD)
     if gs.gap < gap_min:
         raise GapTooSmall(
@@ -449,34 +456,32 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
     phi = n * gs.lambda0
     h_limit = grad_log(gs.e0, -float(n))
 
-    stepper = HeatStepper(grid, ScalarField(grid, n * betaD.values), stepping)
     # the |T|^2 exponent along the run, 4 dt (0.5 (before + now) - phi), of
-    # Sc_mix - |T|^2 at each row, which the record reads from its now
+    # Sc_mix - |T|^2 at each row, which it keeps at the records for the record hook
     exponent = _RunningIntegral(lambda terms: np.multiply(
         np.subtract(np.multiply(terms, 0.5, terms), phi, terms), 4.0 * dt, terms))
     traj = NormalizedTrajectory(grid, dt, t_end, record_every, snapshots, gs, phi, n, betaD, None)
     q0 = mask0 = None
 
-    def advance(ts, block):
+    def advance(ts, block, rows):
         # Sc_mix - |T|^2 at every row, the initial one too, for the |T|^2
         # exponent; the first non-finite row fails
         new = normalized_scmix(block, betaD, n)
-        exponent.add(new)
+        exponent.add(new, rows)
         finite = np.isfinite(new).all(axis=1)
         if not finite.all():
             return int(np.argmin(finite)), NonFiniteValue("field values must be finite")
         return None
 
-    def record(ts, block, rows):
+    def record(ts, u):
         nonlocal q0, mask0
-        u = block[rows]
-        t2 = T2_0.values * np.exp(exponent.at(rows))
+        sc, total = exponent.take(len(u))
+        t2 = T2_0.values * np.exp(total)
         H, failure = _grad_log(u, -float(n), grid.spacing, grid.periodic)
         # a record's non-finite |T|^2 wins over its grad_log failure; extend
         # checks the |T|^2 of the records before it
         if failure is not None and not np.isfinite(t2[failure[0]]).all():
             failure = failure[0], NonFiniteValue("field values must be finite")
-        sc = exponent.now[rows]
         q, mask = _conserved_quantity(H, t2, n, eps_T, grid.spacing, grid.periodic)
         if q0 is None:
             q0, mask0 = q[0], mask[0]
@@ -495,7 +500,7 @@ def run_normalized_flow(u0: ScalarField, betaD: ScalarField, T2_0: ScalarField, 
         }, {"u": u, "H": H, "betaD": betaD, "T2": t2, "scmixT2": sc}, failure)
 
     march(stepper, u0.values, dt, traj.steps, advance, record)
-    traj.growth_exponent = ScalarField(grid, exponent.last())
+    traj.growth_exponent = ScalarField(grid, exponent.last)
     return traj
 
 
@@ -575,10 +580,11 @@ class _ColeHopfPair(_Stepper):
     Burgers with forcing steps H.  march drives it by start and fill alone,
     so its step always takes out."""
 
-    def __init__(self, grid: FiberGrid, forcing: ScalarField, cfg: StepperConfig):
-        super().__init__(grid, cfg, forcing, "forcing")
-        self.heat = HeatStepper(grid, forcing * cfg.diffusivity, cfg)
-        self.burgers = BurgersStepper(grid, forcing, cfg)
+    def __init__(self, forcing: ScalarField, nu: float, dt: float):
+        cfg = StepperConfig(dt, float(nu), boundary=PERIODIC)
+        super().__init__(forcing.grid, cfg, forcing, "forcing")
+        self.heat = HeatStepper(self.grid, forcing * cfg.diffusivity, cfg)
+        self.burgers = BurgersStepper(self.grid, forcing, cfg)
 
     def step(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
         self.heat.step(s[0], out[0])
@@ -603,11 +609,11 @@ def cole_hopf_rows(u0: ScalarField, forcing: ScalarField, nu: float, dt: float, 
     and the transform -nu*(log u)_y."""
     grid = _shared_grid(u0, forcing)
     refuse(cole_hopf_rules(u0, forcing, nu))
-    pair = _ColeHopfPair(grid, forcing, StepperConfig(dt, float(nu), boundary=PERIODIC))
+    pair = _ColeHopfPair(forcing, nu, dt)
     traj = Trajectory(grid, dt, t_end, record_every, snapshots)
 
-    def record(ts, block, rows):
-        u, H = block[rows, 0], block[rows, 1]
+    def record(ts, states):
+        u, H = states[:, 0], states[:, 1]
         transformed, failure = _grad_log(u, -float(nu), grid.spacing, grid.periodic)
         return traj.extend({"sup_diff": np.max(np.abs(H - transformed), axis=-1)},
                            {"H_direct": H, "H_transformed": transformed, "u": u}, failure)
@@ -769,6 +775,16 @@ def _run_spectral_report(cfg, grid, fields):
     return traj, summary
 
 
+def _step_rules(cfg, build, where: str = "") -> list[str]:
+    """The step matrix that build(), a run's stepper, refuses for time.dt."""
+    try:  # nothing is built on a dt or n_rank the parser refused
+        if cfg.n_rank is not None and 0.0 < cfg.time.dt < np.inf:
+            build()
+    except SolverSingular as err:
+        return [f"time.dt: {err}{where}"]
+    return []
+
+
 def _check_surface(cfg, grid, fields) -> list[str]:
     return [f"surface: {message}" for message in _positive("initial", fields["initial"].values)]
 
@@ -785,7 +801,9 @@ def _check_twisted(cfg, grid, fields) -> list[str]:
 
 def _check_normalized(cfg, grid, fields) -> list[str]:
     broken = normalized_rules(fields["initial"], fields["potential"], fields["t2_initial"])
-    return [f"normalized: {message}" for message in broken] + operator_rules(fields["potential"])
+    errs = [f"normalized: {message}" for message in broken] + operator_rules(fields["potential"])
+    return errs or [f"normalized: {message}" for message in _step_rules(
+        cfg, lambda: _normalized_stepper(fields["potential"], cfg.n_rank, cfg.time.dt))]
 
 
 def _check_cole_hopf(cfg, grid, fields) -> list[str]:
@@ -798,9 +816,11 @@ def _check_cole_hopf(cfg, grid, fields) -> list[str]:
         fine = _refined(cfg, grid)
     except (ValueError, MemoryError) as err:
         return [f"cole_hopf_check: on the refined grid of {2 * grid.n_points} nodes: {err}"]
-    broken = cole_hopf_rules(fields["initial"], fields["potential"], cfg.n_rank) or [
-        f"{message} on the refined grid of {2 * grid.n_points} nodes"
-        for message in cole_hopf_rules(*fine, cfg.n_rank)]
+    nu, dt, refined = cfg.n_rank, cfg.time.dt, f" on the refined grid of {2 * grid.n_points} nodes"
+    broken = (cole_hopf_rules(fields["initial"], fields["potential"], nu)
+              or [message + refined for message in cole_hopf_rules(*fine, nu)]
+              or _step_rules(cfg, lambda: _ColeHopfPair(fields["potential"], nu, dt))
+              or _step_rules(cfg, lambda: _ColeHopfPair(fine[1], nu, 0.5 * dt), refined))
     return [f"cole_hopf_check: {message}" for message in broken]
 
 

@@ -160,8 +160,8 @@ def test_criterion_5_conservation_suite(normalized_run, acceptance_verdicts):
     heat = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
     masses = []
     march(heat, 2.0 + np.sin(3 * g.x), 1e-3, record_steps(1e-3, 2.0, 2000),
-          on_record=lambda ts, block, rows: masses.extend(
-              integrate(ScalarField(g, u)) for u in block[rows]))
+          on_record=lambda ts, states: masses.extend(
+              integrate(ScalarField(g, u)) for u in states))
     heat_drift = abs(masses[-1] - masses[0]) / 2.0
 
     tw = run_twisted_product((ScalarField(g, 1.0 + 0.3 * np.cos(g.x)),), 2, dt=1e-3, t_end=2.0,

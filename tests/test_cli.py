@@ -25,10 +25,10 @@ from folflow.artifacts import (SharedColumn, _formatted, snapshot_name, write_fi
                                write_trajectory)
 from folflow.cli import execute_config, main
 from folflow.config import parse_config, parse_config_text
-from folflow.errors import FolflowError, NonFiniteValue, ValidationError
+from folflow.errors import FolflowError, NonFiniteValue, SolverSingular, ValidationError
 from folflow.families import FAMILY_PARAMS, build_field
 from folflow.fiber import build_grid
-from folflow.scenarios import (COMMON_KEYS, MAX_RANDOM, SCENARIOS, _series_pays,
+from folflow.scenarios import (COMMON_KEYS, MAX_RANDOM, SCENARIOS, _series_pays, cole_hopf_rows,
                                run_normalized_flow)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -119,6 +119,36 @@ UNRUNNABLE = {
         "grid: spacing 6.25e-157 squares to 3.90625e-313, whose reciprocal is out of the "
         "float range")
        for scenario, t_end in (("spectral_report", 0.0), ("normalized", 1.0))},
+    # step matrices I - (dt/2)*(nu*Lap + V) that are not positive definite,
+    # known from the inputs before a step: the run's own, and the refined
+    # cole_hopf_check run's, whose nodes between the run's see the potential
+    # of mode n_points at +1000 where the run's see -1000
+    "step_matrix_normalized": ("scenario: normalized\n"
+                               "grid: {topology: circle, length: 6.283185307179586, "
+                               "n_points: 25}\n"
+                               "time: {dt: 0.1, t_end: 1.3, record_every: 4}\n"
+                               "potential: {family: linear, a: 0.5, b: 1.5264554830850485}\n"
+                               "n_rank: 3\n",
+                               "normalized: time.dt: implicit step matrix is not positive "
+                               "definite: dt is too large for the potential (smallest pivot "
+                               "-14.9, largest 11.3)"),
+    "step_matrix_cole_hopf": ("scenario: cole_hopf_check\n"
+                              "grid: {topology: circle, length: 10.0, n_points: 26}\n"
+                              "time: {dt: 0.1, t_end: 1.0}\n"
+                              "potential: {family: linear, a: 1.060248828161219, "
+                              "b: 1.7750987839900774}\n"
+                              "n_rank: 2\n",
+                              "cole_hopf_check: time.dt: implicit step matrix is not positive "
+                              "definite: dt is too large for the potential (smallest pivot -8.06, "
+                              "largest 4.49)"),
+    "step_matrix_refined": ("scenario: cole_hopf_check\n"
+                            "grid: {topology: circle, length: 1.0, n_points: 8}\n"
+                            "time: {dt: 0.01, t_end: 0.02}\n"
+                            "potential: {family: cosine_perturbed, base: 0.0, amplitude: -1000.0, "
+                            "mode: 8}\n",
+                            "cole_hopf_check: time.dt: implicit step matrix is not positive "
+                            "definite: dt is too large for the potential (smallest pivot -0.263, "
+                            "largest 9.56) on the refined grid of 16 nodes"),
     # a refined initial that is not positive, though the run's own is
     "refined_initial": ("scenario: cole_hopf_check\n"
                         "grid: {topology: circle, length: 1.0, n_points: 9}\n"
@@ -492,24 +522,28 @@ class TestRunCommand:
         positivity = summary_sans_meta(out)["results"]["positivity"]
         assert positivity["converged"] and positivity["threshold_ratio"] is None
 
-    def test_step_matrix_not_positive_definite_exits_3(self, tmp_path, capsys):
-        # c*V = 0.05 * 30 = 1.5: the Crank-Nicolson matrix is indefinite, and the
-        # run stops before its first step instead of marching a sign-flipped u
-        cfg = tmp_path / "run.yaml"
-        cfg.write_text(textwrap.dedent("""\
+    def test_step_matrix_not_positive_definite_is_refused_at_parse_and_by_the_driver(self):
+        # c*V = 0.05 * 30 = 1.5: the Crank-Nicolson matrix is indefinite.  The
+        # parser refuses it by building the run's stepper, naming the key;
+        # the driver, called directly, stops before its first step instead
+        # of marching a sign-flipped u
+        text = textwrap.dedent("""\
             scenario: cole_hopf_check
             grid: {topology: circle, length: 1.0, n_points: 8}
             time: {dt: 0.1, t_end: 0.7}
             potential: {family: constant, value: 30.0}
             initial: {family: constant, value: 2.0}
-        """))
-        out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "SolverSingular"
-        assert err["message"].startswith(
-            "implicit step matrix is not positive definite: dt is too large for the potential")
-        assert summary_sans_meta(out)["error"] == err
+        """)
+        message = ("implicit step matrix is not positive definite: dt is too large for the "
+                   "potential (smallest pivot -0.937, largest 11.8)")
+        with pytest.raises(ValidationError) as parsed:
+            parse_config_text(text)
+        assert str(parsed.value) == f"cole_hopf_check: time.dt: {message}"
+        g = build_grid("circle", 1.0, 8)
+        with pytest.raises(SolverSingular) as run:
+            cole_hopf_rows(build_field(g, "constant", {"value": 2.0}),
+                           build_field(g, "constant", {"value": 30.0}), 1.0, 0.1, 0.7, 1)
+        assert str(run.value) == message
 
     def test_missing_config_file_exits_2(self, tmp_path):
         proc = run_cli("run", str(tmp_path / "nope.yaml"))

@@ -556,7 +556,7 @@ class TestEvolveDriver:
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
         recs = []
         march(stepper, u0.values, 1e-3, record_steps(1e-3, 0.0, 1),
-              on_record=lambda ts, block, rows: recs.extend(zip(ts[rows], block[rows])))
+              on_record=lambda ts, states: recs.extend(zip(ts, states.copy())))
         assert len(recs) == 1 and recs[0][0] == 0.0
 
     def test_records_and_monitors(self):
@@ -565,8 +565,8 @@ class TestEvolveDriver:
         stepper = HeatStepper(g, None, StepperConfig(1e-3, 1.0, boundary=PERIODIC))
         recs = []
 
-        def span(ts, block, rows):
-            recs.extend((t, float(np.max(u) - np.min(u))) for t, u in zip(ts[rows], block[rows]))
+        def span(ts, states):
+            recs.extend((t, float(np.max(u) - np.min(u))) for t, u in zip(ts, states))
 
         march(stepper, u0.values, 1e-3, record_steps(1e-3, 0.1, 20), on_record=span)
         assert [t for t, _ in recs] == pytest.approx([0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
@@ -583,14 +583,14 @@ class TestEvolveDriver:
         monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 3 * rows)
         seen, records = [], []
 
-        def on_block(ts, block):
+        def on_block(ts, block, rows):
             seen.extend(ts)
             bad = np.flatnonzero(block[:, 0] == reject)
             return (int(bad[0]), NonFiniteValue("state rejected")) if bad.size else None
 
         with pytest.raises(FolflowError) as exc:
             march(_Count(fails_after=11.0), np.zeros(3), 0.5, record_steps(0.5, 10.0, 4), on_block,
-                  lambda ts, block, rows: records.extend(zip(ts[rows], block[rows, 0])))
+                  lambda ts, states: records.extend(zip(ts, states[:, 0])))
         if reject is None:
             assert str(exc.value) == "implicit step produced non-finite values (failure at t = 6)"
             assert seen == pytest.approx(0.5 * np.arange(0, 12))
@@ -615,13 +615,13 @@ class TestEvolveDriver:
         monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 3 * rows)
         seen, records = [], []
 
-        def on_block(ts, block):
+        def on_block(ts, block, rows):
             bad = np.flatnonzero(block[:, 0] == reject)
             return (int(bad[0]), NonFiniteValue("state rejected")) if bad.size else None
 
-        def on_record(ts, block, rows):
-            seen.extend(block[rows, 0])
-            for i, u in enumerate(block[rows, 0]):
+        def on_record(ts, states):
+            seen.extend(states[:, 0])
+            for i, u in enumerate(states[:, 0]):
                 if u == bad_record:
                     return i, NonFiniteValue("record rejected")
                 records.append(u)
@@ -634,20 +634,85 @@ class TestEvolveDriver:
 
     def test_the_record_hook_takes_a_block_in_chunks_of_64(self, monkeypatch):
         # 201 records, one a step: the initial state's block, then one block
-        # of 200 states of 3 values, whose records come 64 at a time
+        # of 200 states of 3 values; the records come 64 at a time, the
+        # initial state's with the next 63
         monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 3 * 200)
         blocks, calls = [], []
         march(_Count(), np.zeros(3), 0.5, record_steps(0.5, 100.0, 1),
-              lambda ts, block: blocks.append(len(block)),
-              lambda ts, block, rows: calls.append(block[rows, 0].tolist()))
+              lambda ts, block, rows: blocks.append(len(block)),
+              lambda ts, states: calls.append(states[:, 0].tolist()))
         assert blocks == [1, 200]
-        assert [len(call) for call in calls] == [1, 64, 64, 64, 8]
+        assert [len(call) for call in calls] == [64, 64, 64, 9]
         assert sum(calls, []) == list(range(201))
+
+    def test_sparse_records_reach_the_hook_in_batches_across_blocks(self):
+        # 247 records, one every 24 of 5,904 steps, over blocks of 128 states
+        # of 256 values, 5 or 6 records a block: they reach on_record as 64,
+        # 64, 64 and 55, the states and times on_block saw at their rows
+        g, dt = circle(256), 1e-3
+        stepper = HeatStepper(g, None, StepperConfig(dt, 1.0, boundary=PERIODIC))
+        blocks, reference, calls, got = [], [], [], []
+
+        def on_block(ts, block, rows):
+            blocks.append(len(block))
+            reference.extend(zip(ts[rows], block[rows]))
+
+        def on_record(ts, states):
+            calls.append(len(ts))
+            got.extend(zip(ts, states.copy()))
+
+        march(stepper, 2.0 + np.cos(g.x), dt, record_steps(dt, 5.904, 24), on_block, on_record)
+        assert blocks == [1] + [128] * 46 + [16]
+        assert calls == [64, 64, 64, 55]
+        assert [t for t, _ in got] == [t for t, _ in reference] == list(dt * np.arange(0, 5905, 24))
+        for (_, want), (_, state) in zip(reference, got):
+            assert np.array_equal(state, want)
+
+    @pytest.mark.parametrize("bad_record, reject, fails_after, error, calls, blocks", [
+        # a pending record of block 1, rejected by its hook, wins over a
+        # monitor failure in block 2, which ran before the hook saw it
+        (4.0, 15.0, None, "record rejected (failure at t = 2)", [[0.0, 4.0, 8.0, 12.0]], 2),
+        # a monitor failure or a non-finite fill in block 2 hands the hook
+        # the records before it, block 1's among them, then raises at its time
+        (None, 15.0, None, "state rejected (failure at t = 7.5)", [[0.0, 4.0, 8.0, 12.0]], 2),
+        (None, None, 14.0, "implicit step produced non-finite values (failure at t = 7.5)",
+         [[0.0, 4.0, 8.0, 12.0]], 2),
+        # the buffer fills with the record of step 36 in block 4, and block
+        # 5's failure hands over the one record after it
+        (None, 41.0, None, "state rejected (failure at t = 20.5)",
+         [[float(k) for k in range(0, 37, 4)], [40.0]], 5),
+    ], ids=["record_before_monitor", "monitor", "fill", "full_buffer"])
+    def test_records_pending_across_blocks_fail_in_step_order(self, monkeypatch, bad_record,
+                                                              reject, fails_after, error, calls,
+                                                              blocks):
+        # state k after step k, recorded every 4 steps, in blocks of 10 states
+        # of 3 values after the initial state's: a block holds 2 or 3 records,
+        # and the record buffer 10
+        monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 3 * 10)
+        firsts, seen = [], []
+
+        def on_block(ts, block, rows):
+            firsts.append(block[0, 0])
+            bad = np.flatnonzero(block[:, 0] == reject)
+            return (int(bad[0]), NonFiniteValue("state rejected")) if bad.size else None
+
+        def on_record(ts, states):
+            seen.append(states[:, 0].tolist())
+            assert np.array_equal(ts, 0.5 * states[:, 0])
+            bad = np.flatnonzero(states[:, 0] == bad_record)
+            return (int(bad[0]), NonFiniteValue("record rejected")) if bad.size else None
+
+        with pytest.raises(FolflowError) as exc:
+            march(_Count(fails_after), np.zeros(3), 0.5, record_steps(0.5, 50.0, 4), on_block,
+                  on_record)
+        assert str(exc.value) == error
+        assert seen == calls
+        assert firsts == [0.0, *range(1, 10 * blocks, 10)]
 
     @pytest.mark.parametrize("bad_record, reject, error, last_seen", [
         # a record rejected in the second chunk wins over a monitor failure
         # in the third, which the record hook never sees
-        (200.0, 300.0, "record rejected (failure at t = 100)", 256.0),
+        (200.0, 300.0, "record rejected (failure at t = 100)", 254.0),
         # a monitor failure on a second-chunk record's row wins over that record
         (200.0, 200.0, "state rejected (failure at t = 100)", 198.0),
         # a monitor failure between second-chunk records keeps the records before it
@@ -656,18 +721,18 @@ class TestEvolveDriver:
     def test_records_fail_in_step_order_across_chunks(self, monkeypatch, bad_record, reject,
                                                       error, last_seen):
         # state k after step k, recorded every 2 steps; one block of 400
-        # states holds 200 records, in chunks of 64: the second chunk holds
-        # the records of steps 130 to 256
+        # states holds 200 records, in chunks of 64 after the initial state's:
+        # the second chunk holds the records of steps 128 to 254
         monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", 3 * 400)
         seen, records = [], []
 
-        def on_block(ts, block):
+        def on_block(ts, block, rows):
             bad = np.flatnonzero(block[:, 0] == reject)
             return (int(bad[0]), NonFiniteValue("state rejected")) if bad.size else None
 
-        def on_record(ts, block, rows):
-            seen.extend(block[rows, 0])
-            for i, u in enumerate(block[rows, 0]):
+        def on_record(ts, states):
+            seen.extend(states[:, 0])
+            for i, u in enumerate(states[:, 0]):
                 if u == bad_record:
                     return i, NonFiniteValue("record rejected")
                 records.append(u)
@@ -697,8 +762,8 @@ class TestEvolveDriver:
             with pytest.raises(SolverSingular, match="^implicit step produced non-finite values$"):
                 stepper.step(alone[-1])
             with pytest.raises(SolverSingular) as exc:
-                march(stepper, u0, dt, record_steps(dt, 30.0, 10), on_record=lambda ts, block, rows:
-                      records.extend(zip(ts[rows], block[rows])))
+                march(stepper, u0, dt, record_steps(dt, 30.0, 10), on_record=lambda ts, states:
+                      records.extend(zip(ts, states.copy())))
         assert str(exc.value) == "implicit step produced non-finite values (failure at t = 19.4)"
         assert [t for t, _ in records] == pytest.approx(dt * np.arange(0, 194, 10))
         for (_, u), step in zip(records, range(0, 194, 10)):
@@ -725,8 +790,8 @@ class TestHeatSymbol:
     def _records(step, u0, dt, t_end, every, on_block=None):
         records = []
 
-        def keep(ts, block, rows):
-            records.extend(zip(ts[rows], block[rows]))
+        def keep(ts, states):
+            records.extend(zip(ts, states.copy()))
 
         march(step, u0, dt, record_steps(dt, t_end, every), on_block, keep)
         return records
@@ -783,7 +848,7 @@ class TestHeatSymbol:
         runs = []
         for rows in (1, 7, 64):
             monkeypatch.setattr(parabolic, "_BLOCK_DOUBLES", rows * u0.size)
-            for on_block in (None, lambda ts, block: None):
+            for on_block in (None, lambda ts, block, rows: None):
                 runs.append(self._records(series, u0, 1e-3, 0.13, 1, on_block))
         assert len(runs[0]) == 131
         for run in runs[1:]:
@@ -802,13 +867,13 @@ class TestHeatSymbol:
         u0 = np.ones(8)
         kept = []
         with pytest.raises(SolverSingular) as exc:
-            march(series, u0, 0.5, record_steps(0.5, 50.0, 1), on_record=lambda ts, block, rows:
-                  kept.extend(ts[rows]))
+            march(series, u0, 0.5, record_steps(0.5, 50.0, 1), on_record=lambda ts, states:
+                  kept.extend(ts))
         assert str(exc.value) == "implicit step produced non-finite values (failure at t = 15.5)"
         assert kept == pytest.approx(0.5 * np.arange(31))
 
-        def reject(ts, block, rows):
-            bad = np.flatnonzero(ts[rows] == 10.0)
+        def reject(ts, states):
+            bad = np.flatnonzero(ts == 10.0)
             return (int(bad[0]), NonFiniteValue("record rejected")) if bad.size else None
 
         with pytest.raises(NonFiniteValue, match=r"^record rejected \(failure at t = 10\)$"):

@@ -471,38 +471,51 @@ def test_a_surface_runs_in_closed_form_below_the_cut_on_a_fast_length(topology, 
 class TestRunningIntegral:
     @pytest.mark.parametrize("shape", [(1, 201), (64, 201), (64, 256), (8, 4096), (3, 2, 5)])
     def test_sums_in_step_order_as_a_loop_does(self, shape):
-        # totals read at a few rows of each block, or at every row as when
+        # totals kept at a few rows of each block, or at every row as when
         # every step is recorded, and the block's last, must give a loop's
-        # bits; the first block starts the total off at random
+        # bits, and the quantities kept must be the block's rows, though they
+        # are taken in batches that end inside a block or only after later
+        # blocks were added; the first block starts the total off at random
         for every_row in (False, True):
             rng = np.random.default_rng(11)
             first = rng.standard_normal(shape[1:])
             integral = scenarios._RunningIntegral(lambda terms: np.multiply(terms, 0.25, terms))
-            integral.add(first[None])
-            want, before, running = [], first, np.zeros(shape[1:])
+            integral.add(first[None], np.array([0]))
+            want, before, running = [(first, np.zeros(shape[1:]))], first, np.zeros(shape[1:])
+            got = [integral.take(1)]
             for block in (rng.standard_normal((5, *shape[1:])), rng.standard_normal(shape) * 1e3,
-                          rng.standard_normal(shape)):
-                integral.add(block.copy())
-                for row in block:
-                    running = running + 0.25 * (before + row)
-                    want.append(running)
-                    before = row
+                          rng.standard_normal(shape), rng.standard_normal((2, *shape[1:]))):
                 rows = (np.arange(len(block)) if every_row else
                         np.unique(rng.integers(0, len(block), 3)))
-                assert np.array_equal(integral.at(rows), np.array(want[-len(block):])[rows])
-                assert np.array_equal(integral.at(rows[-1:]),
-                                      want[-len(block) + rows[-1]][None])
-            assert np.array_equal(integral.last(), want[-1])
+                integral.add(block.copy(), rows)
+                totals = []
+                for row in block:
+                    running = running + 0.25 * (before + row)
+                    totals.append(running)
+                    before = row
+                want += [(block[r], totals[r]) for r in rows]
+                # the records not yet taken, less one or two that wait for the next block
+                pending = len(want) - sum(len(now) for now, _ in got)
+                if pending > 2:
+                    got.append(integral.take(int(rng.integers(1, pending - 1))))
+            pending = len(want) - sum(len(now) for now, _ in got)
+            got.append(integral.take(pending))
+            for (now, total), (kept_now, kept_total) in zip(
+                    want, ((a, b) for nows, totals in got for a, b in zip(nows, totals))):
+                assert np.array_equal(kept_now, now) and np.array_equal(kept_total, total)
+            assert sum(len(now) for now, _ in got) == len(want)
+            assert np.array_equal(integral.last, running)
 
     def test_the_initial_record_reads_zero(self):
         integral = scenarios._RunningIntegral(lambda terms: terms)
-        integral.add(np.ones((1, 4)))
-        assert np.array_equal(integral.at(np.array([0])), np.zeros((1, 4)))
-        assert np.array_equal(integral.now, np.ones((1, 4)))
-        block = np.full((2, 4), 2.0)
-        integral.add(block)
-        assert np.array_equal(integral.last(), np.full(4, 7.0))
-        assert integral.now is block
+        integral.add(np.ones((1, 4)), np.array([0]))
+        now, total = integral.take(1)
+        assert np.array_equal(now, np.ones((1, 4))) and np.array_equal(total, np.zeros((1, 4)))
+        integral.add(np.full((2, 4), 2.0), np.array([1]))
+        assert np.array_equal(integral.last, np.full(4, 7.0))
+        now, total = integral.take(1)
+        assert np.array_equal(now, np.full((1, 4), 2.0))
+        assert np.array_equal(total, integral.last[None])
 
 
 class TestFitDecayRate:

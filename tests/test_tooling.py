@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from folflow import parabolic
+from folflow import parabolic, scenarios
 from folflow.config import parse_config, parse_config_text, realize_field
 from folflow.fiber import ScalarField, build_grid
 from folflow.parabolic import BurgersStepper, HeatStepper
@@ -185,6 +185,31 @@ def test_each_step_of_a_run_is_one_stepper_step_call(monkeypatch, flow):
         assert evaluated == [7] * 7 + [1]  # steps 1..49 in blocks of 7, then 50
     else:
         assert evaluated == []
+
+
+def test_record_hooks_take_batches_across_blocks_on_golden(monkeypatch):
+    # each record hook call has a fixed cost, so march hands on_record up to
+    # 64 records gathered across blocks; a march that fell back to a call per
+    # block (48, 31 and 30 calls on the three marched configs) fails here
+    # without any timing
+    calls, march = collections.Counter(), scenarios.march
+
+    def counting_march(*args, on_record=None, **kwargs):
+        if len(args) == 6:  # on_record given by position
+            *args, on_record = args
+
+        def counted(*hook_args):
+            calls[name] += 1
+            return on_record(*hook_args)
+
+        return march(*args, on_record=counted, **kwargs)
+
+    monkeypatch.setattr(scenarios, "march", counting_march)
+    for path in sorted((ROOT / "configs").glob("*.yaml")):
+        name, cfg = path.stem, parse_config(path)
+        SCENARIOS[cfg.scenario].run(cfg, cfg.grid, cfg.fields)
+    assert calls == {"normalized_cosine": 4, "surface_bump": 1, "cole_hopf_forced": 2,
+                     "twisted_relax": 1}
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
